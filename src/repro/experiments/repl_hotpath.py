@@ -11,7 +11,7 @@ This experiment drives the paper topology under a sysbench-like write
 stream twice with the same seed — once with the legacy per-peer read
 path (``shared_fanout_reads=False, cache_read_through=False``) and once
 with the shared/read-through path — and reports *wall-clock* cost:
-events/sec, storage reads per replication round, cache hit rate, and
+events/sec, storage reads per committed write, cache hit rate, and
 elapsed seconds. The log cache is deliberately sized below the
 cross-region replication lag window so the storage-fallback path is hot,
 which is exactly the regime the optimization targets. Simulated timing
@@ -46,7 +46,7 @@ class HotpathVariant:
     storage_entry_reads: int
     file_byte_reads: int
     replication_rounds: int
-    reads_per_round: float
+    reads_per_write: float
     cache_hits: int
     cache_misses: int
     cache_fills: int
@@ -70,11 +70,14 @@ class ReplHotpathResult:
 
     @property
     def read_reduction(self) -> float:
-        """How many times fewer storage reads per replication round the
-        shared path does (the headline ≥2x acceptance bar)."""
-        if self.shared.reads_per_round <= 0:
-            return float("inf") if self.legacy.reads_per_round > 0 else 1.0
-        return self.legacy.reads_per_round / self.shared.reads_per_round
+        """How many times fewer leader storage reads per committed write
+        the shared path does (the headline acceptance bar). Per write,
+        not per replication round: group commit made rounds ~10x rarer
+        and their size load-dependent, while the writes are the same in
+        both variants."""
+        if self.shared.reads_per_write <= 0:
+            return float("inf") if self.legacy.reads_per_write > 0 else 1.0
+        return self.legacy.reads_per_write / self.shared.reads_per_write
 
     @property
     def wall_speedup(self) -> float:
@@ -104,7 +107,7 @@ class ReplHotpathResult:
                 f"{v.writes_per_wall_second:,.0f}",
                 v.storage_entry_reads,
                 v.replication_rounds,
-                f"{v.reads_per_round:.1f}",
+                f"{v.reads_per_write:.2f}",
                 f"{v.cache_hit_rate * 100:.1f}%",
                 "yes" if (v.logs_converged and v.engines_converged) else "NO",
             ]
@@ -121,13 +124,13 @@ class ReplHotpathResult:
                     "writes/s",
                     "entry_reads",
                     "rounds",
-                    "reads/round",
+                    "reads/write",
                     "cache_hit",
                     "converged",
                 ],
                 rows,
             ),
-            f"storage reads/round reduction: {self.read_reduction:.1f}x",
+            f"storage reads/write reduction: {self.read_reduction:.2f}x",
             f"wall-clock speedup: {self.wall_speedup:.2f}x",
             f"logs byte-identical across members and variants: "
             f"{'yes' if self.logs_match else 'NO'}",
@@ -286,7 +289,7 @@ def _run_variant(
         storage_entry_reads=probe.reads,
         file_byte_reads=primary.mysql.log_manager.read_calls - byte_reads_before,
         replication_rounds=rounds,
-        reads_per_round=probe.reads / rounds if rounds else 0.0,
+        reads_per_write=probe.reads / entries if entries else 0.0,
         cache_hits=hits,
         cache_misses=misses,
         cache_fills=cache["fills"] - cache_before["fills"],

@@ -41,7 +41,11 @@ class BootstrapVariant:
     cross_region_bytes: int
     leader_first_index: int
     purged_files: int
-    snapshots_shipped: int
+    # Seeding evidence, both true the instant the member is caught up:
+    # bytes the leader's shipper put on the wire, and installs the member
+    # completed. (The leader's own ``snapshots_shipped`` counts the final
+    # install *acknowledgement*, which is still crossing the WAN then.)
+    snapshot_bytes_sent: int
     snapshot_installs: int
 
 
@@ -70,7 +74,7 @@ class SnapshotBootstrapResult:
                 v.cross_region_bytes,
                 v.leader_first_index,
                 v.purged_files,
-                v.snapshots_shipped,
+                v.snapshot_bytes_sent,
                 "yes" if v.caught_up else "NO",
             ]
             for v in (self.index1, self.snapshot)
@@ -85,7 +89,7 @@ class SnapshotBootstrapResult:
                     "cross_region_bytes",
                     "leader_first_idx",
                     "purged_files",
-                    "ships",
+                    "snapshot_bytes",
                     "caught_up",
                 ],
                 rows,
@@ -209,7 +213,7 @@ def _measure_variant(
         cross_region_bytes=cluster.net.cross_region_bytes(),
         leader_first_index=primary.storage.first_index(),
         purged_files=len(purged),
-        snapshots_shipped=primary.node.metrics["snapshots_shipped"],
+        snapshot_bytes_sent=primary.node.snapshots.shipper.stats()["bytes_sent"],
         snapshot_installs=cluster.services[victim].node.metrics["snapshot_installs"],
     )
     return cluster, variant

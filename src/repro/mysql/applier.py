@@ -34,7 +34,7 @@ from typing import Callable
 
 from repro.errors import MySQLError
 from repro.mysql.engine import StorageEngine
-from repro.mysql.events import GtidEvent, QueryEvent, RowsEvent, TableMapEvent, Transaction, XidEvent
+from repro.mysql.events import GtidEvent, RowsEvent, TableMapEvent, Transaction, XidEvent
 from repro.mysql.gtid import Gtid
 from repro.mysql.pipeline import CommitPipeline, PipelineTxn
 from repro.mysql.timing import TimingProfile
@@ -255,7 +255,7 @@ class Applier:
         return PipelineTxn(
             payload=txn,
             engine_txn=engine_txn,
-            done=SimFuture(self.host.loop, label=f"apply:{gtid}"),
+            done=SimFuture(self.host.loop, label="apply"),
             opid=gtid_event.opid,
         )
 
@@ -372,7 +372,7 @@ class Applier:
             ptxn = PipelineTxn(
                 payload=txn,
                 engine_txn=engine_txn,
-                done=SimFuture(self.host.loop, label=f"apply:{engine_txn.gtid}"),
+                done=SimFuture(self.host.loop, label="apply"),
                 opid=gtid_event.opid,
             )
             ptxn.done.add_done_callback(lambda f, i=index: self._on_committed(i, f))
@@ -452,18 +452,28 @@ class Applier:
     # -- shared row apply ---------------------------------------------------------
 
     def _apply_events(self, engine_txn, txn: Transaction, rng: RngStream):
+        """Charge every event's apply cost (drawn in event order, one
+        draw per event through the Xid), suspend once until the last
+        event would have finished, then write the rows. The rows land in
+        an engine transaction nothing else can see before ``prepare``, so
+        when within that window they are written is unobservable."""
+        now = finish = self.host.loop.now
+        events = txn.events[1:]
+        for event in events:
+            finish += self.timing.applier_event(rng)
+            if isinstance(event, XidEvent):
+                break
+        # Accumulated on the absolute time, as the clock would over one
+        # sleep per event; the difference is exact once ``now`` exceeds
+        # the total cost (Sterbenz), so ``now + delay == finish``.
+        yield finish - now
         table_names: dict[int, str] = {}
-        for event in txn.events[1:]:
-            yield self.timing.applier_event(rng)
-            if isinstance(event, QueryEvent):
-                continue  # BEGIN
+        for event in events:
             if isinstance(event, TableMapEvent):
                 table_names[event.table_id] = event.table
-                continue
-            if isinstance(event, RowsEvent):
+            elif isinstance(event, RowsEvent):
                 self._apply_rows(engine_txn, table_names, event)
-                continue
-            if isinstance(event, XidEvent):
+            elif isinstance(event, XidEvent):
                 break
 
     def _apply_rows(self, engine_txn, table_names: dict[int, str], event: RowsEvent) -> None:

@@ -350,6 +350,45 @@ def encode_events(events: list[BinlogEvent]) -> bytes:
     return b"".join(event.encode() for event in events)
 
 
+# One payload is decoded by every member that stores or applies it (20
+# and 7 on the paper's topology), all within the replication window of a
+# few hundred entries. Decoded transactions are therefore interned by the
+# *content* of their bytes: transactions are frozen and the codec is
+# canonical, so equal bytes mean an equal transaction. Only bytes that
+# decoded cleanly — every header and CRC checked — are ever entered, so a
+# torn or corrupted payload differs from every key and takes the full
+# validating decode. The bound is sized from the measured reuse window
+# (peak applier lag on the write benchmark is 175 entries); eviction is
+# first-in, first-out. The returned transaction is shared by every caller
+# in the process: its events are frozen, but the row images inside a
+# RowsEvent are plain dicts — read or copy them (as the applier and CDC
+# do), never write to them.
+_INTERN_MAX = 1024
+_interned: dict[bytes, "Transaction"] = {}
+
+
+def _decode_interned(data: bytes) -> "Transaction":
+    data = bytes(data)
+    txn = _interned.get(data)
+    if txn is None:
+        txn = Transaction(events=tuple(decode_stream(data)))
+        # Bytes that decoded cleanly ARE the transaction's encoded form
+        # (canonical codec), so a decoded transaction never re-encodes.
+        object.__setattr__(txn, "_encoded", data)
+        if len(_interned) >= _INTERN_MAX:
+            del _interned[next(iter(_interned))]
+        _interned[data] = txn
+    return txn
+
+
+def framing_event(data: bytes) -> BinlogEvent:
+    """The first (framing) event of an encoded transaction — what log
+    storage classifies and OpId-checks an entry by. Shares the decode
+    table with :meth:`Transaction.decode`, so a member storing a payload
+    another member already decoded parses nothing."""
+    return _decode_interned(data).events[0]
+
+
 @dataclass(frozen=True)
 class Transaction:
     """One replicated transaction: a GTID-framed group of binlog events.
@@ -438,19 +477,16 @@ class Transaction:
 
     @classmethod
     def decode(cls, data: bytes) -> "Transaction":
-        txn = cls(events=tuple(decode_stream(data)))
-        # The codec is canonical: bytes that decoded cleanly (crc-checked
-        # per event) ARE the transaction's encoded form, so a decoded
-        # transaction never pays to re-encode.
-        object.__setattr__(txn, "_encoded", bytes(data))
-        return txn
+        """Parse and validate ``data`` — once per process for any given
+        content; later decodes of equal bytes return the same (frozen)
+        transaction, so its row-image dicts must not be mutated."""
+        return _decode_interned(data)
 
     @staticmethod
     def peek_opid(data: bytes) -> OpId | None:
-        """The OpId stamped in the framing event, decoding only the first
-        event — the cheap path for duplicate/conflict detection."""
-        event, _ = decode_event(data, 0)
-        return getattr(event, "opid", None)
+        """The OpId stamped in the framing event — the duplicate/conflict
+        detection path."""
+        return getattr(framing_event(data), "opid", None)
 
 
 def group_into_transactions(events: list[BinlogEvent]) -> list[Transaction]:

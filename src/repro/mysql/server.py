@@ -141,7 +141,7 @@ class MySQLServer:
             pipeline_txn = PipelineTxn(
                 payload=payload,
                 engine_txn=engine_txn,
-                done=SimFuture(self.host.loop, label=f"commit:{gtid}"),
+                done=SimFuture(self.host.loop, label="commit"),
             )
             opid = yield self.pipeline.submit(pipeline_txn)
         except Exception:
@@ -172,7 +172,7 @@ class MySQLServer:
     def _acquire_locks(self, engine_txn, table: str, rows: dict):
         for pk in rows:
             key = (table, pk)
-            wait = SimFuture(self.host.loop, label=f"lock:{key}")
+            wait = SimFuture(self.host.loop, label="lock")
             acquired = self.engine.locks.try_acquire(
                 key, engine_txn.xid, lambda w=wait: w.resolve_if_pending(None)
             )
@@ -288,7 +288,10 @@ def make_pipeline_for_server(
         host=server.host,
         flush_fn=flush_fn,
         wait_fn=wait_fn,
-        commit_fn=server.engine_commit_group,
+        # Looked up at commit time, not captured here: a class-level
+        # patch of engine_commit_group (tracing) must reach pipelines
+        # that already exist, and removing it must leave nothing behind.
+        commit_fn=lambda group: server.engine_commit_group(group),
         flush_latency=lambda group_size: (
             server.timing.binlog_fsync(server.rng)
             + sum(server.timing.raft_overhead(server.rng) for _ in range(group_size))

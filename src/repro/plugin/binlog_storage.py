@@ -30,6 +30,7 @@ from repro.mysql.events import (
     NoOpEvent,
     RotateEvent,
     Transaction,
+    framing_event,
 )
 from repro.mysql.gtid import Gtid
 from repro.mysql.log_manager import MySQLLogManager
@@ -155,15 +156,18 @@ class BinlogRaftLogStorage(LogStorage):
     # -- LogStorage interface -----------------------------------------------------
 
     def append(self, entries: list[LogEntry]) -> None:
-        from repro.mysql.events import decode_event
-
+        """Append ``entries`` in order. A payload this process has not
+        decoded before is validated whole, so a torn body raises
+        ``BinlogCorruptionError`` here — before anything of that entry is
+        stored — rather than on a later read; entries ahead of it in the
+        same call stay appended."""
         for entry in entries:
             expected = self._last.index + 1 if self._records else self._first
             if self._records and entry.opid.index != expected:
                 raise RaftError(f"append gap: expected {expected}, got {entry.opid}")
-            # Checksum-validate and classify from the framing event only;
-            # the body is validated lazily when parsed for reads.
-            first_event, first_end = decode_event(entry.payload, 0)
+            # Classify from the framing event. The first member to see a
+            # payload validates all of it; the rest hit the decode table.
+            first_event = framing_event(entry.payload)
             if getattr(first_event, "opid", None) != entry.opid:
                 raise RaftError(
                     f"payload OpId {getattr(first_event, 'opid', None)} "

@@ -4,7 +4,7 @@ The rest of the library is built on these pieces:
 
 - :class:`~repro.sim.loop.EventLoop` — a single-threaded event loop with a
   simulated clock. Determinism is guaranteed: same seed, same schedule.
-- :mod:`~repro.sim.coro` — generator-based coroutines (``yield sleep(dt)``,
+- :mod:`~repro.sim.coro` — generator-based coroutines (``yield dt``,
   ``yield some_future``) so protocol code reads sequentially.
 - :class:`~repro.sim.network.Network` — a region-aware message fabric with
   configurable latency models, partitions, and byte accounting.

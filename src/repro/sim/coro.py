@@ -3,14 +3,16 @@
 Protocol code (commit pipelines, orchestration, tooling) is written as
 generators that yield *awaitables*:
 
-- ``yield sleep(loop, dt)`` — suspend for ``dt`` simulated seconds;
+- ``yield dt`` (a number) — suspend for ``dt`` simulated seconds. This is
+  exactly one loop event: the timer resumes the generator itself;
 - ``yield some_future`` — suspend until the :class:`SimFuture` resolves;
   the ``yield`` expression evaluates to the future's result, or re-raises
-  the future's exception inside the generator.
+  the future's exception inside the generator. ``sleep(loop, dt)`` is
+  the future form of a delay, for combinators such as :func:`any_of`.
 
-``loop.call_soon`` is used to resume, so a future resolved at time *t*
-continues its waiters at time *t* but strictly after already-queued events
-— the same happens-before order every run.
+``loop.call_soon`` is used to resume after a future, so a future resolved
+at time *t* continues its waiters at time *t* but strictly after
+already-queued events — the same happens-before order every run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimError, SimTimeoutError
-from repro.sim.loop import EventLoop
+from repro.sim.loop import EventLoop, Timer
 
 _PENDING = "pending"
 _RESOLVED = "resolved"
@@ -216,7 +218,8 @@ class Process(SimFuture):
     The generator may yield:
       - a :class:`SimFuture` (including another Process): suspends until it
         completes; ``yield`` evaluates to its result or raises its error;
-      - a number: shorthand for ``sleep(loop, number)``.
+      - a number: suspends for that many simulated seconds; the timer
+        calls ``_advance`` directly (one loop event, no future).
 
     ``liveness`` (optional) is checked before each resume; if it returns
     False the process is killed silently — this is how host crashes stop
@@ -228,7 +231,7 @@ class Process(SimFuture):
     a paused host freezes its coroutines mid-flight without killing them.
     """
 
-    __slots__ = ("_gen", "_liveness", "_gate", "_killed")
+    __slots__ = ("_gen", "_liveness", "_gate", "_killed", "_sleep_timer")
 
     def __init__(
         self,
@@ -243,6 +246,7 @@ class Process(SimFuture):
         self._liveness = liveness
         self._gate = gate
         self._killed = False
+        self._sleep_timer: Timer | None = None
         loop.call_soon(self._advance, None, None)
 
     def kill(self) -> None:
@@ -251,12 +255,16 @@ class Process(SimFuture):
         if self.done():
             return
         self._killed = True
+        if self._sleep_timer is not None:
+            self._sleep_timer.cancel()
+            self._sleep_timer = None
         self._gen.close()
         self.cancel()
 
     def _advance(self, value: Any, exc: BaseException | None) -> None:
         if self._killed or self.done():
             return
+        self._sleep_timer = None
         if self._liveness is not None and not self._liveness():
             self.kill()
             return
@@ -280,7 +288,10 @@ class Process(SimFuture):
 
     def _wait_on(self, yielded: Any) -> None:
         if isinstance(yielded, (int, float)):
-            yielded = sleep(self._loop, float(yielded))
+            # Liveness and gate are re-checked in _advance, so a crashed
+            # or paused host stops or defers the resume as for a future.
+            self._sleep_timer = self._loop.call_after(yielded, self._advance, None, None)
+            return
         if not isinstance(yielded, SimFuture):
             self._gen.close()
             self.fail(SimError(f"process {self.label!r} yielded {type(yielded).__name__}"))

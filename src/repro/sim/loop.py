@@ -1,8 +1,10 @@
 """Simulated-time event loop.
 
-The loop is a priority queue of ``(fire_time, sequence, callback)`` entries.
-The sequence number makes ordering total and deterministic: two events
+The loop is a priority queue of ``(fire_at, seq, timer)`` tuples. The
+sequence number makes ordering total and deterministic: two events
 scheduled for the same instant fire in the order they were scheduled.
+``seq`` is unique, so a heap comparison is decided by the first two
+tuple fields — in C, never reaching the timer object.
 
 Time is a ``float`` in seconds. Nothing here sleeps on the wall clock; a
 multi-minute failover drill runs in milliseconds of real time.
@@ -73,9 +75,6 @@ class Timer:
     def _fire(self) -> None:
         self._callback(*self._args)
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.fire_at, self.seq) < (other.fire_at, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "armed"
         return f"Timer(fire_at={self.fire_at:.6f}, seq={self.seq}, {state})"
@@ -91,7 +90,7 @@ class EventLoop:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[Timer] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._processed = 0
         # Cancelled-but-still-heaped entry count; drives compaction.
         self._cancelled_in_heap = 0
@@ -114,10 +113,10 @@ class EventLoop:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
         if when < self._now:
             raise SimError(f"cannot schedule in the past: {when} < {self._now}")
-        self._seq += 1
-        timer = Timer(when, self._seq, callback, args, self)
+        self._seq = seq = self._seq + 1
+        timer = Timer(when, seq, callback, args, self)
         timer._in_heap = True
-        heapq.heappush(self._heap, timer)
+        heapq.heappush(self._heap, (when, seq, timer))
         return timer
 
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Timer:
@@ -147,28 +146,31 @@ class EventLoop:
         ``(fire_at, seq)`` the lazy heap would have produced.
         """
         live = []
-        for timer in self._heap:
+        for entry in self._heap:
+            timer = entry[2]
             if timer.cancelled:
                 timer._in_heap = False
             else:
-                live.append(timer)
+                live.append(entry)
         heapq.heapify(live)
         self._heap = live
         self._cancelled_in_heap = 0
         self._compactions += 1
 
     def _pop_ready(self, deadline: float) -> Timer | None:
-        while self._heap:
-            timer = self._heap[0]
+        heap = self._heap
+        while heap:
+            fire_at, _seq, timer = heap[0]
             if timer.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 timer._in_heap = False
                 self._cancelled_in_heap -= 1
                 continue
-            if timer.fire_at > deadline:
+            if fire_at > deadline:
                 return None
+            heapq.heappop(heap)
             timer._in_heap = False
-            return heapq.heappop(self._heap)
+            return timer
         return None
 
     def step(self) -> bool:

@@ -1,0 +1,50 @@
+"""Pins what a fixed-seed run *simulates*, and what it may cost in events.
+
+Host-side optimisations (the loop's heap entries, one loop event per
+coroutine sleep, one suspension per applied transaction, the decode
+table) must not move a single simulated timestamp, RNG draw or replicated
+byte. The values below were recorded before those optimisations and were
+reproduced unchanged after them; a later change that re-adds a hop or
+perturbs timing fails here before it shows up as a benchmark digest
+mismatch. A deliberate change to the simulated model re-records them.
+"""
+
+from repro.cluster import MyRaftReplicaset, paper_topology
+from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
+
+SEED = 12
+COMMITTED = 441
+LAST_PRIMARY_COMMIT_AT = 0.3003400833563364
+ENGINE_CHECKSUM = 2725985716
+LOG_CHECKSUM = "743f9a563bec8ae3b8c23cc5a57662bc4e0210f1ab699a624d0b21ca73065e6a"
+# 50.3 today on the 20-member topology (110 before the optimisations);
+# the head-room is for idle heartbeats, not for another hop per write.
+MAX_EVENTS_PER_COMMITTED_WRITE = 60
+
+
+def test_fixed_seed_sysbench_run_is_bit_identical_and_cheap():
+    cluster = MyRaftReplicaset(
+        paper_topology(), seed=SEED, timing=sysbench_timing(myraft=True)
+    )
+    primary = cluster.bootstrap()
+    engine = primary.mysql.engine
+    commit_times = []
+    engine_commit = engine.commit
+
+    def timed_commit(txn):
+        commit_times.append(cluster.loop.now)
+        engine_commit(txn)
+
+    engine.commit = timed_commit
+    events_before = cluster.loop.events_processed
+
+    result = WorkloadRunner(cluster, sysbench_workload()).run(0.25)
+    cluster.run(1.0)  # drain: every replica applies the tail
+    events = cluster.loop.events_processed - events_before
+
+    assert (result.committed, result.errors) == (COMMITTED, 0)
+    assert commit_times[-1] == LAST_PRIMARY_COMMIT_AT  # exact float
+    assert cluster.databases_converged() and cluster.logs_prefix_equal()
+    assert engine.checksum() == ENGINE_CHECKSUM
+    assert primary.mysql.log_manager.content_checksum() == LOG_CHECKSUM
+    assert events / result.committed <= MAX_EVENTS_PER_COMMITTED_WRITE

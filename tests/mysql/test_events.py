@@ -20,6 +20,7 @@ from repro.mysql.events import (
     decode_event,
     decode_stream,
     encode_events,
+    framing_event,
     group_into_transactions,
 )
 from repro.raft.types import OpId
@@ -222,6 +223,41 @@ class TestEncodeCache:
         decoded = Transaction.decode(data)
         assert decoded.encode() == data
         assert decoded.encode() is decoded.encode()
+
+    def test_equal_bytes_decode_to_one_transaction(self):
+        data = self.make_txn(opid=OpId(1, 5)).encode()
+        first = Transaction.decode(data)
+        # Keyed on content: another bytes object (as read back from a
+        # log file) and another view of it both hit.
+        assert Transaction.decode(bytes(bytearray(data))) is first
+        assert Transaction.decode(memoryview(data)) is first
+        assert framing_event(data) is first.events[0]
+        assert Transaction.peek_opid(data) == OpId(1, 5)
+
+    def test_every_one_byte_corruption_of_a_cached_payload_is_detected(self):
+        data = self.make_txn(opid=OpId(1, 6)).encode()
+        cached = Transaction.decode(data)
+        for position in range(len(data)):
+            torn = bytearray(data)
+            torn[position] ^= 0x01
+            for parse in (Transaction.decode, framing_event, Transaction.peek_opid):
+                with pytest.raises(BinlogCorruptionError):
+                    parse(bytes(torn))
+        with pytest.raises(BinlogCorruptionError):
+            Transaction.decode(data[:-1])
+        assert Transaction.decode(data) is cached  # failures entered nothing
+
+    def test_decode_table_is_bounded_and_evicts_oldest_first(self):
+        from repro.mysql import events
+
+        oldest = self.make_txn(txn_id=10_000, opid=OpId(7, 1)).encode()
+        first = Transaction.decode(oldest)
+        for txn_id in range(10_001, 10_001 + events._INTERN_MAX + 50):
+            Transaction.decode(self.make_txn(txn_id=txn_id, opid=OpId(7, 1)).encode())
+            assert len(events._interned) <= events._INTERN_MAX
+        assert len(events._interned) == events._INTERN_MAX
+        again = Transaction.decode(oldest)  # evicted: parsed afresh
+        assert again is not first and again == first
 
     def test_codec_is_canonical(self):
         # The decode-side cache is only sound if re-encoding the decoded

@@ -216,3 +216,83 @@ class TestApplierXidStability:
             return out.stdout.strip()
 
         assert xid_under("0") == xid_under("101")
+
+
+class PerEventApplier(Applier):
+    """Reference: one suspension per binlog event, rows written as their
+    event comes up — the behaviour the single-suspension applier must be
+    indistinguishable from."""
+
+    def _apply_events(self, engine_txn, txn, rng):
+        from repro.mysql.events import RowsEvent, TableMapEvent, XidEvent
+
+        table_names = {}
+        for event in txn.events[1:]:
+            yield self.timing.applier_event(rng)
+            if isinstance(event, TableMapEvent):
+                table_names[event.table_id] = event.table
+            elif isinstance(event, RowsEvent):
+                self._apply_rows(engine_txn, table_names, event)
+            elif isinstance(event, XidEvent):
+                break
+
+
+class TestOneSuspensionPerTransaction:
+    @staticmethod
+    def build_entries():
+        """Independent stamped transactions of 1-4 rows (3-9 events)."""
+        source = ServerWorld()
+        for i in range(1, 13):
+            rows = {i * 10 + k: {"id": i * 10 + k, "v": f"v{i}.{k}"} for k in range(1 + i % 4)}
+            source.write("t", rows)
+            source.loop.run_for(0.1)
+        return [
+            (txn.with_commit_meta(txn.gtid_event.opid, 0, seq), ENTRY_KIND_DATA)
+            for seq, txn in enumerate(source.flushed, start=1)
+        ]
+
+    @staticmethod
+    def run(applier_cls, entries, workers):
+        world = ServerWorld()
+        world.server.disable_client_writes()
+        # A realistic clock: replicas never apply in the first
+        # microseconds of a run (see Applier._apply_events).
+        world.loop.run_for(1.0)
+        applier = applier_cls(
+            host=world.host,
+            engine=world.server.engine,
+            entry_source=lambda i: entries[i - 1] if i - 1 < len(entries) else None,
+            pipeline=world.server.pipeline,
+            timing=TimingProfile(),
+            rng=RngStream(11),
+            workers=workers,
+        )
+        engine = world.server.engine
+        timeline = []
+        for step in ("prepare", "commit"):
+            def timed(txn, step=step, inner=getattr(engine, step)):
+                timeline.append((step, str(txn.gtid), world.loop.now))
+                inner(txn)
+            setattr(engine, step, timed)
+        applier.start(1)
+        world.loop.run_for(1.0)
+        assert applier.applied == len(entries)
+        return timeline, engine.checksum(), world.loop.events_processed
+
+    def test_same_times_and_state_as_the_per_event_reference(self):
+        entries = self.build_entries()
+        checksums = set()
+        for workers in (1, 4):
+            timeline, checksum, events = self.run(Applier, entries, workers)
+            ref_timeline, ref_checksum, ref_events = self.run(PerEventApplier, entries, workers)
+            # Exact float equality: every prepare and every engine commit
+            # happens at the same simulated instant, in the same order.
+            assert timeline == ref_timeline
+            assert checksum == ref_checksum
+            assert len(timeline) == 2 * len(entries)
+            # ... for one loop event per transaction instead of one per
+            # binlog event after the framing one.
+            per_event = sum(len(txn.events) - 1 for txn, _kind in entries)
+            assert ref_events - events == per_event - len(entries)
+            checksums.add(checksum)
+        assert len(checksums) == 1  # serial and 4-worker agree too

@@ -153,6 +153,39 @@ class TestClientWritePath:
         assert world.server.read_only
 
 
+class TestEngineCommitLateBinding:
+    def test_class_level_patch_reaches_a_live_pipeline_and_leaves_nothing_behind(self):
+        # The pipeline exists before the patch: a commit_fn captured as a
+        # bound method at build time would never see the wrapper, and one
+        # captured while patched would keep it after the restore.
+        world = ServerWorld()
+        original = MySQLServer.__dict__["engine_commit_group"]
+        seen = []
+
+        def wrapper(server, group):
+            seen.append(len(group))
+            return original(server, group)
+
+        MySQLServer.engine_commit_group = wrapper
+        try:
+            world.write("t", {1: {"id": 1}})
+            world.loop.run_for(0.1)
+            assert seen == [1]  # reached the pipeline built before the patch
+            world.reset_pipeline()  # and one built while patched
+            world.write("t", {2: {"id": 2}})
+            world.loop.run_for(0.1)
+            assert seen == [1, 1]
+        finally:
+            MySQLServer.engine_commit_group = original
+        assert MySQLServer.__dict__["engine_commit_group"] is original
+
+        world.write("t", {3: {"id": 3}})
+        world.loop.run_for(0.1)
+        assert seen == [1, 1]  # no wrapper left behind in the live pipeline
+        for pk in (1, 2, 3):
+            assert world.server.engine.table("t").get(pk) == {"id": pk}
+
+
 class TestApplier:
     def make_applier_world(self):
         world = ServerWorld()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LogTruncatedError, RaftError
+from repro.errors import BinlogCorruptionError, LogTruncatedError, RaftError
 from repro.mysql.events import (
     ConfigChangeEvent,
     GtidEvent,
@@ -13,6 +13,7 @@ from repro.mysql.events import (
     TableMapEvent,
     Transaction,
     XidEvent,
+    decode_event,
 )
 from repro.mysql.gtid import Gtid
 from repro.mysql.log_manager import MySQLLogManager
@@ -83,6 +84,55 @@ class TestAppendAndRead:
         bad = LogEntry(OpId(1, 1), txn.encode(), ENTRY_KIND_NOOP)
         with pytest.raises(RaftError):
             storage.append([bad])
+
+    def test_opid_mismatch_rejected_for_an_already_decoded_payload(self, storage):
+        # The decode table is keyed by payload content only; the OpId
+        # check against the entry must still run on a hit.
+        good = data_entry(1)
+        BinlogRaftLogStorage(MySQLLogManager({})).append([good])  # another member decoded it
+        with pytest.raises(RaftError):
+            storage.append([LogEntry(OpId(2, 1), good.payload, ENTRY_KIND_DATA)])
+        assert storage.last_opid() == OpId.zero()
+
+    def test_corrupted_copy_of_an_already_decoded_payload_is_rejected(self, storage):
+        good = data_entry(1)
+        BinlogRaftLogStorage(MySQLLogManager({})).append([good])
+        torn = bytearray(good.payload)
+        torn[-6] ^= 0x40  # inside the last event's body, past the framing event
+        with pytest.raises(BinlogCorruptionError):
+            storage.append([LogEntry(good.opid, bytes(torn), ENTRY_KIND_DATA)])
+        assert storage.last_opid() == OpId.zero()
+
+    def test_torn_body_behind_a_valid_framing_event_is_rejected_at_append(self, storage):
+        # Never decoded in this process: the framing event alone parses
+        # and carries the right OpId, the Xid event behind it is torn.
+        # Append validates the whole payload, so it raises here rather
+        # than storing the entry and failing on a later read.
+        whole = data_entry(2, txn_id=987_654).payload
+        torn = bytearray(whole)
+        torn[-6] ^= 0x40
+        framing, _end = decode_event(bytes(torn), 0)
+        assert framing.opid == OpId(1, 2)
+        storage.append([data_entry(1)])
+        with pytest.raises(BinlogCorruptionError):
+            storage.append([LogEntry(OpId(1, 2), bytes(torn), ENTRY_KIND_DATA)])
+        assert storage.last_opid() == OpId(1, 1) and storage.entry(2) is None
+        assert storage.log_manager.log_gtids.count() == 1
+        storage.append([LogEntry(OpId(1, 2), whole, ENTRY_KIND_DATA)])  # the intact copy still lands
+        assert storage.entry(2).payload == whole
+
+    def test_append_does_not_count_as_a_transaction_decode(self, storage, monkeypatch):
+        # benchmarks/e2e counts Transaction.decode calls per transaction;
+        # storage's framing lookup shares the table, not that entry point.
+        calls = []
+        original = Transaction.__dict__["decode"].__func__
+        monkeypatch.setattr(
+            Transaction, "decode",
+            classmethod(lambda cls, data: calls.append(1) or original(cls, data)),
+        )
+        storage.append([data_entry(1), noop_entry(2, 1)])
+        assert storage.entry(2).kind == ENTRY_KIND_NOOP
+        assert calls == []
 
     def test_rotate_entry_rotates_underlying_file(self, storage):
         storage.append([data_entry(1), rotate_entry(2), data_entry(3)])

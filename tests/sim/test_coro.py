@@ -171,6 +171,54 @@ class TestProcess:
         loop.run_until(5.0)
         assert progress == ["a"]
 
+    def test_numeric_yield_is_one_loop_event(self, loop):
+        def routine():
+            yield 0.5
+            yield 0.25
+
+        proc = spawn(loop, routine())
+        loop.run_until(0.0)  # the start event
+        before = loop.events_processed
+        loop.run_until(2.0)
+        assert proc.done()
+        assert loop.events_processed - before == 2  # one per sleep
+
+    def test_kill_during_sleep_leaves_no_live_callback(self, loop):
+        sends = []
+
+        def routine():
+            sends.append("start")
+            yield 1.0
+            sends.append("resumed")
+
+        proc = spawn(loop, routine())
+        loop.run_until(0.5)
+        assert loop.pending_count() == 1  # the sleep's timer
+        proc.kill()
+        assert loop.pending_count() == 0  # cancelled, not left to fire
+        before = loop.events_processed
+        loop.run_until(5.0)
+        assert loop.events_processed == before
+        assert sends == ["start"]
+
+    def test_gate_defers_a_sleep_resume_until_the_barrier_resolves(self, loop):
+        barrier = [None]
+        times = []
+
+        def routine():
+            yield 1.0
+            times.append(loop.now)
+
+        spawn(loop, routine(), gate=lambda: barrier[0])
+        loop.run_until(0.5)  # started and asleep before the gate closes
+        barrier[0] = SimFuture(loop)
+        loop.run_until(3.0)
+        assert times == []  # slept until 1.0, then held by the gate
+        loop.call_at(4.0, barrier[0].resolve, None)
+        loop.call_at(4.0, barrier.__setitem__, 0, None)
+        loop.run_until(10.0)
+        assert times == [4.0]
+
     def test_yielding_garbage_fails(self, loop):
         def routine():
             yield "not awaitable"

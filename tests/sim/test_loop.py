@@ -148,3 +148,54 @@ def test_run_until_idle_drains_queue():
     loop.run_until_idle()
     assert seen == ["done"]
     assert loop.now == 2.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_schedule_fires_in_fire_at_then_seq_order(seed):
+    """A seeded mix of call_at / call_soon / cancel, scheduled up front
+    and from inside callbacks, with many equal-``fire_at`` ties and heap
+    compactions while timers are pending: every surviving timer fires
+    exactly once, in exactly ``(fire_at, seq)`` order."""
+    import random
+
+    rng = random.Random(seed)
+    loop = EventLoop()
+    loop.compact_min_size = 16
+    instants = [0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.0, 1.0, 2.0]  # ties on purpose
+    handles = []
+    fired = []
+    compactions_seen_mid_run = set()
+
+    def schedule(depth):
+        when = max(loop.now, rng.choice(instants))
+        own = []  # the callback reports its own handle's (fire_at, seq)
+        if rng.random() < 0.3:
+            handle = loop.call_soon(on_fire, own, depth)
+        else:
+            handle = loop.call_at(when, on_fire, own, depth)
+        own.append(handle)
+        handles.append(handle)
+
+    def on_fire(own, depth):
+        fired.append((own[0].fire_at, own[0].seq))
+        compactions_seen_mid_run.add(loop._compactions)
+        if depth < 3:
+            for _ in range(rng.randrange(3)):
+                schedule(depth + 1)
+        for _ in range(rng.randrange(5)):
+            rng.choice(handles).cancel()  # fired, cancelled or pending: all legal
+
+    for _ in range(400):
+        schedule(0)
+    for handle in rng.sample(handles, 150):  # below the compaction fraction
+        handle.cancel()
+    assert loop._compactions == 0
+    loop.run_until(10.0)
+
+    assert len(compactions_seen_mid_run) > 1, "no compaction happened mid-run"
+    assert fired == sorted(fired)
+    assert len(set(fired)) == len(fired)
+    survivors = {(h.fire_at, h.seq) for h in handles if not h.cancelled}
+    assert survivors <= set(fired)  # a timer cancelled after it fired is in `fired` only
+    assert loop.pending_count() == 0
+    assert loop.events_processed == len(fired)

@@ -241,6 +241,80 @@ class TestHostLifecycle:
         loop.run_until(5.0)
         assert progress == ["start"]
 
+    def test_crash_mid_sleep_never_resumes_even_after_restart(self, world):
+        loop, net = world
+        a, _ = make_host(loop, net, "a")
+        progress = []
+
+        def routine():
+            progress.append("start")
+            yield 1.0
+            progress.append("end")
+
+        a.spawn(routine())
+        loop.run_until(0.5)
+        a.crash()
+        assert loop.pending_count() == 0  # the sleep's timer died with the host
+        a.restart()
+        loop.run_until(5.0)
+        assert progress == ["start"]
+
+    def test_pause_spanning_a_sleep_resumes_at_the_resume_instant(self, world):
+        loop, net = world
+        a, _ = make_host(loop, net, "a")
+        times = []
+
+        def routine():
+            yield 1.0
+            times.append(loop.now)
+            yield 1.0
+            times.append(loop.now)
+
+        a.spawn(routine())
+        loop.run_until(0.5)
+        a.pause()
+        loop.run_until(3.0)
+        assert times == []  # the sleep ended at 1.0 on a frozen host
+        a.resume()
+        loop.run_until(3.0)
+        assert times == [3.0]  # thawed at the resume instant, not at 1.0
+        loop.run_until(10.0)
+        assert times == [3.0, 4.0]
+
+    def test_pause_ending_before_the_sleep_does_not_move_it(self, world):
+        loop, net = world
+        a, _ = make_host(loop, net, "a")
+        times = []
+
+        def routine():
+            yield 1.0
+            times.append(loop.now)
+
+        a.spawn(routine())
+        loop.run_until(0.2)
+        a.pause_for(0.5)
+        loop.run_until(5.0)
+        assert times == [1.0]
+
+    def test_crash_while_paused_mid_sleep_never_resumes(self, world):
+        loop, net = world
+        a, _ = make_host(loop, net, "a")
+        progress = []
+
+        def routine():
+            progress.append("start")
+            yield 1.0
+            progress.append("end")
+
+        a.spawn(routine())
+        loop.run_until(0.5)
+        a.pause()
+        loop.run_until(2.0)  # the sleep ended; the resume waits on the pause barrier
+        a.crash()
+        a.restart()
+        loop.run_until(5.0)
+        assert progress == ["start"]
+
     def test_disk_survives_crash(self, world):
         loop, net = world
         a, _ = make_host(loop, net, "a")
