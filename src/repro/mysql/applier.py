@@ -81,6 +81,9 @@ class Applier:
         # collides with the leaked xid ("xid already active").
         self._building = None
         self._catchup_waiters: list[tuple[int, SimFuture]] = []
+        # Done-future of the newest transaction this coordinator submitted
+        # to the pipeline itself (serial loop and the MTS serial fallback).
+        self._last_submitted: SimFuture | None = None
         self.applied = 0
         self.skipped_duplicates = 0
         self.peak_inflight = 0
@@ -182,7 +185,25 @@ class Applier:
         future = SimFuture(self.host.loop, label=f"catchup:{index}")
         self._catchup_waiters.append((index, future))
         self._check_catchup()
+        # Transactions submitted before this waiter existed carry no
+        # completion hook. The pipeline commits in FIFO order, so the
+        # newest of them finishing is the first moment it can be empty.
+        last = self._last_submitted
+        if self._catchup_waiters and last is not None and not last.done():
+            last.add_done_callback(self._on_submitted_done)
         return future
+
+    def _submit(self, pipeline_txn: PipelineTxn) -> None:
+        """Hand a prepared transaction to the pipeline. Its completion is
+        watched only while somebody waits for catch-up: with no waiter the
+        re-check would be a loop event that does nothing."""
+        done = self.pipeline.submit(pipeline_txn)
+        self._last_submitted = done
+        if self._catchup_waiters:
+            done.add_done_callback(self._on_submitted_done)
+
+    def _on_submitted_done(self, _done: SimFuture) -> None:
+        self._check_catchup()
 
     def _check_catchup(self) -> None:
         if not self._catchup_waiters:
@@ -227,8 +248,7 @@ class Applier:
                 continue
             pipeline_txn = yield from self._execute(txn)
             if pipeline_txn is not None:
-                done = self.pipeline.submit(pipeline_txn)
-                done.add_done_callback(lambda _f: self._check_catchup())
+                self._submit(pipeline_txn)
             self._check_catchup()
 
     def _execute(self, txn: Transaction):
@@ -341,8 +361,7 @@ class Applier:
                 pipeline_txn = yield from self._execute(txn)
                 self._submit_cursor = index + 1
                 if pipeline_txn is not None:
-                    done = self.pipeline.submit(pipeline_txn)
-                    done.add_done_callback(lambda _f: self._check_catchup())
+                    self._submit(pipeline_txn)
                 self._check_catchup()
                 continue
             # LOGICAL_CLOCK admission: start only once the commit parent

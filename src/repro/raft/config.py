@@ -157,11 +157,6 @@ class RaftConfig:
     # remote ReadIndex fetch + apply wait).
     read_barrier_timeout: float = 2.0
 
-    # -- witness behaviour (§2.2, §4.1) ------------------------------------------
-    # A witness elected leader transfers leadership to a caught-up
-    # storage-engine member after this settle delay.
-    witness_handoff_delay: float = 0.05
-
     def election_timeout_base(self) -> float:
         return self.heartbeat_interval * self.missed_heartbeats_for_election
 

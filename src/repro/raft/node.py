@@ -66,6 +66,10 @@ from repro.sim.host import Host
 from repro.sim.rng import RngStream
 
 _DURABLE_NS = "raft"
+_ELECTION_COUNTERS = (
+    "elections_started", "elections_won", "pre_votes_started",
+    "pre_votes_abandoned", "handoff_attempts",
+)
 
 
 class RaftNode:
@@ -138,10 +142,12 @@ class RaftNode:
             "elections_started": 0,
             "elections_won": 0,
             "pre_votes_started": 0,
+            "pre_votes_abandoned": 0,
             "mock_elections": 0,
             "proxy_forwards": 0,
             "proxy_degrades": 0,
             "transfers_initiated": 0,
+            "handoff_attempts": 0,
             "snapshots_shipped": 0,
             "snapshot_installs": 0,
             "replication_rounds": 0,
@@ -195,6 +201,7 @@ class RaftNode:
         self.lease: LeaderLease | None = None
         self._lease_holdoff_hint = 0.0
         self._read_fetch_waiters: list[SimFuture] = []
+        self._read_fetch_queue: list[SimFuture] = []  # for the next fetch
         self._read_fetch_inflight = False
         self._read_fetch_id = 0
         if self._is_voter:
@@ -224,6 +231,8 @@ class RaftNode:
     def _set_term(self, term: int) -> None:
         if term < self.current_term:
             raise RaftError(f"term regression {self.current_term} -> {term}")
+        if term > self.current_term:
+            self._abandon_pre_vote("term-changed")
         self._durable["current_term"] = term
 
     def _voted_for(self, term: int) -> str | None:
@@ -331,6 +340,7 @@ class RaftNode:
             "applied_index": applied,
             "apply_lag": max(0, self.commit_index - applied) if applied is not None else None,
             "write_path": self._write_path_stats(),
+            "elections": {key: self.metrics[key] for key in _ELECTION_COUNTERS},
             "snapshot": self.snapshots.stats() if self.snapshots is not None else {},
         }
 
@@ -392,10 +402,7 @@ class RaftNode:
             self._pending_transfer.fail_if_pending(RaftError(f"{self.name} crashed"))
         crash_error = RaftError(f"{self.name} crashed")
         self.reads.fail_all(crash_error)
-        waiters, self._read_fetch_waiters = self._read_fetch_waiters, []
-        self._read_fetch_inflight = False
-        for future in waiters:
-            future.fail_if_pending(crash_error)
+        self._fail_read_fetches(crash_error)
 
     def on_restart(self) -> None:
         self._init_volatile()
@@ -553,9 +560,19 @@ class RaftNode:
             possible_leader_regions=frozenset(possible),
         )
 
+    def _abandon_pre_vote(self, reason: str) -> None:
+        """A pre-vote asks "would you elect me, given that nobody leads?".
+        Once this node votes for someone else, moves to another term or
+        hears a leader, the question is void: completing it would start
+        an election against what this node already knows."""
+        if self._pre_vote_tally is not None:
+            self._pre_vote_tally = None
+            self.metrics["pre_votes_abandoned"] += 1
+            self._trace("raft.pre_vote_abandoned", reason=reason)
+
     def _check_pre_vote_quorum(self) -> None:
         tally = self._pre_vote_tally
-        if tally is None:
+        if tally is None or tally.term != self.current_term + 1:
             return
         if self._effective_policy().election_quorum_satisfied(
             frozenset(tally.granted), self.membership, self._election_context(tally)
@@ -591,6 +608,7 @@ class RaftNode:
             # as leader knowledge itself — a failed candidacy must not
             # displace the real last-known leader.
             self._record_vote(req.term, req.candidate)
+            self._abandon_pre_vote("vote-granted")
             self._last_leader_contact = self.host.loop.now
             self._reset_election_timer()
         self._trace(
@@ -724,41 +742,51 @@ class RaftNode:
         self._replicate_all(force=True)
         self._schedule_heartbeat()
         if self._self_is_witness():
-            # Temporary witness leader: hand off to a database member once
-            # things settle (§4.1).
-            self.host.call_after(
-                self.config.witness_handoff_delay, self._witness_handoff, self.current_term
-            )
+            # Temporary witness leader (§4.1): acks drive the hand-off.
+            self.leader_state.handoff_tried = set()
 
     def _self_is_witness(self) -> bool:
         member = self.membership.member(self.name)
         return member is not None and member.is_witness
 
-    def _witness_handoff(self, term: int) -> None:
-        if not self.is_leader or self.current_term != term or self.leader_state is None:
-            return
-        candidates = [
-            m.name
-            for m in self.membership.voters()
-            if m.has_storage_engine and m.name != self.name
-        ]
-        target = self.leader_state.most_caught_up_peer(candidates)
-        if target is None:
-            self.host.call_after(
-                self.config.heartbeat_interval, self._witness_handoff, term
-            )
-            return
-        self._trace("raft.witness_handoff", target=target)
-        transfer = self.transfer_leadership(target)
-        # If the transfer fails (e.g. mock election lost), retry later.
-        def retry(completed: SimFuture) -> None:
-            failed = completed.exception() is not None or not completed.result()
-            if failed and self.is_leader and self.current_term == term and self.host.alive:
-                self.host.call_after(
-                    self.config.heartbeat_interval, self._witness_handoff, term
-                )
+    def _witness_handoff(self, acker: str | None = None) -> None:
+        """Hand a witness's leadership to the most caught-up database that
+        has answered this term and not yet failed an attempt (§4.1).
 
-        transfer.add_done_callback(retry)
+        Runs when a database acks an entry of this term (``acker``) —
+        the first such ack is the first moment a live, caught-up target is
+        known — and again the moment an attempt fails. A member that has
+        not answered, such as the crashed primary that caused the
+        election, is never a target. Once every answering database has
+        been tried, the next ack starts the round again."""
+        state = self.leader_state
+        if state is None or state.handoff_tried is None:
+            return
+        if self._pending_transfer is not None and not self._pending_transfer.done():
+            return
+        databases = [
+            m.name for m in self.membership.voters() if m.has_storage_engine
+        ]
+        if acker is not None and acker not in databases:
+            return
+        tried = state.handoff_tried
+        target = state.most_caught_up_peer([n for n in databases if n not in tried])
+        if target is None:
+            tried.clear()
+            return
+        tried.add(target)
+        self.metrics["handoff_attempts"] += 1
+        self._trace("raft.witness_handoff", target=target)
+
+        def settle(completed: SimFuture) -> None:
+            if self.leader_state is not state or not self.host.alive:
+                return
+            if completed.exception() is None and completed.result():
+                state.handoff_tried = None  # TimeoutNow sent: the target's turn
+            else:
+                self._witness_handoff()
+
+        self.transfer_leadership(target).add_done_callback(settle)
 
     def _become_follower_bookkeeping_only(self) -> None:
         """Clear leader-side volatile state without role-change hooks."""
@@ -1320,6 +1348,7 @@ class RaftNode:
                 self._step_down(term, leader=leader)
         else:
             self.leader_id = leader
+        self._abandon_pre_vote("leader-contact")
         self._last_leader_contact = self.host.loop.now
         self._reset_election_timer()
         return True
@@ -1454,6 +1483,11 @@ class RaftNode:
             if progress.next_index <= self.last_opid.index:
                 self._replicate_to(response.follower, force=False)
             self._maybe_complete_transfer(response.follower)
+            if (
+                self.leader_state.handoff_tried is not None
+                and response.last_opid.term == self.current_term
+            ):
+                self._witness_handoff(response.follower)
         else:
             progress.last_ack_time = now
             progress.on_rejected()
@@ -1872,25 +1906,40 @@ class RaftNode:
         if self.leader_id is None or self.leader_id == self.name:
             future.fail(NotLeaderError(f"{self.name} knows no leader"))
             return future
-        self._read_fetch_waiters.append(future)
-        # One fetch in flight per node: concurrent local reads batch onto
-        # it, mirroring the leader-side round batching.
+        # One fetch in flight per node, batched like the leader's probe
+        # rounds: a read arriving while one is in flight waits for the
+        # *next* fetch — the running one's index may have been captured
+        # before this read was invoked.
+        self._read_fetch_queue.append(future)
         if not self._read_fetch_inflight:
-            self._read_fetch_id += 1
-            self._read_fetch_inflight = True
-            self._send_read_fetch(self._read_fetch_id)
+            self._start_read_fetch()
         return future
+
+    def _start_read_fetch(self) -> None:
+        self._read_fetch_waiters, self._read_fetch_queue = self._read_fetch_queue, []
+        self._read_fetch_id += 1
+        self._read_fetch_inflight = True
+        self._send_read_fetch(self._read_fetch_id)
+
+    def _fail_read_fetches(self, error: Exception) -> None:
+        waiters = self._read_fetch_waiters + self._read_fetch_queue
+        self._read_fetch_waiters, self._read_fetch_queue = [], []
+        self._read_fetch_inflight = False
+        for waiter in waiters:
+            waiter.fail_if_pending(error)
 
     def _send_read_fetch(self, request_id: int) -> None:
         if not self._read_fetch_inflight or request_id != self._read_fetch_id:
             return
         self._read_fetch_waiters = [w for w in self._read_fetch_waiters if not w.done()]
         leader = self.leader_id
-        if not self._read_fetch_waiters or leader is None or leader == self.name:
+        if leader is None or leader == self.name:
+            self._fail_read_fetches(NotLeaderError(f"{self.name} knows no leader"))
+            return
+        if not self._read_fetch_waiters:  # every caller gave up (timed out)
             self._read_fetch_inflight = False
-            waiters, self._read_fetch_waiters = self._read_fetch_waiters, []
-            for waiter in waiters:
-                waiter.fail_if_pending(NotLeaderError(f"{self.name} knows no leader"))
+            if self._read_fetch_queue:
+                self._start_read_fetch()
             return
         self.metrics["read_index_fetches"] += 1
         hops = self._read_fetch_hops(leader)
@@ -2018,6 +2067,8 @@ class RaftNode:
                 waiter.fail_if_pending(
                     NotLeaderError(f"{response.leader} is not (or no longer) leader")
                 )
+        if self._read_fetch_queue:
+            self._start_read_fetch()
 
     # --------------------------------------------------------- quorum fixer
 

@@ -37,6 +37,10 @@ class PeerProgress:
 
     next_index: int
     match_index: int = 0
+    # Has this peer acked an append to *this* leader? ``last_ack_time``
+    # cannot say: it starts at the election time for every peer (benefit
+    # of the doubt for proxy health), a crashed member included.
+    acked_in_term: bool = False
     last_ack_time: float = 0.0
     last_sent_index: int = 0
     last_sent_time: float = -1e9
@@ -59,6 +63,7 @@ class PeerProgress:
             self.window_entries = self.flow.window_min
 
     def acked(self, index: int, now: float) -> None:
+        self.acked_in_term = True
         self.match_index = max(self.match_index, index)
         self.next_index = max(self.next_index, self.match_index + 1)
         self.last_ack_time = now
@@ -163,6 +168,10 @@ class LeaderState:
     peers: dict[str, PeerProgress] = field(default_factory=dict)
     # Flow-control limits applied to every tracked peer (None = legacy).
     flow: FlowControl | None = None
+    # Witness leaders only (§4.1): hand-off targets already attempted in
+    # this term. None = no hand-off owed (a database leads, or the
+    # TimeoutNow has gone out).
+    handoff_tried: set | None = None
 
     @classmethod
     def fresh(
@@ -229,12 +238,16 @@ class LeaderState:
         return new_commit
 
     def most_caught_up_peer(self, candidates: list[str]) -> str | None:
-        """The candidate with the highest match index (ties: first)."""
+        """The candidate with the highest match index (ties: first) among
+        those that have acked this leader; a peer that never answered in
+        this term is not a candidate, whatever its match index says."""
         best_name, best_match = None, -1
         for name in candidates:
-            match = self.match_of(name)
-            if match > best_match:
-                best_name, best_match = name, match
+            progress = self.peers.get(name)
+            if progress is None or not progress.acked_in_term:
+                continue
+            if progress.match_index > best_match:
+                best_name, best_match = name, progress.match_index
         return best_name
 
     def region_watermark(self, region: str, config: MembershipConfig) -> int:

@@ -1,0 +1,89 @@
+"""Pins the *distribution* of dead-primary failover time (Table 2).
+
+Sixteen seeded trials on the paper's 12-member failover topology, each on
+a fresh cluster watched by a 20 ms ``AvailabilityProbe``: crash the
+primary at a seeded phase of the heartbeat schedule, measure last ack
+before → first ack after. Cluster seeds and crash phases are the ones
+``benchmarks/e2e``'s ``failover_drill`` derives for its first sixteen
+trials at ``--seed 1``; its prober sends on a schedule and this one waits
+for each reply, so the distributions agree but not trial for trial.
+
+A failover should cost one detection window (3 missed 500 ms heartbeats
+plus up to 500 ms of jitter) and one election. Two defects used to add a
+second, slow mode at 3.3–5 s, and each has its own assertion below:
+
+- a witness leader handing off to the member whose crash caused the
+  election (it had never answered, but was first in membership order);
+- a voter completing a pre-vote it had started before granting a real
+  vote, and starting a lone higher-term election against the candidate
+  (or the leader) it had just backed.
+
+What remains in the slow mode is the split vote: two candidates win their
+pre-votes within one WAN round trip and campaign in the *same* term.
+Nothing here addresses that, so those trials are counted, not hidden:
+three of sixteen at these seeds.
+"""
+
+import statistics
+
+from repro.cluster import MyRaftReplicaset, paper_topology
+from repro.sim.rng import RngStream
+from repro.workload import sysbench_timing
+from repro.workload.runner import AvailabilityProbe
+
+TRIALS = 16
+VICTIM = "region0-db1"
+PROBE_INTERVAL = 0.020
+MAX_MEDIAN_DOWNTIME = 2.0
+MAX_SPLIT_VOTE_TRIALS = 3
+
+
+def _trial(index):
+    rng = RngStream(1).child("e2e/failover_drill").child(f"failover{index}")
+    cluster = MyRaftReplicaset(
+        paper_topology(follower_regions=3, learners=0),
+        seed=rng.seed,
+        timing=sysbench_timing(myraft=True),
+    )
+    cluster.bootstrap()
+    probe = AvailabilityProbe(cluster, interval=PROBE_INTERVAL)
+    probe.start(60.0)
+    cluster.run(1.0 + rng.child("phase").uniform(0.0, cluster.raft_config.heartbeat_interval))
+    crash_time = cluster.loop.now
+    cluster.crash(VICTIM)
+    cluster.run(6.0)
+    downtime = probe.downtime_after(crash_time)
+    after = [r for r in cluster.tracer.records if r.time >= crash_time]
+    candidates = {}  # term -> nodes that campaigned in it
+    for record in after:
+        if record.kind == "raft.election_started":
+            candidates.setdefault(record.get("term"), []).append(record.get("node"))
+    won = {r.get("term") for r in after if r.kind == "raft.leader_elected"}
+    no_winner = {term: nodes for term, nodes in candidates.items() if term not in won}
+    targets = [r.get("target") for r in after if r.kind == "raft.witness_handoff"]
+    return downtime, no_winner, targets
+
+
+def test_dead_primary_failover_costs_one_detection_window_and_one_election():
+    trials = [_trial(index) for index in range(TRIALS)]
+    downtimes = [downtime for downtime, _, _ in trials]
+
+    assert statistics.median(downtimes) <= MAX_MEDIAN_DOWNTIME, sorted(downtimes)
+
+    handed_to_victim = [i for i, (_, _, targets) in enumerate(trials) if VICTIM in targets]
+    assert not handed_to_victim, f"trials {handed_to_victim} handed off to the crashed primary"
+
+    # An election nobody wins may only be a split vote: several candidates
+    # in one term. A term with a lone candidate and no winner is a node
+    # campaigning against a vote it already gave.
+    lone = {
+        i: no_winner
+        for i, (_, no_winner, _) in enumerate(trials)
+        if any(len(nodes) < 2 for nodes in no_winner.values())
+    }
+    assert not lone, f"lone no-winner candidacies: {lone}"
+    split = [i for i, (_, no_winner, _) in enumerate(trials) if no_winner]
+    assert len(split) <= MAX_SPLIT_VOTE_TRIALS, f"split-vote trials {split}"
+    # Every trial outside the split-vote mode is a fast one.
+    fast = [d for i, d in enumerate(downtimes) if i not in split]
+    assert max(fast) <= MAX_MEDIAN_DOWNTIME, sorted(fast)

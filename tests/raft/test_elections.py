@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import RaftError
-from repro.raft.types import RaftRole
+from repro.raft.messages import (
+    AppendEntriesRequest,
+    RequestVoteRequest,
+    RequestVoteResponse,
+)
+from repro.raft.types import OpId, RaftRole
+from repro.sim.network import FixedLatency, NetworkSpec
 
 from tests.raft.harness import RaftRing, three_node_ring, five_node_ring, voter
 
@@ -152,6 +158,80 @@ class TestVoteRules:
         assert ring.node("n1").role == RaftRole.LEADER
         assert ring.node("n1").current_term == term_before
         assert ring.node("n3").role == RaftRole.FOLLOWER
+
+    # What voids an in-flight pre-vote, and the reason traced for it. Each
+    # arrives at n3 (term 1, pre-voting for term 2) before its grants do.
+    PRE_VOTE_VOIDED_BY = {
+        "vote-granted": RequestVoteRequest(term=1, candidate="n2", last_opid=OpId.zero()),
+        "term-changed": RequestVoteResponse(term=3, voter="n2", granted=False, is_pre_vote=True),
+        "leader-contact": AppendEntriesRequest(
+            term=1, leader="n2", prev_opid=OpId.zero(), commit_opid=OpId.zero()
+        ),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(PRE_VOTE_VOIDED_BY))
+    def test_late_pre_vote_grants_do_not_start_an_election(self, reason):
+        # A pre-vote asks "nobody leads, would you elect me?". Once the
+        # asker has voted for a rival, moved to another term, or heard a
+        # leader, the answer is moot: grants that arrive afterwards must
+        # not turn into a higher-term election against what it now knows.
+        ring = five_node_ring()
+        for name in ring.nodes:
+            ring.net.isolate(name)  # messages are delivered by hand below
+        n3 = ring.node("n3")
+        n3._set_term(1)
+        n3._start_pre_vote()
+        n3.handle_message("n2", self.PRE_VOTE_VOIDED_BY[reason])
+        term_known = n3.current_term
+        for granter in ("n4", "n5"):  # with n3 itself: a majority of five
+            n3.handle_message(
+                granter,
+                RequestVoteResponse(term=term_known, voter=granter, granted=True, is_pre_vote=True),
+            )
+        assert n3.metrics["elections_started"] == 0
+        assert n3.current_term == term_known and n3.role == RaftRole.FOLLOWER
+        assert n3.metrics["pre_votes_abandoned"] == 1
+        assert n3.stats()["elections"]["pre_votes_abandoned"] == 1
+        abandoned = ring.tracer.of_kind("raft.pre_vote_abandoned")
+        assert [(r.get("node"), r.get("reason")) for r in abandoned] == [("n3", reason)]
+        assert ring.tracer.count("raft.pre_vote_won") == 0
+
+    def test_pre_vote_that_still_stands_starts_the_election(self):
+        # The control for the test above: nothing voided the pre-vote.
+        ring = five_node_ring()
+        for name in ring.nodes:
+            ring.net.isolate(name)
+        n3 = ring.node("n3")
+        n3._set_term(1)
+        n3._start_pre_vote()
+        for granter in ("n4", "n5"):
+            n3.handle_message(
+                granter, RequestVoteResponse(term=1, voter=granter, granted=True, is_pre_vote=True)
+            )
+        assert n3.metrics["elections_started"] == 1 and n3.current_term == 2
+        assert n3.metrics["pre_votes_abandoned"] == 0
+
+    def test_voter_with_a_pre_vote_in_flight_does_not_depose_the_leader_it_elected(self):
+        # Two regions 30 ms apart. n1 campaigns at t=0; n3 starts a
+        # pre-vote 1 ms before n1's vote request reaches it, grants n1 the
+        # vote, and n1 leads from t=60 ms. n3's pre-vote grants come back
+        # at t=89 ms: acting on them would start a term-2 election whose
+        # higher term deposes the 30 ms-old leader.
+        members = [voter("n1", "r1"), voter("n2", "r1"), voter("n3", "r2"),
+                   voter("n4", "r2"), voter("n5", "r3")]
+        spec = NetworkSpec(in_region=FixedLatency(0.001), cross_region=FixedLatency(0.030))
+        ring = RaftRing(members, network_spec=spec)
+        ring.node("n1").start_election()
+        ring.run(0.029)
+        ring.node("n3")._start_pre_vote()
+        ring.run(1.0)
+        elected = [(r.get("node"), r.get("term")) for r in ring.tracer.of_kind("raft.leader_elected")]
+        assert elected == [("n1", 1)]
+        assert ring.tracer.count("raft.stepped_down") == 0
+        assert ring.node("n1").is_leader
+        assert {n.current_term for n in ring.nodes.values()} == {1}
+        assert ring.node("n3").metrics["elections_started"] == 0
+        assert ring.node("n3").metrics["pre_votes_abandoned"] == 1
 
     def test_forced_election_converges_to_single_leader(self):
         # Bypassing pre-vote (abnormal operation) may depose the leader via

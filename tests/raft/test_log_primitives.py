@@ -249,10 +249,20 @@ class TestLeaderState:
 
     def test_most_caught_up_peer(self):
         state = LeaderState.fresh(1, "a", self.config(), last_log_index=9, now=0.0)
+        # Nobody has answered this leader yet: membership order must not
+        # nominate the first name (it may be the member whose crash
+        # caused the election).
+        assert state.most_caught_up_peer(["b", "c"]) is None
         state.peers["b"].acked(5, 1.0)
+        assert state.most_caught_up_peer(["b", "c"]) == "b"
         state.peers["c"].acked(8, 1.0)
         assert state.most_caught_up_peer(["b", "c"]) == "c"
         assert state.most_caught_up_peer([]) is None
+        # A peer that never acked is not a candidate whatever its match
+        # index claims; neither is a name the leader does not track.
+        state.peers["l"].match_index = 9
+        assert state.most_caught_up_peer(["l", "b"]) == "b"
+        assert state.most_caught_up_peer(["l", "ghost"]) is None
 
     def test_region_watermarks(self):
         state = LeaderState.fresh(1, "a", self.config(), last_log_index=10, now=0.0)

@@ -1,5 +1,7 @@
 """TransferLeadership, mock elections (§4.3), and witness handoff."""
 
+import pytest
+
 from repro.raft.config import RaftConfig
 from repro.raft.types import RaftRole
 
@@ -173,3 +175,73 @@ class TestWitnessHandoff:
         elected = [r.get("node") for r in ring.tracer.of_kind("raft.leader_elected")]
         assert any(name.startswith("lt") for name in elected)
         assert ring.tracer.count("raft.witness_handoff") >= 1
+
+
+class TestWitnessHandoffTargets:
+    """Dead-primary failover where a logtailer of the dead primary's own
+    region wins at once (in-region election quorum, FlexiRaft): whom it
+    hands leadership to, and when."""
+
+    WAN_ONE_WAY = 0.030  # the harness's cross-region latency
+
+    def ring_after_primary_crash(self):
+        from repro.flexiraft import FlexiMode, FlexiRaftPolicy
+
+        members = [
+            voter("db1", "r1"), witness("lt1a", "r1"), witness("lt1b", "r1"),
+            voter("db2", "r2"), witness("lt2a", "r2"), witness("lt2b", "r2"),
+            voter("db3", "r3"), witness("lt3a", "r3"), witness("lt3b", "r3"),
+        ]
+        # Seed 4: lt1a's election timer fires first.
+        ring = RaftRing(members, seed=4, policy=FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC))
+        ring.bootstrap("db1")
+        for i in range(3):
+            ring.commit_and_run(f"e{i}".encode(), seconds=0.3)
+        ring.host("db1").crash()
+        return ring
+
+    @staticmethod
+    def first_witness_election(ring):
+        record = ring.tracer.of_kind("raft.leader_elected")[1]  # [0] is the bootstrap
+        assert record.get("node") == "lt1a", "precondition: db1's own logtailer wins first"
+        return record
+
+    def test_never_targets_the_crashed_database_and_hands_off_on_the_first_ack(self):
+        ring = self.ring_after_primary_crash()
+        ring.run(4.0)
+        elected = self.first_witness_election(ring)
+        handoffs = ring.tracer.of_kind("raft.witness_handoff")
+        # db1 is first in membership order and, like every peer of a fresh
+        # leader, starts at match 0 — but it has not answered this leader.
+        assert [r.get("target") for r in handoffs] == ["db2"]
+        # The first database's ack of the no-op is one WAN round trip away.
+        assert handoffs[0].time - elected.time <= 2 * self.WAN_ONE_WAY + 0.005
+        leader = ring.current_leader()
+        assert leader is not None and leader.name == "db2"
+        lt1a = ring.node("lt1a")
+        assert lt1a.metrics["handoff_attempts"] == 1
+        assert lt1a.stats()["elections"]["handoff_attempts"] == 1
+        assert lt1a.metrics["mock_elections"] == 1  # §4.3 still guards the hand-off
+
+    def test_falls_through_to_the_next_acked_database_when_the_target_dies(self):
+        ring = self.ring_after_primary_crash()
+        killed = []
+
+        def kill_first_target(record):
+            if record.kind == "raft.witness_handoff" and not killed:
+                killed.append(record.get("target"))
+                ring.host(record.get("target")).crash()
+
+        ring.tracer.subscribe(kill_first_target)
+        ring.run(4.0)
+        self.first_witness_election(ring)
+        handoffs = ring.tracer.of_kind("raft.witness_handoff")
+        assert [r.get("target") for r in handoffs] == ["db2", "db3"]
+        assert killed == ["db2"]
+        # Straight on: the failed attempt's mock-election timeout, and no
+        # further wait, separates the two.
+        gap = handoffs[1].time - handoffs[0].time
+        assert gap == pytest.approx(ring.config.mock_election_timeout, abs=1e-6)
+        leader = ring.current_leader()
+        assert leader is not None and leader.name == "db3"
+        assert ring.node("lt1a").metrics["handoff_attempts"] == 2

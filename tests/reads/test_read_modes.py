@@ -102,3 +102,26 @@ def test_lease_serves_reads_without_probe_rounds():
 def test_lease_duration_must_stay_under_election_timeout():
     with pytest.raises(Exception):
         RaftConfig(read_mode="lease", lease_duration=10.0).validate()
+
+
+def test_follower_read_does_not_join_a_fetch_sent_before_it_was_invoked():
+    # Linearizability: a read's index must be captured after the read was
+    # invoked. A follower batches concurrent reads onto one ReadIndex
+    # fetch, but a read arriving while a fetch is in flight has to wait
+    # for the next one: the leader may have captured the running fetch's
+    # index before a write this read is obliged to see.
+    rs = make_cluster("follower")
+    primary, replica = rs.primary_service(), rs.server("region1-db1")
+    rounds = primary.node.metrics["read_probe_rounds"]
+    first = replica.submit_read("kv", 1)
+    while primary.node.metrics["read_probe_rounds"] == rounds:
+        rs.run(0.001)  # until the leader has captured the fetch's index
+    write = primary.submit_write("kv", {1: {"id": 1, "v": "two"}})
+    while not write.done():
+        rs.run(0.001)
+    assert not write.failed() and not first.done()
+    second = replica.submit_read("kv", 1)  # invoked after the write was acked
+    rs.run(3.0)
+    assert first.done() and second.done() and not second.failed()
+    assert second.result()[1] == {"id": 1, "v": "two"}
+    assert replica.node.metrics["read_index_fetches"] >= 2
