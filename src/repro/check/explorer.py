@@ -150,6 +150,8 @@ def run_once(
                     injector.start(scenario.duration)
                 else:
                     scripted.arm(cluster)
+            if scenario.catch_up_within > 0 and scripted is not None:
+                suite.watch_catch_up(cluster, scripted.events, scenario.catch_up_within)
             runner = WorkloadRunner(cluster, scenario.workload_spec(), history=history)
             result = runner.run(scenario.duration)
             cluster.run(scenario.settle)

@@ -21,6 +21,9 @@ SnapshotMonotonicity        installing a snapshot never regresses a member's
                             durable commit point
 DeltaInstallSafety          an engine seeded via a delta install hashes
                             byte-identical to the full image it claims to equal
+CatchUpAfterHeal            (liveness, scenarios that ask for it) a bounded
+                            time after a scripted heal, every live member
+                            holds what was committed at the heal
 ==========================  ====================================================
 
 The commit *ledger* — ``index -> (term, payload crc)`` recorded the first
@@ -103,6 +106,7 @@ class InvariantSuite:
             "snapshots": 0,
             "reads": 0,
             "delta_installs": 0,
+            "catch_ups": 0,
         }
     )
     _elections: dict[int, _Election] = field(default_factory=dict)
@@ -372,6 +376,35 @@ class InvariantSuite:
                 f"delta install {snapshot_id} left engine crc {actual_crc}, "
                 f"expected {expected_crc}",
             )
+
+    # -- liveness after a heal -------------------------------------------------
+
+    def watch_catch_up(self, cluster, events, within: float) -> None:
+        """For every heal in a scripted fault schedule: note the primary's
+        commit index at the heal and, ``within`` seconds later, require
+        every live member's log to reach it."""
+        for event in events:
+            if event.kind in ("restart", "resume", "heal", "heal_regions"):
+                cluster.loop.call_at(event.time, self._mark_heal, cluster, within)
+
+    def _mark_heal(self, cluster, within: float) -> None:
+        primary = cluster.primary_service()
+        if primary is not None:
+            cluster.loop.call_after(
+                within, self._check_caught_up, cluster, primary.node.commit_index, within
+            )
+
+    def _check_caught_up(self, cluster, mark: int, within: float) -> None:
+        self.checks["catch_ups"] += 1
+        for name, service in cluster.services.items():
+            host = cluster.hosts[name]
+            if host.alive and not host.paused and service.node.last_opid.index < mark:
+                self._record(
+                    "CatchUpAfterHeal",
+                    service.node,
+                    f"holds {service.node.last_opid.index} of {mark} committed at "
+                    f"the heal {within:g}s ago",
+                )
 
     # -- end-of-run sweep ----------------------------------------------------
 

@@ -10,8 +10,8 @@ the fault pattern. Fault patterns come in two flavours:
   fault it fires, so a failing run still yields a scripted schedule for
   delta-debugging.
 - *scripted* — a :class:`~repro.workload.faults.FaultSchedule` generated
-  up front from the seed (region partitions), which ddmin can subset
-  directly.
+  up front from the seed (region partitions, proxy faults), which ddmin
+  can subset directly.
 
 Scenario durations are short on purpose: the explorer's power comes from
 seed count, not from any single long run.
@@ -47,7 +47,7 @@ class Scenario:
     key_space: int = 8
     read_fraction: float = 0.3
     # Fault pattern: "random" | "leader_crash_loop" | "region_partitions"
-    # | "pause_storm".
+    # | "pause_storm" | "proxy_faults".
     faults: str = "random"
     mean_interval: float = 5.0
     downtime: float = 2.0
@@ -78,6 +78,10 @@ class Scenario:
     # snapshot subsystem's churn drill: each reimage forces an image or
     # delta bootstrap and exercises DeltaInstallSafety.
     reimages: int = 0
+    # Liveness bound (CatchUpAfterHeal): this many seconds after every
+    # heal of a scripted schedule, each live member must hold what was
+    # committed at the heal. 0 = not required.
+    catch_up_within: float = 0.0
 
     def topology(self) -> ReplicaSetSpec:
         return paper_topology(
@@ -115,6 +119,8 @@ class Scenario:
         set."""
         if self.faults == "region_partitions":
             return None, self._partition_schedule(cluster, rng)
+        if self.faults == "proxy_faults":
+            return None, self._proxy_fault_schedule(cluster, rng)
         if self.faults == "leader_crash_loop":
             injector = RandomFaultInjector(
                 cluster,
@@ -164,6 +170,30 @@ class Scenario:
             events.append(
                 FaultEvent(t + self.downtime, "heal_regions", regions[i], regions[j])
             )
+        return FaultSchedule(events)
+
+    def _proxy_fault_schedule(self, cluster, rng) -> FaultSchedule:
+        """Scripted episodes, one at a time: a remote region's proxy (its
+        database, §4.2) crashes or stalls under load and comes back;
+        nothing else fails for ``catch_up_within`` seconds after, so the
+        catch-up bound is judged on a quiet ring."""
+        primary_region = cluster.membership.members[0].region
+        proxies = [
+            m.name for m in cluster.membership.members
+            if m.has_storage_engine and m.is_voter and m.region != primary_region
+        ]
+        events: list[FaultEvent] = []
+        now = cluster.loop.now
+        t = now + rng.uniform(1.0, 3.0)
+        while True:
+            downtime = rng.uniform(0.5, 1.0) * self.downtime
+            if t + downtime + self.catch_up_within >= now + self.duration:
+                break
+            target = rng.choice(proxies)
+            down, up = ("pause", "resume") if rng.bernoulli(0.5) else ("crash", "restart")
+            events.append(FaultEvent(t, down, target))
+            events.append(FaultEvent(t + downtime, up, target))
+            t += downtime + self.catch_up_within + rng.uniform(0.5, 2.0)
         return FaultSchedule(events)
 
 
@@ -262,6 +292,20 @@ SCENARIOS: dict[str, Scenario] = {
             # compaction stay under the delta re-base fraction — the
             # reimage drill then actually ships deltas, not full images.
             key_space=96,
+        ),
+        Scenario(
+            name="proxy-crash",
+            description=(
+                "a remote region's proxy crashes or stalls under load: the "
+                "members behind it are routed around, and everyone holds the "
+                "heal-time commit index within 5 s of the heal"
+            ),
+            faults="proxy_faults",
+            clients=3,
+            think_time=0.03,
+            read_fraction=0.1,
+            downtime=3.0,
+            catch_up_within=5.0,
         ),
         Scenario(
             name="read-lease",

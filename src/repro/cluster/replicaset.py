@@ -17,7 +17,6 @@ from repro.mysql.timing import TimingProfile, myraft_profile
 from repro.plugin.logtailer import LogtailerService
 from repro.plugin.raft_plugin import MyRaftServer
 from repro.raft.config import RaftConfig
-from repro.raft.proxy import router_for
 from repro.raft.quorum import QuorumPolicy
 from repro.cluster.topology import ReplicaSetSpec
 from repro.snapshot import seed_engine_namespaces
@@ -40,6 +39,12 @@ def paper_network_spec() -> NetworkSpec:
 class MyRaftReplicaset:
     """One simulated MyRaft replicaset, fully wired."""
 
+    # The ProxyRouter every member is built with (here, on re-image, on
+    # restore, on AddMember). None: each node's own default, the paper's
+    # region tree (§4.2). An A/B harness that wants direct delivery
+    # subclasses with ``router = StaticProxyRouter({})``.
+    router: Any | None = None
+
     def __init__(
         self,
         spec: ReplicaSetSpec,
@@ -48,7 +53,6 @@ class MyRaftReplicaset:
         policy: QuorumPolicy | None = None,
         network_spec: NetworkSpec | None = None,
         timing: TimingProfile | None = None,
-        proxying: bool = False,
         trace_capacity: int | None = None,
         loop: EventLoop | None = None,
         network: Network | None = None,
@@ -78,12 +82,9 @@ class MyRaftReplicaset:
         )
         self.discovery = discovery if discovery is not None else ServiceDiscovery(self.loop)
         self.membership = spec.membership()
-        self.raft_config = raft_config or RaftConfig(enable_proxying=proxying)
-        if proxying and not self.raft_config.enable_proxying:
-            raise ReproError("proxying=True requires raft_config.enable_proxying")
+        self.raft_config = raft_config or RaftConfig()
         self.policy = policy or FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC)
         self.timing = timing or myraft_profile()
-        router = router_for(self.raft_config)
 
         # Safety monitor (repro.check.InvariantSuite.attach installs one);
         # reimage_member re-attaches it to freshly built services.
@@ -108,7 +109,7 @@ class MyRaftReplicaset:
                     raft_config=self.raft_config,
                     timing=self.timing,
                     rng=self.rng,
-                    router=router,
+                    router=self.router,
                     discovery=self.discovery,
                     replicaset=spec.replicaset_id,
                 )
@@ -120,7 +121,7 @@ class MyRaftReplicaset:
                     raft_config=self.raft_config,
                     timing=self.timing,
                     rng=self.rng,
-                    router=router,
+                    router=self.router,
                     replicaset=spec.replicaset_id,
                 )
             host.attach_service(service)
@@ -238,7 +239,6 @@ class MyRaftReplicaset:
             )
             host.disk.namespace("raft")["current_term"] = base_backup.last_opid.term
         host.resurrect()
-        router = router_for(self.raft_config)
         if member.has_storage_engine:
             service: Any = MyRaftServer(
                 host=host,
@@ -247,7 +247,7 @@ class MyRaftReplicaset:
                 raft_config=self.raft_config,
                 timing=self.timing,
                 rng=self.rng,
-                router=router,
+                router=self.router,
                 discovery=self.discovery,
                 replicaset=self.spec.replicaset_id,
             )
@@ -259,7 +259,7 @@ class MyRaftReplicaset:
                 raft_config=self.raft_config,
                 timing=self.timing,
                 rng=self.rng,
-                router=router,
+                router=self.router,
                 replicaset=self.spec.replicaset_id,
             )
         if base_backup is not None and member.has_storage_engine:

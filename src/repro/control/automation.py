@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.errors import ControlPlaneError, MembershipError
 from repro.plugin.logtailer import LogtailerService
 from repro.plugin.raft_plugin import MyRaftServer
-from repro.raft.proxy import router_for
 from repro.raft.types import MemberInfo, MemberType
 from repro.sim.host import Host
 from repro.snapshot import seed_engine_namespaces
@@ -63,7 +62,6 @@ class MembershipAutomation:
             )
             host.disk.namespace("raft")["current_term"] = seed_backup.last_opid.term
         membership_with_new = cluster.membership.with_added(member, 0)
-        router = router_for(cluster.raft_config)
         if member.has_storage_engine:
             service = MyRaftServer(
                 host=host,
@@ -72,7 +70,7 @@ class MembershipAutomation:
                 raft_config=cluster.raft_config,
                 timing=cluster.timing,
                 rng=cluster.rng,
-                router=router,
+                router=cluster.router,
                 discovery=cluster.discovery,
                 replicaset=cluster.spec.replicaset_id,
             )
@@ -84,7 +82,7 @@ class MembershipAutomation:
                 raft_config=cluster.raft_config,
                 timing=cluster.timing,
                 rng=cluster.rng,
-                router=router,
+                router=cluster.router,
                 replicaset=cluster.spec.replicaset_id,
             )
         if seed_backup is not None and member.has_storage_engine:

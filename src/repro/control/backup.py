@@ -23,7 +23,6 @@ from typing import Any
 
 from repro.errors import ControlPlaneError
 from repro.plugin.raft_plugin import MyRaftServer
-from repro.raft.proxy import router_for
 from repro.raft.types import OpId
 from repro.snapshot import seed_engine_namespaces
 
@@ -102,7 +101,7 @@ def restore_member(cluster, member: str, backup: Backup) -> MyRaftServer:
         raft_config=cluster.raft_config,
         timing=cluster.timing,
         rng=cluster.rng,
-        router=router_for(cluster.raft_config),
+        router=cluster.router,
         discovery=cluster.discovery,
         replicaset=cluster.spec.replicaset_id,
     )

@@ -4,7 +4,12 @@ The paper's back-of-the-envelope claim: with ~500-byte log entries,
 proxying to a remote logtailer costs 2–5% of vanilla Raft's resource
 burden on a per-connection basis (the PROXY_OP metadata replaces the
 payload). We measure it directly from the network's byte accounting:
-identical write streams with proxying off and on.
+identical write streams over the region tree every ring routes through
+and over a ring whose injected router has no chains (direct delivery).
+
+Since the region fan-out, a member at its proxy's cursor rides on the
+proxy's own append and costs the WAN nothing; PROXY_OPs — what the
+2–5% figure prices — go only to members at another cursor.
 """
 
 from __future__ import annotations
@@ -17,8 +22,16 @@ from repro.experiments.common import (
     PAPER_PROXY_OVERHEAD_RANGE,
     format_table,
 )
-from repro.raft.messages import PER_ENTRY_OVERHEAD_BYTES, PROXY_OP_BYTES, RPC_HEADER_BYTES
+from repro.raft.messages import PER_ENTRY_OVERHEAD_BYTES, PROXY_OP_BYTES
+from repro.raft.proxy import StaticProxyRouter
 from repro.workload.profiles import sysbench_timing
+
+
+class DirectReplicaset(MyRaftReplicaset):
+    """The A/B baseline: every member is built with a router that knows
+    no chains, so every entry goes to every member directly."""
+
+    router = StaticProxyRouter({})
 
 
 @dataclass
@@ -29,6 +42,7 @@ class ProxyBandwidthResult:
     proxied_cross_region_bytes: int
     proxy_forwards: int
     proxy_degrades: int
+    checksums_match: bool = True
 
     @property
     def savings_percent(self) -> float:
@@ -57,17 +71,30 @@ class ProxyBandwidthResult:
             f"per-connection PROXY_OP overhead: {self.per_connection_overhead * 100:.1f}% "
             f"of vanilla (paper: {low * 100:.0f}-{high * 100:.0f}%)",
             f"proxy forwards: {self.proxy_forwards}, degrades: {self.proxy_degrades}",
+            f"engine checksums identical with and without a router: {self.checksums_match}",
         ]
         return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        return {
+            "writes": self.writes,
+            "entry_bytes": self.entry_bytes,
+            "direct_cross_region_bytes": self.vanilla_cross_region_bytes,
+            "tree_cross_region_bytes": self.proxied_cross_region_bytes,
+            "savings_percent": self.savings_percent,
+            "per_connection_overhead": self.per_connection_overhead,
+            "proxy_forwards": self.proxy_forwards,
+            "proxy_degrades": self.proxy_degrades,
+            "checksums_match": self.checksums_match,
+        }
 
 
 def _measure(proxying: bool, writes: int, payload_bytes: int, seed: int):
     topology = paper_topology(follower_regions=5, learners=2)
-    cluster = MyRaftReplicaset(
+    cluster = (MyRaftReplicaset if proxying else DirectReplicaset)(
         topology,
         seed=seed,
         timing=sysbench_timing(myraft=True),
-        proxying=proxying,
         trace_capacity=5_000,
     )
     cluster.bootstrap()
@@ -84,7 +111,7 @@ def _measure(proxying: bool, writes: int, payload_bytes: int, seed: int):
 def run_proxy_bandwidth(
     writes: int = 60, payload_bytes: int = 280, seed: int = 5
 ) -> ProxyBandwidthResult:
-    """A/B the same write stream with proxying off and on.
+    """A/B the same write stream with and without the region tree.
 
     ``payload_bytes`` is sized so an encoded transaction lands near the
     paper's ~500-byte average log entry.
@@ -107,4 +134,9 @@ def run_proxy_bandwidth(
         proxied_cross_region_bytes=proxied.net.cross_region_bytes(),
         proxy_forwards=forwards,
         proxy_degrades=degrades,
+        checksums_match=(
+            vanilla.databases_converged()
+            and proxied.databases_converged()
+            and vanilla.engine_checksums() == proxied.engine_checksums()
+        ),
     )

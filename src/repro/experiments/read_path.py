@@ -211,7 +211,7 @@ def _sum_metric(cluster, key: str) -> int:
 def _run_raft_variant(
     mode: str, seed: int, writes: int, reads: int, burst: int, key_space: int
 ) -> ReadVariant:
-    config = RaftConfig(read_mode=mode, enable_proxying=(mode == "follower"))
+    config = RaftConfig(read_mode=mode)
     cluster = MyRaftReplicaset(
         paper_topology(),
         seed=seed,

@@ -65,6 +65,14 @@ class FlexiRaftPolicy(QuorumPolicy):
         satisfied = sum(1 for group in groups.values() if group_majority(group, ackers))
         return satisfied >= majority_count(len(groups))
 
+    def data_quorum_voters(self, leader: str, config: MembershipConfig) -> list[str]:
+        if self.mode == FlexiMode.MULTI_REGION:
+            return config.voter_names()
+        leader_member = config.member(leader)
+        if leader_member is None:
+            return []
+        return [m.name for m in config.voters_in_region(leader_member.region)]
+
     # -- leader election -----------------------------------------------------------
 
     def election_quorum_satisfied(

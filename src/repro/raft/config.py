@@ -72,8 +72,8 @@ class RaftConfig:
     # follower's failure detector is reset by any append.
     suppress_redundant_heartbeats: bool = True
 
-    # -- proxying (§4.2) -----------------------------------------------------
-    enable_proxying: bool = False
+    # -- proxying (§4.2): fault-path timers; the route itself is the
+    # node's ProxyRouter, not a switch here ---------------------------------
     # How long a proxy waits for a missing entry to show up in its local
     # log before degrading the proxied message to a heartbeat (§4.2.1).
     proxy_wait_timeout: float = 0.05

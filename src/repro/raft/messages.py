@@ -3,8 +3,9 @@
 Wire sizes drive the network's byte accounting, which in turn drives the
 §4.2.2 proxy-bandwidth experiment. Sizes follow the paper's
 back-of-the-envelope framing: a header of a few dozen bytes per RPC,
-payload bytes for full entries, and ~24 bytes of metadata per ``PROXY_OP``
-(term + index + length placeholder) instead of the payload.
+payload bytes for full entries, ~24 bytes of metadata per ``PROXY_OP``
+(term + index + length placeholder) instead of the payload, and one
+member id per fan-out destination riding on a proxy's own append.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from repro.raft.types import OpId
 RPC_HEADER_BYTES = 64
 PER_ENTRY_OVERHEAD_BYTES = 16
 PROXY_OP_BYTES = 24
+# One member id (a binary UUID) per fan-out destination.
+FANOUT_DEST_BYTES = 16
 # Per-chunk framing for snapshot transfer: snapshot id + sequence number
 # + flags + payload length.
 SNAPSHOT_CHUNK_OVERHEAD_BYTES = 32
@@ -34,6 +37,14 @@ class AppendEntriesRequest:
     payload from its own log. ``route`` is the remaining hops to
     ``final_dest``; ``return_path`` accumulates hops for the response to
     travel back up to the leader.
+
+    ``fanout`` names in-region members whose window is this very
+    ``(prev_opid, entries)``: the addressed proxy forwards the request it
+    holds to each of them, so the region costs one WAN message.
+    ``degraded_through`` is non-zero on the heartbeat a proxy sends in
+    place of a PROXY_OP it could not reconstitute: the index through
+    which its log cannot serve this destination. The destination echoes
+    it, so the leader routes around exactly that far.
     """
 
     term: int
@@ -45,6 +56,8 @@ class AppendEntriesRequest:
     final_dest: str = ""
     route: tuple = ()  # tuple[str, ...]
     return_path: tuple = ()  # tuple[str, ...]
+    fanout: tuple = ()  # tuple[str, ...]
+    degraded_through: int = 0
 
     @property
     def is_heartbeat(self) -> bool:
@@ -60,6 +73,7 @@ class AppendEntriesRequest:
         for entry in self.entries:
             size += PER_ENTRY_OVERHEAD_BYTES + entry.size_bytes
         size += PROXY_OP_BYTES * len(self.proxy_opids)
+        size += FANOUT_DEST_BYTES * len(self.fanout)
         return size
 
     def last_sent_opid(self) -> OpId:
@@ -77,6 +91,8 @@ class AppendEntriesResponse:
 
     ``leader`` is the final addressee: proxies pop hops off
     ``return_path`` and, when it is empty, deliver to ``leader``.
+    ``degraded_through`` echoes the request's: the proxy on the path
+    cannot serve this follower's windows through that index.
     """
 
     term: int
@@ -85,6 +101,7 @@ class AppendEntriesResponse:
     last_opid: OpId
     leader: str = ""
     return_path: tuple = ()
+    degraded_through: int = 0
 
     wire_size: int = RPC_HEADER_BYTES
 
@@ -97,6 +114,7 @@ class AppendEntriesResponse:
             last_opid=self.last_opid,
             leader=self.leader,
             return_path=self.return_path[:-1],
+            degraded_through=self.degraded_through,
         )
 
 

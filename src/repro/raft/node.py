@@ -11,14 +11,16 @@ MyRaft-specific behaviours implemented here:
 - pluggable :class:`QuorumPolicy` (vanilla majority or FlexiRaft, §4.1);
 - witnesses (logtailers) can win elections — longest log wins — and then
   hand leadership to a caught-up storage-engine member (§2.2, §4.1);
-- AppendEntries proxying with PROXY_OP reconstitution, degrade-to-
-  heartbeat, and leader route-around (§4.2);
+- AppendEntries proxying: one WAN message per region (fan-out riders on
+  the proxy's own append), PROXY_OP reconstitution for stragglers,
+  degrade-to-heartbeat, and per-destination route-around (§4.2);
 - mock elections before TransferLeadership (§4.3);
 - Quorum Fixer override hooks (§5.3).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.errors import (
@@ -57,6 +59,7 @@ from repro.raft.messages import (
     TimeoutNowRequest,
     VoteRetraction,
 )
+from repro.raft.proxy import RegionProxyRouter
 from repro.raft.quorum import ElectionContext, QuorumPolicy
 from repro.raft.replication import FlowControl, LeaderState, VoteTally
 from repro.raft.types import MemberInfo, OpId, RaftRole
@@ -98,7 +101,9 @@ class RaftNode:
         self.hooks = hooks or RaftHooks()
         self.timing = timing or TimingModel()
         self.rng = (rng or RngStream(1)).child(f"raft/{self.name}")
-        self.router = router  # ProxyRouter | None
+        # The region tree (§4.2) unless the embedder injects another shape;
+        # a router that returns no chains spells direct delivery.
+        self.router = router if router is not None else RegionProxyRouter()
         self.tracer = host.tracer
 
         durable = host.disk.namespace(_DURABLE_NS)
@@ -191,7 +196,8 @@ class RaftNode:
         self._pending_transfer: SimFuture | None = None
         self._transfer_target: str | None = None
         self._mock_completed_for_transfer = False
-        self._pending_proxy: list[dict] = []
+        self._pending_proxy: list[AppendEntriesRequest] = []
+        self._route_cache: tuple | None = None
         self._last_leader_contact = self.host.loop.now
         self._quorum_override: QuorumPolicy | None = None
         # Consistent-read machinery (repro.reads). All volatile: a crash
@@ -721,7 +727,6 @@ class RaftNode:
             self.name,
             self.membership,
             self.last_opid.index,
-            self.host.loop.now,
             flow=flow,
         )
         if self.config.read_mode == "lease":
@@ -970,9 +975,8 @@ class RaftNode:
         self_member = self.membership.member(self.name)
         self._is_voter = self_member.is_voter if self_member else False
         if self.leader_state is not None:
-            now = self.host.loop.now
             for member in self.membership.peers_of(self.name):
-                self.leader_state.ensure_peer(member.name, now)
+                self.leader_state.ensure_peer(member.name)
             for tracked in list(self.leader_state.peers):
                 if tracked not in self.membership:
                     self.leader_state.drop_peer(tracked)
@@ -1010,10 +1014,11 @@ class RaftNode:
         self._replicate_many([peer], force)
 
     def _replicate_many(self, peers: list[str], force: bool) -> None:
-        """Fan-out AppendEntries to ``peers``, sharing one storage read
-        (and one immutable entries tuple) among every peer at the same
-        send cursor instead of re-fetching per peer (§3.1's cache
-        fallback used to be paid once per peer per round)."""
+        """Send each of ``peers`` its next window: one storage read (and
+        one immutable entries tuple) per distinct send cursor, and one
+        WAN message per remote region — whenever a region's proxy is sent
+        entries, every member behind it that stands at the window's start
+        rides on that message as a fan-out destination (§4.2)."""
         state = self.leader_state
         if state is None:
             return
@@ -1027,9 +1032,9 @@ class RaftNode:
         windows: dict[tuple[int, int], tuple[OpId, tuple]] | None = (
             {} if self.config.shared_fanout_reads else None
         )
+        starts: dict[str, int] = {}
         for peer in peers:
-            progress = state.ensure_peer(peer, now)
-            start = progress.send_window_start(
+            start = state.ensure_peer(peer).send_window_start(
                 last,
                 self.config.append_retry_interval,
                 now,
@@ -1037,18 +1042,66 @@ class RaftNode:
                 heartbeat_suppress_window=suppress,
                 commit_index=self.commit_index,
             )
-            if start is None:
+            if start is not None:
+                starts[peer] = start
+        if not starts:
+            return
+        chains, behind = self._proxy_routes()
+        # Unrouted peers (and heartbeats: tiny anyway) first: what a routed
+        # peer gets depends on what its proxy is sent, this pass included.
+        routed = []
+        for peer, start in list(starts.items()):
+            if start <= last and peer in chains:
+                routed.append(peer)
                 continue
-            self._send_window(peer, progress, start, now, windows)
+            progress = state.peers[peer]
+            window = self._window_at(peer, progress, start, windows)
+            if window is None:
+                continue
+            riders = ()
+            if window[1] and peer in behind and self._proxy_is_healthy(peer):
+                riders = self._take_riders(behind[peer], window, starts, now)
+            self._send_window(peer, progress, window, now, riders)
+        for peer in routed:
+            if peer in starts:  # did not ride on its proxy's message
+                self._send_routed(
+                    peer, state.peers[peer], starts[peer], chains[peer], windows, now
+                )
 
-    def _send_window(
+    def _take_riders(
+        self, behind: list[str], window: "tuple[OpId, tuple]", starts: dict, now: float
+    ) -> tuple:
+        """The members behind a proxy that stand exactly at the start of
+        the window it is being sent: the proxy's window is theirs, in no
+        message of their own — whatever their own budget or in-flight cap
+        (the one WAN stream is paced by the proxy's). Taken out of
+        ``starts``."""
+        state = self.leader_state
+        prev_opid, entries = window
+        riders = []
+        for peer in behind:
+            progress = state.peers.get(peer)
+            if progress is None or progress.routed_around:
+                continue
+            start = starts.get(peer)
+            if start is None:
+                start = max(progress.next_index, progress.last_sent_index + 1)
+            if start == prev_opid.index + 1:
+                starts.pop(peer, None)
+                self._note_sent(progress, entries, now)
+                riders.append(peer)
+        return tuple(riders)
+
+    def _window_at(
         self,
         peer: str,
         progress: Any,
         start: int,
-        now: float,
         windows: "dict[tuple[int, int], tuple[OpId, tuple]] | None",
-    ) -> None:
+    ) -> "tuple[OpId, tuple] | None":
+        """The ``(prev_opid, entries)`` window for ``peer`` from ``start``
+        (empty entries: a heartbeat), or None when a snapshot went out
+        instead."""
         # Adaptive flow control gives each peer its own entry budget, so
         # shared windows memoize on (start, budget) — peers with equal
         # cursors *and* budgets still share one storage read, and with
@@ -1056,55 +1109,75 @@ class RaftNode:
         limit = progress.send_budget(self.config.max_entries_per_append)
         key = (start, limit)
         window = windows.get(key) if windows is not None else None
-        if window is None:
+        if window is not None:
+            return window
+        prev_index = start - 1
+        last = self.last_opid
+        # Pure heartbeats (start just past the tail) resolve the prev
+        # term from the O(1) tail opid instead of a storage lookup.
+        if prev_index == last.index and prev_index > 0:
+            prev_term = last.term
+        else:
+            prev_term = self._term_at(prev_index)
+        if prev_term is None or start < self.storage.first_index():
+            # Peer is so far behind that our log was purged below its
+            # next_index (LogTruncatedError territory): state transfer
+            # is the only way to catch it up. Ship a snapshot when the
+            # machinery is wired; otherwise resend from the oldest we
+            # still have (pure-protocol rings never purge mid-stream).
+            if self._maybe_ship_snapshot(peer):
+                return None
+            start = self.storage.first_index()
             prev_index = start - 1
-            last = self.last_opid
-            # Pure heartbeats (start just past the tail) resolve the prev
-            # term from the O(1) tail opid instead of a storage lookup.
-            if prev_index == last.index and prev_index > 0:
-                prev_term = last.term
-            else:
-                prev_term = self._term_at(prev_index)
-            if prev_term is None or start < self.storage.first_index():
-                # Peer is so far behind that our log was purged below its
-                # next_index (LogTruncatedError territory): state transfer
-                # is the only way to catch it up. Ship a snapshot when the
-                # machinery is wired; otherwise resend from the oldest we
-                # still have (pure-protocol rings never purge mid-stream).
-                if self._maybe_ship_snapshot(peer):
-                    return
-                start = self.storage.first_index()
-                prev_index = start - 1
-                prev_term = self._term_at(prev_index) or 0
-                key = (start, limit)
-                window = windows.get(key) if windows is not None else None
-            if window is None:
-                entries = tuple(
-                    self._entries_for_send(
-                        start, limit, self.config.max_bytes_per_append
-                    )
-                )
-                window = (OpId(prev_term, prev_index), entries)
-                if windows is not None:
-                    windows[key] = window
-        prev_opid, entries = window
-        request = AppendEntriesRequest(
-            term=self.current_term,
-            leader=self.name,
-            prev_opid=prev_opid,
-            commit_opid=self.commit_opid,
-            entries=entries,
-            final_dest=peer,
+            prev_term = self._term_at(prev_index) or 0
+            key = (start, limit)
+            window = windows.get(key) if windows is not None else None
+            if window is not None:
+                return window
+        entries = tuple(
+            self._entries_for_send(start, limit, self.config.max_bytes_per_append)
         )
+        window = (OpId(prev_term, prev_index), entries)
+        if windows is not None:
+            windows[key] = window
+        return window
+
+    def _note_sent(self, progress: Any, entries: tuple, now: float) -> None:
+        """Leader bookkeeping for one window on its way to one peer —
+        in a message of its own, as a PROXY_OP, or riding on its proxy's
+        (``append_sizes`` counts windows per peer, however they travel)."""
         if entries:
-            progress.last_sent_index = entries[-1].opid.index
-            progress.note_sent_window(entries[-1].opid.index)
+            tail = entries[-1].opid.index
+            progress.last_sent_index = tail
+            progress.note_sent_window(tail)
             if len(progress.inflight) > self.metrics["inflight_hwm"]:
                 self.metrics["inflight_hwm"] = len(progress.inflight)
             self.append_sizes.record(float(len(entries)))
         progress.last_sent_time = now
         progress.last_sent_commit = self.commit_index
-        self._dispatch_append(peer, request)
+
+    def _send_window(
+        self,
+        peer: str,
+        progress: Any,
+        window: "tuple[OpId, tuple]",
+        now: float,
+        fanout: tuple = (),
+    ) -> None:
+        prev_opid, entries = window
+        self._note_sent(progress, entries, now)
+        self.host.send(
+            peer,
+            AppendEntriesRequest(
+                term=self.current_term,
+                leader=self.name,
+                prev_opid=prev_opid,
+                commit_opid=self.commit_opid,
+                entries=entries,
+                final_dest=peer,
+                fanout=fanout,
+            ),
+        )
 
     def _entry_for_read(self, index: int) -> LogEntry | None:
         """Serve one entry from the in-memory cache; fall back to the log
@@ -1140,43 +1213,112 @@ class RaftNode:
             index += 1
         return entries
 
-    # -- proxy-aware dispatch (§4.2) ------------------------------------------------
+    # -- the region tree (§4.2) ------------------------------------------------------
 
-    def _dispatch_append(self, dst: str, request: AppendEntriesRequest) -> None:
+    def _proxy_routes(self) -> tuple[dict, dict]:
+        """``(chain by destination, destinations behind each one-hop
+        proxy)`` as this node routes its peers when it leads. Routers are
+        pure, so the table lives as long as the membership does."""
+        cached = self._route_cache
         if (
-            self.config.enable_proxying
-            and self.router is not None
-            and request.entries  # heartbeats go direct: tiny anyway
+            cached is None
+            or cached[0] is not self.membership
+            or cached[1] is not self.router
         ):
-            chain = self.router.chain_for(self.name, dst, self.membership)
-            if chain and self._proxy_is_healthy(chain[0]):
-                proxied = AppendEntriesRequest(
+            chains: dict[str, tuple] = {}
+            behind: dict[str, list[str]] = {}
+            for member in self.membership.peers_of(self.name):
+                chain = self.router.chain_for(self.name, member.name, self.membership)
+                if chain:
+                    chains[member.name] = tuple(chain)
+                    if len(chain) == 1:
+                        behind.setdefault(chain[0], []).append(member.name)
+            cached = self._route_cache = (self.membership, self.router, chains, behind)
+        return cached[2], cached[3]
+
+    def _send_routed(
+        self,
+        peer: str,
+        progress: Any,
+        start: int,
+        chain: tuple,
+        windows: "dict | None",
+        now: float,
+    ) -> None:
+        """Entries from ``start`` for a peer that sits behind a proxy and
+        did not ride on the proxy's own append in this pass. They cross
+        the WAN as payload only when the proxy cannot serve them: it is
+        unhealthy, the peer is routed around, or the peer is ahead of
+        everything the proxy has been sent."""
+        state = self.leader_state
+        covered = 0
+        if not progress.routed_around and all(
+            self._proxy_is_healthy(hop) for hop in chain
+        ):
+            proxy = state.peers[chain[-1]]
+            covered = proxy.sent_horizon - (start - 1)
+            if covered == 0 and proxy.inflight:
+                # Level with its proxy, which owes us an ack before it can
+                # take more: this peer rides on the proxy's next window.
+                return
+        window = self._window_at(peer, progress, start, windows)
+        if window is None:
+            return
+        prev_opid, entries = window
+        if covered <= 0 or prev_opid.index != start - 1:
+            self._send_window(peer, progress, window, now)
+            return
+        # PROXY_OP (§4.2.1): metadata for what the proxy has been sent;
+        # the proxy reconstitutes the payload from its own log.
+        entries = entries[:covered]
+        self._note_sent(progress, entries, now)
+        self.host.send(
+            chain[0],
+            AppendEntriesRequest(
+                term=self.current_term,
+                leader=self.name,
+                prev_opid=prev_opid,
+                commit_opid=self.commit_opid,
+                proxy_opids=tuple(e.opid for e in entries),
+                final_dest=peer,
+                route=chain[1:],
+            ),
+        )
+
+    def _proxy_is_healthy(self, proxy: str) -> bool:
+        """Route-around check (§4.2.3): only a member that has acked this
+        leader, and recently, carries other members' traffic — a crashed
+        one never qualifies, whenever the term began."""
+        progress = self.leader_state.peers.get(proxy)
+        return (
+            progress is not None
+            and progress.acked_in_term
+            and self.host.loop.now - progress.last_ack_time
+            <= self.config.proxy_health_timeout
+        )
+
+    def _forward_fanout(self, request: AppendEntriesRequest) -> None:
+        """We are the proxy this append is addressed to, and members
+        behind us stand at the same window: hand each the request we
+        hold — no log read, no wait. Their acks are header-sized and
+        cross the WAN once whichever way they go, so they go straight to
+        the leader (like a ReadIndex response) instead of costing the
+        region a relay each."""
+        self.metrics["proxy_forwards"] += len(request.fanout)
+        for dest in request.fanout:
+            # (Spelled out, not ``replace``: once per rider per window.)
+            self.host.send(
+                dest,
+                AppendEntriesRequest(
                     term=request.term,
                     leader=request.leader,
                     prev_opid=request.prev_opid,
                     commit_opid=request.commit_opid,
-                    entries=(),
-                    proxy_opids=tuple(e.opid for e in request.entries),
-                    final_dest=dst,
-                    route=tuple(chain[1:]),
-                    return_path=(),
-                )
-                self.host.send(chain[0], proxied)
-                return
-        self.host.send(dst, request)
-
-    def _proxy_is_healthy(self, proxy: str) -> bool:
-        """Route-around check (§4.2.3): a proxy that hasn't acked us
-        recently is presumed down and bypassed."""
-        if self.leader_state is None:
-            return False
-        progress = self.leader_state.peers.get(proxy)
-        if progress is None:
-            return False
-        return (
-            self.host.loop.now - progress.last_ack_time
-            <= self.config.proxy_health_timeout
-        )
+                    entries=request.entries,
+                    final_dest=dest,
+                    return_path=request.return_path,
+                ),
+            )
 
     def _handle_proxy_forward(self, src: str, request: AppendEntriesRequest) -> None:
         """We are a proxy hop for this message.
@@ -1186,147 +1328,91 @@ class RaftNode:
         destination — reconstitutes the payload from its local log, or
         degrades to a heartbeat if it can't (§4.2.1).
         """
-        if request.route:
-            # Not the final hop: relay and record ourselves on the return
-            # path so the response can travel back up.
-            self.host.send(
-                request.route[0],
-                AppendEntriesRequest(
-                    term=request.term,
-                    leader=request.leader,
-                    prev_opid=request.prev_opid,
-                    commit_opid=request.commit_opid,
-                    entries=request.entries,
-                    proxy_opids=request.proxy_opids,
-                    final_dest=request.final_dest,
-                    route=request.route[1:],
-                    return_path=request.return_path + (self.name,),
-                ),
+        if request.route or not request.is_proxy_op:
+            # Not the final hop, or the message already carries its
+            # payload: pass it on and record ourselves on the return path
+            # so the response can travel back up.
+            self._send_along_route(
+                replace(request, return_path=request.return_path + (self.name,))
             )
             return
-        if not request.is_proxy_op:
-            # Already carries its payload (e.g. leader bypassed the chain
-            # mid-route-change): deliver as-is.
-            self.host.send(
-                request.final_dest,
-                AppendEntriesRequest(
-                    term=request.term,
-                    leader=request.leader,
-                    prev_opid=request.prev_opid,
-                    commit_opid=request.commit_opid,
-                    entries=request.entries,
-                    final_dest=request.final_dest,
-                    return_path=request.return_path + (self.name,),
-                ),
+        first = self.storage.first_index()
+        if request.proxy_opids[0].index < first:
+            # Purged: no wait brings it back. Our log serves from ``first``.
+            self._degrade(request, first - 1)
+            return
+        entries = self._reconstitute(request)
+        if entries is None:
+            # §4.2.1: wait a configurable period for the missing entry to
+            # arrive locally; re-check as our own log grows; degrade to a
+            # heartbeat at the deadline.
+            self._pending_proxy.append(request)
+            self.host.call_after(
+                self.config.proxy_wait_timeout, self._expire_proxy_wait, request
             )
             return
+        self._forward_reconstituted(request, entries)
+
+    def _reconstitute(self, request: AppendEntriesRequest) -> tuple | None:
+        """The PROXY_OP's entries from our own log, or None while any is
+        missing (or is another term's)."""
         entries = []
-        missing = None
         for opid in request.proxy_opids:
             try:
                 entry = self._entry_for_read(opid.index)
             except LogTruncatedError:
-                entry = None
+                return None
             if entry is None or entry.opid != opid:
-                missing = opid
-                break
+                return None
             entries.append(entry)
-        if missing is not None:
-            self._wait_then_forward(src, request, deadline=self.host.loop.now
-                                    + self.config.proxy_wait_timeout)
-            return
-        self._forward_reconstituted(src, request, tuple(entries))
+        return tuple(entries)
 
-    def _wait_then_forward(
-        self, src: str, request: AppendEntriesRequest, deadline: float
-    ) -> None:
-        """§4.2.1: wait a configurable period for the missing entry to
-        arrive locally; re-check as our own log grows; degrade to a
-        heartbeat at the deadline."""
-        pending = {"src": src, "request": request, "deadline": deadline}
-        self._pending_proxy.append(pending)
-        self.host.call_after(
-            max(0.0, deadline - self.host.loop.now), self._expire_proxy_wait, pending
-        )
+    def _expire_proxy_wait(self, request: AppendEntriesRequest) -> None:
+        if request in self._pending_proxy:
+            self._pending_proxy.remove(request)
+            self._degrade(request, request.proxy_opids[-1].index)
 
-    def _expire_proxy_wait(self, pending: dict) -> None:
-        if pending not in self._pending_proxy:
-            return
-        self._pending_proxy.remove(pending)
-        request = pending["request"]
+    def _degrade(self, request: AppendEntriesRequest, through: int) -> None:
+        """Cannot reconstitute: the destination gets a heartbeat, and its
+        response's echo of ``through`` tells the leader to serve this
+        destination direct that far — O(lagging peers) degrades, never a
+        loop."""
         self.metrics["proxy_degrades"] += 1
         self._trace("raft.proxy_degraded", dest=request.final_dest)
-        degraded = AppendEntriesRequest(
-            term=request.term,
-            leader=request.leader,
-            prev_opid=request.prev_opid,
-            commit_opid=request.commit_opid,
-            entries=(),
-            proxy_opids=(),
-            final_dest=request.final_dest,
-            route=request.route,
-            return_path=request.return_path + (self.name,),
+        self._send_along_route(
+            replace(
+                request,
+                proxy_opids=(),
+                degraded_through=through,
+                return_path=request.return_path + (self.name,),
+            )
         )
-        self._send_along_route(degraded)
 
     def _retry_pending_proxies(self) -> None:
         """Called when our local log grows: satisfy waiting proxy ops."""
-        still_waiting: list[dict] = []
-        for pending in self._pending_proxy:
-            request = pending["request"]
-            available = all(
-                self._have_entry(opid) for opid in request.proxy_opids
-            )
-            if available:
-                entries = tuple(
-                    self._entry_for_read(opid.index) for opid in request.proxy_opids
-                )
-                self._forward_reconstituted(pending["src"], request, entries)
+        still_waiting = []
+        for request in self._pending_proxy:
+            entries = self._reconstitute(request)
+            if entries is None:
+                still_waiting.append(request)
             else:
-                still_waiting.append(pending)
+                self._forward_reconstituted(request, entries)
         self._pending_proxy = still_waiting
 
-    def _have_entry(self, opid: OpId) -> bool:
-        try:
-            entry = self._entry_for_read(opid.index)
-        except LogTruncatedError:
-            return False
-        return entry is not None and entry.opid == opid
-
-    def _forward_reconstituted(
-        self, src: str, request: AppendEntriesRequest, entries: tuple
-    ) -> None:
+    def _forward_reconstituted(self, request: AppendEntriesRequest, entries: tuple) -> None:
         self.metrics["proxy_forwards"] += 1
-        forwarded = AppendEntriesRequest(
-            term=request.term,
-            leader=request.leader,
-            prev_opid=request.prev_opid,
-            commit_opid=request.commit_opid,
-            entries=entries,
-            proxy_opids=(),
-            final_dest=request.final_dest,
-            route=request.route,
-            return_path=request.return_path + (self.name,),
+        self._send_along_route(
+            replace(
+                request,
+                entries=entries,
+                proxy_opids=(),
+                return_path=request.return_path + (self.name,),
+            )
         )
-        self._send_along_route(forwarded)
 
     def _send_along_route(self, request: AppendEntriesRequest) -> None:
         if request.route:
-            next_hop = request.route[0]
-            self.host.send(
-                next_hop,
-                AppendEntriesRequest(
-                    term=request.term,
-                    leader=request.leader,
-                    prev_opid=request.prev_opid,
-                    commit_opid=request.commit_opid,
-                    entries=request.entries,
-                    proxy_opids=request.proxy_opids,
-                    final_dest=request.final_dest,
-                    route=request.route[1:],
-                    return_path=request.return_path,
-                ),
-            )
+            self.host.send(request.route[0], replace(request, route=request.route[1:]))
         else:
             self.host.send(request.final_dest, request)
 
@@ -1373,18 +1459,13 @@ class RaftNode:
         if request.is_proxy_op:
             # A PROXY_OP that reached its destination unreconstituted is a
             # protocol bug; treat as heartbeat-with-unknown-entries.
-            request = AppendEntriesRequest(
-                term=request.term,
-                leader=request.leader,
-                prev_opid=request.prev_opid,
-                commit_opid=request.commit_opid,
-                final_dest=self.name,
-                return_path=request.return_path,
-            )
+            request = replace(request, proxy_opids=())
 
         if not self._accept_leader_authority(request.term, request.leader):
             self._respond_append(request, success=False, ack_index=0)
             return
+        if request.fanout:
+            self._forward_fanout(request)
 
         # Log consistency check on prev_opid.
         prev = request.prev_opid
@@ -1452,6 +1533,7 @@ class RaftNode:
             last_opid=OpId(ack_term or 0, ack_index) if success else self.last_opid,
             leader=request.leader,
             return_path=request.return_path,
+            degraded_through=request.degraded_through,
         )
         if response.return_path:
             self.host.send(response.return_path[-1], response.popped())
@@ -1473,9 +1555,12 @@ class RaftNode:
             self._step_down(response.term, leader=None)
             return
         now = self.host.loop.now
-        progress = self.leader_state.ensure_peer(response.follower, now)
+        progress = self.leader_state.ensure_peer(response.follower)
         if response.success:
             progress.acked(response.last_opid.index, now)
+            if response.degraded_through:
+                # Its proxy could not reconstitute the window (§4.2.3).
+                progress.route_around(response.degraded_through)
             self._maybe_advance_commit()
             # Send more only if unsent entries remain; force=False avoids
             # answering every ack with an empty heartbeat (which would
@@ -1572,7 +1657,7 @@ class RaftNode:
         ):
             return
         now = self.host.loop.now
-        progress = self.leader_state.ensure_peer(response.follower, now)
+        progress = self.leader_state.ensure_peer(response.follower)
         progress.last_ack_time = now
         installed = self.snapshots.shipper.handle_response(response.follower, response)
         if installed is not None:
@@ -1959,9 +2044,7 @@ class RaftNode:
 
     def _read_fetch_hops(self, leader: str) -> list[str]:
         """Proxy hops toward the leader (§4.2 fan-in): the same per-region
-        proxy replication fans out through, when proxying is configured."""
-        if not self.config.enable_proxying or self.router is None:
-            return []
+        proxy replication fans out through."""
         chain = self.router.chain_for(leader, self.name, self.membership)
         if not chain:
             return []

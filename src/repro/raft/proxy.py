@@ -1,16 +1,20 @@
 """Proxy routing for AppendEntries (§4.2).
 
 The router answers one question for the leader: *through which hops
-should replication to member X travel?* The default
-:class:`RegionProxyRouter` implements the paper's topology (Figure 4):
-traffic to a remote region is funneled through that region's designated
-proxy — its storage-engine member when present, otherwise its first
-voter — and fans out in-region from there. Members co-located with the
-leader, and the proxies themselves, are reached directly.
+should replication to member X travel?* :class:`RegionProxyRouter` —
+what every node gets unless another router is injected — implements the
+paper's topology (Figure 4): traffic to a remote region is funneled
+through that region's designated proxy — its storage-engine member when
+present, otherwise its first voter — and fans out in-region from there.
+Members co-located with the leader, and the proxies themselves, are
+reached directly. A router that returns no chain for anybody
+(``StaticProxyRouter({})``) is how direct delivery is spelled.
 
 Routing is pure data-plane: votes are never proxied (§4.2.1), and the
 leader keeps all replication bookkeeping, so proxies can be bypassed at
-any moment (route-around, §4.2.3) without protocol consequences.
+any moment (route-around, §4.2.3) without protocol consequences. A
+router must be a pure function of its arguments: the leader memoizes
+chains per membership.
 """
 
 from __future__ import annotations
@@ -56,13 +60,6 @@ class RegionProxyRouter(ProxyRouter):
             if member.has_storage_engine:
                 return member.name
         return members[0].name
-
-
-def router_for(raft_config) -> ProxyRouter | None:
-    """The standard router for a config: the paper's region topology when
-    proxying is enabled, direct delivery otherwise. Shared by every site
-    that constructs a service (cluster assembly, restore, automation)."""
-    return RegionProxyRouter() if raft_config.enable_proxying else None
 
 
 class StaticProxyRouter(ProxyRouter):

@@ -47,6 +47,12 @@ class QuorumPolicy(ABC):
         consensus-commit an entry replicated by ``leader``."""
 
     @abstractmethod
+    def data_quorum_voters(self, leader: str, config: MembershipConfig) -> list[str]:
+        """The voters whose acks ``data_quorum_satisfied`` counts for
+        ``leader``: nobody else's answer can decide a round, so they are
+        the only ones worth asking (ReadIndex probes go to these)."""
+
+    @abstractmethod
     def election_quorum_satisfied(
         self, granted: frozenset, config: MembershipConfig, context: ElectionContext
     ) -> bool:
@@ -69,6 +75,9 @@ class MajorityQuorum(QuorumPolicy):
     ) -> bool:
         voters = set(config.voter_names())
         return len(ackers & voters) >= majority_count(len(voters))
+
+    def data_quorum_voters(self, leader: str, config: MembershipConfig) -> list[str]:
+        return config.voter_names()
 
     def election_quorum_satisfied(
         self, granted: frozenset, config: MembershipConfig, context: ElectionContext
@@ -97,6 +106,9 @@ class ForcedQuorum(QuorumPolicy):
         self, leader: str, ackers: frozenset, config: MembershipConfig
     ) -> bool:
         return self._inner.data_quorum_satisfied(leader, ackers, config)
+
+    def data_quorum_voters(self, leader: str, config: MembershipConfig) -> list[str]:
+        return self._inner.data_quorum_voters(leader, config)
 
     def election_quorum_satisfied(
         self, granted: frozenset, config: MembershipConfig, context: ElectionContext

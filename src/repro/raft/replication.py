@@ -37,11 +37,15 @@ class PeerProgress:
 
     next_index: int
     match_index: int = 0
-    # Has this peer acked an append to *this* leader? ``last_ack_time``
-    # cannot say: it starts at the election time for every peer (benefit
-    # of the doubt for proxy health), a crashed member included.
+    # Has this peer acked an append to *this* leader? Until it has, it is
+    # neither a hand-off target nor a proxy: a crashed member never does.
     acked_in_term: bool = False
     last_ack_time: float = 0.0
+    # Route-around (§4.2.3), per destination: windows go direct, not
+    # through this peer's proxy, until its match index reaches this — as
+    # far as the proxy said its log cannot serve (a degrade), or as far
+    # as what was sent went silent (a retry).
+    direct_until: int = 0
     last_sent_index: int = 0
     last_sent_time: float = -1e9
     # Commit marker carried by the newest message sent to this peer; a
@@ -61,6 +65,16 @@ class PeerProgress:
     def __post_init__(self) -> None:
         if self.flow is not None and self.window_entries == 0:
             self.window_entries = self.flow.window_min
+
+    @property
+    def routed_around(self) -> bool:
+        return self.direct_until > self.match_index
+
+    @property
+    def sent_horizon(self) -> int:
+        """Newest index this peer holds or has been sent: what a member
+        behind it, were it a proxy, may be served from its log."""
+        return max(self.match_index, self.last_sent_index)
 
     def acked(self, index: int, now: float) -> None:
         self.acked_in_term = True
@@ -82,6 +96,16 @@ class PeerProgress:
             return
         self.inflight.append(tail_index)
         self.inflight_hwm = max(self.inflight_hwm, len(self.inflight))
+
+    def route_around(self, until: int) -> None:
+        """The proxy degraded this peer's window to a heartbeat: nothing
+        past ``match_index`` arrived, so rewind the send cursor and go
+        direct through ``until``. The link itself is fine — the adaptive
+        window keeps its size."""
+        self.direct_until = max(self.direct_until, until)
+        self.inflight.clear()
+        self.last_sent_index = self.match_index
+        self.last_sent_time = -1e9
 
     def on_rejected(self) -> None:
         """AppendEntries rejected: whatever was in flight toward this
@@ -141,6 +165,8 @@ class PeerProgress:
         if now - self.last_sent_time >= retry_interval:
             if self.inflight:
                 self.on_retry_timeout()
+            # Whatever path the silent windows took, the resend skips it.
+            self.direct_until = max(self.direct_until, self.last_sent_index)
             return self.next_index  # (re)send from what's unacked
         if self.last_sent_index < last_log_index:
             if (
@@ -180,23 +206,21 @@ class LeaderState:
         self_name: str,
         config: MembershipConfig,
         last_log_index: int,
-        now: float,
         flow: FlowControl | None = None,
     ) -> "LeaderState":
         state = cls(term=term, self_name=self_name, last_log_index=last_log_index, flow=flow)
         for member in config.peers_of(self_name):
-            state.peers[member.name] = PeerProgress(
-                next_index=last_log_index + 1, last_ack_time=now, flow=flow
-            )
+            state.ensure_peer(member.name)
         return state
 
-    def ensure_peer(self, name: str, now: float) -> PeerProgress:
+    def ensure_peer(self, name: str) -> PeerProgress:
         """Track a peer added by a mid-term membership change."""
-        if name not in self.peers:
-            self.peers[name] = PeerProgress(
-                next_index=self.last_log_index + 1, last_ack_time=now, flow=self.flow
+        progress = self.peers.get(name)
+        if progress is None:
+            progress = self.peers[name] = PeerProgress(
+                next_index=self.last_log_index + 1, flow=self.flow
             )
-        return self.peers[name]
+        return progress
 
     def drop_peer(self, name: str) -> None:
         self.peers.pop(name, None)

@@ -7,10 +7,12 @@ The manager owns the probe-round state machine:
   queued for the **next** round — they must not join the running one,
   whose read index was captured before they were invoked.
 - One round = capture ``commit_index``, send one ``ReadProbeRequest`` to
-  every voter peer, and wait for a **data quorum** of same-term acks
-  (leader's self-ack included). The data quorum intersects every
-  possible election quorum (FlexiRaft §4.1), so a full tally proves no
-  newer leader had been acknowledged when the probes were sent.
+  every voter the policy's data quorum counts (the leader's region under
+  single-region-dynamic: no probe crosses the WAN), and wait for a
+  **data quorum** of same-term acks (leader's self-ack included). The
+  data quorum intersects every possible election quorum (FlexiRaft
+  §4.1), so a full tally proves no newer leader had been acknowledged
+  when the probes were sent.
 - On confirmation the node's lease (if any) is extended from the round's
   *send-time* local clock reading, every waiter resolves with the
   round's read index, and a queued next round starts immediately.
@@ -109,9 +111,10 @@ class ReadManager:
         request = ReadProbeRequest(
             term=round_.term, leader=node.name, round_id=round_.round_id
         )
-        for member in node.membership.voters():
-            if member.name != node.name and member.name not in round_.acks:
-                node.host.send(member.name, request)
+        # Only the voters the tally counts: nobody else's ack can decide it.
+        for voter in node._effective_policy().data_quorum_voters(node.name, node.membership):
+            if voter != node.name and voter not in round_.acks:
+                node.host.send(voter, request)
         if resend:
             round_.sent_at = node.host.loop.now
 

@@ -162,7 +162,6 @@ class TestMultiHopProxy:
     def test_static_two_hop_chain_delivers(self):
         """Hierarchical tree deeper than one proxy hop (§4.2's generalized
         topology): leader → regional db → first logtailer → second."""
-        from repro.raft.config import RaftConfig
         from repro.raft.proxy import StaticProxyRouter
 
         from tests.raft.harness import RaftRing, voter, witness
@@ -175,11 +174,7 @@ class TestMultiHopProxy:
             "lt2a": ["db2"],
             "lt2b": ["db2", "lt2a"],  # two hops
         })
-        ring = RaftRing(
-            members,
-            raft_config=RaftConfig(enable_proxying=True),
-            router=router,
-        )
+        ring = RaftRing(members, router=router)
         ring.bootstrap("db1")
         opid, fut = ring.commit_and_run(b"Z" * 400, seconds=2.0)
         assert fut.done() and not fut.failed()

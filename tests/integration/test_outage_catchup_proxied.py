@@ -1,0 +1,72 @@
+"""The region tree under the fault mix that used to loop: a region
+isolated and a replica crashed under load, the leader rotating and
+compacting its log meanwhile, then heal.
+
+With proxying merely switched on, a proxy whose log had been compacted
+above its logtailers' cursors (they re-join by snapshot at an older
+index) degraded every PROXY_OP for them to a heartbeat, and the leader
+kept choosing it because it was "healthy": the ring never caught up.
+Every live member must reach the heal-time commit index, with a number
+of degrades that counts lagging peers, not time.
+"""
+
+import pytest
+
+from repro.cluster import MyRaftReplicaset, paper_topology
+from repro.raft.config import RaftConfig
+from repro.sim.coro import spawn
+from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
+
+LOAD = 1.5  # simulated seconds of sysbench load
+CATCHUP_CAP = 5.0
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_every_member_reaches_the_heal_time_commit_index(seed):
+    cluster = MyRaftReplicaset(
+        paper_topology(follower_regions=3, learners=0),
+        seed=seed,
+        timing=sysbench_timing(myraft=True),
+        raft_config=RaftConfig(log_cache_max_bytes=256 << 10),
+    )
+    primary = cluster.bootstrap()
+    loop, origin, healed = cluster.loop, cluster.loop.now, {}
+
+    def outage():
+        cluster.net.isolate_region("region3")
+        cluster.crash("region2-db1")
+
+    def compact():
+        def rotate_then_compact():
+            yield primary.flush_binary_logs()
+            yield 0.01  # the old file falls wholly below the purge horizon
+            primary.snapshot_and_compact()
+
+        spawn(loop, rotate_then_compact(), label="compaction")
+
+    def heal():
+        cluster.net.heal_region("region3")
+        cluster.restart("region2-db1")
+        healed["mark"] = primary.node.commit_index
+
+    loop.call_at(origin + 0.2 * LOAD, outage)
+    loop.call_at(origin + 0.6 * LOAD, compact)
+    loop.call_at(origin + 0.7 * LOAD, heal)
+    result = WorkloadRunner(cluster, sysbench_workload()).run(LOAD)
+    assert result.errors == 0 and result.committed > 1000
+
+    def behind():
+        return [
+            name for name, service in cluster.services.items()
+            if service.node.last_opid.index < healed["mark"]
+        ]
+
+    deadline = loop.now + CATCHUP_CAP
+    while behind() and loop.now < deadline:
+        cluster.run(0.05)
+    assert behind() == []
+    assert primary.storage.first_index() > 1  # the compaction did purge
+    degrades = sum(s.node.metrics["proxy_degrades"] for s in cluster.services.values())
+    assert degrades <= 12  # at most two per logtailer that re-joined by snapshot
+    cluster.run(1.0)
+    assert cluster.databases_converged() and cluster.logs_prefix_equal()

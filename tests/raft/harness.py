@@ -28,6 +28,19 @@ def learner(name: str, region: str = "r1") -> MemberInfo:
     return MemberInfo(name, region, MemberType.NON_VOTER, has_storage_engine=True)
 
 
+def record_sends(net) -> list:
+    """Every ``(src, dst, message)`` handed to ``net`` from now on."""
+    sent = []
+    deliver = net.send
+
+    def send(src, dst, message):
+        sent.append((src, dst, message))
+        deliver(src, dst, message)
+
+    net.send = send
+    return sent
+
+
 class RaftRing:
     """A complete simulated Raft ring over in-memory log storage."""
 

@@ -219,12 +219,12 @@ class TestLeaderState:
         ))
 
     def test_fresh_tracks_peers(self):
-        state = LeaderState.fresh(2, "a", self.config(), last_log_index=5, now=0.0)
+        state = LeaderState.fresh(2, "a", self.config(), last_log_index=5)
         assert set(state.peers) == {"b", "c", "l"}
         assert all(p.next_index == 6 for p in state.peers.values())
 
     def test_commit_advances_with_majority(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=0, now=0.0)
+        state = LeaderState.fresh(1, "a", self.config(), last_log_index=0)
         state.last_log_index = 3
         state.peers["b"].acked(2, now=1.0)
         commit = state.advance_commit(0, MajorityQuorum(), self.config(), lambda i: 1)
@@ -234,7 +234,7 @@ class TestLeaderState:
         assert commit == 3
 
     def test_old_term_entries_not_counted_directly(self):
-        state = LeaderState.fresh(2, "a", self.config(), last_log_index=0, now=0.0)
+        state = LeaderState.fresh(2, "a", self.config(), last_log_index=0)
         state.last_log_index = 2
         state.peers["b"].acked(2, now=1.0)
         # Entry 1 and 2 are old-term: cannot commit by counting.
@@ -248,7 +248,7 @@ class TestLeaderState:
         assert commit == 3
 
     def test_most_caught_up_peer(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=9, now=0.0)
+        state = LeaderState.fresh(1, "a", self.config(), last_log_index=9)
         # Nobody has answered this leader yet: membership order must not
         # nominate the first name (it may be the member whose crash
         # caused the election).
@@ -265,7 +265,7 @@ class TestLeaderState:
         assert state.most_caught_up_peer(["l", "ghost"]) is None
 
     def test_region_watermarks(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=10, now=0.0)
+        state = LeaderState.fresh(1, "a", self.config(), last_log_index=10)
         state.peers["b"].acked(4, 1.0)
         state.peers["c"].acked(7, 1.0)
         # r1 voters: a (leader, at 10) and b (4) → majority watermark 4.

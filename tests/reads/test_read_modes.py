@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
 from repro.raft.config import RaftConfig
 
+from tests.raft.harness import record_sends
+
 
 def small_spec():
     return ReplicaSetSpec(
@@ -125,3 +127,71 @@ def test_follower_read_does_not_join_a_fetch_sent_before_it_was_invoked():
     assert first.done() and second.done() and not second.failed()
     assert second.result()[1] == {"id": 1, "v": "two"}
     assert replica.node.metrics["read_index_fetches"] >= 2
+
+
+# -- probes go where the data quorum lives ------------------------------------------
+
+
+def probe_destinations(sent):
+    """(src, dst) of every ReadProbeRequest among recorded sends."""
+    from repro.raft.messages import ReadProbeRequest
+
+    return [(src, dst) for src, dst, m in sent if isinstance(m, ReadProbeRequest)]
+
+
+@pytest.mark.parametrize("mode", ["read_index", "lease"])
+def test_single_region_dynamic_probes_never_leave_the_leaders_region(mode):
+    # First send, resend of a stalled round, and the lease keepalive: the
+    # round is decided by the leader's region, so nobody else is asked.
+    rs = make_cluster(mode)
+    primary = rs.primary_service()
+    sent = record_sends(rs.net)
+    assert run_read(rs, primary, "kv", 1) == {"id": 1, "v": "one"}
+    rs.net.block_link("region0-db1", "region0-lt1")
+    rs.net.block_link("region0-db1", "region0-lt2")
+    stalled = primary.submit_read("kv", 1)
+    rs.run(3 * rs.raft_config.heartbeat_interval)  # keepalive ticks resend
+    rs.net.heal_all()
+    rs.run(2.0)
+    assert stalled.done()
+    probes = probe_destinations(sent)
+    assert len(probes) > 4
+    assert {"region0-lt1", "region0-lt2"} <= {dst for _src, dst in probes}
+    # (Cut off from its logtailers for that long, the leader may have been
+    # replaced: the new one probes its own region.)
+    assert all(src.split("-")[0] == dst.split("-")[0] for src, dst in probes)
+
+
+@pytest.mark.parametrize("policy_name", ["multi_region", "majority"])
+def test_wider_data_quorums_probe_every_voter(policy_name):
+    from repro.flexiraft import FlexiMode, FlexiRaftPolicy
+    from repro.raft.quorum import MajorityQuorum
+
+    policy = (
+        FlexiRaftPolicy(FlexiMode.MULTI_REGION)
+        if policy_name == "multi_region"
+        else MajorityQuorum()
+    )
+    rs = MyRaftReplicaset(
+        small_spec(), seed=3, raft_config=RaftConfig(read_mode="read_index"), policy=policy
+    )
+    rs.bootstrap()
+    rs.write_and_run("kv", {1: {"id": 1, "v": "one"}}, seconds=2.0)
+    sent = record_sends(rs.net)
+    assert run_read(rs, rs.primary_service(), "kv", 1) == {"id": 1, "v": "one"}
+    voters = {m.name for m in rs.membership.voters()} - {"region0-db1"}
+    assert {dst for _src, dst in probe_destinations(sent)} == voters
+
+
+def test_read_still_fails_at_the_barrier_timeout_without_an_in_region_quorum():
+    rs = make_cluster("read_index")
+    primary = rs.primary_service()
+    rs.crash("region0-lt1")
+    rs.crash("region0-lt2")
+    started = rs.loop.now
+    process = primary.submit_read("kv", 1)
+    rs.run(rs.raft_config.read_barrier_timeout - 0.05)
+    assert not process.done()
+    rs.run(0.1)
+    assert process.done() and process.failed()
+    assert rs.loop.now - started < rs.raft_config.read_barrier_timeout + 0.1
