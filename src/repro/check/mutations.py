@@ -14,7 +14,7 @@ monitors must catch the symptom, not the patch.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import ReproError
@@ -130,6 +130,31 @@ def _lease_never_expires() -> Callable[[], None]:
     return undo
 
 
+def _grantor_history_ignored() -> Callable[[], None]:
+    """Candidates drop the voting history piggybacked by voters that
+    *granted* — the half of the history the election-safety argument
+    rests on (DESIGN.md §9): a grantor that helped elect an unheard-of
+    term-T leader is the only link between that leader's data quorum and
+    this candidate's election quorum. Deniers' history is still absorbed.
+    The candidate can then win disjointly from a leader it never heard
+    of → LeaderCompleteness / StateMachineSafety."""
+    from repro.raft.node import RaftNode
+
+    original = RaftNode.__dict__["_absorb_vote_knowledge"]
+
+    def mutated(tally, resp):
+        if resp.granted:
+            resp = replace(resp, vote_history=())
+        original.__func__(tally, resp)
+
+    RaftNode._absorb_vote_knowledge = staticmethod(mutated)
+
+    def undo() -> None:
+        RaftNode._absorb_vote_knowledge = original
+
+    return undo
+
+
 MUTATIONS: dict[str, Mutation] = {
     mutation.name: mutation
     for mutation in (
@@ -147,6 +172,11 @@ MUTATIONS: dict[str, Mutation] = {
             "double-vote",
             "voters forget their vote and grant twice per term",
             _double_vote,
+        ),
+        Mutation(
+            "grantor-history-ignored",
+            "candidates drop the voting history reported by their grantors",
+            _grantor_history_ignored,
         ),
         Mutation(
             "lease-never-expires",

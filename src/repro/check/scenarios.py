@@ -6,9 +6,10 @@ read fraction so the linearizability checker has reads to falsify), and
 the fault pattern. Fault patterns come in two flavours:
 
 - *reactive* — a :class:`~repro.workload.faults.RandomFaultInjector`
-  (leader-biased crash loops, pause storms). The injector records every
-  fault it fires, so a failing run still yields a scripted schedule for
-  delta-debugging.
+  (leader-biased crash loops, pause storms) or an
+  :class:`~repro.workload.faults.ElectionStormInjector`. The injector
+  records every fault it fires, so a failing run still yields a scripted
+  schedule for delta-debugging.
 - *scripted* — a :class:`~repro.workload.faults.FaultSchedule` generated
   up front from the seed (region partitions, proxy faults), which ddmin
   can subset directly.
@@ -25,7 +26,12 @@ from repro.cluster.replicaset import paper_network_spec
 from repro.cluster.topology import ReplicaSetSpec, paper_topology
 from repro.raft.config import RaftConfig
 from repro.sim.network import LogNormalLatency, NetworkSpec
-from repro.workload.faults import FaultEvent, FaultSchedule, RandomFaultInjector
+from repro.workload.faults import (
+    ElectionStormInjector,
+    FaultEvent,
+    FaultSchedule,
+    RandomFaultInjector,
+)
 from repro.workload.generators import WorkloadSpec
 
 
@@ -47,7 +53,7 @@ class Scenario:
     key_space: int = 8
     read_fraction: float = 0.3
     # Fault pattern: "random" | "leader_crash_loop" | "region_partitions"
-    # | "pause_storm" | "proxy_faults".
+    # | "pause_storm" | "proxy_faults" | "election_storm".
     faults: str = "random"
     mean_interval: float = 5.0
     downtime: float = 2.0
@@ -82,6 +88,10 @@ class Scenario:
     # heal of a scripted schedule, each live member must hold what was
     # committed at the heal. 0 = not required.
     catch_up_within: float = 0.0
+    # Liveness bound (LeaderWithin): this many seconds after a primary
+    # crashes, a writable primary must exist again if the members still
+    # up can form an election quorum. 0 = not required.
+    leader_within: float = 0.0
 
     def topology(self) -> ReplicaSetSpec:
         return paper_topology(
@@ -121,6 +131,10 @@ class Scenario:
             return None, self._partition_schedule(cluster, rng)
         if self.faults == "proxy_faults":
             return None, self._proxy_fault_schedule(cluster, rng)
+        if self.faults == "election_storm":
+            return ElectionStormInjector(
+                cluster, rng, mean_interval=self.mean_interval, downtime=self.downtime
+            ), None
         if self.faults == "leader_crash_loop":
             injector = RandomFaultInjector(
                 cluster,
@@ -306,6 +320,19 @@ SCENARIOS: dict[str, Scenario] = {
             read_fraction=0.1,
             downtime=3.0,
             catch_up_within=5.0,
+        ),
+        Scenario(
+            name="election-storm",
+            description=(
+                "the primary crashes and election timers misfire around the "
+                "election: rivals within a WAN round trip of the first "
+                "timeout, a late candidate just after the winner; a primary "
+                "is writable again within detection window + 1 s"
+            ),
+            faults="election_storm",
+            mean_interval=6.0,
+            downtime=2.0,
+            leader_within=3.0,  # 3 x 0.5 s heartbeats + 0.5 s jitter + 1 s
         ),
         Scenario(
             name="read-lease",

@@ -260,13 +260,16 @@ class RequestVoteResponse:
 class VoteRetraction:
     """Failed candidate → its grantors: forget my candidacy at ``term``.
 
-    Once a candidate abandons an election (vote timeout, or a step-down
-    while still a candidate) it discards its tally and can never win
-    that term, so grantors may safely drop the (term, region) entry from
-    their voting history — without this, a real vote granted toward an
-    unreachable region would force every later election to intersect
-    that region until it heals. ``voted_for`` itself is NOT cleared: the
-    one-vote-per-term rule still stands."""
+    Once a candidate abandons an election (it can no longer be won, the
+    vote timeout, or a step-down while still a candidate) it discards its
+    tally and can never win that term, so grantors may safely drop the
+    (term, region) entry from their voting history — without this, a
+    real vote granted toward an unreachable region would force every
+    later election to intersect that region until it heals. A grant that
+    reaches the candidate after the abandonment is answered with one
+    too. ``voted_for`` itself is NOT cleared: the one-vote-per-term rule
+    still stands. A grantor that still knows no leader for the term also
+    stops waiting a full detection window for the leader that never was."""
 
     term: int
     candidate: str

@@ -71,7 +71,7 @@ from repro.sim.rng import RngStream
 _DURABLE_NS = "raft"
 _ELECTION_COUNTERS = (
     "elections_started", "elections_won", "pre_votes_started",
-    "pre_votes_abandoned", "handoff_attempts",
+    "pre_votes_abandoned", "elections_abandoned", "handoff_attempts",
 )
 
 
@@ -148,6 +148,7 @@ class RaftNode:
             "elections_won": 0,
             "pre_votes_started": 0,
             "pre_votes_abandoned": 0,
+            "elections_abandoned": 0,
             "mock_elections": 0,
             "proxy_forwards": 0,
             "proxy_degrades": 0,
@@ -421,19 +422,35 @@ class RaftNode:
             0.0, self.config.election_timeout_jitter
         )
 
-    def _reset_election_timer(self) -> None:
+    def _reset_election_timer(self, detect: bool = True) -> None:
         """Push the election deadline out. The armed timer is *lazy*: it
         re-checks the deadline when it fires instead of being cancelled
-        and re-armed on every heartbeat (heap-churn optimization)."""
+        and re-armed on every heartbeat (heap-churn optimization).
+
+        ``detect=False`` follows an abandoned election, which is not
+        leader contact: the leader's silence has been measured already, so
+        only the jitter is waited."""
         if not self._is_voter:
             return
-        self._election_deadline = self.host.loop.now + self._election_timeout()
+        jitter = self.config.election_timeout_jitter
+        wait = self._election_timeout() if detect else self.rng.uniform(0.0, jitter)
+        self._election_deadline = self.host.loop.now + wait
+        if not detect and self._election_timer is not None:
+            self._election_timer.cancel()  # armed for a later deadline
+            self._election_timer = None
         if self._election_timer is None:
             self._arm_election_timer()
 
     def _arm_election_timer(self) -> None:
         delay = max(0.0, self._election_deadline - self.host.loop.now)
         self._election_timer = self.host.call_after(delay, self._on_election_timeout)
+
+    def expire_election_timer(self) -> None:
+        """The ``spurious_timeout`` fault: the failure detector misfires."""
+        if self._election_timer is not None:
+            self._election_timer.cancel()
+        self._election_deadline = self.host.loop.now
+        self._on_election_timeout()
 
     def _on_election_timeout(self) -> None:
         self._election_timer = None
@@ -482,7 +499,10 @@ class RaftNode:
         self.role = RaftRole.CANDIDATE
         self._set_term(self.current_term + 1)
         self._record_vote(self.current_term, self.name)
-        self._vote_tally = VoteTally(term=self.current_term)
+        # A transfer's old leader is alive and about to grant; any other
+        # election runs against a last-known leader presumed dead.
+        against = None if is_transfer else self._durable["last_leader"][1]
+        self._vote_tally = VoteTally(term=self.current_term, presumed_dead=against)
         self._vote_tally.record(self.name, True)
         self._vote_tally.learn_leader(
             self.last_known_leader_term, self.last_known_leader_region
@@ -501,16 +521,17 @@ class RaftNode:
 
     def _on_vote_timeout(self, term: int) -> None:
         if self.role == RaftRole.CANDIDATE and self.current_term == term:
-            # Revert to follower rather than hammering ever-higher terms;
-            # the next attempt goes through pre-vote again, so a candidate
-            # the ring keeps refusing (stickiness, short log) stops
-            # inflating terms.
-            self._trace("raft.election_stalled")
-            self.role = RaftRole.FOLLOWER
-            self._retract_candidacy(term)
-            self._reset_election_timer()
+            self._abandon_election("vote-timeout")  # voters never answered
 
-    def _retract_candidacy(self, term: int) -> None:
+    def _abandon_election(self, reason: str) -> None:
+        """Revert to follower rather than hammering ever-higher terms; the
+        next attempt goes through pre-vote again, so a candidate the ring
+        keeps refusing (stickiness, short log) stops inflating terms."""
+        self.role = RaftRole.FOLLOWER
+        self._retract_candidacy(reason)
+        self._reset_election_timer(detect=False)
+
+    def _retract_candidacy(self, reason: str) -> None:
         """Tell grantors to drop this abandoned candidacy from their
         voting histories. Discarding the tally makes winning ``term``
         impossible, so the retraction is safe; it restores liveness that
@@ -518,26 +539,32 @@ class RaftNode:
         region. Best-effort — an undelivered retraction just leaves the
         pessimistic (safe) requirement in place."""
         tally, self._vote_tally = self._vote_tally, None
-        if tally is None or tally.term != term:
+        if tally is None:
             return
-        retraction = VoteRetraction(term=term, candidate=self.name)
+        self.metrics["elections_abandoned"] += 1
+        self._trace("raft.election_abandoned", reason=reason)
+        retraction = VoteRetraction(term=tally.term, candidate=self.name)
         for voter in tally.granted:
             if voter != self.name:
                 self.host.send(voter, retraction)
         # Our own self-vote is retracted locally the same way.
-        self._drop_vote_history(term, self.name)
+        self._drop_vote_history(tally.term, self.name)
 
-    def _drop_vote_history(self, term: int, candidate: str) -> None:
+    def _drop_vote_history(self, term: int, candidate: str) -> bool:
         if self._voted_for(term) != candidate:
-            return
+            return False
         retained = tuple(
             (t, r) for t, r in self._durable["vote_history"] if t != term
         )
         if retained != self._durable["vote_history"]:
             self._durable["vote_history"] = retained
+        return True
 
     def _handle_vote_retraction(self, src: str, msg: VoteRetraction) -> None:
-        self._drop_vote_history(msg.term, msg.candidate)
+        dropped = self._drop_vote_history(msg.term, msg.candidate)
+        if dropped and msg.term == self.current_term and self.leader_id is None:
+            # The grant restarted the detector for a leader that never was.
+            self._reset_election_timer(detect=False)
 
     def _broadcast_to_voters(self, message: Any) -> None:
         for member in self.membership.voters():
@@ -557,13 +584,21 @@ class RaftNode:
         for term, region in self.vote_history:
             if term > best_term:
                 possible.add(region)
+        # A vote reported at the tally's own term was cast for a rival, so
+        # only a denial can carry it, and this candidate may win before any
+        # denial arrives: safety cannot rest on it (DESIGN.md §9).
         for term, regions in tally.history.items():
-            if term > best_term:
+            if best_term < term != tally.term:
                 possible.update(regions)
         return ElectionContext(
             candidate=self.name,
             last_leader_region=best_region,
             possible_leader_regions=frozenset(possible),
+        )
+
+    def _would_elect(self, tally: VoteTally, votes) -> bool:
+        return self._effective_policy().election_quorum_satisfied(
+            frozenset(votes), self.membership, self._election_context(tally)
         )
 
     def _abandon_pre_vote(self, reason: str) -> None:
@@ -580,9 +615,7 @@ class RaftNode:
         tally = self._pre_vote_tally
         if tally is None or tally.term != self.current_term + 1:
             return
-        if self._effective_policy().election_quorum_satisfied(
-            frozenset(tally.granted), self.membership, self._election_context(tally)
-        ):
+        if self._would_elect(tally, tally.granted):
             self._pre_vote_tally = None
             self._trace("raft.pre_vote_won")
             self.start_election()
@@ -593,9 +626,7 @@ class RaftNode:
             return
         if tally.term != self.current_term:
             return
-        if self._effective_policy().election_quorum_satisfied(
-            frozenset(tally.granted), self.membership, self._election_context(tally)
-        ):
+        if self._would_elect(tally, tally.granted):
             self._become_leader()
 
     # -- voting (the voter side) -------------------------------------------------
@@ -645,7 +676,8 @@ class RaftNode:
         # while we believe a leader is alive, refuse to destabilize it —
         # *without* adopting the candidate's term — unless this is a
         # sanctioned TransferLeadership election.
-        heard_recently = (
+        # A leader is its own leader contact: it does not vote itself out.
+        heard_recently = self.is_leader or (
             self.host.loop.now - self._last_leader_contact
             < self.config.election_timeout_base()
         )
@@ -679,9 +711,19 @@ class RaftNode:
             return
         tally = self._vote_tally
         if tally is None or resp.term != self.current_term:
+            # A grant that was in flight when its candidacy was abandoned
+            # missed the retractions — unless this node won that term, or
+            # cannot tell any more because it knows a newer leader.
+            won = self._durable["last_leader"][:2]
+            if resp.granted and won[0] <= resp.term and won != (resp.term, self.name):
+                self.host.send(src, VoteRetraction(term=resp.term, candidate=self.name))
             return
         self._absorb_vote_knowledge(tally, resp)
         self._check_vote_quorum()
+        if not resp.granted and self._vote_tally is tally and not self._would_elect(
+            tally, tally.attainable(self.membership.voter_names())
+        ):
+            self._abandon_election("hopeless")
 
     @staticmethod
     def _absorb_vote_knowledge(tally: VoteTally, resp: RequestVoteResponse) -> None:
@@ -807,7 +849,7 @@ class RaftNode:
     def _step_down(self, term: int, leader: str | None) -> None:
         was_leader = self.role == RaftRole.LEADER
         if self.role == RaftRole.CANDIDATE:
-            self._retract_candidacy(self.current_term)
+            self._retract_candidacy("stepped-down")
         if term > self.current_term:
             self._set_term(term)
         self.role = RaftRole.FOLLOWER if self._is_voter else RaftRole.LEARNER
@@ -1849,9 +1891,7 @@ class RaftNode:
         tally = self._mock_tally
         if tally is None:
             return
-        if self._effective_policy().election_quorum_satisfied(
-            frozenset(tally.granted), self.membership, self._election_context(tally)
-        ):
+        if self._would_elect(tally, tally.granted):
             self._finish_mock_round(won=True, reason="quorum")
 
     def _finish_mock_round(self, won: bool, reason: str) -> None:

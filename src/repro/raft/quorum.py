@@ -28,7 +28,9 @@ class ElectionContext:
     ``possible_leader_regions`` are the regions of candidates that were
     granted real votes at terms *newer* than that last-known leader —
     any of them might have won an election nobody in this tally heard
-    the outcome of, so their data quorums must also be intersected.
+    the outcome of, so their data quorums must also be intersected. A
+    rival's votes in the tally's own term are not among them: that rival
+    wins only if this candidate does not.
     """
 
     candidate: str

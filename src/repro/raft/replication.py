@@ -303,6 +303,16 @@ class VoteTally:
     # some voter granted a real vote to at that term. Different voters may
     # back different candidates in one term, hence a set per term.
     history: dict = field(default_factory=dict)
+    # The last-known leader a real election runs against: until it
+    # answers, its vote is not one the candidate can hope for.
+    presumed_dead: str | None = None
+
+    def attainable(self, voters) -> frozenset:
+        """The most grants this round can still end with: every grant so
+        far plus every voter that has not denied — except the leader
+        whose silence caused the election, while it stays silent."""
+        silent = {self.presumed_dead} - self.granted
+        return frozenset(voters) - self.denied - silent
 
     def record(self, voter: str, was_granted: bool) -> None:
         if was_granted:

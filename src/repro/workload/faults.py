@@ -12,7 +12,8 @@ from repro.sim.rng import RngStream
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault. ``kind`` ∈ crash / restart / pause / resume /
-    isolate / heal / partition_regions / heal_regions."""
+    isolate / heal / partition_regions / heal_regions / spurious_timeout
+    (the member's election timer fires now: a clock jump, a GC pause)."""
 
     time: float
     kind: str
@@ -29,6 +30,7 @@ class FaultEvent:
             "heal",
             "partition_regions",
             "heal_regions",
+            "spurious_timeout",
         }
     )
 
@@ -73,6 +75,10 @@ class FaultSchedule:
             cluster.net.partition_regions(event.target, event.other)
         elif event.kind == "heal_regions":
             cluster.net.heal_regions(event.target, event.other)
+        elif event.kind == "spurious_timeout":
+            host = cluster.hosts[event.target]
+            if host.alive and not host.paused:
+                cluster.services[event.target].node.expire_election_timer()
 
 
 @dataclass
@@ -156,3 +162,72 @@ class RandomFaultInjector:
         candidates = [n for n in (self.targets or list(self.cluster.hosts))
                       if self.cluster.hosts[n].alive]
         return self.rng.choice(candidates) if candidates else None
+
+
+@dataclass
+class ElectionStormInjector:
+    """Crash the primary, then disturb the election that follows: two or
+    three members' election timers fire spuriously within one WAN round
+    trip of the first natural timeout (rival candidates in the making),
+    and one more within 100 ms of the new leader's election (the late
+    candidate that could depose a fresh primary).
+
+    Reactive — the timeouts are placed off trace records — and, like
+    :class:`RandomFaultInjector`, every fault is recorded in ``events`` so
+    a failing run replays and shrinks as a scripted schedule."""
+
+    cluster: object
+    rng: RngStream
+    mean_interval: float = 6.0
+    downtime: float = 2.0
+    injected: int = 0
+    events: list = field(default_factory=list)
+    # Trace kinds the current episode still waits for.
+    _awaiting: set = field(default_factory=set)
+
+    WAN_RTT = 0.06  # paper_network_spec: 30 ms each way
+    LATE_WINDOW = 0.1
+
+    def start(self, duration: float) -> None:
+        from repro.sim.coro import spawn
+
+        self.cluster.tracer.subscribe(self._on_trace)
+        spawn(self.cluster.loop, self._loop(duration), label="election-storm")
+
+    def _loop(self, duration: float):
+        loop = self.cluster.loop
+        stop_at = loop.now + duration
+        while True:
+            yield self.rng.uniform(0.5, 1.0) * self.mean_interval
+            primary = self.cluster.primary_service()
+            if loop.now + self.downtime >= stop_at:
+                return
+            if primary is None:
+                continue
+            self.injected += 1
+            victim = primary.host.name
+            self.events.append(FaultEvent(loop.now, "crash", victim))
+            self.events.append(FaultEvent(loop.now + self.downtime, "restart", victim))
+            self._awaiting = {"raft.election_timeout", "raft.leader_elected"}
+            self.cluster.hosts[victim].crash_for(self.downtime)
+
+    def _on_trace(self, record) -> None:
+        if record.kind not in self._awaiting:
+            return
+        self._awaiting.discard(record.kind)
+        if record.kind == "raft.election_timeout":
+            delays = [self.rng.uniform(0.0, self.WAN_RTT) for _ in range(self.rng.randint(2, 3))]
+        else:
+            delays = [self.rng.uniform(0.0, self.LATE_WINDOW)]
+        for delay in delays:
+            self.cluster.loop.call_after(delay, self._spurious_timeout, record.get("node"))
+
+    def _spurious_timeout(self, but_not: str) -> None:
+        voters = [
+            m.name for m in self.cluster.current_membership().voters()
+            if m.name != but_not and self.cluster.hosts[m.name].alive
+        ]
+        if voters:
+            event = FaultEvent(self.cluster.loop.now, "spurious_timeout", self.rng.choice(voters))
+            self.events.append(event)
+            FaultSchedule._apply(self.cluster, event)

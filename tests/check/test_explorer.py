@@ -16,12 +16,15 @@ from repro.check.explorer import (
     write_bundle,
 )
 from repro.errors import ReproError
+from repro.check.invariants import InvariantSuite
 from repro.check.mutations import MUTATIONS, apply_mutation
 from repro.check.scenarios import SCENARIOS
 from repro.check.shrink import ddmin, shrink_schedule
 from repro.flexiraft.policy import FlexiRaftPolicy
 from repro.raft.node import RaftNode
 from repro.workload.faults import FaultEvent
+
+from tests.raft.harness import region_ring
 
 QUICK = replace(
     SCENARIOS["crashes"], duration=10.0, settle=4.0, clients=1, think_time=0.1
@@ -70,6 +73,21 @@ class TestMutations:
                 pass
         assert FlexiRaftPolicy.election_quorum_satisfied is original_quorum
         assert RaftNode._evaluate_vote is original_vote
+
+    def test_grantor_history_mutation_drops_only_what_grantors_report(self):
+        from repro.raft.messages import RequestVoteResponse
+        from repro.raft.replication import VoteTally
+
+        absorb = RaftNode.__dict__["_absorb_vote_knowledge"]
+        grant = RequestVoteResponse(term=3, voter="a", granted=True, vote_history=((2, "r2"),))
+        denial = RequestVoteResponse(term=3, voter="b", granted=False, vote_history=((2, "r1"),))
+        with apply_mutation("grantor-history-ignored"):
+            tally = VoteTally(term=3)
+            RaftNode._absorb_vote_knowledge(tally, grant)
+            RaftNode._absorb_vote_knowledge(tally, denial)
+        assert tally.granted == {"a"} and tally.denied == {"b"}
+        assert tally.history == {2: {"r1"}}
+        assert RaftNode.__dict__["_absorb_vote_knowledge"] is absorb
 
     def test_weakened_election_detected_and_shrinks(self, tmp_path):
         # The mutation re-opens the stale-quorum election bug this harness
@@ -148,3 +166,49 @@ class TestParallelExplore:
     def test_unknown_scenario_rejected_before_any_run(self):
         with pytest.raises(ReproError):
             explore(["no-such-scenario"], [1], jobs=4)
+
+
+class TestGrantorHistoryIsLoadBearing:
+    """The execution DESIGN.md §9 argues from, built by hand: a leader
+    commits in a region that is then cut off, and the only trace of it
+    outside is the voting history of the voters that elected it. (No seed
+    of the sweep's scenarios isolates a leader within one WAN delay of
+    its election, so the witness is constructed, not hunted.)"""
+
+    def run_cut_off_winner(self):
+        ring = region_ring()
+        suite = InvariantSuite()
+        for node in ring.nodes.values():
+            node.monitor = suite
+            node._election_timeout = lambda: 3.0  # room to start term 2 by hand
+        ring.bootstrap("db0")
+        ring.host("db0").crash()
+        ring.run(1.6)  # stickiness toward db0 has lapsed
+        # Term 2: db1 asks first and wins r0's logtailers; db2, the rival,
+        # is denied by both, abandons, and keeps no history of the term.
+        ring.node("db1").start_election()
+        ring.node("db2").start_election()
+        ring.run(0.065)
+        assert ring.node("db1").is_leader and ring.node("db2").vote_history == ()
+        # db1's first AppendEntries are still on the WAN when r1 is cut off;
+        # it goes on committing through its own region (FlexiRaft).
+        ring.net.isolate_region("r1")
+        opid, future = ring.node("db1").propose(lambda opid: b"committed-in-r1")
+        ring.run(0.05)
+        assert future.done() and not future.failed() and opid.index in suite.ledger
+        ring.run(12.0)  # r0 and r2 time out and campaign, again and again
+        return ring, suite, opid
+
+    def test_without_the_mutation_nobody_outside_the_region_can_win(self):
+        ring, suite, opid = self.run_cut_off_winner()
+        assert [r.get("node") for r in ring.tracer.of_kind("raft.leader_elected")] == ["db0", "db1"]
+        # They did try: every pre-vote learns (2, r1) from r0's grantors.
+        assert ring.tracer.count("raft.pre_vote_started") > 2
+        assert ring.tracer.count("raft.pre_vote_won") == 0
+        assert suite.ok
+
+    def test_with_it_a_leader_without_the_committed_entry_is_caught(self):
+        with apply_mutation("grantor-history-ignored"):
+            ring, suite, opid = self.run_cut_off_winner()
+        assert "LeaderCompleteness" in {v.invariant for v in suite.violations}
+        assert any(str(opid.index) in v.detail for v in suite.violations)

@@ -196,3 +196,44 @@ class TestFailoverIntegration:
         assert suite.ok, [str(v) for v in suite.violations]
         assert suite.checks["elections"] >= 2
         assert cluster.databases_converged()
+
+
+class TestLeaderWithin:
+    def cluster(self):
+        cluster = MyRaftReplicaset(paper_topology(follower_regions=2, learners=0), seed=7)
+        suite = InvariantSuite()
+        suite.attach(cluster)
+        suite.watch_leader(cluster, 3.0)
+        return cluster, suite, cluster.bootstrap()
+
+    def test_failover_inside_the_bound_is_clean(self):
+        cluster, suite, primary = self.cluster()
+        cluster.crash(primary.host.name)
+        cluster.run(4.0)
+        assert suite.checks["failovers"] == 1
+        assert suite.ok, [str(v) for v in suite.violations]
+
+    def test_no_primary_while_a_quorum_is_up_is_flagged(self):
+        cluster, suite, primary = self.cluster()
+        for service in cluster.services.values():  # nobody ever campaigns
+            service.node._on_election_timeout = lambda: None
+            service.node.expire_election_timer()
+        cluster.crash(primary.host.name)
+        cluster.run(4.0)
+        assert [v.invariant for v in suite.violations] == ["LeaderWithin"]
+
+    def test_no_primary_without_an_election_quorum_is_not(self):
+        # Both of the dead primary's logtailers are down too: no candidate
+        # can win a majority of its region, so nothing is owed.
+        cluster, suite, primary = self.cluster()
+        for name in ("region0-lt1", "region0-lt2", primary.host.name):
+            cluster.crash(name)
+        cluster.run(4.0)
+        assert suite.checks["failovers"] == 1
+        assert suite.ok, [str(v) for v in suite.violations]
+
+    def test_a_follower_crash_starts_no_clock(self):
+        cluster, suite, primary = self.cluster()
+        cluster.crash("region1-db1")
+        cluster.run(4.0)
+        assert suite.checks["failovers"] == 0

@@ -9,19 +9,20 @@ trials at ``--seed 1``; its prober sends on a schedule and this one waits
 for each reply, so the distributions agree but not trial for trial.
 
 A failover should cost one detection window (3 missed 500 ms heartbeats
-plus up to 500 ms of jitter) and one election. Two defects used to add a
-second, slow mode at 3.3–5 s, and each has its own assertion below:
+plus up to 500 ms of jitter) and one election. Three defects used to add
+a second, slow mode at 3.3–5 s, and each has its own assertion below:
 
 - a witness leader handing off to the member whose crash caused the
   election (it had never answered, but was first in membership order);
 - a voter completing a pre-vote it had started before granting a real
   vote, and starting a lone higher-term election against the candidate
-  (or the leader) it had just backed.
-
-What remains in the slow mode is the split vote: two candidates win their
-pre-votes within one WAN round trip and campaign in the *same* term.
-Nothing here addresses that, so those trials are counted, not hidden:
-three of sixteen at these seeds.
+  (or the leader) it had just backed;
+- the split vote: several candidates win their pre-votes within one WAN
+  round trip and campaign in the *same* term. A rival's same-term votes
+  used to widen the quorum of a candidate that already held one, and a
+  candidacy that could no longer win waited out ``vote_timeout`` and then
+  a second detection window. Such a term now costs a round trip and a
+  jittered retry.
 """
 
 import statistics
@@ -35,7 +36,9 @@ TRIALS = 16
 VICTIM = "region0-db1"
 PROBE_INTERVAL = 0.020
 MAX_MEDIAN_DOWNTIME = 2.0
-MAX_SPLIT_VOTE_TRIALS = 3
+MAX_DOWNTIME = 2.1
+# First candidacy of a term nobody wins → the next leader_elected.
+MAX_SPLIT_VOTE_COST = 0.6
 
 
 def _trial(index):
@@ -55,22 +58,31 @@ def _trial(index):
     downtime = probe.downtime_after(crash_time)
     after = [r for r in cluster.tracer.records if r.time >= crash_time]
     candidates = {}  # term -> nodes that campaigned in it
+    first_started = {}  # term -> when its first candidate started
     for record in after:
         if record.kind == "raft.election_started":
             candidates.setdefault(record.get("term"), []).append(record.get("node"))
-    won = {r.get("term") for r in after if r.kind == "raft.leader_elected"}
-    no_winner = {term: nodes for term, nodes in candidates.items() if term not in won}
+            first_started.setdefault(record.get("term"), record.time)
+    elected = {r.get("term"): r.time for r in after if r.kind == "raft.leader_elected"}
+    no_winner = {term: nodes for term, nodes in candidates.items() if term not in elected}
+    # What each no-winner term cost: until somebody is elected after it.
+    cost = {
+        term: min((t for t in elected.values() if t > first_started[term]), default=float("inf"))
+        - first_started[term]
+        for term in no_winner
+    }
     targets = [r.get("target") for r in after if r.kind == "raft.witness_handoff"]
-    return downtime, no_winner, targets
+    return downtime, no_winner, targets, cost
 
 
 def test_dead_primary_failover_costs_one_detection_window_and_one_election():
     trials = [_trial(index) for index in range(TRIALS)]
-    downtimes = [downtime for downtime, _, _ in trials]
+    downtimes = [downtime for downtime, _, _, _ in trials]
 
     assert statistics.median(downtimes) <= MAX_MEDIAN_DOWNTIME, sorted(downtimes)
+    assert max(downtimes) <= MAX_DOWNTIME, sorted(downtimes)
 
-    handed_to_victim = [i for i, (_, _, targets) in enumerate(trials) if VICTIM in targets]
+    handed_to_victim = [i for i, (_, _, targets, _) in enumerate(trials) if VICTIM in targets]
     assert not handed_to_victim, f"trials {handed_to_victim} handed off to the crashed primary"
 
     # An election nobody wins may only be a split vote: several candidates
@@ -78,12 +90,15 @@ def test_dead_primary_failover_costs_one_detection_window_and_one_election():
     # campaigning against a vote it already gave.
     lone = {
         i: no_winner
-        for i, (_, no_winner, _) in enumerate(trials)
+        for i, (_, no_winner, _, _) in enumerate(trials)
         if any(len(nodes) < 2 for nodes in no_winner.values())
     }
     assert not lone, f"lone no-winner candidacies: {lone}"
-    split = [i for i, (_, no_winner, _) in enumerate(trials) if no_winner]
-    assert len(split) <= MAX_SPLIT_VOTE_TRIALS, f"split-vote trials {split}"
-    # Every trial outside the split-vote mode is a fast one.
-    fast = [d for i, d in enumerate(downtimes) if i not in split]
-    assert max(fast) <= MAX_MEDIAN_DOWNTIME, sorted(fast)
+    # A split vote still happens; it no longer costs a detection window.
+    slow = {
+        (i, term): round(seconds, 3)
+        for i, (_, _, _, cost) in enumerate(trials)
+        for term, seconds in cost.items()
+        if seconds > MAX_SPLIT_VOTE_COST
+    }
+    assert not slow, f"no-winner terms that cost more than {MAX_SPLIT_VOTE_COST} s: {slow}"

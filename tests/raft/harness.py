@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 from repro.raft.config import RaftConfig
 from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.log_storage import InMemoryLogStorage
@@ -170,6 +171,16 @@ class RaftRing:
                     if ea is None or eb is None or ea.opid != eb.opid or ea.payload != eb.payload:
                         return False
         return True
+
+
+def region_ring(regions: int = 3, **kwargs) -> RaftRing:
+    """The paper's shape under FlexiRaft: per region a database (``db0``…)
+    and two logtailer witnesses (``lt0a``, ``lt0b``…), 1 ms in-region,
+    30 ms (60 ms RTT) between regions."""
+    members = []
+    for r in range(regions):
+        members += [voter(f"db{r}", f"r{r}"), witness(f"lt{r}a", f"r{r}"), witness(f"lt{r}b", f"r{r}")]
+    return RaftRing(members, policy=FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC), **kwargs)
 
 
 def three_node_ring(seed: int = 1, **kwargs) -> RaftRing:

@@ -7,11 +7,20 @@ from repro.raft.messages import (
     AppendEntriesRequest,
     RequestVoteRequest,
     RequestVoteResponse,
+    TimeoutNowRequest,
+    VoteRetraction,
 )
 from repro.raft.types import OpId, RaftRole
 from repro.sim.network import FixedLatency, NetworkSpec
 
-from tests.raft.harness import RaftRing, three_node_ring, five_node_ring, voter
+from tests.raft.harness import (
+    RaftRing,
+    five_node_ring,
+    record_sends,
+    region_ring,
+    three_node_ring,
+    voter,
+)
 
 
 class TestNaturalElection:
@@ -293,3 +302,226 @@ class TestRestartRecovery:
         for opid in opids:
             entry = n3.storage.entry(opid.index)
             assert entry is not None and entry.opid == opid
+
+
+# -- elections that finish (same-term rivals, hopeless candidacies) ---------------
+
+
+def cut_off_everyone(ring):
+    """From here on the test delivers messages by hand."""
+    for name in ring.nodes:
+        ring.net.isolate(name)
+
+
+def slow_link(ring, src, dst, extra, only=lambda message: True):
+    """Messages ``src`` → ``dst`` that ``only`` accepts take ``extra`` longer."""
+    deliver = ring.net.send
+
+    def send(s, d, message):
+        if (s, d) == (src, dst) and only(message):
+            ring.loop.call_after(extra, deliver, s, d, message)
+        else:
+            deliver(s, d, message)
+
+    ring.net.send = send
+
+
+def answer(candidate, voter_name, granted, history=()):
+    """Hand ``candidate`` one real-vote response at its current term, from a
+    voter that knows the same last leader."""
+    candidate.handle_message(
+        voter_name,
+        RequestVoteResponse(
+            term=candidate.current_term, voter=voter_name, granted=granted,
+            last_leader_term=candidate.last_known_leader_term,
+            last_leader_region=candidate.last_known_leader_region,
+            vote_history=tuple(history),
+        ),
+    )
+
+
+def abandonments(ring):
+    return [(r.get("node"), r.get("reason")) for r in ring.tracer.of_kind("raft.election_abandoned")]
+
+
+WAN_RTT = 0.060
+
+
+class TestSameTermRival:
+    """Which reported votes tighten a FlexiRaft candidate's election quorum.
+    db1 (region r1) runs against db0 (r0, the last leader everyone knows)."""
+
+    def candidate(self, term):
+        ring = region_ring()
+        ring.bootstrap("db0")
+        cut_off_everyone(ring)
+        db1 = ring.node("db1")
+        db1._set_term(term - 1)
+        db1.start_election()
+        assert db1.current_term == term
+        return ring, db1
+
+    def grant_own_and_leader_regions(self, db1, history=()):
+        answer(db1, "lt1a", True)
+        answer(db1, "lt0a", True, history)
+        answer(db1, "lt0b", True)
+
+    def test_rival_vote_in_the_candidates_own_term_does_not_widen_the_quorum(self):
+        # db2 denies: it voted for itself (region r2) in this very term. That
+        # says nothing about a leader db1 has not heard of — db2 cannot win
+        # this term if db1 does — and db1 might as well not have received it.
+        ring, db1 = self.candidate(term=2)
+        answer(db1, "db2", False, history=[(2, "r2")])
+        self.grant_own_and_leader_regions(db1)
+        assert db1.is_leader
+
+    def test_rival_vote_in_an_older_term_still_widens_it(self):
+        # The same denial about term 2 while db1 campaigns in term 3: db2 may
+        # have won term 2 unheard of, so db1 must also carry region r2.
+        ring, db1 = self.candidate(term=3)
+        answer(db1, "db2", False, history=[(2, "r2")])
+        self.grant_own_and_leader_regions(db1)
+        assert not db1.is_leader and db1.role == RaftRole.CANDIDATE
+        answer(db1, "lt2a", True)
+        answer(db1, "lt2b", True)
+        assert db1.is_leader
+
+    def test_history_reported_by_a_grantor_still_widens_it(self):
+        ring, db1 = self.candidate(term=3)
+        self.grant_own_and_leader_regions(db1, history=[(2, "r2")])
+        assert not db1.is_leader and db1.role == RaftRole.CANDIDATE
+        answer(db1, "lt2a", True)
+        answer(db1, "lt2b", True)
+        assert db1.is_leader
+
+
+class TestHopelessCandidacy:
+    """A candidacy ends on the denial after which the voters that have not
+    denied — the silent last leader not among them — cannot elect it."""
+
+    def candidate(self, transfer=False):
+        ring = five_node_ring()
+        ring.bootstrap("n1")
+        cut_off_everyone(ring)
+        n3 = ring.node("n3")
+        if transfer:
+            n3.handle_message("n1", TimeoutNowRequest(term=n3.current_term, leader="n1"))
+        else:
+            n3.start_election()
+        return ring, n3
+
+    def test_not_hopeless_while_a_silent_voter_other_than_the_leader_could_decide(self):
+        ring, n3 = self.candidate()
+        answer(n3, "n2", True)
+        answer(n3, "n4", False)
+        # n5 has not answered: n3, n2 and n5 would be a majority of five.
+        assert n3.role == RaftRole.CANDIDATE and abandonments(ring) == []
+        answer(n3, "n5", False)
+        # Only the leader it runs against is left, and that one is presumed dead.
+        assert n3.role == RaftRole.FOLLOWER
+        assert abandonments(ring) == [("n3", "hopeless")]
+        assert n3.metrics["elections_abandoned"] == 1
+        assert n3.stats()["elections"]["elections_abandoned"] == 1
+        assert n3.vote_history == ()
+
+    def test_transfer_election_waits_for_the_old_leaders_grant(self):
+        # The same answers to a TimeoutNow election: the old leader is alive
+        # and about to grant, so its outstanding vote still counts.
+        ring, n3 = self.candidate(transfer=True)
+        answer(n3, "n2", True)
+        answer(n3, "n4", False)
+        answer(n3, "n5", False)
+        assert n3.role == RaftRole.CANDIDATE and abandonments(ring) == []
+        answer(n3, "n1", True)
+        assert n3.is_leader
+
+    def test_grant_that_lands_after_the_abandonment_is_retracted(self):
+        ring, n3 = self.candidate()
+        term = n3.current_term
+        answer(n3, "n4", False)
+        answer(n3, "n5", False)
+        sent = record_sends(ring.net)
+        answer(n3, "n2", False)
+        assert abandonments(ring) == [("n3", "hopeless")]
+        # n2's reply was in fact a grant that was still in flight.
+        n3.handle_message("n2", RequestVoteResponse(term=term, voter="n2", granted=True))
+        assert [(dst, m) for _, dst, m in sent] == [("n2", VoteRetraction(term=term, candidate="n3"))]
+
+    def test_grant_for_a_term_this_node_won_is_never_retracted(self):
+        ring, n3 = self.candidate()
+        term = n3.current_term
+        answer(n3, "n2", True)
+        answer(n3, "n4", True)
+        assert n3.is_leader
+        sent = record_sends(ring.net)
+        n3.handle_message("n5", RequestVoteResponse(term=term, voter="n5", granted=True))
+        assert not [m for _, _, m in sent if isinstance(m, VoteRetraction)]
+
+    def test_vote_timeout_is_the_backstop_for_voters_that_never_answer(self):
+        ring, n3 = self.candidate()
+        answer(n3, "n2", True)
+        ring.run(ring.config.vote_timeout + 0.01)
+        assert abandonments(ring) == [("n3", "vote-timeout")]
+
+    def test_isolated_member_campaigns_no_faster_than_before(self):
+        # Its pre-votes are never answered, so no election starts, nothing is
+        # abandoned, and every retry waits a full detection window.
+        ring = three_node_ring()
+        ring.bootstrap("n1")
+        ring.net.isolate("n3")
+        ring.run(12.0)
+        n3 = ring.node("n3")
+        timeouts = [r.time for r in ring.tracer.of_kind("raft.election_timeout") if r.get("node") == "n3"]
+        assert len(timeouts) >= 4
+        gaps = [b - a for a, b in zip(timeouts, timeouts[1:])]
+        assert min(gaps) >= ring.config.election_timeout_base()
+        assert n3.metrics["elections_started"] == 0 and n3.metrics["elections_abandoned"] == 0
+
+
+class TestThreeWaySplit:
+    """Four regions, the primary (db0) dead, one candidate per follower
+    region in the same term; db0's two logtailers back different ones."""
+
+    def split(self):
+        ring = region_ring(regions=4)
+        for node in ring.nodes.values():
+            node._election_timeout = lambda: 1e6  # the test starts the elections
+        ring.bootstrap("db0")
+        ring.host("db0").crash()
+        ring.run(ring.config.election_timeout_base() + 0.1)  # stickiness lapses
+        real_vote = lambda m: isinstance(m, RequestVoteRequest) and not m.is_pre_vote
+        # db1 asks first, but its request to lt0b is late: lt0b backs db2.
+        slow_link(ring, "db1", "lt0b", 0.005, only=real_vote)
+        # lt0a's grant to db1 is still in flight when db1 gives up.
+        slow_link(ring, "lt0a", "db1", 0.010)
+        started = ring.loop.now
+        for name in ("db1", "db2", "db3"):
+            ring.node(name).start_election()
+        return ring, started
+
+    def test_every_candidate_abandons_within_a_round_trip_and_a_leader_follows(self):
+        ring, started = self.split()
+        ring.run(2 * WAN_RTT)
+        records = ring.tracer.of_kind("raft.election_abandoned")
+        assert sorted((r.get("node"), r.get("reason")) for r in records) == [
+            ("db1", "hopeless"), ("db2", "hopeless"), ("db3", "hopeless"),
+        ]
+        # One round trip to hear the deciding denial (db1's comes 5 ms late).
+        assert max(r.time for r in records) - started <= WAN_RTT + 0.005 + 0.002
+        assert ring.tracer.count("raft.leader_elected") == 1  # bootstrap only
+        ring.run(ring.config.election_timeout_jitter + WAN_RTT)
+        leader = ring.current_leader()
+        assert leader is not None
+        elected = ring.tracer.last("raft.leader_elected")
+        assert elected.time - started <= ring.config.election_timeout_jitter + 3 * WAN_RTT
+
+    def test_no_voter_keeps_an_abandoned_term_in_its_vote_history(self):
+        ring, started = self.split()
+        # 60 ms: db1's last answers; +10: lt0a's late grant; +30: its retraction.
+        ring.run(WAN_RTT + 0.010 + 0.030 + 0.002)
+        assert len(ring.tracer.of_kind("raft.election_abandoned")) == 3
+        holding = {
+            name: node.vote_history for name, node in ring.nodes.items()
+            if ring.host(name).alive and node.vote_history
+        }
+        assert holding == {}

@@ -7,7 +7,12 @@ from repro.cluster import MyRaftReplicaset
 from repro.cluster.topology import paper_topology
 from repro.errors import ReproError
 from repro.sim.rng import RngStream
-from repro.workload.faults import FaultEvent, FaultSchedule, RandomFaultInjector
+from repro.workload.faults import (
+    ElectionStormInjector,
+    FaultEvent,
+    FaultSchedule,
+    RandomFaultInjector,
+)
 
 
 def paper_cluster(seed=5):
@@ -149,3 +154,48 @@ class TestInjectorPauseEvents:
             if not host.alive:
                 host.restart()
         assert fresh.wait_for_primary() is not None
+
+
+class TestSpuriousTimeout:
+    def test_the_member_asks_for_pre_votes_and_the_primary_stays(self):
+        # The misfiring member is in the primary's region, where its own
+        # vote and the primary's would be a majority of three.
+        cluster = paper_cluster(seed=3)
+        primary = cluster.wait_for_primary()
+        term = primary.node.current_term
+        at = cluster.loop.now + 1.0
+        FaultSchedule([FaultEvent(at, "spurious_timeout", "region0-lt1")]).arm(cluster)
+        cluster.run(3.0)
+        asked = [r for r in cluster.tracer.of_kind("raft.pre_vote_started") if r.time >= at]
+        assert [r.get("node") for r in asked] == ["region0-lt1"]
+        assert cluster.primary_service() is primary
+        assert primary.node.current_term == term
+        assert cluster.tracer.count("raft.stepped_down") == 0
+
+    def test_a_crashed_member_is_left_alone(self):
+        cluster = paper_cluster(seed=3)
+        cluster.crash("region1-lt1")
+        FaultSchedule([FaultEvent(cluster.loop.now + 0.5, "spurious_timeout", "region1-lt1")]).arm(cluster)
+        cluster.run(1.0)  # does not raise; nothing for a dead process to do
+        assert not cluster.hosts["region1-lt1"].alive
+
+
+class TestElectionStormInjector:
+    def test_timers_misfire_around_the_election_and_the_run_replays(self):
+        cluster = paper_cluster(seed=12)
+        injector = ElectionStormInjector(cluster, RngStream(5), mean_interval=4.0, downtime=1.5)
+        injector.start(12.0)
+        cluster.run(16.0)
+        assert injector.injected >= 2
+        crashes = [e for e in injector.events if e.kind == "crash"]
+        misfires = [e for e in injector.events if e.kind == "spurious_timeout"]
+        assert len(crashes) == injector.injected
+        # Per crash: two or three rivals within a WAN round trip of the
+        # first natural timeout, one late candidate after the winner.
+        assert 3 * len(crashes) <= len(misfires) <= 4 * len(crashes)
+        for crash in crashes:  # the victim is down: its timer is never the one
+            down = [e.target for e in misfires if crash.time <= e.time < crash.time + 1.5]
+            assert crash.target not in down
+        assert cluster.wait_for_primary() is not None
+        for event in injector.events:
+            assert FaultEvent.from_wire(event.to_wire()) == event
