@@ -188,12 +188,16 @@ class Scenario:
 
     def _proxy_fault_schedule(self, cluster, rng) -> FaultSchedule:
         """Scripted episodes, one at a time: a remote region's proxy (its
-        database, §4.2) crashes or stalls under load and comes back;
-        nothing else fails for ``catch_up_within`` seconds after, so the
-        catch-up bound is judged on a quiet ring."""
+        database, §4.2) crashes or stalls under load and comes back. Half
+        the episodes cascade: 0.3–0.6 s in — about when a logtailer has
+        taken the region over — that region's first logtailer (the
+        tie-break's choice) goes down too, so the second takeover, the
+        one-member-left case and the hand-back all run; both come back
+        together. Nothing else fails for ``catch_up_within`` seconds
+        after, so the catch-up bound is judged on a quiet ring."""
         primary_region = cluster.membership.members[0].region
         proxies = [
-            m.name for m in cluster.membership.members
+            m for m in cluster.membership.members
             if m.has_storage_engine and m.is_voter and m.region != primary_region
         ]
         events: list[FaultEvent] = []
@@ -203,10 +207,18 @@ class Scenario:
             downtime = rng.uniform(0.5, 1.0) * self.downtime
             if t + downtime + self.catch_up_within >= now + self.duration:
                 break
-            target = rng.choice(proxies)
-            down, up = ("pause", "resume") if rng.bernoulli(0.5) else ("crash", "restart")
-            events.append(FaultEvent(t, down, target))
-            events.append(FaultEvent(t + downtime, up, target))
+            proxy = rng.choice(proxies)
+            victims = [(t, proxy.name)]
+            if rng.bernoulli(0.5):
+                successor = next(
+                    m.name for m in cluster.membership.members
+                    if m.region == proxy.region and m.is_witness
+                )
+                victims.append((t + rng.uniform(0.3, 0.6), successor))
+            for at, target in victims:
+                down, up = ("pause", "resume") if rng.bernoulli(0.5) else ("crash", "restart")
+                events.append(FaultEvent(at, down, target))
+                events.append(FaultEvent(t + downtime, up, target))
             t += downtime + self.catch_up_within + rng.uniform(0.5, 2.0)
         return FaultSchedule(events)
 
@@ -310,9 +322,10 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="proxy-crash",
             description=(
-                "a remote region's proxy crashes or stalls under load: the "
-                "members behind it are routed around, and everyone holds the "
-                "heal-time commit index within 5 s of the heal"
+                "a remote region's proxy crashes or stalls under load, in half "
+                "the episodes followed by the logtailer that took the region "
+                "over: the head moves, and everyone holds the heal-time commit "
+                "index within 5 s of the heal"
             ),
             faults="proxy_faults",
             clients=3,

@@ -152,6 +152,7 @@ class RaftNode:
             "mock_elections": 0,
             "proxy_forwards": 0,
             "proxy_degrades": 0,
+            "proxy_reroots": 0,
             "transfers_initiated": 0,
             "handoff_attempts": 0,
             "snapshots_shipped": 0,
@@ -198,7 +199,6 @@ class RaftNode:
         self._transfer_target: str | None = None
         self._mock_completed_for_transfer = False
         self._pending_proxy: list[AppendEntriesRequest] = []
-        self._route_cache: tuple | None = None
         self._last_leader_contact = self.host.loop.now
         self._quorum_override: QuorumPolicy | None = None
         # Consistent-read machinery (repro.reads). All volatile: a crash
@@ -348,6 +348,16 @@ class RaftNode:
             "apply_lag": max(0, self.commit_index - applied) if applied is not None else None,
             "write_path": self._write_path_stats(),
             "elections": {key: self.metrics[key] for key in _ELECTION_COUNTERS},
+            # The region tree (§4.2): what this node relayed as a proxy
+            # and, when it leads, the groups it feeds through an acting head.
+            "proxy": {
+                "forwards": self.metrics["proxy_forwards"],
+                "degrades": self.metrics["proxy_degrades"],
+                "reroots": self.metrics["proxy_reroots"],
+                "acting_heads": (
+                    self.leader_state.acting_heads() if self.leader_state is not None else {}
+                ),
+            },
             "snapshot": self.snapshots.stats() if self.snapshots is not None else {},
         }
 
@@ -770,6 +780,8 @@ class RaftNode:
             self.membership,
             self.last_opid.index,
             flow=flow,
+            proxy_health_timeout=self.config.proxy_health_timeout,
+            on_region_head=self._on_region_head,
         )
         if self.config.read_mode == "lease":
             self.lease = LeaderLease(
@@ -1058,7 +1070,8 @@ class RaftNode:
     def _replicate_many(self, peers: list[str], force: bool) -> None:
         """Send each of ``peers`` its next window: one storage read (and
         one immutable entries tuple) per distinct send cursor, and one
-        WAN message per remote region — whenever a region's proxy is sent
+        WAN message per remote region — whenever a region's head (the
+        proxy ``LeaderState.routes`` roots it at for this pass) is sent
         entries, every member behind it that stands at the window's start
         rides on that message as a fan-out destination (§4.2)."""
         state = self.leader_state
@@ -1088,7 +1101,7 @@ class RaftNode:
                 starts[peer] = start
         if not starts:
             return
-        chains, behind = self._proxy_routes()
+        chains, behind = state.routes(self.membership, self.router, now)
         # Unrouted peers (and heartbeats: tiny anyway) first: what a routed
         # peer gets depends on what its proxy is sent, this pass included.
         routed = []
@@ -1101,7 +1114,7 @@ class RaftNode:
             if window is None:
                 continue
             riders = ()
-            if window[1] and peer in behind and self._proxy_is_healthy(peer):
+            if window[1] and peer in behind and state.proxy_is_healthy(peer, now):
                 riders = self._take_riders(behind[peer], window, starts, now)
             self._send_window(peer, progress, window, now, riders)
         for peer in routed:
@@ -1257,26 +1270,9 @@ class RaftNode:
 
     # -- the region tree (§4.2) ------------------------------------------------------
 
-    def _proxy_routes(self) -> tuple[dict, dict]:
-        """``(chain by destination, destinations behind each one-hop
-        proxy)`` as this node routes its peers when it leads. Routers are
-        pure, so the table lives as long as the membership does."""
-        cached = self._route_cache
-        if (
-            cached is None
-            or cached[0] is not self.membership
-            or cached[1] is not self.router
-        ):
-            chains: dict[str, tuple] = {}
-            behind: dict[str, list[str]] = {}
-            for member in self.membership.peers_of(self.name):
-                chain = self.router.chain_for(self.name, member.name, self.membership)
-                if chain:
-                    chains[member.name] = tuple(chain)
-                    if len(chain) == 1:
-                        behind.setdefault(chain[0], []).append(member.name)
-            cached = self._route_cache = (self.membership, self.router, chains, behind)
-        return cached[2], cached[3]
+    def _on_region_head(self, group: str, head: str, reason: str) -> None:
+        self.metrics["proxy_reroots"] += 1
+        self._trace("raft.region_head", group=group, head=head, reason=reason)
 
     def _send_routed(
         self,
@@ -1287,15 +1283,15 @@ class RaftNode:
         windows: "dict | None",
         now: float,
     ) -> None:
-        """Entries from ``start`` for a peer that sits behind a proxy and
-        did not ride on the proxy's own append in this pass. They cross
-        the WAN as payload only when the proxy cannot serve them: it is
-        unhealthy, the peer is routed around, or the peer is ahead of
-        everything the proxy has been sent."""
+        """Entries from ``start`` for a peer that sits behind a proxy —
+        its group's head — and did not ride on the head's own append in
+        this pass. They cross the WAN as payload only when the head
+        cannot serve them: it is unhealthy, the peer is routed around, or
+        the peer is ahead of everything the head has been sent."""
         state = self.leader_state
         covered = 0
         if not progress.routed_around and all(
-            self._proxy_is_healthy(hop) for hop in chain
+            state.proxy_is_healthy(hop, now) for hop in chain
         ):
             proxy = state.peers[chain[-1]]
             covered = proxy.sent_horizon - (start - 1)
@@ -1325,18 +1321,6 @@ class RaftNode:
                 final_dest=peer,
                 route=chain[1:],
             ),
-        )
-
-    def _proxy_is_healthy(self, proxy: str) -> bool:
-        """Route-around check (§4.2.3): only a member that has acked this
-        leader, and recently, carries other members' traffic — a crashed
-        one never qualifies, whenever the term began."""
-        progress = self.leader_state.peers.get(proxy)
-        return (
-            progress is not None
-            and progress.acked_in_term
-            and self.host.loop.now - progress.last_ack_time
-            <= self.config.proxy_health_timeout
         )
 
     def _forward_fanout(self, request: AppendEntriesRequest) -> None:
@@ -1603,7 +1587,10 @@ class RaftNode:
             if response.degraded_through:
                 # Its proxy could not reconstitute the window (§4.2.3).
                 progress.route_around(response.degraded_through)
-            self._maybe_advance_commit()
+            if self.leader_state.counts_toward_commit(
+                response.follower, self._effective_policy(), self.membership
+            ):
+                self._maybe_advance_commit()
             # Send more only if unsent entries remain; force=False avoids
             # answering every ack with an empty heartbeat (which would
             # ping-pong forever).
@@ -2053,7 +2040,7 @@ class RaftNode:
         for waiter in waiters:
             waiter.fail_if_pending(error)
 
-    def _send_read_fetch(self, request_id: int) -> None:
+    def _send_read_fetch(self, request_id: int, resend: bool = False) -> None:
         if not self._read_fetch_inflight or request_id != self._read_fetch_id:
             return
         self._read_fetch_waiters = [w for w in self._read_fetch_waiters if not w.done()]
@@ -2067,7 +2054,9 @@ class RaftNode:
                 self._start_read_fetch()
             return
         self.metrics["read_index_fetches"] += 1
-        hops = self._read_fetch_hops(leader)
+        # Whatever path swallowed the first attempt, the re-send skips it
+        # (the fan-in twin of §4.2.3's route-around): straight to the leader.
+        hops = [] if resend else self._read_fetch_hops(leader)
         request = ReadIndexRequest(
             term=self.current_term,
             requester=self.name,
@@ -2079,7 +2068,7 @@ class RaftNode:
         # Re-send while waiters remain (drops, leader change); the clients
         # behind the waiters carry the overall timeout.
         self.host.call_after(
-            self.config.append_retry_interval, self._send_read_fetch, request_id
+            self.config.append_retry_interval, self._send_read_fetch, request_id, True
         )
 
     def _read_fetch_hops(self, leader: str) -> list[str]:

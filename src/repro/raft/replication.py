@@ -10,8 +10,10 @@ keeps the design "effectively standard Raft from a safety perspective".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.raft.membership import MembershipConfig
+from repro.raft.proxy import ProxyRouter, RouteTable
 from repro.raft.quorum import QuorumPolicy, majority_count
 from repro.raft.types import OpId
 
@@ -198,6 +200,13 @@ class LeaderState:
     # this term. None = no hand-off owed (a database leads, or the
     # TimeoutNow has gone out).
     handoff_tried: set | None = None
+    # The region tree (§4.2) as this leader routes it: a member carries
+    # other members' traffic only while it has acked within this long.
+    proxy_health_timeout: float = float("inf")
+    # Told ``(group, head, reason)`` whenever a proxy group's head moves.
+    on_region_head: Callable[[str, str, str], None] | None = None
+    _routes: RouteTable | None = None
+    _commit_voters: tuple | None = None
 
     @classmethod
     def fresh(
@@ -207,8 +216,17 @@ class LeaderState:
         config: MembershipConfig,
         last_log_index: int,
         flow: FlowControl | None = None,
+        proxy_health_timeout: float = float("inf"),
+        on_region_head: Callable[[str, str, str], None] | None = None,
     ) -> "LeaderState":
-        state = cls(term=term, self_name=self_name, last_log_index=last_log_index, flow=flow)
+        state = cls(
+            term=term,
+            self_name=self_name,
+            last_log_index=last_log_index,
+            flow=flow,
+            proxy_health_timeout=proxy_health_timeout,
+            on_region_head=on_region_head,
+        )
         for member in config.peers_of(self_name):
             state.ensure_peer(member.name)
         return state
@@ -237,6 +255,19 @@ class LeaderState:
         names = {self.self_name} if self.last_log_index >= index else set()
         names.update(name for name, p in self.peers.items() if p.match_index >= index)
         return frozenset(names)
+
+    def counts_toward_commit(
+        self, name: str, policy: QuorumPolicy, config: MembershipConfig
+    ) -> bool:
+        """Whether ``name``'s ack can move the commit marker: only the
+        voters ``policy`` counts can (under single-region-dynamic, the
+        leader's region), so nobody else's ack is worth a commit search.
+        Policies are pure, so the set lives as long as the membership."""
+        memo = self._commit_voters
+        if memo is None or memo[0] is not policy or memo[1] is not config:
+            voters = frozenset(policy.data_quorum_voters(self.self_name, config))
+            memo = self._commit_voters = (policy, config, voters)
+        return name in memo[2]
 
     def advance_commit(
         self,
@@ -273,6 +304,37 @@ class LeaderState:
             if progress.match_index > best_match:
                 best_name, best_match = name, progress.match_index
         return best_name
+
+    # -- the region tree (§4.2) ------------------------------------------------
+
+    def proxy_is_healthy(self, name: str, now: float) -> bool:
+        """Route-around check (§4.2.3): only a member that has acked this
+        leader, and recently, carries other members' traffic — a crashed
+        one never qualifies, whenever the term began."""
+        progress = self.peers.get(name)
+        return (
+            progress is not None
+            and progress.acked_in_term
+            and now - progress.last_ack_time <= self.proxy_health_timeout
+        )
+
+    def routes(self, config: MembershipConfig, router: ProxyRouter, now: float) -> tuple[dict, dict]:
+        """``(chain by destination, destinations behind each one-hop
+        proxy)`` for this pass, every proxy group rooted at the head the
+        rule picks from the progress above (:class:`RouteTable`). Routers
+        are pure, so the static table lives as long as the membership."""
+        table = self._routes
+        if table is None or table.config is not config or table.router is not router:
+            table = self._routes = RouteTable(self.self_name, config, router)
+        for change in table.review_heads(self.peers, lambda name: self.proxy_is_healthy(name, now)):
+            if self.on_region_head is not None:
+                self.on_region_head(*change)
+        return table.chains, table.behind
+
+    def acting_heads(self) -> dict[str, str]:
+        """Proxy groups (by preferred head) currently fed through
+        another member."""
+        return dict(self._routes.acting) if self._routes is not None else {}
 
     def region_watermark(self, region: str, config: MembershipConfig) -> int:
         """Highest index held by a majority of the region's voters —

@@ -50,6 +50,38 @@ class TestRunOnce:
         assert replayed.scripted
 
 
+class TestProxyCrashSchedule:
+    def test_half_the_episodes_cascade_onto_the_regions_first_logtailer(self):
+        from repro.cluster.replicaset import MyRaftReplicaset
+
+        scenario = SCENARIOS["proxy-crash"]
+        episodes = cascades = 0
+        for seed in range(1, 26):
+            cluster = MyRaftReplicaset(scenario.topology(), seed=seed)
+            _injector, schedule = scenario.make_faults(cluster, cluster.rng.child("faults"))
+            back_at = {}  # victim -> when it comes back (episodes never overlap)
+            for event in reversed(schedule.events):
+                if event.kind in ("restart", "resume"):
+                    back_at[event.target] = event.time
+                    continue
+                assert event.kind in ("crash", "pause")
+                if event.target.endswith("-db1"):
+                    episodes += 1
+                    continue
+                # The second victim: its region's database went down
+                # 0.3-0.6 s before it, and they come back together.
+                cascades += 1
+                database = event.target.replace("-lt1", "-db1")
+                first = max(
+                    (e for e in schedule.events if e.target == database and e.time < event.time),
+                    key=lambda e: e.time,
+                )
+                assert first.kind in ("crash", "pause")
+                assert 0.3 <= event.time - first.time <= 0.6
+                assert back_at[event.target] == back_at[database] > event.time
+        assert episodes >= 40 and 0.35 <= cascades / episodes <= 0.65
+
+
 class TestDdmin:
     def test_minimizes_to_exact_culprits(self):
         items = list(range(20))

@@ -7,7 +7,10 @@ above its logtailers' cursors (they re-join by snapshot at an older
 index) degraded every PROXY_OP for them to a heartbeat, and the leader
 kept choosing it because it was "healthy": the ring never caught up.
 Every live member must reach the heal-time commit index, with a number
-of degrades that counts lagging peers, not time.
+of degrades that counts lagging peers, not time — and the region whose
+database is the crashed replica must still be fed about one payload copy
+per write (through whichever logtailer took the role), not one per
+surviving member.
 """
 
 import pytest
@@ -17,8 +20,15 @@ from repro.raft.config import RaftConfig
 from repro.sim.coro import spawn
 from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
 
+from tests.raft.harness import record_sends, wan_entries_into
+
 LOAD = 1.5  # simulated seconds of sysbench load
 CATCHUP_CAP = 5.0
+# 1.15–1.28 on these seeds (2.55–2.62 with a fixed proxy): one copy, plus the
+# windows lost with the database, two private slow-start streams until the
+# first logtailer is level again (~2.5 WAN round trips), and the retries
+# addressed to the dead database itself.
+MAX_COPIES_INTO_CRASHED_DBS_REGION = 1.35
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -31,10 +41,12 @@ def test_every_member_reaches_the_heal_time_commit_index(seed):
     )
     primary = cluster.bootstrap()
     loop, origin, healed = cluster.loop, cluster.loop.now, {}
+    sent = record_sends(cluster.net)
 
     def outage():
         cluster.net.isolate_region("region3")
         cluster.crash("region2-db1")
+        healed["crash"] = (len(sent), primary.node.commit_index)
 
     def compact():
         def rotate_then_compact():
@@ -65,6 +77,11 @@ def test_every_member_reaches_the_heal_time_commit_index(seed):
     while behind() and loop.now < deadline:
         cluster.run(0.05)
     assert behind() == []
+    first_sent, first_commit = healed["crash"]
+    region = {name: host.region for name, host in cluster.hosts.items()}
+    into_region2 = wan_entries_into(sent[first_sent:], region, "region2")
+    copies = into_region2 / (primary.node.commit_index - first_commit)
+    assert copies <= MAX_COPIES_INTO_CRASHED_DBS_REGION
     assert primary.storage.first_index() > 1  # the compaction did purge
     degrades = sum(s.node.metrics["proxy_degrades"] for s in cluster.services.values())
     assert degrades <= 12  # at most two per logtailer that re-joined by snapshot

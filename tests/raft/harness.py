@@ -7,6 +7,7 @@ from repro.raft.config import RaftConfig
 from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.log_storage import InMemoryLogStorage
 from repro.raft.membership import MembershipConfig
+from repro.raft.messages import AppendEntriesRequest
 from repro.raft.node import RaftNode
 from repro.raft.quorum import MajorityQuorum, QuorumPolicy
 from repro.raft.types import MemberInfo, MemberType, RaftRole
@@ -40,6 +41,15 @@ def record_sends(net) -> list:
 
     net.send = send
     return sent
+
+
+def wan_entries_into(sent, region_of: dict, region: str) -> int:
+    """Log entries that crossed the WAN into ``region`` as AppendEntries
+    payload, among recorded sends: its payload copies, counted."""
+    return sum(
+        len(m.entries) for src, dst, m in sent
+        if isinstance(m, AppendEntriesRequest) and region_of[dst] == region != region_of[src]
+    )
 
 
 class RaftRing:

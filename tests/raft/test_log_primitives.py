@@ -247,6 +247,19 @@ class TestLeaderState:
         commit = state.advance_commit(0, MajorityQuorum(), self.config(), terms.get)
         assert commit == 3
 
+    def test_only_the_policys_data_quorum_voters_count_toward_commit(self):
+        from repro.flexiraft import FlexiMode, FlexiRaftPolicy
+
+        config = self.config()
+        state = LeaderState.fresh(1, "a", config, last_log_index=0)
+        majority, in_region = MajorityQuorum(), FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC)
+        assert [n for n in "bcl" if state.counts_toward_commit(n, majority, config)] == ["b", "c"]
+        # The memo follows the policy (Quorum Fixer override) and the config.
+        assert [n for n in "bcl" if state.counts_toward_commit(n, in_region, config)] == ["b"]
+        grown = config.with_added(MemberInfo("d", "r1", MemberType.VOTER), 7)
+        assert state.counts_toward_commit("d", in_region, grown)
+        assert not state.counts_toward_commit("d", in_region, config)
+
     def test_most_caught_up_peer(self):
         state = LeaderState.fresh(1, "a", self.config(), last_log_index=9)
         # Nobody has answered this leader yet: membership order must not

@@ -1,12 +1,13 @@
 """Proxying tests (§4.2): region fan-out, PROXY_OP, reconstitution,
-degrade, per-destination route-around, and the cross-region bandwidth
-saving."""
+degrade, per-destination route-around, the head that follows health and
+progress, and the cross-region bandwidth saving."""
 
 from repro.cluster import paper_topology
 from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 from repro.raft.membership import MembershipConfig
 from repro.raft.messages import AppendEntriesRequest
-from repro.raft.proxy import RegionProxyRouter, StaticProxyRouter
+from repro.raft.proxy import RegionProxyRouter, RouteTable, StaticProxyRouter
+from repro.raft.replication import PeerProgress
 
 from tests.raft.harness import RaftRing, record_sends, voter, witness
 
@@ -36,6 +37,32 @@ def entry_bearing(sent):
     ]
 
 
+def write_stream(ring, seconds, every=0.01):
+    """One proposal every ``every`` seconds; returns their indexes."""
+    indexes = []
+    deadline = ring.loop.now + seconds
+    while ring.loop.now < deadline - 1e-9:
+        opid, _future = ring.propose_on_leader(b"E" * PAPER_ENTRY_BYTES)
+        indexes.append(opid.index)
+        ring.run(every)
+    return indexes
+
+
+def payload_into(sent, leader, members):
+    """What the leader's entry-bearing appends to ``members`` added up to:
+    ``({(dst, fanout), ...}, entries shipped)``."""
+    messages = [(dst, m) for src, dst, m in entry_bearing(sent) if src == leader and dst in members]
+    return {(dst, m.fanout) for dst, m in messages}, sum(len(m.entries) for _dst, m in messages)
+
+
+def head_moves(ring, since=0.0):
+    """``(head, reason)`` of every ``raft.region_head`` event from ``since``."""
+    return [
+        (r.get("head"), r.get("reason"))
+        for r in ring.tracer.of_kind("raft.region_head") if r.time >= since
+    ]
+
+
 class TestRouting:
     def test_same_region_is_direct(self):
         router = RegionProxyRouter()
@@ -57,6 +84,67 @@ class TestRouting:
         config = MembershipConfig(tuple(two_region_members()))
         assert router.chain_for("db1", "x", config) == ["p1", "p2"]
         assert router.chain_for("db1", "unrouted", config) is None
+
+
+class TestRouteTable:
+    """The head rule as a function of the leader's PeerProgress alone."""
+
+    def table(self):
+        config = MembershipConfig(tuple(two_region_members()))
+        table = RouteTable("db1", config, RegionProxyRouter())
+        peers = {m.name: PeerProgress(next_index=11, match_index=10) for m in config.peers_of("db1")}
+        return table, peers
+
+    def review(self, table, peers, unhealthy=()):
+        return table.review_heads(peers, lambda name: name not in unhealthy)
+
+    def test_healthy_ring_is_the_routers_tree(self):
+        table, peers = self.table()
+        assert self.review(table, peers) == []
+        assert table.chains == {"lt2a": ("db2",), "lt2b": ("db2",)}
+        assert table.behind == {"db2": ["lt2a", "lt2b"]}
+        assert table.groups == {"db2": ("db2", "lt2a", "lt2b")} and table.acting == {}
+
+    def test_silent_head_hands_over_to_the_most_advanced_member(self):
+        table, peers = self.table()
+        peers["db2"].direct_until = 14  # its windows went silent
+        peers["lt2b"].last_sent_index = 12
+        assert self.review(table, peers) == [("db2", "lt2b", "silent")]
+        assert table.chains == {"db2": ("lt2b",), "lt2a": ("lt2b",)}
+        assert table.behind == {"lt2b": ["db2", "lt2a"]}
+        assert self.review(table, peers) == []  # sticky: nothing new, nothing moves
+
+    def test_ties_go_by_membership_order_and_nobody_eligible_moves_nothing(self):
+        table, peers = self.table()
+        peers["db2"].direct_until = 14
+        assert self.review(table, peers, unhealthy={"lt2a", "lt2b"}) == []
+        peers["lt2a"].direct_until = peers["lt2b"].direct_until = 14  # a silent region
+        assert self.review(table, peers) == [] and table.acting == {}
+        peers["lt2a"].direct_until = peers["lt2b"].direct_until = 0
+        assert self.review(table, peers) == [("db2", "lt2a", "silent")]
+
+    def test_a_preferred_head_is_not_unseated_for_being_unproven(self):
+        # A new leader's first round: nobody has acked yet.
+        table, peers = self.table()
+        assert self.review(table, peers, unhealthy={"db2"}) == []
+
+    def test_acting_head_that_stops_acking_loses_the_role(self):
+        table, peers = self.table()
+        peers["db2"].direct_until = 14
+        self.review(table, peers)
+        assert table.acting == {"db2": "lt2a"}
+        assert self.review(table, peers, unhealthy={"lt2a", "db2"}) == [("db2", "lt2b", "unhealthy")]
+
+    def test_preferred_member_takes_the_role_back_once_level(self):
+        table, peers = self.table()
+        peers["db2"].direct_until = 14
+        peers["lt2a"].match_index = peers["lt2a"].last_sent_index = 40
+        self.review(table, peers)
+        peers["db2"].match_index = 14  # back, acking, but far behind
+        assert self.review(table, peers) == [] and table.acting == {"db2": "lt2a"}
+        peers["db2"].last_sent_index = 40  # rode level with the acting head
+        assert self.review(table, peers) == [("db2", "db2", "level")]
+        assert table.acting == {} and table.behind == {"db2": ["lt2a", "lt2b"]}
 
 
 class TestProxiedReplication:
@@ -330,3 +418,148 @@ class TestRouteAround:
         ]
         assert via_dead == []
         assert not [m for _s, dst, m in sent if dst == "db1" and getattr(m, "fanout", ())]
+
+
+WAN_RTT = 0.060  # the harness ring: 30 ms one way between regions
+
+
+class TestHeadFollowsHealth:
+    """DESIGN.md §15 rule 4: a region is fed through its most advanced
+    live member, and its database takes the role back once level."""
+
+    def streaming_ring(self, **kwargs):
+        # Single-region-dynamic: commits need no ack from region r2, so a
+        # write stream keeps committing whatever happens there.
+        ring = proxy_ring(policy=FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC), **kwargs)
+        leader = ring.bootstrap("db1")
+        ring.run(1.0)
+        write_stream(ring, 0.2)
+        return ring, leader
+
+    def test_crashed_proxy_hands_its_group_to_a_member_behind_it(self):
+        ring, leader = self.streaming_ring()
+        every, config = 0.01, ring.config
+        ring.host("db2").crash()
+        crashed = ring.loop.now
+        # The in-flight windows fill and go silent, the retry serves both
+        # logtailers direct, and the first ack back makes its sender head.
+        write_stream(ring, config.max_inflight_windows * every + config.append_retry_interval + WAN_RTT + every)
+        assert head_moves(ring) == [("lt2a", "silent")]
+        assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2a"}
+        assert leader.metrics["proxy_reroots"] == 1
+        write_stream(ring, 2 * WAN_RTT)  # lt2b converges on lt2a's cursor
+        sent = record_sends(ring.net)
+        indexes = write_stream(ring, 0.5)
+        ring.run(WAN_RTT)
+        # One payload copy per write enters the region's live members
+        # (the parent: one each), and lt2b's comes out of lt2a's message.
+        assert payload_into(sent, "db1", ("lt2a", "lt2b")) == ({("lt2a", ("lt2b",))}, len(indexes))
+        assert ring.node("lt2b").last_opid.index >= indexes[-1]
+        assert ring.loop.now - crashed < config.proxy_health_timeout  # no timer involved
+        assert sum(n.metrics["proxy_degrades"] for n in ring.nodes.values()) == 0
+
+    def test_restarted_proxy_catches_up_from_the_acting_head_then_takes_the_role_back(self):
+        ring, leader = self.streaming_ring()
+        ring.host("db2").crash()
+        write_stream(ring, 2.0, every=0.004)  # ~500 entries: far behind
+        gap = leader.last_opid.index - ring.node("db2").last_opid.index
+        assert gap > 400 and head_moves(ring) == [("lt2a", "silent")]
+        ring.host("db2").restart()
+        restarted = ring.loop.now
+        sent = record_sends(ring.net)
+        write_stream(ring, 1.0)
+        assert head_moves(ring, restarted) == [("db2", "level")]
+        assert leader.stats()["proxy"]["acting_heads"] == {}
+        assert ring.node("db2").last_opid.index >= leader.last_opid.index - 4
+        appends = [(src, dst, m) for src, dst, m in sent if isinstance(m, AppendEntriesRequest)]
+        own_payload = [
+            i for i, (src, dst, m) in enumerate(appends)
+            if src == "db1" and dst == "db2" and m.entries and not m.fanout
+        ]
+        proxy_ops = [
+            i for i, (src, _dst, m) in enumerate(appends)
+            if src == "db1" and m.is_proxy_op and m.final_dest == "db2"
+        ]
+        from_head = sum(len(m.entries) for src, dst, m in appends if (src, dst) == ("lt2a", "db2"))
+        # Only what the retry had put in flight crossed the WAN for db2
+        # alone; from its first PROXY_OP on, its payload came out of
+        # lt2a's log — most of the gap — until it carried the region again.
+        assert proxy_ops and max(own_payload) < min(proxy_ops)
+        assert from_head > gap // 2
+        assert ring.node("lt2a").metrics["proxy_degrades"] == 0
+        last_to_db2 = [m for _src, dst, m in entry_bearing(sent) if dst == "db2"][-1]
+        assert last_to_db2.fanout == ("lt2a", "lt2b")
+
+    def test_acting_head_crashes_too(self):
+        ring, leader = self.streaming_ring()
+        ring.host("db2").crash()
+        write_stream(ring, 0.6)
+        ring.host("lt2a").crash()
+        cascaded = ring.loop.now
+        write_stream(ring, 0.6)
+        # Both members behind lt2a went silent with it: direct retries,
+        # and the first one back — the only one left — becomes head.
+        assert head_moves(ring, cascaded) == [("lt2b", "silent")]
+        sent = record_sends(ring.net)
+        indexes = write_stream(ring, 0.3)
+        ring.run(WAN_RTT)
+        assert ring.node("lt2b").last_opid.index >= indexes[-1]
+        assert payload_into(sent, "db1", ("lt2b",)) == ({("lt2b", ())}, len(indexes))
+        # lt2a returns as an ordinary member behind lt2b; the database
+        # returns, catches up through lt2b, and takes the role back.
+        ring.host("lt2a").restart()
+        write_stream(ring, 1.0)
+        assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2b"}
+        assert ring.node("lt2b").metrics["proxy_forwards"] > 0
+        ring.host("db2").restart()
+        returned = ring.loop.now
+        write_stream(ring, 1.0)
+        assert head_moves(ring, returned) == [("db2", "level")]
+        ring.run(1.0)
+        assert {ring.node(n).last_opid for n in ("db2", "lt2a", "lt2b")} == {leader.last_opid}
+
+    def test_isolated_region_gets_direct_retries_and_a_head_after_the_first_ack(self):
+        ring, leader = self.streaming_ring()
+        ring.net.isolate_region("r2")
+        sent = record_sends(ring.net)
+        write_stream(ring, 1.0)
+        # Nobody in the group can serve: the role stays put, every member
+        # is retried direct (as before), nothing rides.
+        assert head_moves(ring) == [] and leader.metrics["proxy_reroots"] == 0
+        retried = {dst for src, dst, m in entry_bearing(sent[20:]) if src == "db1" and not m.fanout}
+        assert retried >= {"db2", "lt2a", "lt2b"}
+        ring.net.heal_region("r2")
+        write_stream(ring, 1.0)
+        assert leader.stats()["proxy"]["acting_heads"] == {}
+        sent = record_sends(ring.net)
+        indexes = write_stream(ring, 0.2)
+        ring.run(WAN_RTT)
+        assert payload_into(sent, "db1", ("db2", "lt2a", "lt2b")) == (
+            {("db2", ("lt2a", "lt2b"))}, len(indexes)
+        )
+
+    def test_fault_free_stream_on_the_paper_topology_never_moves_a_head(self):
+        members = paper_topology().members()
+        ring = RaftRing(members, policy=FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC))
+        leader = ring.bootstrap("region0-db1")
+        ring.run(1.0)
+        indexes = write_stream(ring, 2.0, every=0.005)
+        ring.run(1.0)
+        assert all(ring.node(m.name).last_opid.index == indexes[-1] for m in members)
+        assert sum(n.metrics["proxy_reroots"] for n in ring.nodes.values()) == 0
+        assert sum(n.metrics["proxy_degrades"] for n in ring.nodes.values()) == 0
+        assert leader.stats()["proxy"]["acting_heads"] == {} and head_moves(ring) == []
+
+    def test_chains_longer_than_one_hop_are_left_alone(self):
+        router = StaticProxyRouter({"lt2a": ["db2"], "lt2b": ["db2", "lt2a"]})
+        ring, leader = self.streaming_ring(router=router)
+        ring.host("db2").crash()
+        indexes = write_stream(ring, 1.0)
+        ring.run(1.0)  # the last window's retry waits for a heartbeat pass
+        # The one-hop group (db2, lt2a) re-roots; lt2b's two-hop chain
+        # still names the dead db2, so rule 2's retry serves it direct.
+        assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2a"}
+        chains, behind = leader.leader_state.routes(leader.membership, router, ring.loop.now)
+        assert chains == {"db2": ("lt2a",), "lt2b": ("db2", "lt2a")}
+        assert behind == {"lt2a": ["db2"]}
+        assert ring.node("lt2b").last_opid.index >= indexes[-1]

@@ -195,3 +195,61 @@ def test_read_still_fails_at_the_barrier_timeout_without_an_in_region_quorum():
     rs.run(0.1)
     assert process.done() and process.failed()
     assert rs.loop.now - started < rs.raft_config.read_barrier_timeout + 0.1
+
+
+# -- the fan-in side of the region tree (§4.2) ----------------------------------------
+
+
+def learner_cluster():
+    """``region1-lrn1`` sits behind its region's proxy, ``region1-db1``."""
+    spec = ReplicaSetSpec(
+        "rs-reads",
+        (
+            RegionSpec("region0", databases=1, logtailers=2),
+            RegionSpec("region1", databases=1, logtailers=2, learners=1),
+        ),
+    )
+    rs = MyRaftReplicaset(spec, seed=3, raft_config=RaftConfig(read_mode="read_index"))
+    rs.bootstrap()
+    rs.write_and_run("kv", {1: {"id": 1, "v": "one"}}, seconds=2.0)
+    return rs
+
+
+def read_index_messages(sent):
+    from repro.raft.messages import ReadIndexRequest, ReadIndexResponse
+
+    return [
+        (type(m).__name__, src, dst)
+        for src, dst, m in sent if isinstance(m, (ReadIndexRequest, ReadIndexResponse))
+    ]
+
+
+def test_read_behind_a_live_proxy_goes_up_the_tree_and_comes_back_direct():
+    rs = learner_cluster()
+    sent = record_sends(rs.net)
+    assert run_read(rs, rs.server("region1-lrn1"), "kv", 1, seconds=0.2) == {"id": 1, "v": "one"}
+    assert read_index_messages(sent) == [
+        ("ReadIndexRequest", "region1-lrn1", "region1-db1"),
+        ("ReadIndexRequest", "region1-db1", "region0-db1"),
+        ("ReadIndexResponse", "region0-db1", "region1-lrn1"),
+    ]
+
+
+def test_read_fetch_resend_skips_the_proxy_that_swallowed_the_first_attempt():
+    # The fetch used to be re-sent up the same tree every
+    # append_retry_interval: behind a crashed proxy a read timed out with
+    # the leader alive and one hop away.
+    rs = learner_cluster()
+    rs.crash("region1-db1")
+    learner = rs.server("region1-lrn1")
+    sent = record_sends(rs.net)
+    wan_round_trip = 0.075  # ~30 ms one way, log-normal
+    process = learner.submit_read("kv", 1)
+    rs.run(rs.raft_config.append_retry_interval + 2 * wan_round_trip)
+    assert process.done() and not process.failed()
+    assert process.result()[1] == {"id": 1, "v": "one"}
+    assert read_index_messages(sent) == [
+        ("ReadIndexRequest", "region1-lrn1", "region1-db1"),  # first attempt: up the tree
+        ("ReadIndexRequest", "region1-lrn1", "region0-db1"),  # the re-send: direct
+        ("ReadIndexResponse", "region0-db1", "region1-lrn1"),
+    ]
