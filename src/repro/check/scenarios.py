@@ -20,7 +20,7 @@ seed count, not from any single long run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cluster.replicaset import paper_network_spec
 from repro.cluster.topology import ReplicaSetSpec, paper_topology
@@ -67,11 +67,6 @@ class Scenario:
     # leader — the hazard lease safety is about).
     read_mode: str = "barrier"
     read_routing: str = "primary"
-    # Batched write path (repro.raft.batching) + wire coalescing: the
-    # defaults exercise the batched path everywhere; legacy=True pins a
-    # scenario to the pre-batching behaviour.
-    legacy_write_path: bool = False
-    coalesce_wire: bool = False
     # Sharded fleet (repro.shard): shards > 0 runs the scenario on a
     # multi-ring fleet via repro.check.sharding.run_sharded, with
     # shard_moves online replica relocations fired mid-run. Sharded
@@ -102,15 +97,10 @@ class Scenario:
         return RaftConfig(
             parallel_apply_workers=self.parallel_apply_workers,
             read_mode=self.read_mode,
-            batched_write_path=not self.legacy_write_path,
-            suppress_redundant_heartbeats=not self.legacy_write_path,
         )
 
     def network_spec(self) -> NetworkSpec:
-        spec = paper_network_spec()
-        if self.coalesce_wire:
-            spec = replace(spec, coalesce_wire=True, compress_cross_region=True)
-        return spec
+        return paper_network_spec()
 
     def workload_spec(self) -> WorkloadSpec:
         return WorkloadSpec(
@@ -264,14 +254,13 @@ SCENARIOS: dict[str, Scenario] = {
             name="write-path",
             description=(
                 "high-concurrency writers through the batched write path "
-                "(proposal accumulation + coalesced/compressed wire) under "
-                "crash and isolation churn"
+                "(proposal accumulation, pipelined flow-controlled appends) "
+                "under crash and isolation churn"
             ),
             faults="random",
             clients=6,
             think_time=0.02,
             read_fraction=0.1,
-            coalesce_wire=True,
             crash_leader_bias=0.7,
             isolate_probability=0.3,
             downtime=2.5,

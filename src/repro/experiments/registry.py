@@ -18,14 +18,11 @@ from repro.experiments.parallel_apply import run_parallel_apply
 from repro.experiments.proxy_bandwidth import run_proxy_bandwidth
 from repro.experiments.quorum_fixer_drill import run_quorum_fixer_drill
 from repro.experiments.read_path import run_read_path
-from repro.experiments.repl_hotpath import run_repl_hotpath
 from repro.experiments.rollout_drill import run_rollout_drill
 from repro.experiments.sharding import run_sharding
 from repro.experiments.snapshot_bootstrap import run_snapshot_bootstrap
-from repro.experiments.snapshot_delta import run_snapshot_delta
 from repro.experiments.table1_roles import run_table1
 from repro.experiments.table2_downtime import run_table2
-from repro.experiments.write_path import run_write_path
 
 EXPERIMENTS: dict[str, Callable[..., Any]] = {
     "table1": run_table1,
@@ -40,11 +37,8 @@ EXPERIMENTS: dict[str, Callable[..., Any]] = {
     "flexi-latency": run_flexi_ablation,
     "enable-raft": run_rollout_drill,
     "snapshot-bootstrap": run_snapshot_bootstrap,
-    "snapshot-delta": run_snapshot_delta,
-    "repl-hotpath": run_repl_hotpath,
     "parallel-apply": run_parallel_apply,
     "read-path": run_read_path,
-    "write-path": run_write_path,
     "sharding": run_sharding,
     "harness-speed": run_harness_speed,
 }

@@ -42,8 +42,7 @@ def writeset_hashes(changes) -> tuple:
 class LogicalClock:
     """Assigns (last_committed, sequence_number) at the flush stage."""
 
-    def __init__(self, writeset_parallelism: bool, history_size: int) -> None:
-        self._writeset_parallelism = writeset_parallelism
+    def __init__(self, history_size: int) -> None:
         self._history_size = history_size
         self._sequence = 0
         # Sequence number of the last member of the previous flush group —
@@ -67,7 +66,7 @@ class LogicalClock:
         self._sequence += 1
         sequence = self._sequence
         last_committed = self._group_floor
-        if self._writeset_parallelism and writeset:
+        if writeset:
             if len(self._last_writer) + len(writeset) > self._history_size:
                 self._last_writer.clear()
                 self._history_floor = sequence - 1

@@ -88,14 +88,11 @@ class LogtailerService:
         a leader with a purged log must still be able to re-seed it (the
         log below the image's OpId is simply gone — witnesses never serve
         reads, so only the Raft metadata matters)."""
-        if self.raft_config.enable_snapshots:
-            from repro.snapshot import SnapshotManager
+        from repro.snapshot import SnapshotManager
 
-            SnapshotManager(
-                self.host, self.node, self.raft_config, install_image=self._install_snapshot_image
-            )
-        else:
-            self.node.snapshots = None
+        SnapshotManager(
+            self.host, self.node, self.raft_config, install_image=self._install_snapshot_image
+        )
 
     def _install_snapshot_image(self, image) -> None:
         self.host.disk.namespace("mysqllog").clear()

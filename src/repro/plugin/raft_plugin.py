@@ -215,10 +215,7 @@ class MyRaftServer:
         self.applier = None
         # Fresh logical clock per leadership: sequence numbers restart at
         # zero and replicas key the domain off the OpId term.
-        self._clock = LogicalClock(
-            writeset_parallelism=self.raft_config.writeset_parallelism,
-            history_size=self.raft_config.writeset_history_size,
-        )
+        self._clock = LogicalClock(history_size=self.raft_config.writeset_history_size)
 
     # -- pipeline stage behaviours ---------------------------------------------------
 
@@ -245,8 +242,7 @@ class MyRaftServer:
             )
         # The whole flush group goes down as one batch: the binlog
         # group-commit boundary survives into the Raft log (one multi-
-        # entry storage append, one replication fan-out under
-        # batched_write_path; per-txn proposes otherwise).
+        # entry storage append, one replication fan-out).
         results = self.node.propose_batch(factories, ENTRY_KIND_DATA)
         last: OpId | None = None
         for txn, (opid, _consensus) in zip(group, results):
@@ -368,19 +364,16 @@ class MyRaftServer:
     def _wire_snapshots(self) -> None:
         """(Re)attach the snapshot manager; called at construction and on
         restart so transfer sessions never outlive an incarnation."""
-        if self.raft_config.enable_snapshots:
-            SnapshotManager(
-                self.host,
-                self.node,
-                self.raft_config,
-                produce_image=self._produce_snapshot_image,
-                install_image=self._install_snapshot_image,
-                produce_delta=self._produce_snapshot_delta,
-                engine_watermark=lambda: self.mysql.engine.last_committed_opid.index,
-                engine_tables=self._engine_tables,
-            )
-        else:
-            self.node.snapshots = None
+        SnapshotManager(
+            self.host,
+            self.node,
+            self.raft_config,
+            produce_image=self._produce_snapshot_image,
+            install_image=self._install_snapshot_image,
+            produce_delta=self._produce_snapshot_delta,
+            engine_watermark=lambda: self.mysql.engine.last_committed_opid.index,
+            engine_tables=self._engine_tables,
+        )
 
     def _produce_snapshot_image(self, chunk_bytes: int) -> SnapshotImage | None:
         """Serialize this member's engine state — the same consistent cut

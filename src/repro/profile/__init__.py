@@ -17,7 +17,7 @@ Cost model:
   module global ``ACTIVE`` being ``None`` — one module-attribute read
   per event on the hot paths. ``bench_harness_speed`` measures this
   off-mode tax against the event-loop dispatch rate and gates it at
-  <= 2% of ``bench_repl_hotpath``-shaped wall time.
+  <= 2% of the wall time of one paper-topology run.
 - **On:** each site pays two ``perf_counter()`` reads and a dict
   update. Sections are *inclusive* (a ``net.deliver`` that triggers a
   Raft handler which encodes binlog events is counted in all three),

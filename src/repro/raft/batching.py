@@ -3,7 +3,7 @@
 Concurrent ``propose()`` calls land in a :class:`ProposalAccumulator`
 instead of each paying a storage append and a replication fan-out. The
 accumulator assigns OpIds eagerly (so callers still get their OpId
-synchronously, exactly like the unbatched path) and *stages* the built
+synchronously) and *stages* the built
 entries; one flush then writes every staged entry with a single
 ``storage.append`` per ``propose_batch_max`` chunk and triggers one
 replication round for the whole batch.
@@ -11,10 +11,9 @@ replication round for the whole batch.
 Flush discipline — the safety-critical part:
 
 - The batch closes on a *microbatch boundary*: an event scheduled for
-  the current loop instant (``propose_batch_wait == 0``, the default, so
-  a lone writer's commit latency is unchanged) or ``propose_batch_wait``
-  seconds out. Every proposal staged before the boundary joins the
-  batch in proposal order — a batch never reorders entries.
+  the current loop instant, so a lone writer's commit latency is
+  unchanged. Every proposal staged before the boundary joins the batch
+  in proposal order — a batch never reorders entries.
 - No message handler, heartbeat, or leadership action may ever observe
   staged-but-unappended state: :class:`RaftNode` calls
   ``flush()`` as a barrier at the top of ``handle_message``,
@@ -90,7 +89,7 @@ class ProposalAccumulator:
         # Host-bound timer: squelched on crash, and a 0-delay timer fires
         # at the current instant *after* events already queued for it —
         # i.e. after every same-tick propose() has staged.
-        self.node.host.call_after(self.node.config.propose_batch_wait, self.flush)
+        self.node.host.call_after(0.0, self.flush)
 
     def flush(self) -> None:
         """Append everything staged and fan it out. Idempotent; also the

@@ -21,8 +21,6 @@ class RaftConfig:
     election_timeout_jitter: float = 0.5
     # How long a candidate waits for votes before retrying at a higher term.
     vote_timeout: float = 1.0
-    # Pre-vote round before real elections (kuduraft behaviour).
-    enable_pre_vote: bool = True
     # Run a mock election before TransferLeadership (§4.3).
     enable_mock_election: bool = True
     mock_election_timeout: float = 1.0
@@ -42,21 +40,10 @@ class RaftConfig:
     append_retry_interval: float = 0.25
 
     # -- batched write path (§3.4 group commit through Raft) ------------------
-    # Master A/B flag: proposal batching (one multi-entry storage append
-    # per flush group instead of one per transaction) plus ack-clocked
-    # pipelined replication with per-peer flow control. Off reproduces
-    # the legacy one-append-one-fanout-per-propose write path for A/B
-    # benches, exactly like shared_fanout_reads.
-    batched_write_path: bool = True
     # Upper bound on entries accumulated into one batched storage append.
     # A flush group larger than this is split across consecutive appends
     # (group-commit boundaries are preserved: a batch never reorders).
     propose_batch_max: int = 256
-    # Microbatch boundary: how long a staged proposal may wait for
-    # same-batch company before the accumulator flushes. 0 = same-tick
-    # only (the batch closes at the end of the current event-loop
-    # instant), so single-writer commit latency is unchanged.
-    propose_batch_wait: float = 0.0
     # Flow control: entry-bearing AppendEntries a peer may have in flight
     # (sent, unacked) before the leader stops pipelining new windows to
     # it. Retries after append_retry_interval still go out regardless.
@@ -66,11 +53,6 @@ class RaftConfig:
     # and collapses back to the minimum on a rejection or retry timeout
     # (slow-start, the Fast Raft / TCP-style flow-control shape).
     append_window_min: int = 8
-    # Heartbeat suppression: skip the forced per-tick heartbeat to peers
-    # that already received traffic (entries or an earlier heartbeat)
-    # within the last heartbeat_interval. Pure de-duplication — the
-    # follower's failure detector is reset by any append.
-    suppress_redundant_heartbeats: bool = True
 
     # -- proxying (§4.2): fault-path timers; the route itself is the
     # node's ProxyRouter, not a switch here ---------------------------------
@@ -82,20 +64,11 @@ class RaftConfig:
 
     # -- log cache -------------------------------------------------------------
     log_cache_max_bytes: int = 4 << 20
-    # Storage-fallback reads populate the cache so one lagging reader
-    # warms the path for the rest. Off reproduces the pre-optimization
-    # behaviour (a miss stays a miss forever) for A/B benches.
-    cache_read_through: bool = True
-    # One storage read per distinct send cursor per replication round,
-    # shared by every peer at that cursor. Off reproduces the legacy
-    # one-read-per-peer fan-out for A/B benches.
-    shared_fanout_reads: bool = True
 
     # -- snapshot shipping / log compaction ----------------------------------
     # First-class state transfer (kuduraft tablet-copy style): when a
     # follower needs entries the leader already purged, the leader ships a
     # serialized engine image in chunks instead of failing replication.
-    enable_snapshots: bool = True
     snapshot_chunk_bytes: int = 64 << 10
     # Transfer throttle: pacing delay between chunks models disk+network
     # pressure so a bootstrap never starves foreground replication.
@@ -103,16 +76,13 @@ class RaftConfig:
     # How often a shipping leader re-probes a silent follower with the
     # snapshot offer (the offer doubles as the resume cursor probe).
     snapshot_retry_interval: float = 0.5
-    # Incremental (delta) snapshots: a transfer to a follower with a
-    # usable engine base ships only the rows changed since that base,
-    # chained on the full image via the dirty-set tracker. Off
-    # reproduces always-full transfers for A/B benches.
-    snapshot_delta_enabled: bool = True
     # Pipelined transfer window: chunks a session may have in flight
     # (sent, unacked). The window opens at 1 and slow-starts up to this
     # cap, collapsing on a retry timeout; 1 reproduces the legacy
     # stop-and-wait transfer exactly.
     snapshot_max_inflight_chunks: int = 8
+    # Incremental (delta) snapshots: a transfer to a follower with a
+    # usable engine base ships only the rows changed since that base.
     # Re-base policy: when more than this fraction of the engine's rows
     # changed since the follower's base, ship a full image instead — a
     # delta that rewrites most of the database saves nothing and leaves
@@ -124,10 +94,9 @@ class RaftConfig:
     # legacy serial applier exactly (same RNG draws, same schedule); >1
     # enables the LOGICAL_CLOCK dependency scheduler for A/B benches.
     parallel_apply_workers: int = 1
-    # Primary-side WRITESET relaxation: non-conflicting transactions get a
-    # commit parent below their group floor so replicas can overlap apply
-    # across group-commit boundaries. Off = pure LOGICAL_CLOCK stamping.
-    writeset_parallelism: bool = True
+    # Primary-side WRITESET relaxation: non-conflicting
+    # transactions get a commit parent below their group floor so replicas
+    # can overlap apply across group-commit boundaries.
     # Capacity of the primary's last-writer writeset history; when it
     # fills, the history resets and parallelism falls back to group
     # boundaries until it re-warms (mirrors
@@ -169,8 +138,6 @@ class RaftConfig:
             raise ValueError("max_entries_per_append must be >= 1")
         if self.propose_batch_max < 1:
             raise ValueError("propose_batch_max must be >= 1")
-        if self.propose_batch_wait < 0:
-            raise ValueError("propose_batch_wait must be >= 0")
         if self.max_inflight_windows < 1:
             raise ValueError("max_inflight_windows must be >= 1")
         if not 1 <= self.append_window_min <= self.max_entries_per_append:

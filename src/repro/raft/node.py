@@ -190,11 +190,8 @@ class RaftNode:
         self._mock_tally: VoteTally | None = None
         self._mock_reply_to: str | None = None
         self._pending_proposals: dict[int, SimFuture] = {}
-        # Group-commit accumulator (§3.4 write-path batching); None
-        # reproduces the legacy one-append-per-propose path exactly.
-        self._accumulator: ProposalAccumulator | None = (
-            ProposalAccumulator(self) if self.config.batched_write_path else None
-        )
+        # Group-commit accumulator (§3.4 write-path batching).
+        self._accumulator = ProposalAccumulator(self)
         self._pending_transfer: SimFuture | None = None
         self._transfer_target: str | None = None
         self._mock_completed_for_transfer = False
@@ -294,11 +291,8 @@ class RaftNode:
         # Staged-but-unflushed proposals extend the logical tail so
         # consecutive same-tick proposals number contiguously; flush
         # barriers guarantee no RPC handler ever observes the gap.
-        if self._accumulator is not None:
-            staged = self._accumulator.last_staged_opid
-            if staged is not None:
-                return staged
-        return self.storage.last_opid()
+        staged = self._accumulator.last_staged_opid
+        return staged if staged is not None else self.storage.last_opid()
 
     @property
     def commit_opid(self) -> OpId:
@@ -315,10 +309,9 @@ class RaftNode:
         return self._commit_opid_memo
 
     def _term_at(self, index: int) -> int | None:
-        if self._accumulator is not None:
-            staged_term = self._accumulator.staged_term_at(index)
-            if staged_term is not None:
-                return staged_term
+        staged_term = self._accumulator.staged_term_at(index)
+        if staged_term is not None:
+            return staged_term
         try:
             return self.storage.term_at(index)
         except LogTruncatedError:
@@ -363,8 +356,7 @@ class RaftNode:
 
     def _write_path_stats(self) -> dict[str, Any]:
         """Write-path observability: batching ratio, append-window shape,
-        pipelining depth, heartbeat suppression, and (when the network
-        layer coalesces) wire bytes this node saved."""
+        pipelining depth and heartbeat suppression."""
         sizes = self.append_sizes
         if sizes.count:
             entries_per_append = {
@@ -377,19 +369,12 @@ class RaftNode:
         else:
             entries_per_append = {"count": 0}
         peers = self.leader_state.peers.values() if self.leader_state is not None else ()
-        network = getattr(self.host, "network", None)
-        wire_saved = (
-            network.coalescing_stats(self.name)
-            if network is not None and hasattr(network, "coalescing_stats")
-            else {}
-        )
         return {
             "proposals": self.metrics["proposals"],
             "proposal_batches": self.metrics["proposal_batches"],
             "entries_per_append": entries_per_append,
             "inflight_hwm": self.metrics["inflight_hwm"],
             "heartbeats_suppressed": sum(p.suppressed_heartbeats for p in peers),
-            "wire_saved": wire_saved,
         }
 
     def status(self) -> dict[str, Any]:
@@ -408,10 +393,9 @@ class RaftNode:
     # ------------------------------------------------------- crash / restart
 
     def on_crash(self) -> None:
-        if self._accumulator is not None:
-            # Staged proposals were never durable; their futures fail with
-            # everything else pending.
-            self._accumulator.discard()
+        # Staged proposals were never durable; their futures fail with
+        # everything else pending.
+        self._accumulator.discard()
         for future in self._pending_proposals.values():
             future.fail_if_pending(RaftError(f"{self.name} crashed"))
         self._pending_proposals.clear()
@@ -470,10 +454,7 @@ class RaftNode:
             self._arm_election_timer()  # contact arrived since; wait more
             return
         self._trace("raft.election_timeout")
-        if self.config.enable_pre_vote:
-            self._start_pre_vote()
-        else:
-            self.start_election()
+        self._start_pre_vote()
         self._election_deadline = self.host.loop.now + self._election_timeout()
         self._arm_election_timer()
 
@@ -767,19 +748,16 @@ class RaftNode:
         if self._election_timer is not None:
             self._election_timer.cancel()
             self._election_timer = None
-        flow = None
-        if self.config.batched_write_path:
-            flow = FlowControl(
-                max_inflight_windows=self.config.max_inflight_windows,
-                window_min=self.config.append_window_min,
-                window_max=self.config.max_entries_per_append,
-            )
         self.leader_state = LeaderState.fresh(
             self.current_term,
             self.name,
             self.membership,
             self.last_opid.index,
-            flow=flow,
+            flow=FlowControl(
+                max_inflight_windows=self.config.max_inflight_windows,
+                window_min=self.config.append_window_min,
+                window_max=self.config.max_entries_per_append,
+            ),
             proxy_health_timeout=self.config.proxy_health_timeout,
             on_region_head=self._on_region_head,
         )
@@ -793,9 +771,7 @@ class RaftNode:
             self.monitor.on_leader_elected(self, granted)
         # §3.3 step 1: assert leadership with a no-op entry; committing it
         # consensus-commits the whole log tail.
-        noop_opid = self._append_as_leader(
-            self.hooks.noop_payload(self.name), ENTRY_KIND_NOOP
-        )
+        noop_opid = self._append_noop()
         self._trace("raft.leader_elected", noop=str(noop_opid))
         self.hooks.on_elected_leader(self.current_term, noop_opid)
         self._replicate_all(force=True)
@@ -891,25 +867,14 @@ class RaftNode:
         The future resolves with the OpId at consensus commit and fails
         with :class:`NotLeaderError` if leadership is lost first.
 
-        With ``batched_write_path`` the entry is *staged*: the OpId is
-        assigned immediately, but the storage append, self-ack, and
-        replication fan-out happen once per microbatch (group commit)
-        instead of once per proposal.
+        The entry is *staged*: the OpId is assigned immediately, but the
+        storage append, self-ack, and replication fan-out happen once per
+        microbatch (group commit) instead of once per proposal.
         """
         if not self.is_leader:
             raise NotLeaderError(f"{self.name} is {self.role.value}, not leader")
         self.metrics["proposals"] += 1
-        if self._accumulator is not None:
-            return self._stage_proposal(payload_factory, kind, metadata)
-        opid = self._append_as_leader(payload_factory, kind, metadata)
-        self.metrics["proposal_batches"] += 1
-        future = SimFuture(self.host.loop, label=f"consensus:{opid}")
-        self._pending_proposals[opid.index] = future
-        # In a ring where the self-vote alone satisfies the quorum (single
-        # node, forced quorum), the append already committed this entry.
-        self._resolve_proposals(self.commit_index)
-        self._replicate_all(force=False)
-        return opid, future
+        return self._stage_proposal(payload_factory, kind, metadata)
 
     def propose_batch(
         self, payload_factories: list, kind: str = ENTRY_KIND_DATA
@@ -919,13 +884,9 @@ class RaftNode:
         The binlog group-commit boundary survives into the Raft log: the
         group's entries are contiguous, in submission order, and (up to
         ``propose_batch_max``) land in one storage append. Returns one
-        (opid, consensus future) pair per factory. Without
-        ``batched_write_path`` this degenerates to per-entry proposes,
-        byte-identical to the legacy path."""
+        (opid, consensus future) pair per factory."""
         if not self.is_leader:
             raise NotLeaderError(f"{self.name} is {self.role.value}, not leader")
-        if self._accumulator is None:
-            return [self.propose(factory, kind) for factory in payload_factories]
         results = []
         for factory in payload_factories:
             self.metrics["proposals"] += 1
@@ -973,20 +934,17 @@ class RaftNode:
     def _flush_staged_proposals(self) -> None:
         """Barrier: no RPC handler, heartbeat, or leadership action may
         observe staged-but-unappended proposals."""
-        if self._accumulator is not None:
-            self._accumulator.flush()
+        self._accumulator.flush()
 
-    def _append_as_leader(
-        self, payload_factory: PayloadFactory, kind: str, metadata: tuple = ()
-    ) -> OpId:
+    def _append_noop(self) -> OpId:
+        """A new leader's no-op, appended at once rather than staged, so
+        the replication round that follows election already carries it."""
         opid = OpId(self.current_term, self.last_opid.index + 1)
-        entry = LogEntry(opid, payload_factory(opid), kind, metadata)
+        entry = LogEntry(opid, self.hooks.noop_payload(self.name)(opid), ENTRY_KIND_NOOP)
         self.storage.append([entry])
         self.cache.put(entry)
         if self.leader_state is not None:
             self.leader_state.last_log_index = opid.index
-        if kind == ENTRY_KIND_CONFIG:
-            self._adopt_config_from(entry)
         self.hooks.on_entries_appended([entry], from_leader=False)
         # Self-vote: maybe this alone satisfies the quorum (single node).
         self._maybe_advance_commit()
@@ -1079,14 +1037,7 @@ class RaftNode:
             return
         now = self.host.loop.now
         last = self.last_opid.index
-        suppress = (
-            self.config.heartbeat_interval
-            if self.config.suppress_redundant_heartbeats
-            else 0.0
-        )
-        windows: dict[tuple[int, int], tuple[OpId, tuple]] | None = (
-            {} if self.config.shared_fanout_reads else None
-        )
+        windows: dict[tuple[int, int], tuple[OpId, tuple]] = {}
         starts: dict[str, int] = {}
         for peer in peers:
             start = state.ensure_peer(peer).send_window_start(
@@ -1094,7 +1045,7 @@ class RaftNode:
                 self.config.append_retry_interval,
                 now,
                 force,
-                heartbeat_suppress_window=suppress,
+                heartbeat_suppress_window=self.config.heartbeat_interval,
                 commit_index=self.commit_index,
             )
             if start is not None:
@@ -1152,18 +1103,17 @@ class RaftNode:
         peer: str,
         progress: Any,
         start: int,
-        windows: "dict[tuple[int, int], tuple[OpId, tuple]] | None",
+        windows: "dict[tuple[int, int], tuple[OpId, tuple]]",
     ) -> "tuple[OpId, tuple] | None":
         """The ``(prev_opid, entries)`` window for ``peer`` from ``start``
         (empty entries: a heartbeat), or None when a snapshot went out
         instead."""
         # Adaptive flow control gives each peer its own entry budget, so
         # shared windows memoize on (start, budget) — peers with equal
-        # cursors *and* budgets still share one storage read, and with
-        # flow control off every budget is the config cap (legacy keys).
-        limit = progress.send_budget(self.config.max_entries_per_append)
+        # cursors *and* budgets still share one storage read.
+        limit = progress.window_entries
         key = (start, limit)
-        window = windows.get(key) if windows is not None else None
+        window = windows.get(key)
         if window is not None:
             return window
         prev_index = start - 1
@@ -1186,15 +1136,13 @@ class RaftNode:
             prev_index = start - 1
             prev_term = self._term_at(prev_index) or 0
             key = (start, limit)
-            window = windows.get(key) if windows is not None else None
+            window = windows.get(key)
             if window is not None:
                 return window
         entries = tuple(
             self._entries_for_send(start, limit, self.config.max_bytes_per_append)
         )
-        window = (OpId(prev_term, prev_index), entries)
-        if windows is not None:
-            windows[key] = window
+        window = windows[key] = (OpId(prev_term, prev_index), entries)
         return window
 
     def _note_sent(self, progress: Any, entries: tuple, now: float) -> None:
@@ -1244,7 +1192,7 @@ class RaftNode:
         if entry is not None:
             return entry
         entry = self.storage.entry(index)
-        if entry is not None and self.config.cache_read_through:
+        if entry is not None:
             self.cache.fill(entry)
         return entry
 
@@ -1280,7 +1228,7 @@ class RaftNode:
         progress: Any,
         start: int,
         chain: tuple,
-        windows: "dict | None",
+        windows: dict,
         now: float,
     ) -> None:
         """Entries from ``start`` for a peer that sits behind a proxy —

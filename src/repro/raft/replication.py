@@ -20,7 +20,7 @@ from repro.raft.types import OpId
 
 @dataclass(frozen=True)
 class FlowControl:
-    """Per-peer pipelining limits for the batched write path.
+    """Per-peer pipelining limits.
 
     ``max_inflight_windows`` bounds how many entry-bearing AppendEntries
     may be outstanding (sent, unacked) toward one peer; the adaptive
@@ -38,6 +38,8 @@ class PeerProgress:
     """What the leader believes about one peer."""
 
     next_index: int
+    # Pipelining limits: unacked-window cap and the adaptive window's range.
+    flow: FlowControl
     match_index: int = 0
     # Has this peer acked an append to *this* leader? Until it has, it is
     # neither a hand-off target nor a proxy: a crashed member never does.
@@ -54,10 +56,7 @@ class PeerProgress:
     # forced heartbeat is redundant only if the peer already saw the
     # current one (heartbeat suppression).
     last_sent_commit: int = -1
-    # Flow control (batched write path). None = legacy behaviour:
-    # unbounded pipelining, fixed max_entries_per_append windows.
-    flow: FlowControl | None = None
-    # Adaptive per-append entry cap (meaningful only with flow control).
+    # Adaptive per-append entry cap (0 = start at flow.window_min).
     window_entries: int = 0
     # Tail indexes of entry-bearing appends sent but not yet acked.
     inflight: list = field(default_factory=list)
@@ -65,7 +64,7 @@ class PeerProgress:
     suppressed_heartbeats: int = 0
 
     def __post_init__(self) -> None:
-        if self.flow is not None and self.window_entries == 0:
+        if self.window_entries == 0:
             self.window_entries = self.flow.window_min
 
     @property
@@ -83,7 +82,7 @@ class PeerProgress:
         self.match_index = max(self.match_index, index)
         self.next_index = max(self.next_index, self.match_index + 1)
         self.last_ack_time = now
-        if self.flow is not None and self.inflight:
+        if self.inflight:
             remaining = [tail for tail in self.inflight if tail > index]
             cleanly_acked = len(self.inflight) - len(remaining)
             self.inflight = remaining
@@ -94,8 +93,6 @@ class PeerProgress:
 
     def note_sent_window(self, tail_index: int) -> None:
         """Record one entry-bearing append as in flight (flow control)."""
-        if self.flow is None:
-            return
         self.inflight.append(tail_index)
         self.inflight_hwm = max(self.inflight_hwm, len(self.inflight))
 
@@ -121,12 +118,7 @@ class PeerProgress:
 
     def _collapse(self) -> None:
         self.inflight.clear()
-        if self.flow is not None:
-            self.window_entries = self.flow.window_min
-
-    def send_budget(self, default: int) -> int:
-        """Entry cap for the next append to this peer."""
-        return self.window_entries if self.flow is not None else default
+        self.window_entries = self.flow.window_min
 
     def send_window_start(
         self,
@@ -143,7 +135,7 @@ class PeerProgress:
         this cursor so one storage read serves every peer at the same
         start (shared fan-out reads).
 
-        With flow control, pipelining new tail stops while
+        Pipelining new tail stops while
         ``max_inflight_windows`` appends are outstanding; the retry path
         (no ack for ``retry_interval``) always goes through, collapsing
         the adaptive window first. ``heartbeat_suppress_window`` > 0
@@ -171,10 +163,7 @@ class PeerProgress:
             self.direct_until = max(self.direct_until, self.last_sent_index)
             return self.next_index  # (re)send from what's unacked
         if self.last_sent_index < last_log_index:
-            if (
-                self.flow is not None
-                and len(self.inflight) >= self.flow.max_inflight_windows
-            ):
+            if len(self.inflight) >= self.flow.max_inflight_windows:
                 return None  # at the in-flight cap: wait for acks
             return max(self.next_index, self.last_sent_index + 1)  # pipeline new tail
         if force:
@@ -193,9 +182,9 @@ class LeaderState:
     term: int
     self_name: str
     last_log_index: int
+    # Flow-control limits applied to every tracked peer.
+    flow: FlowControl
     peers: dict[str, PeerProgress] = field(default_factory=dict)
-    # Flow-control limits applied to every tracked peer (None = legacy).
-    flow: FlowControl | None = None
     # Witness leaders only (§4.1): hand-off targets already attempted in
     # this term. None = no hand-off owed (a database leads, or the
     # TimeoutNow has gone out).
@@ -215,7 +204,7 @@ class LeaderState:
         self_name: str,
         config: MembershipConfig,
         last_log_index: int,
-        flow: FlowControl | None = None,
+        flow: FlowControl,
         proxy_health_timeout: float = float("inf"),
         on_region_head: Callable[[str, str, str], None] | None = None,
     ) -> "LeaderState":

@@ -13,7 +13,6 @@ between star and proxied topologies.
 
 from __future__ import annotations
 
-import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -29,13 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.host import Host
 
 DEFAULT_MESSAGE_BYTES = 256
-# Wire-framing model for send-side coalescing: one frame header replaces
-# each merged message's own RPC header; a small subheader (length +
-# type tag) delimits every submessage inside the frame.
-FRAME_HEADER_BYTES = 64
-FRAME_SUBHEADER_BYTES = 8
-# Payloads below this aren't worth a zlib pass (deflate overhead wins).
-COMPRESS_MIN_BYTES = 64
 
 
 class LatencyModel(ABC):
@@ -95,13 +87,6 @@ class NetworkSpec:
     cross_region: LatencyModel = field(default_factory=lambda: LogNormalLatency(30e-3, 0.15, floor=5e-3))
     region_pairs: dict[tuple[str, str], LatencyModel] = field(default_factory=dict)
     loss_probability: float = 0.0
-    # Send-side wire coalescing: messages to the same destination sent
-    # in the same event-loop instant merge into one framed wire message
-    # (one latency draw, one loss draw, one header).
-    coalesce_wire: bool = False
-    # zlib-compress coalesced entry payloads on cross-region links only
-    # (in-region bandwidth is cheap; WAN bytes are the §4.2.2 currency).
-    compress_cross_region: bool = False
 
     def model_for(self, region_a: str, region_b: str) -> LatencyModel:
         if region_a == region_b:
@@ -121,21 +106,6 @@ class LinkStats:
     def account(self, size: int) -> None:
         self.messages += 1
         self.bytes += size
-
-
-@dataclass(frozen=True)
-class CoalescedFrame:
-    """Several same-(src, dst) messages framed into one wire message.
-
-    ``wire_size`` is precomputed by the coalescer: one frame header, a
-    subheader per submessage, each submessage's body (its own header is
-    subsumed by the frame's), minus any cross-region compression
-    savings. Delivery unpacks the submessages in send order, so
-    receivers never see frames — coalescing is invisible above the
-    network layer."""
-
-    messages: tuple  # tuple[Any, ...]
-    wire_size: int
 
 
 def message_wire_size(message: Any) -> int:
@@ -176,10 +146,6 @@ class Network:
         # TCP-like FIFO per link: a message never overtakes an earlier one
         # on the same (src, dst) stream.
         self._link_clock: dict[tuple[str, str], float] = {}
-        # Send-side coalescing: same-instant messages per (src, dst)
-        # buffered until the end-of-instant flush event.
-        self._coalesce_buffers: dict[tuple[str, str], list[Any]] = {}
-        self._coalesce_stats: dict[str, dict[str, int]] = {}
         # Per-(src, dst) send fast path: resolved hosts, latency model,
         # and stats rows memoized on first send so the per-message cost
         # is one dict probe instead of five lookups plus two setdefaults.
@@ -269,102 +235,7 @@ class Network:
 
         Drops (partition, loss, dead destination) are silent to the sender,
         exactly like a UDP datagram or broken TCP stream mid-failure.
-
-        With ``spec.coalesce_wire`` the message is staged per (src, dst)
-        until the end of the current event-loop instant; everything
-        staged by then leaves as one framed wire message (one latency
-        draw, one loss draw, one header on the wire).
         """
-        if not self.spec.coalesce_wire:
-            self._send_now(src, dst, message)
-            return
-        key = (src, dst)
-        staged = self._coalesce_buffers.get(key)
-        if staged is None:
-            self._coalesce_buffers[key] = [message]
-            # Raw-loop event: fires at this instant after every already-
-            # queued event, i.e. after every same-instant send has staged.
-            self.loop.call_soon(self._flush_coalesced, key)
-        else:
-            staged.append(message)
-
-    def _flush_coalesced(self, key: tuple[str, str]) -> None:
-        staged = self._coalesce_buffers.pop(key, None)
-        if not staged:
-            return
-        src, dst = key
-        frame = self._build_frame(src, dst, staged)
-        if frame is None:
-            self._send_now(src, dst, staged[0])
-        else:
-            self._send_now(src, dst, frame)
-
-    def _build_frame(self, src: str, dst: str, staged: list[Any]) -> CoalescedFrame | None:
-        """Frame ``staged`` if that is cheaper on the wire, else None.
-
-        A multi-message batch nearly always wins (each merged message
-        sheds its RPC header for a subheader); a lone message only gets
-        framed when cross-region compression pays for the framing."""
-        raw_size = sum(message_wire_size(m) for m in staged)
-        framed = FRAME_HEADER_BYTES
-        for message in staged:
-            size = message_wire_size(message)
-            body = size - FRAME_HEADER_BYTES if size >= FRAME_HEADER_BYTES else size
-            framed += FRAME_SUBHEADER_BYTES + body
-        compress_saved = 0
-        if self.spec.compress_cross_region and self._is_cross_region(src, dst):
-            compress_saved = self._compression_savings(staged)
-        frame_size = framed - compress_saved
-        if frame_size >= raw_size:
-            return None
-        stats = self._coalesce_stats.setdefault(
-            src,
-            {"frames": 0, "coalesced_messages": 0, "coalesce_saved_bytes": 0,
-             "compress_saved_bytes": 0},
-        )
-        stats["frames"] += 1
-        stats["coalesced_messages"] += len(staged)
-        stats["coalesce_saved_bytes"] += max(0, raw_size - framed)
-        stats["compress_saved_bytes"] += compress_saved
-        return CoalescedFrame(messages=tuple(staged), wire_size=frame_size)
-
-    def _is_cross_region(self, src: str, dst: str) -> bool:
-        src_host = self._hosts.get(src)
-        dst_host = self._hosts.get(dst)
-        return (
-            src_host is not None
-            and dst_host is not None
-            and src_host.region != dst_host.region
-        )
-
-    @staticmethod
-    def _compression_savings(staged: list[Any]) -> int:
-        """Modeled zlib savings over the batch's entry payload bytes.
-
-        Only replicated-log entry payloads compress (headers and
-        metadata stay framed as-is), so the saving can never exceed the
-        payload bytes actually accounted on the wire."""
-        payloads = [
-            entry.payload
-            for message in staged
-            for entry in getattr(message, "entries", ())
-            if isinstance(getattr(entry, "payload", None), bytes)
-        ]
-        raw = b"".join(payloads)
-        if len(raw) < COMPRESS_MIN_BYTES:
-            return 0
-        compressed = len(zlib.compress(raw, 6))
-        return max(0, len(raw) - compressed)
-
-    def coalescing_stats(self, src: str) -> dict[str, int]:
-        """Wire bytes this sender saved via coalescing/compression."""
-        stats = self._coalesce_stats.get(src)
-        if stats is None:
-            return {"frames": 0, "coalesced_messages": 0,
-                    "coalesce_saved_bytes": 0, "compress_saved_bytes": 0}
-        return dict(stats)
-
-    def _send_now(self, src: str, dst: str, message: Any) -> None:
         key = (src, dst)
         route = self._routes.get(key)
         if route is None:
@@ -432,13 +303,6 @@ class Network:
             if self.tracer is not None:
                 self.tracer.emit("net.drop_on_arrival", src=src, dst=dst, type=type(message).__name__)
             return
-        if isinstance(message, CoalescedFrame):
-            # Unpack in send order; receivers never see frames.
-            for submessage in message.messages:
-                if not host.alive:
-                    break
-                host.receive(src, submessage)
-            return
         host.receive(src, message)
 
     # -- accounting --------------------------------------------------------
@@ -471,11 +335,16 @@ class Network:
         stats = self.link_stats.get((src, dst))
         return stats.bytes if stats else 0
 
+    def coalescing_stats(self, src: str) -> dict[str, int]:
+        """Always zero: the network sends every message on its own. Kept
+        only because the end-to-end benchmark still reads it for its
+        ``sim.net.coalesced_frac`` row; the two go together."""
+        return {"coalesced_messages": 0}
+
     def reset_accounting(self) -> None:
         self.region_stats.clear()
         self.link_stats.clear()
         self.total_drops = 0
-        self._coalesce_stats.clear()
         # Cached routes point at the LinkStats rows just discarded;
         # rebuild them against the fresh dicts on next send.
         self._routes.clear()

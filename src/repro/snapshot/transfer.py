@@ -244,8 +244,6 @@ class LeaderSnapshotShipper:
         engine watermark when one is producible and worthwhile."""
         if (
             self.produce_delta is None
-            or self.config is None
-            or not self.config.snapshot_delta_enabled
             or session.delta_attempted
             or watermark <= 0
             or watermark >= session.image.last_opid.index

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec, paper_topology
 from repro.errors import ReadOnlyError
 from repro.mysql.server import ServerRole
+from repro.workload import sysbench_timing
 
 
 def small_spec():
@@ -255,3 +256,44 @@ class TestCrashRecovery:
         assert primary.host.name == "region0-db1"
         process = rs.write_and_run("t", {1: {"id": 1}}, seconds=3.0)
         assert process.done() and not process.failed()
+
+
+class TestGroupCommitThroughRaft:
+    def test_concurrent_writers_share_storage_appends(self):
+        # §3.4: the binlog flush group becomes one multi-entry Raft append.
+        rs = MyRaftReplicaset(
+            paper_topology(follower_regions=2, learners=0),
+            seed=1,
+            timing=sysbench_timing(myraft=True),
+        )
+        primary = rs.bootstrap()
+        widths = []
+        append = primary.storage.append
+
+        def counting_append(entries):
+            widths.append(len(entries))
+            return append(entries)
+
+        primary.storage.append = counting_append
+        writers, bursts = 24, 12
+        for burst in range(bursts):
+            # The backlog: every writer's transaction reaches the commit
+            # point in the same instant, the regime group commit is for.
+            processes = [
+                primary.submit_write(
+                    "kv", {w: {"id": w, "n": burst * writers + w, "v": "x" * 200}}
+                )
+                for w in range(writers)
+            ]
+            deadline = rs.loop.now + 30.0
+            while not all(p.done() for p in processes) and rs.loop.now < deadline:
+                rs.run(0.05)
+            assert all(p.done() and not p.failed() for p in processes)
+        rs.run(2.0)
+
+        # 34 appends for 288 transactions, up to 23 entries wide, at seed 1.
+        assert len(widths) / (writers * bursts) <= 0.2
+        assert max(widths) > 1
+        tail = primary.node.last_opid
+        assert all(s.node.last_opid == tail for s in rs.services.values())
+        assert rs.logs_prefix_equal() and rs.databases_converged()

@@ -16,8 +16,11 @@ from repro.raft.messages import (
     AppendEntriesResponse,
 )
 from repro.raft.quorum import MajorityQuorum
-from repro.raft.replication import LeaderState, PeerProgress, VoteTally
+from repro.raft.replication import FlowControl, LeaderState, PeerProgress, VoteTally
 from repro.raft.types import MemberInfo, MemberType, OpId
+
+
+FLOW = FlowControl(max_inflight_windows=4, window_min=8, window_max=64)
 
 
 def entry(index, term=1, size=8):
@@ -219,12 +222,12 @@ class TestLeaderState:
         ))
 
     def test_fresh_tracks_peers(self):
-        state = LeaderState.fresh(2, "a", self.config(), last_log_index=5)
+        state = LeaderState.fresh(2, "a", self.config(), last_log_index=5, flow=FLOW)
         assert set(state.peers) == {"b", "c", "l"}
         assert all(p.next_index == 6 for p in state.peers.values())
 
     def test_commit_advances_with_majority(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=0)
+        state = LeaderState.fresh(1, "a", self.config(), last_log_index=0, flow=FLOW)
         state.last_log_index = 3
         state.peers["b"].acked(2, now=1.0)
         commit = state.advance_commit(0, MajorityQuorum(), self.config(), lambda i: 1)
@@ -234,7 +237,7 @@ class TestLeaderState:
         assert commit == 3
 
     def test_old_term_entries_not_counted_directly(self):
-        state = LeaderState.fresh(2, "a", self.config(), last_log_index=0)
+        state = LeaderState.fresh(2, "a", self.config(), last_log_index=0, flow=FLOW)
         state.last_log_index = 2
         state.peers["b"].acked(2, now=1.0)
         # Entry 1 and 2 are old-term: cannot commit by counting.
@@ -251,7 +254,7 @@ class TestLeaderState:
         from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 
         config = self.config()
-        state = LeaderState.fresh(1, "a", config, last_log_index=0)
+        state = LeaderState.fresh(1, "a", config, last_log_index=0, flow=FLOW)
         majority, in_region = MajorityQuorum(), FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC)
         assert [n for n in "bcl" if state.counts_toward_commit(n, majority, config)] == ["b", "c"]
         # The memo follows the policy (Quorum Fixer override) and the config.
@@ -261,7 +264,7 @@ class TestLeaderState:
         assert not state.counts_toward_commit("d", in_region, config)
 
     def test_most_caught_up_peer(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=9)
+        state = LeaderState.fresh(1, "a", self.config(), last_log_index=9, flow=FLOW)
         # Nobody has answered this leader yet: membership order must not
         # nominate the first name (it may be the member whose crash
         # caused the election).
@@ -278,7 +281,7 @@ class TestLeaderState:
         assert state.most_caught_up_peer(["l", "ghost"]) is None
 
     def test_region_watermarks(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=10)
+        state = LeaderState.fresh(1, "a", self.config(), last_log_index=10, flow=FLOW)
         state.peers["b"].acked(4, 1.0)
         state.peers["c"].acked(7, 1.0)
         # r1 voters: a (leader, at 10) and b (4) → majority watermark 4.

@@ -7,7 +7,7 @@ from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 from repro.raft.membership import MembershipConfig
 from repro.raft.messages import AppendEntriesRequest
 from repro.raft.proxy import RegionProxyRouter, RouteTable, StaticProxyRouter
-from repro.raft.replication import PeerProgress
+from repro.raft.replication import FlowControl, PeerProgress
 
 from tests.raft.harness import RaftRing, record_sends, voter, witness
 
@@ -22,6 +22,7 @@ def two_region_members():
 
 
 DIRECT = StaticProxyRouter({})  # no chains: every member reached directly
+FLOW = FlowControl(max_inflight_windows=4, window_min=8, window_max=64)
 
 
 def proxy_ring(seed=1, members=None, router=None, **kwargs):
@@ -92,7 +93,7 @@ class TestRouteTable:
     def table(self):
         config = MembershipConfig(tuple(two_region_members()))
         table = RouteTable("db1", config, RegionProxyRouter())
-        peers = {m.name: PeerProgress(next_index=11, match_index=10) for m in config.peers_of("db1")}
+        peers = {m.name: PeerProgress(next_index=11, flow=FLOW, match_index=10) for m in config.peers_of("db1")}
         return table, peers
 
     def review(self, table, peers, unhealthy=()):

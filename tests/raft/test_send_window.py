@@ -1,9 +1,9 @@
 """PeerProgress.send_window_start edge cases.
 
 The send cursor arbitrates between four behaviours — retry-after-
-timeout, pipeline-new-tail, forced heartbeat, nothing — and the batched
-write path adds two more: the in-flight window cap and redundant-
-heartbeat suppression. Each transition is pinned here at the unit level
+timeout, pipeline-new-tail, forced heartbeat, nothing — plus two that
+shape them: the in-flight window cap and redundant-heartbeat
+suppression. Each transition is pinned here at the unit level
 (ring-level interactions live in test_write_batching.py).
 """
 
@@ -18,8 +18,12 @@ SUPPRESS = 0.5
 FLOW = FlowControl(max_inflight_windows=2, window_min=8, window_max=64)
 
 
+def progress(next_index: int, **kwargs) -> PeerProgress:
+    return PeerProgress(next_index=next_index, flow=FLOW, **kwargs)
+
+
 def caught_up(last: int, **kwargs) -> PeerProgress:
-    return PeerProgress(next_index=last + 1, match_index=last, **kwargs)
+    return progress(last + 1, match_index=last, **kwargs)
 
 
 class TestLegacyCursor:
@@ -32,28 +36,28 @@ class TestLegacyCursor:
         assert p.send_window_start(10, RETRY, now=5.1, force=True) == 11
 
     def test_silent_peer_retries_from_next_index(self):
-        p = PeerProgress(next_index=5, last_sent_index=9, last_sent_time=1.0)
+        p = progress(5, last_sent_index=9, last_sent_time=1.0)
         assert p.send_window_start(10, RETRY, now=1.0 + RETRY, force=False) == 5
 
     def test_recent_send_pipelines_new_tail(self):
-        p = PeerProgress(next_index=5, last_sent_index=7, last_sent_time=1.0)
+        p = progress(5, last_sent_index=7, last_sent_time=1.0)
         assert p.send_window_start(10, RETRY, now=1.1, force=False) == 8
 
     def test_pipeline_never_goes_below_next_index(self):
         # Acks advanced next_index past what we last sent (e.g. a
         # snapshot install): the new tail starts at next_index.
-        p = PeerProgress(next_index=9, last_sent_index=7, last_sent_time=1.0)
+        p = progress(9, last_sent_index=7, last_sent_time=1.0)
         assert p.send_window_start(10, RETRY, now=1.1, force=False) == 9
 
     def test_all_sent_recently_forced_heartbeats(self):
-        p = PeerProgress(next_index=5, last_sent_index=10, last_sent_time=1.0)
+        p = progress(5, last_sent_index=10, last_sent_time=1.0)
         assert p.send_window_start(10, RETRY, now=1.1, force=False) is None
         assert p.send_window_start(10, RETRY, now=1.1, force=True) == 11
 
 
 class TestInflightWindowCap:
     def test_at_cap_stops_pipelining_new_tail(self):
-        p = PeerProgress(next_index=1, flow=FLOW, last_sent_time=1.0)
+        p = progress(1, last_sent_time=1.0)
         p.note_sent_window(8)
         p.note_sent_window(16)
         p.last_sent_index = 16
@@ -61,7 +65,7 @@ class TestInflightWindowCap:
         assert p.send_window_start(30, RETRY, now=1.1, force=False) is None
 
     def test_ack_frees_a_slot_and_pipelining_resumes(self):
-        p = PeerProgress(next_index=1, flow=FLOW, last_sent_time=1.0)
+        p = progress(1, last_sent_time=1.0)
         p.note_sent_window(8)
         p.note_sent_window(16)
         p.last_sent_index = 16
@@ -70,7 +74,7 @@ class TestInflightWindowCap:
         assert p.send_window_start(30, RETRY, now=1.1, force=False) == 17
 
     def test_retry_pierces_the_cap_and_collapses(self):
-        p = PeerProgress(next_index=1, flow=FLOW, last_sent_time=1.0)
+        p = progress(1, last_sent_time=1.0)
         p.note_sent_window(8)
         p.note_sent_window(16)
         p.window_entries = 64
@@ -79,38 +83,31 @@ class TestInflightWindowCap:
         assert p.window_entries == FLOW.window_min
 
     def test_inflight_high_water_mark(self):
-        p = PeerProgress(next_index=1, flow=FLOW)
+        p = progress(1)
         p.note_sent_window(8)
         p.note_sent_window(16)
         p.acked(16, now=1.0)
         p.note_sent_window(24)
         assert p.inflight_hwm == 2
 
-    def test_legacy_progress_ignores_flow_bookkeeping(self):
-        p = PeerProgress(next_index=1, last_sent_index=7, last_sent_time=1.0)
-        p.note_sent_window(7)  # no-op without flow control
-        assert p.inflight == []
-        assert p.send_budget(64) == 64
-        assert p.send_window_start(30, RETRY, now=1.1, force=False) == 8
-
 
 class TestAdaptiveWindow:
     def test_starts_at_window_min(self):
-        p = PeerProgress(next_index=1, flow=FLOW)
-        assert p.send_budget(999) == FLOW.window_min
+        p = progress(1)
+        assert p.window_entries == FLOW.window_min
 
     def test_clean_acks_double_up_to_max(self):
-        p = PeerProgress(next_index=1, flow=FLOW)
+        p = progress(1)
         for tail in (8, 16, 24, 32):
             p.note_sent_window(tail)
             p.acked(tail, now=1.0)
-        assert p.send_budget(999) == FLOW.window_max
+        assert p.window_entries == FLOW.window_max
         p.note_sent_window(40)
         p.acked(40, now=1.1)
-        assert p.send_budget(999) == FLOW.window_max  # capped
+        assert p.window_entries == FLOW.window_max  # capped
 
     def test_partial_ack_only_credits_covered_windows(self):
-        p = PeerProgress(next_index=1, flow=FLOW)
+        p = progress(1)
         p.note_sent_window(8)
         p.note_sent_window(16)
         p.acked(8, now=1.0)  # window 16 still outstanding
@@ -118,7 +115,7 @@ class TestAdaptiveWindow:
         assert p.window_entries == 16  # one doubling, not two
 
     def test_rejection_collapses_to_slow_start(self):
-        p = PeerProgress(next_index=10, flow=FLOW, window_entries=64)
+        p = progress(10, window_entries=64)
         p.note_sent_window(20)
         p.on_rejected()
         assert p.window_entries == FLOW.window_min
@@ -163,8 +160,8 @@ class TestHeartbeatSuppression:
         assert start == 11
 
     def test_all_sent_branch_also_suppresses(self):
-        p = PeerProgress(
-            next_index=5, last_sent_index=10, last_sent_time=1.0, last_sent_commit=9
+        p = progress(
+            5, last_sent_index=10, last_sent_time=1.0, last_sent_commit=9
         )
         start = p.send_window_start(
             10, RETRY, now=1.1, force=True,
