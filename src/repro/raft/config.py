@@ -54,13 +54,12 @@ class RaftConfig:
     # (slow-start, the Fast Raft / TCP-style flow-control shape).
     append_window_min: int = 8
 
-    # -- proxying (§4.2): fault-path timers; the route itself is the
-    # node's ProxyRouter, not a switch here ---------------------------------
+    # -- proxying (§4.2): a fault-path timer; the route itself is the
+    # node's ProxyRouter, not a switch here, and a proxy that stops
+    # answering is routed around after append_retry_interval (§4.2.3) ---
     # How long a proxy waits for a missing entry to show up in its local
     # log before degrading the proxied message to a heartbeat (§4.2.1).
     proxy_wait_timeout: float = 0.05
-    # Leader routes around a proxy that hasn't acked for this long (§4.2.3).
-    proxy_health_timeout: float = 2.0
 
     # -- log cache -------------------------------------------------------------
     log_cache_max_bytes: int = 4 << 20

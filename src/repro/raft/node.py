@@ -153,6 +153,7 @@ class RaftNode:
             "proxy_forwards": 0,
             "proxy_degrades": 0,
             "proxy_reroots": 0,
+            "probes_sent": 0,
             "transfers_initiated": 0,
             "handoff_attempts": 0,
             "snapshots_shipped": 0,
@@ -342,14 +343,17 @@ class RaftNode:
             "write_path": self._write_path_stats(),
             "elections": {key: self.metrics[key] for key in _ELECTION_COUNTERS},
             # The region tree (§4.2): what this node relayed as a proxy
-            # and, when it leads, the groups it feeds through an acting head.
+            # and, when it leads, the groups it feeds through an acting head
+            # and the peers it only probes.
             "proxy": {
                 "forwards": self.metrics["proxy_forwards"],
                 "degrades": self.metrics["proxy_degrades"],
                 "reroots": self.metrics["proxy_reroots"],
+                "probes": self.metrics["probes_sent"],
                 "acting_heads": (
                     self.leader_state.acting_heads() if self.leader_state is not None else {}
                 ),
+                "silent": self.leader_state.silent() if self.leader_state is not None else [],
             },
             "snapshot": self.snapshots.stats() if self.snapshots is not None else {},
         }
@@ -758,9 +762,11 @@ class RaftNode:
                 window_min=self.config.append_window_min,
                 window_max=self.config.max_entries_per_append,
             ),
-            proxy_health_timeout=self.config.proxy_health_timeout,
+            silent=tally.silent if tally is not None else frozenset(),
             on_region_head=self._on_region_head,
         )
+        for peer in self.leader_state.silent():
+            self._trace("raft.peer_silent", peer=peer, reason="presumed-dead")
         if self.config.read_mode == "lease":
             self.lease = LeaderLease(
                 self.host.clock, self.config.lease_duration, self.config.clock_drift_bound
@@ -1040,7 +1046,9 @@ class RaftNode:
         windows: dict[tuple[int, int], tuple[OpId, tuple]] = {}
         starts: dict[str, int] = {}
         for peer in peers:
-            start = state.ensure_peer(peer).send_window_start(
+            progress = state.ensure_peer(peer)
+            answering = progress.answering
+            start = progress.send_window_start(
                 last,
                 self.config.append_retry_interval,
                 now,
@@ -1048,24 +1056,27 @@ class RaftNode:
                 heartbeat_suppress_window=self.config.heartbeat_interval,
                 commit_index=self.commit_index,
             )
+            if answering and not progress.answering:
+                self._trace("raft.peer_silent", peer=peer, reason="retry")
             if start is not None:
                 starts[peer] = start
         if not starts:
             return
-        chains, behind = state.routes(self.membership, self.router, now)
-        # Unrouted peers (and heartbeats: tiny anyway) first: what a routed
-        # peer gets depends on what its proxy is sent, this pass included.
+        chains, behind = state.routes(self.membership, self.router)
+        # Unrouted peers, probes and heartbeats (tiny anyway) first: what a
+        # routed peer gets depends on what its proxy is sent, this pass
+        # included.
         routed = []
         for peer, start in list(starts.items()):
-            if start <= last and peer in chains:
+            progress = state.peers[peer]
+            if start <= last and peer in chains and progress.answering:
                 routed.append(peer)
                 continue
-            progress = state.peers[peer]
             window = self._window_at(peer, progress, start, windows)
             if window is None:
                 continue
             riders = ()
-            if window[1] and peer in behind and state.proxy_is_healthy(peer, now):
+            if window[1] and peer in behind:
                 riders = self._take_riders(behind[peer], window, starts, now)
             self._send_window(peer, progress, window, now, riders)
         for peer in routed:
@@ -1077,17 +1088,17 @@ class RaftNode:
     def _take_riders(
         self, behind: list[str], window: "tuple[OpId, tuple]", starts: dict, now: float
     ) -> tuple:
-        """The members behind a proxy that stand exactly at the start of
-        the window it is being sent: the proxy's window is theirs, in no
-        message of their own — whatever their own budget or in-flight cap
-        (the one WAN stream is paced by the proxy's). Taken out of
-        ``starts``."""
+        """The answering members behind a proxy that stand exactly at the
+        start of the window it is being sent: the proxy's window is
+        theirs, in no message of their own — whatever their own budget or
+        in-flight cap (the one WAN stream is paced by the proxy's). Taken
+        out of ``starts``."""
         state = self.leader_state
         prev_opid, entries = window
         riders = []
         for peer in behind:
             progress = state.peers.get(peer)
-            if progress is None or progress.routed_around:
+            if progress is None or progress.routed_around or not progress.answering:
                 continue
             start = starts.get(peer)
             if start is None:
@@ -1106,12 +1117,12 @@ class RaftNode:
         windows: "dict[tuple[int, int], tuple[OpId, tuple]]",
     ) -> "tuple[OpId, tuple] | None":
         """The ``(prev_opid, entries)`` window for ``peer`` from ``start``
-        (empty entries: a heartbeat), or None when a snapshot went out
-        instead."""
+        (empty entries: a heartbeat, or a probe for a peer that is not
+        answering), or None when a snapshot went out instead."""
         # Adaptive flow control gives each peer its own entry budget, so
         # shared windows memoize on (start, budget) — peers with equal
         # cursors *and* budgets still share one storage read.
-        limit = progress.window_entries
+        limit = progress.window_entries if progress.answering else 0
         key = (start, limit)
         window = windows.get(key)
         if window is not None:
@@ -1169,6 +1180,8 @@ class RaftNode:
     ) -> None:
         prev_opid, entries = window
         self._note_sent(progress, entries, now)
+        if not progress.answering:
+            self.metrics["probes_sent"] += 1
         self.host.send(
             peer,
             AppendEntriesRequest(
@@ -1231,16 +1244,15 @@ class RaftNode:
         windows: dict,
         now: float,
     ) -> None:
-        """Entries from ``start`` for a peer that sits behind a proxy —
-        its group's head — and did not ride on the head's own append in
-        this pass. They cross the WAN as payload only when the head
-        cannot serve them: it is unhealthy, the peer is routed around, or
-        the peer is ahead of everything the head has been sent."""
+        """Entries from ``start`` for an answering peer that sits behind
+        a proxy — its group's head — and did not ride on the head's own
+        append in this pass. They cross the WAN as payload only when the
+        head cannot serve them: it is not answering, the peer is routed
+        around, or the peer is ahead of everything the head has been
+        sent."""
         state = self.leader_state
         covered = 0
-        if not progress.routed_around and all(
-            state.proxy_is_healthy(hop, now) for hop in chain
-        ):
+        if not progress.routed_around and all(state.is_answering(hop) for hop in chain):
             proxy = state.peers[chain[-1]]
             covered = proxy.sent_horizon - (start - 1)
             if covered == 0 and proxy.inflight:
@@ -1528,10 +1540,11 @@ class RaftNode:
         if response.term > self.current_term:
             self._step_down(response.term, leader=None)
             return
-        now = self.host.loop.now
         progress = self.leader_state.ensure_peer(response.follower)
+        if not progress.answering:  # any response is an answer
+            self._trace("raft.peer_answering", peer=response.follower)
         if response.success:
-            progress.acked(response.last_opid.index, now)
+            progress.acked(response.last_opid.index)
             if response.degraded_through:
                 # Its proxy could not reconstitute the window (§4.2.3).
                 progress.route_around(response.degraded_through)
@@ -1551,7 +1564,6 @@ class RaftNode:
             ):
                 self._witness_handoff(response.follower)
         else:
-            progress.last_ack_time = now
             progress.on_rejected()
             progress.next_index = max(
                 1, min(progress.next_index - 1, response.last_opid.index + 1)
@@ -1633,15 +1645,15 @@ class RaftNode:
             or self.snapshots.shipper is None
         ):
             return
-        now = self.host.loop.now
-        progress = self.leader_state.ensure_peer(response.follower)
-        progress.last_ack_time = now
         installed = self.snapshots.shipper.handle_response(response.follower, response)
         if installed is not None:
             # The peer now holds everything through the image's OpId:
             # advance match/next past it and replicate the live tail.
             self.metrics["snapshots_shipped"] += 1
-            progress.acked(installed.index, now)
+            progress = self.leader_state.ensure_peer(response.follower)
+            if not progress.answering:
+                self._trace("raft.peer_answering", peer=response.follower)
+            progress.acked(installed.index)
             progress.last_sent_index = 0
             progress.last_sent_time = -1e9
             self._trace("raft.snapshot_shipped", peer=response.follower, opid=str(installed))

@@ -119,39 +119,36 @@ class RouteTable:
         }
         self.acting: dict[str, str] = {}  # preferred head → acting head
 
-    def review_heads(self, peers: dict, healthy) -> list[tuple[str, str, str]]:
+    def review_heads(self, peers: dict) -> list[tuple[str, str, str]]:
         """Apply the head rule to every group; returns one ``(group,
-        new head, reason)`` per role that moved. ``healthy(name)`` is the
-        leader's route-around check."""
+        new head, reason)`` per role that moved."""
         moved = []
         for preferred, members in self.groups.items():
             head = self.acting.get(preferred, preferred)
             progress = peers[head]
             if head == preferred:
-                if not progress.routed_around:
+                if progress.answering:
                     continue  # the fault-free pass ends here
                 reason = "silent"
             else:
                 own = peers[preferred]
                 if (
-                    healthy(preferred)
+                    own.answering
                     and not own.routed_around
                     and own.sent_horizon >= progress.sent_horizon
                 ):
                     reason = "level"
-                elif progress.routed_around:
+                elif not progress.answering:
                     reason = "silent"
-                elif not healthy(head):
-                    reason = "unhealthy"
                 else:
                     continue
             if reason == "level":
                 successor = preferred
             else:
-                successor = self._most_advanced(members, peers, healthy)
+                successor = self._most_advanced(members, peers)
                 if successor is None:
-                    # Nobody can serve: the role stays put, and rule 2
-                    # has every member's retries go direct.
+                    # Nobody answers: the role stays put, and every
+                    # member is probed direct.
                     continue
             if successor == preferred:
                 del self.acting[preferred]
@@ -163,13 +160,13 @@ class RouteTable:
         return moved
 
     @staticmethod
-    def _most_advanced(members: tuple, peers: dict, healthy) -> str | None:
-        """The healthy, not-routed-around member with the highest sent
-        horizon (ties: first in ``members``), or None."""
+    def _most_advanced(members: tuple, peers: dict) -> str | None:
+        """The answering member with the highest sent horizon (ties:
+        first in ``members``), or None."""
         best, horizon = None, -1
         for name in members:
             progress = peers[name]
-            if progress.sent_horizon > horizon and not progress.routed_around and healthy(name):
+            if progress.answering and progress.sent_horizon > horizon:
                 best, horizon = name, progress.sent_horizon
         return best
 

@@ -1,6 +1,6 @@
 """Leader-side replication bookkeeping.
 
-Per-peer progress (next/match indexes, ack freshness) plus the
+Per-peer progress (next/match indexes, whether the peer answers) plus the
 commit-marker advance: after every ack the leader asks the quorum policy
 which indexes are now consensus-committed. Proxying (§4.2.1) keeps *all*
 of this on the leader — proxies carry no bookkeeping — which is what
@@ -42,13 +42,16 @@ class PeerProgress:
     flow: FlowControl
     match_index: int = 0
     # Has this peer acked an append to *this* leader? Until it has, it is
-    # neither a hand-off target nor a proxy: a crashed member never does.
+    # not a hand-off target: a crashed member never does.
     acked_in_term: bool = False
-    last_ack_time: float = 0.0
+    # The leader's one liveness bit for this peer. Cleared when an
+    # entry-bearing window goes unacked for the retry interval, set by any
+    # AppendEntries response. A peer that is not answering is sent only
+    # empty appends (probes), direct; it neither rides nor heads a region.
+    answering: bool = True
     # Route-around (§4.2.3), per destination: windows go direct, not
     # through this peer's proxy, until its match index reaches this — as
-    # far as the proxy said its log cannot serve (a degrade), or as far
-    # as what was sent went silent (a retry).
+    # far as the proxy said its log cannot serve (a degrade).
     direct_until: int = 0
     last_sent_index: int = 0
     last_sent_time: float = -1e9
@@ -77,11 +80,10 @@ class PeerProgress:
         behind it, were it a proxy, may be served from its log."""
         return max(self.match_index, self.last_sent_index)
 
-    def acked(self, index: int, now: float) -> None:
-        self.acked_in_term = True
+    def acked(self, index: int) -> None:
+        self.acked_in_term = self.answering = True
         self.match_index = max(self.match_index, index)
         self.next_index = max(self.next_index, self.match_index + 1)
-        self.last_ack_time = now
         if self.inflight:
             remaining = [tail for tail in self.inflight if tail > index]
             cleanly_acked = len(self.inflight) - len(remaining)
@@ -109,12 +111,17 @@ class PeerProgress:
     def on_rejected(self) -> None:
         """AppendEntries rejected: whatever was in flight toward this
         peer is junk (wrong prev), and the link/log state is suspect —
-        collapse the window back to slow-start."""
+        collapse the window back to slow-start. A reject is an answer."""
         self._collapse()
+        self.answering = True
 
     def on_retry_timeout(self) -> None:
-        """An unacked window went silent past the retry interval."""
+        """An unacked window went silent past the retry interval: the
+        peer is probed until it answers, and what was sent past its match
+        index is sent again after that."""
         self._collapse()
+        self.answering = False
+        self.last_sent_index = self.match_index
 
     def _collapse(self) -> None:
         self.inflight.clear()
@@ -135,15 +142,22 @@ class PeerProgress:
         this cursor so one storage read serves every peer at the same
         start (shared fan-out reads).
 
-        Pipelining new tail stops while
+        A peer that is not answering is probed at ``next_index`` — the
+        caller sends it no entries — on a forced round or once per
+        ``retry_interval``. Pipelining new tail stops while
         ``max_inflight_windows`` appends are outstanding; the retry path
-        (no ack for ``retry_interval``) always goes through, collapsing
-        the adaptive window first. ``heartbeat_suppress_window`` > 0
+        (no ack for ``retry_interval``) always goes through, and when
+        windows were in flight it turns into the first probe
+        (:meth:`on_retry_timeout`). ``heartbeat_suppress_window`` > 0
         suppresses a *forced* pure heartbeat when traffic already went
         out within that window AND that traffic carried the current
         commit marker — then the heartbeat is pure duplication: the
         follower's failure detector was fed and its commit point cannot
         advance further."""
+        if not self.answering:
+            if force or now - self.last_sent_time >= retry_interval:
+                return self.next_index  # probe
+            return None
         heartbeat_redundant = (
             heartbeat_suppress_window > 0.0
             and now - self.last_sent_time < heartbeat_suppress_window
@@ -159,9 +173,7 @@ class PeerProgress:
         if now - self.last_sent_time >= retry_interval:
             if self.inflight:
                 self.on_retry_timeout()
-            # Whatever path the silent windows took, the resend skips it.
-            self.direct_until = max(self.direct_until, self.last_sent_index)
-            return self.next_index  # (re)send from what's unacked
+            return self.next_index  # (re)send from what's unacked, or probe
         if self.last_sent_index < last_log_index:
             if len(self.inflight) >= self.flow.max_inflight_windows:
                 return None  # at the in-flight cap: wait for acks
@@ -189,9 +201,6 @@ class LeaderState:
     # this term. None = no hand-off owed (a database leads, or the
     # TimeoutNow has gone out).
     handoff_tried: set | None = None
-    # The region tree (§4.2) as this leader routes it: a member carries
-    # other members' traffic only while it has acked within this long.
-    proxy_health_timeout: float = float("inf")
     # Told ``(group, head, reason)`` whenever a proxy group's head moves.
     on_region_head: Callable[[str, str, str], None] | None = None
     _routes: RouteTable | None = None
@@ -205,19 +214,20 @@ class LeaderState:
         config: MembershipConfig,
         last_log_index: int,
         flow: FlowControl,
-        proxy_health_timeout: float = float("inf"),
+        silent: frozenset = frozenset(),
         on_region_head: Callable[[str, str, str], None] | None = None,
     ) -> "LeaderState":
+        """Every peer starts answering except those in ``silent``: the
+        election's presumed-dead predecessor, if it never answered."""
         state = cls(
             term=term,
             self_name=self_name,
             last_log_index=last_log_index,
             flow=flow,
-            proxy_health_timeout=proxy_health_timeout,
             on_region_head=on_region_head,
         )
         for member in config.peers_of(self_name):
-            state.ensure_peer(member.name)
+            state.ensure_peer(member.name).answering = member.name not in silent
         return state
 
     def ensure_peer(self, name: str) -> PeerProgress:
@@ -296,28 +306,31 @@ class LeaderState:
 
     # -- the region tree (§4.2) ------------------------------------------------
 
-    def proxy_is_healthy(self, name: str, now: float) -> bool:
-        """Route-around check (§4.2.3): only a member that has acked this
-        leader, and recently, carries other members' traffic — a crashed
-        one never qualifies, whenever the term began."""
+    def is_answering(self, name: str) -> bool:
+        """Route-around check (§4.2.3): only a member that answers
+        carries other members' traffic."""
         progress = self.peers.get(name)
-        return (
-            progress is not None
-            and progress.acked_in_term
-            and now - progress.last_ack_time <= self.proxy_health_timeout
-        )
+        return progress is not None and progress.answering
 
-    def routes(self, config: MembershipConfig, router: ProxyRouter, now: float) -> tuple[dict, dict]:
+    def silent(self) -> list[str]:
+        """Peers that are not answering, by name."""
+        return sorted(name for name, progress in self.peers.items() if not progress.answering)
+
+    def routes(self, config: MembershipConfig, router: ProxyRouter) -> tuple[dict, dict]:
         """``(chain by destination, destinations behind each one-hop
         proxy)`` for this pass, every proxy group rooted at the head the
         rule picks from the progress above (:class:`RouteTable`). Routers
-        are pure, so the static table lives as long as the membership."""
+        are pure, so the static table lives as long as the membership.
+        A re-root clears the group's route-arounds: the path they avoid
+        is gone."""
         table = self._routes
         if table is None or table.config is not config or table.router is not router:
             table = self._routes = RouteTable(self.self_name, config, router)
-        for change in table.review_heads(self.peers, lambda name: self.proxy_is_healthy(name, now)):
+        for group, head, reason in table.review_heads(self.peers):
+            for name in table.groups[group]:
+                self.peers[name].direct_until = 0
             if self.on_region_head is not None:
-                self.on_region_head(*change)
+                self.on_region_head(group, head, reason)
         return table.chains, table.behind
 
     def acting_heads(self) -> dict[str, str]:
@@ -358,12 +371,17 @@ class VoteTally:
     # answers, its vote is not one the candidate can hope for.
     presumed_dead: str | None = None
 
+    @property
+    def silent(self) -> frozenset:
+        """The leader whose silence caused the election, while it stays
+        silent: it has neither granted nor denied."""
+        return frozenset({self.presumed_dead} - {None} - self.granted - self.denied)
+
     def attainable(self, voters) -> frozenset:
         """The most grants this round can still end with: every grant so
-        far plus every voter that has not denied — except the leader
-        whose silence caused the election, while it stays silent."""
-        silent = {self.presumed_dead} - self.granted
-        return frozenset(voters) - self.denied - silent
+        far plus every voter that has not denied — except the presumed-
+        dead leader."""
+        return frozenset(voters) - self.denied - self.silent
 
     def record(self, voter: str, was_granted: bool) -> None:
         if was_granted:

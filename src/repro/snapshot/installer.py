@@ -193,6 +193,14 @@ class SnapshotInstaller:
     def _finish(self, snapshot_id: str) -> InstallSnapshotResponse:
         staging = self._staging
         manifest = staging["manifest"]
+        last_opid = OpId(*manifest["last_opid"])
+        if self._already_covers(last_opid):
+            # Caught up through the log while the chunks were on their way:
+            # installing now would roll committed state back to the image.
+            staging.clear()
+            return self._response(
+                snapshot_id, next_seq=manifest["total_chunks"], done=True, last_opid=last_opid
+            )
         pool = staging["pool"]
         chunks = {
             seq: pool[digest] for seq, digest in enumerate(manifest["chunk_digests"])

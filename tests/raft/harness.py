@@ -7,13 +7,22 @@ from repro.raft.config import RaftConfig
 from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.log_storage import InMemoryLogStorage
 from repro.raft.membership import MembershipConfig
-from repro.raft.messages import AppendEntriesRequest
+from repro.raft.messages import (
+    AppendEntriesRequest,
+    AppendEntriesResponse,
+    InstallSnapshotChunk,
+    InstallSnapshotRequest,
+    InstallSnapshotResponse,
+    RequestVoteRequest,
+    RequestVoteResponse,
+    VoteRetraction,
+)
 from repro.raft.node import RaftNode
 from repro.raft.quorum import MajorityQuorum, QuorumPolicy
 from repro.raft.types import MemberInfo, MemberType, RaftRole
 from repro.sim.host import Host
 from repro.sim.loop import EventLoop
-from repro.sim.network import FixedLatency, Network, NetworkSpec
+from repro.sim.network import FixedLatency, Network, NetworkSpec, message_wire_size
 from repro.sim.rng import RngStream
 from repro.sim.tracing import Tracer
 
@@ -50,6 +59,41 @@ def wan_entries_into(sent, region_of: dict, region: str) -> int:
         len(m.entries) for src, dst, m in sent
         if isinstance(m, AppendEntriesRequest) and region_of[dst] == region != region_of[src]
     )
+
+
+WAN_KINDS = ("fanout", "direct", "proxy_op", "probe", "ack", "vote", "snapshot", "other")
+
+
+def wan_kind(message) -> str:
+    """Which of :data:`WAN_KINDS` a message's bytes count under: payload a
+    head forwards to riders (``fanout``) or that serves its addressee
+    alone (``direct``), PROXY_OP metadata, an empty append (``probe``: a
+    heartbeat or a probe of a silent peer), an append response, election
+    traffic, snapshot transfer, or anything else."""
+    if isinstance(message, AppendEntriesRequest):
+        if message.entries:
+            return "fanout" if message.fanout else "direct"
+        return "proxy_op" if message.proxy_opids else "probe"
+    if isinstance(message, AppendEntriesResponse):
+        return "ack"
+    if isinstance(message, (RequestVoteRequest, RequestVoteResponse, VoteRetraction)):
+        return "vote"
+    if isinstance(
+        message,
+        (InstallSnapshotRequest, InstallSnapshotChunk, InstallSnapshotResponse),
+    ):
+        return "snapshot"
+    return "other"
+
+
+def wan_bytes_by_kind(sent, region_of: dict) -> dict[str, int]:
+    """Wire bytes of the recorded sends that cross regions, by
+    :func:`wan_kind`. Every kind is present, zero or not."""
+    totals = dict.fromkeys(WAN_KINDS, 0)
+    for src, dst, message in sent:
+        if region_of.get(src) != region_of.get(dst):
+            totals[wan_kind(message)] += message_wire_size(message)
+    return totals
 
 
 class RaftRing:

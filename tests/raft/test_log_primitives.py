@@ -229,23 +229,23 @@ class TestLeaderState:
     def test_commit_advances_with_majority(self):
         state = LeaderState.fresh(1, "a", self.config(), last_log_index=0, flow=FLOW)
         state.last_log_index = 3
-        state.peers["b"].acked(2, now=1.0)
+        state.peers["b"].acked(2)
         commit = state.advance_commit(0, MajorityQuorum(), self.config(), lambda i: 1)
         assert commit == 2
-        state.peers["c"].acked(3, now=2.0)
+        state.peers["c"].acked(3)
         commit = state.advance_commit(commit, MajorityQuorum(), self.config(), lambda i: 1)
         assert commit == 3
 
     def test_old_term_entries_not_counted_directly(self):
         state = LeaderState.fresh(2, "a", self.config(), last_log_index=0, flow=FLOW)
         state.last_log_index = 2
-        state.peers["b"].acked(2, now=1.0)
+        state.peers["b"].acked(2)
         # Entry 1 and 2 are old-term: cannot commit by counting.
         commit = state.advance_commit(0, MajorityQuorum(), self.config(), lambda i: 1)
         assert commit == 0
         # A current-term entry at 3 commits everything before it.
         state.last_log_index = 3
-        state.peers["b"].acked(3, now=2.0)
+        state.peers["b"].acked(3)
         terms = {1: 1, 2: 1, 3: 2}
         commit = state.advance_commit(0, MajorityQuorum(), self.config(), terms.get)
         assert commit == 3
@@ -269,9 +269,9 @@ class TestLeaderState:
         # nominate the first name (it may be the member whose crash
         # caused the election).
         assert state.most_caught_up_peer(["b", "c"]) is None
-        state.peers["b"].acked(5, 1.0)
+        state.peers["b"].acked(5)
         assert state.most_caught_up_peer(["b", "c"]) == "b"
-        state.peers["c"].acked(8, 1.0)
+        state.peers["c"].acked(8)
         assert state.most_caught_up_peer(["b", "c"]) == "c"
         assert state.most_caught_up_peer([]) is None
         # A peer that never acked is not a candidate whatever its match
@@ -282,8 +282,8 @@ class TestLeaderState:
 
     def test_region_watermarks(self):
         state = LeaderState.fresh(1, "a", self.config(), last_log_index=10, flow=FLOW)
-        state.peers["b"].acked(4, 1.0)
-        state.peers["c"].acked(7, 1.0)
+        state.peers["b"].acked(4)
+        state.peers["c"].acked(7)
         # r1 voters: a (leader, at 10) and b (4) → majority watermark 4.
         assert state.region_watermark("r1", self.config()) == 4
         # r2 voters: just c → watermark 7.

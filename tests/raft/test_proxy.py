@@ -2,16 +2,19 @@
 degrade, per-destination route-around, the head that follows health and
 progress, and the cross-region bandwidth saving."""
 
+from collections import Counter
+
 from repro.cluster import paper_topology
 from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 from repro.raft.membership import MembershipConfig
 from repro.raft.messages import AppendEntriesRequest
 from repro.raft.proxy import RegionProxyRouter, RouteTable, StaticProxyRouter
-from repro.raft.replication import FlowControl, PeerProgress
+from repro.raft.replication import FlowControl, LeaderState, PeerProgress
 
 from tests.raft.harness import RaftRing, record_sends, voter, witness
 
 PAPER_ENTRY_BYTES = 500  # §4.2.2's assumed average log entry size
+WAN_RTT = 0.060  # the harness ring: 30 ms one way between regions
 
 
 def two_region_members():
@@ -96,56 +99,70 @@ class TestRouteTable:
         peers = {m.name: PeerProgress(next_index=11, flow=FLOW, match_index=10) for m in config.peers_of("db1")}
         return table, peers
 
-    def review(self, table, peers, unhealthy=()):
-        return table.review_heads(peers, lambda name: name not in unhealthy)
+    @staticmethod
+    def silence(peers, *names, answering=False):
+        for name in names:
+            peers[name].answering = answering
 
     def test_healthy_ring_is_the_routers_tree(self):
+        # A fault-free pass moves nothing.
         table, peers = self.table()
-        assert self.review(table, peers) == []
+        assert table.review_heads(peers) == []
         assert table.chains == {"lt2a": ("db2",), "lt2b": ("db2",)}
         assert table.behind == {"db2": ["lt2a", "lt2b"]}
         assert table.groups == {"db2": ("db2", "lt2a", "lt2b")} and table.acting == {}
 
     def test_silent_head_hands_over_to_the_most_advanced_member(self):
         table, peers = self.table()
-        peers["db2"].direct_until = 14  # its windows went silent
+        self.silence(peers, "db2")  # its windows went unacked
         peers["lt2b"].last_sent_index = 12
-        assert self.review(table, peers) == [("db2", "lt2b", "silent")]
+        peers["lt2b"].direct_until = 14  # routed around db2: still eligible
+        assert table.review_heads(peers) == [("db2", "lt2b", "silent")]
         assert table.chains == {"db2": ("lt2b",), "lt2a": ("lt2b",)}
         assert table.behind == {"lt2b": ["db2", "lt2a"]}
-        assert self.review(table, peers) == []  # sticky: nothing new, nothing moves
+        assert table.review_heads(peers) == []  # sticky: nothing new, nothing moves
 
     def test_ties_go_by_membership_order_and_nobody_eligible_moves_nothing(self):
         table, peers = self.table()
-        peers["db2"].direct_until = 14
-        assert self.review(table, peers, unhealthy={"lt2a", "lt2b"}) == []
-        peers["lt2a"].direct_until = peers["lt2b"].direct_until = 14  # a silent region
-        assert self.review(table, peers) == [] and table.acting == {}
-        peers["lt2a"].direct_until = peers["lt2b"].direct_until = 0
-        assert self.review(table, peers) == [("db2", "lt2a", "silent")]
+        self.silence(peers, "db2", "lt2a", "lt2b")  # a silent region
+        assert table.review_heads(peers) == [] and table.acting == {}
+        self.silence(peers, "lt2a", "lt2b", answering=True)
+        assert table.review_heads(peers) == [("db2", "lt2a", "silent")]
 
     def test_a_preferred_head_is_not_unseated_for_being_unproven(self):
-        # A new leader's first round: nobody has acked yet.
+        # A new leader's first round: nobody has acked yet, but everybody
+        # answers until a window goes unacked.
         table, peers = self.table()
-        assert self.review(table, peers, unhealthy={"db2"}) == []
+        assert not any(p.acked_in_term for p in peers.values())
+        assert table.review_heads(peers) == []
 
     def test_acting_head_that_stops_acking_loses_the_role(self):
         table, peers = self.table()
-        peers["db2"].direct_until = 14
-        self.review(table, peers)
+        self.silence(peers, "db2")
+        table.review_heads(peers)
         assert table.acting == {"db2": "lt2a"}
-        assert self.review(table, peers, unhealthy={"lt2a", "db2"}) == [("db2", "lt2b", "unhealthy")]
+        self.silence(peers, "lt2a")
+        assert table.review_heads(peers) == [("db2", "lt2b", "silent")]
 
     def test_preferred_member_takes_the_role_back_once_level(self):
         table, peers = self.table()
-        peers["db2"].direct_until = 14
+        self.silence(peers, "db2")
         peers["lt2a"].match_index = peers["lt2a"].last_sent_index = 40
-        self.review(table, peers)
+        table.review_heads(peers)
+        self.silence(peers, "db2", answering=True)
         peers["db2"].match_index = 14  # back, acking, but far behind
-        assert self.review(table, peers) == [] and table.acting == {"db2": "lt2a"}
+        assert table.review_heads(peers) == [] and table.acting == {"db2": "lt2a"}
         peers["db2"].last_sent_index = 40  # rode level with the acting head
-        assert self.review(table, peers) == [("db2", "db2", "level")]
+        assert table.review_heads(peers) == [("db2", "db2", "level")]
         assert table.acting == {} and table.behind == {"db2": ["lt2a", "lt2b"]}
+
+    def test_a_reroot_clears_the_groups_route_arounds(self):
+        config = MembershipConfig(tuple(two_region_members()))
+        state = LeaderState.fresh(1, "db1", config, last_log_index=10, flow=FLOW, silent={"db2"})
+        state.peers["lt2a"].direct_until = 14  # degraded around db2
+        chains, behind = state.routes(config, RegionProxyRouter())
+        assert behind == {"lt2a": ["db2", "lt2b"]}
+        assert state.peers["lt2a"].direct_until == 0 and not state.peers["lt2a"].routed_around
 
 
 class TestProxiedReplication:
@@ -236,9 +253,9 @@ class TestProxiedReplication:
         ring.bootstrap("db1")
         ring.run(1.0)
         ring.net.block_link("db1", "db2")
-        # After proxy_health_timeout the leader bypasses db2 and the
-        # logtailers still get entries directly.
-        ring.run(ring.config.proxy_health_timeout + 1.0)
+        # Once db2's windows go unanswered for the retry interval the
+        # leader only probes it, and the logtailers still get entries.
+        ring.run(ring.config.append_retry_interval + 1.0)
         opid, fut = ring.commit_and_run(b"direct", seconds=2.0)
         assert fut.done() and not fut.failed()
         ring.run(2.0)
@@ -317,7 +334,10 @@ class TestRegionFanout:
         ring.run(1.0)
         ring.host("db2").crash()
         opid, _fut = ring.commit_and_run(b"while-the-proxy-is-down", seconds=0.05)
-        ring.run(ring.config.proxy_health_timeout)
+        # Idle, the unanswered window is noticed at a heartbeat tick at
+        # least a retry interval after it went out; a probe's round trip
+        # later a logtailer carries the region.
+        ring.run(2 * ring.config.heartbeat_interval + 2 * WAN_RTT)
         for name in ("lt2a", "lt2b"):
             assert ring.node(name).storage.entry(opid.index) is not None
         ring.host("db2").restart()
@@ -421,7 +441,42 @@ class TestRouteAround:
         assert not [m for _s, dst, m in sent if dst == "db1" and getattr(m, "fanout", ())]
 
 
-WAN_RTT = 0.060  # the harness ring: 30 ms one way between regions
+class TestOnlyAnsweringMembersAreSentEntries:
+    """DESIGN.md §15 rule 2: a peer that is not answering is sent empty
+    appends only — from the first round of a term elected against it."""
+
+    def test_dead_predecessor_is_only_probed_and_every_region_gets_one_copy(self):
+        members = paper_topology().members()
+        region = {m.name: m.region for m in members}
+        ring = RaftRing(members, policy=FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC))
+        ring.bootstrap("region0-db1")
+        ring.run(1.0)
+        write_stream(ring, 0.2)
+        ring.host("region0-db1").crash()
+        sent = record_sends(ring.net)
+        winner = ring.wait_for_leader(exclude="region0-db1", step=0.005)
+        assert region[winner.name] != "region0"
+        assert [(r.get("peer"), r.get("reason")) for r in ring.tracer.of_kind("raft.peer_silent")] == [
+            ("region0-db1", "presumed-dead")
+        ]
+        # The dead primary's region is re-rooted before the first round.
+        assert head_moves(ring) == [("region0-lt1", "silent")]
+        write_stream(ring, 1.0)
+        assert ring.current_leader() is winner
+        assert winner.stats()["proxy"]["silent"] == ["region0-db1"]
+        appends = [(dst, m) for src, dst, m in sent if src == winner.name and isinstance(m, AppendEntriesRequest)]
+        to_dead = [m for dst, m in appends if dst == "region0-db1"]
+        assert to_dead and all(m.is_heartbeat for m in to_dead)
+        # Every remote region is fed one copy of each entry, through one
+        # member, from the no-op on.
+        copies = Counter(
+            (region[dst], entry.opid.index)
+            for dst, m in appends if region[dst] != region[winner.name]
+            for entry in m.entries
+        )
+        assert copies and max(copies.values()) == 1
+        remote = set(region.values()) - {region[winner.name]}
+        assert {region[dst] for dst, m in appends if m.fanout} == remote
 
 
 class TestHeadFollowsHealth:
@@ -441,9 +496,8 @@ class TestHeadFollowsHealth:
         ring, leader = self.streaming_ring()
         every, config = 0.01, ring.config
         ring.host("db2").crash()
-        crashed = ring.loop.now
-        # The in-flight windows fill and go silent, the retry serves both
-        # logtailers direct, and the first ack back makes its sender head.
+        # The in-flight windows fill and go unanswered, the retry probes
+        # all three members, and the first logtailer to answer is head.
         write_stream(ring, config.max_inflight_windows * every + config.append_retry_interval + WAN_RTT + every)
         assert head_moves(ring) == [("lt2a", "silent")]
         assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2a"}
@@ -456,8 +510,11 @@ class TestHeadFollowsHealth:
         # (the parent: one each), and lt2b's comes out of lt2a's message.
         assert payload_into(sent, "db1", ("lt2a", "lt2b")) == ({("lt2a", ("lt2b",))}, len(indexes))
         assert ring.node("lt2b").last_opid.index >= indexes[-1]
-        assert ring.loop.now - crashed < config.proxy_health_timeout  # no timer involved
         assert sum(n.metrics["proxy_degrades"] for n in ring.nodes.values()) == 0
+        # The dead database is only probed: empty appends, direct.
+        assert leader.stats()["proxy"]["silent"] == ["db2"]
+        assert not [m for _s, dst, m in sent if dst == "db2" and isinstance(m, AppendEntriesRequest) and m.entries]
+        assert leader.metrics["probes_sent"] > 0
 
     def test_restarted_proxy_catches_up_from_the_acting_head_then_takes_the_role_back(self):
         ring, leader = self.streaming_ring()
@@ -482,10 +539,10 @@ class TestHeadFollowsHealth:
             if src == "db1" and m.is_proxy_op and m.final_dest == "db2"
         ]
         from_head = sum(len(m.entries) for src, dst, m in appends if (src, dst) == ("lt2a", "db2"))
-        # Only what the retry had put in flight crossed the WAN for db2
-        # alone; from its first PROXY_OP on, its payload came out of
-        # lt2a's log — most of the gap — until it carried the region again.
-        assert proxy_ops and max(own_payload) < min(proxy_ops)
+        # Nothing crossed the WAN for db2 alone: it answered a probe, and
+        # from its first PROXY_OP on its payload came out of lt2a's log —
+        # most of the gap — until it carried the region again.
+        assert proxy_ops and not own_payload
         assert from_head > gap // 2
         assert ring.node("lt2a").metrics["proxy_degrades"] == 0
         last_to_db2 = [m for _src, dst, m in entry_bearing(sent) if dst == "db2"][-1]
@@ -522,13 +579,16 @@ class TestHeadFollowsHealth:
     def test_isolated_region_gets_direct_retries_and_a_head_after_the_first_ack(self):
         ring, leader = self.streaming_ring()
         ring.net.isolate_region("r2")
+        write_stream(ring, 0.5)
+        # Nobody in the group answers: the role stays put, every member is
+        # probed direct, nothing rides and no entry is sent.
+        assert leader.stats()["proxy"]["silent"] == ["db2", "lt2a", "lt2b"]
         sent = record_sends(ring.net)
-        write_stream(ring, 1.0)
-        # Nobody in the group can serve: the role stays put, every member
-        # is retried direct (as before), nothing rides.
+        write_stream(ring, 0.5)
         assert head_moves(ring) == [] and leader.metrics["proxy_reroots"] == 0
-        retried = {dst for src, dst, m in entry_bearing(sent[20:]) if src == "db1" and not m.fanout}
-        assert retried >= {"db2", "lt2a", "lt2b"}
+        into_r2 = [(dst, m) for src, dst, m in sent if src == "db1" and dst in ("db2", "lt2a", "lt2b")]
+        assert {dst for dst, _m in into_r2} == {"db2", "lt2a", "lt2b"}
+        assert all(m.is_heartbeat and not m.fanout for _dst, m in into_r2)
         ring.net.heal_region("r2")
         write_stream(ring, 1.0)
         assert leader.stats()["proxy"]["acting_heads"] == {}
@@ -560,7 +620,7 @@ class TestHeadFollowsHealth:
         # The one-hop group (db2, lt2a) re-roots; lt2b's two-hop chain
         # still names the dead db2, so rule 2's retry serves it direct.
         assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2a"}
-        chains, behind = leader.leader_state.routes(leader.membership, router, ring.loop.now)
+        chains, behind = leader.leader_state.routes(leader.membership, router)
         assert chains == {"db2": ("lt2a",), "lt2b": ("db2", "lt2a")}
         assert behind == {"lt2a": ["db2"]}
         assert ring.node("lt2b").last_opid.index >= indexes[-1]

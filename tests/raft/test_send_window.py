@@ -1,9 +1,10 @@
 """PeerProgress.send_window_start edge cases.
 
-The send cursor arbitrates between four behaviours — retry-after-
-timeout, pipeline-new-tail, forced heartbeat, nothing — plus two that
-shape them: the in-flight window cap and redundant-heartbeat
-suppression. Each transition is pinned here at the unit level
+The send cursor arbitrates between five behaviours — retry-after-
+timeout, pipeline-new-tail, forced heartbeat, probe of a peer that is
+not answering, nothing — plus two that shape them: the in-flight window
+cap and redundant-heartbeat suppression. Each transition is pinned here
+at the unit level
 (ring-level interactions live in test_write_batching.py).
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.raft.replication import FlowControl, PeerProgress
+
+from tests.raft.harness import record_sends, three_node_ring
 
 RETRY = 0.25
 SUPPRESS = 0.5
@@ -36,8 +39,12 @@ class TestLegacyCursor:
         assert p.send_window_start(10, RETRY, now=5.1, force=True) == 11
 
     def test_silent_peer_retries_from_next_index(self):
-        p = progress(5, last_sent_index=9, last_sent_time=1.0)
+        # The window sent at 1.0 was never acked: the resend from
+        # next_index is a probe, and the cursor is rewound to match.
+        p = progress(5, match_index=4, last_sent_index=9, last_sent_time=1.0)
+        p.note_sent_window(9)
         assert p.send_window_start(10, RETRY, now=1.0 + RETRY, force=False) == 5
+        assert not p.answering and p.last_sent_index == 4
 
     def test_recent_send_pipelines_new_tail(self):
         p = progress(5, last_sent_index=7, last_sent_time=1.0)
@@ -69,7 +76,7 @@ class TestInflightWindowCap:
         p.note_sent_window(8)
         p.note_sent_window(16)
         p.last_sent_index = 16
-        p.acked(8, now=1.05)
+        p.acked(8)
         assert len(p.inflight) == 1
         assert p.send_window_start(30, RETRY, now=1.1, force=False) == 17
 
@@ -81,12 +88,15 @@ class TestInflightWindowCap:
         assert p.send_window_start(30, RETRY, now=1.0 + RETRY, force=False) == 1
         assert p.inflight == []
         assert p.window_entries == FLOW.window_min
+        # What pierced the cap is a probe: until the peer answers, it is
+        # sent nothing else.
+        assert not p.answering and p.last_sent_index == 0
 
     def test_inflight_high_water_mark(self):
         p = progress(1)
         p.note_sent_window(8)
         p.note_sent_window(16)
-        p.acked(16, now=1.0)
+        p.acked(16)
         p.note_sent_window(24)
         assert p.inflight_hwm == 2
 
@@ -100,17 +110,17 @@ class TestAdaptiveWindow:
         p = progress(1)
         for tail in (8, 16, 24, 32):
             p.note_sent_window(tail)
-            p.acked(tail, now=1.0)
+            p.acked(tail)
         assert p.window_entries == FLOW.window_max
         p.note_sent_window(40)
-        p.acked(40, now=1.1)
+        p.acked(40)
         assert p.window_entries == FLOW.window_max  # capped
 
     def test_partial_ack_only_credits_covered_windows(self):
         p = progress(1)
         p.note_sent_window(8)
         p.note_sent_window(16)
-        p.acked(8, now=1.0)  # window 16 still outstanding
+        p.acked(8)  # window 16 still outstanding
         assert p.inflight == [16]
         assert p.window_entries == 16  # one doubling, not two
 
@@ -120,6 +130,65 @@ class TestAdaptiveWindow:
         p.on_rejected()
         assert p.window_entries == FLOW.window_min
         assert p.inflight == []
+
+
+class TestProbes:
+    """A peer that is not answering gets empty appends at its own cursor,
+    on a forced round or once per retry interval — never entries."""
+
+    def test_a_never_answered_peer_is_probed_at_next_index(self):
+        # The election's presumed-dead predecessor: silent from the start.
+        p = progress(5, answering=False, last_sent_index=9)
+        assert p.send_window_start(10, RETRY, now=0.0, force=True) == 5
+        p.last_sent_time = 1.0  # the probe went out
+        assert p.send_window_start(10, RETRY, now=1.1, force=False) is None
+        assert p.send_window_start(10, RETRY, now=1.1, force=True) == 5
+        assert p.send_window_start(10, RETRY, now=1.0 + RETRY, force=False) == 5
+        # Neither suppression nor the in-flight cap applies to a probe.
+        p.last_sent_commit = 10
+        assert p.send_window_start(
+            10, RETRY, now=1.1, force=True, heartbeat_suppress_window=SUPPRESS, commit_index=10
+        ) == 5
+
+    def test_a_silent_window_turns_into_a_probe_with_its_cursor_rewound(self):
+        p = progress(11, match_index=10, last_sent_time=1.0, window_entries=32)
+        for tail in (18, 26):
+            p.note_sent_window(tail)
+        p.last_sent_index = 26
+        assert p.send_window_start(40, RETRY, now=1.1, force=True) is None  # at the cap
+        assert p.answering
+        assert p.send_window_start(40, RETRY, now=1.0 + RETRY, force=False) == 11
+        assert not p.answering
+        assert (p.last_sent_index, p.inflight, p.window_entries) == (10, [], FLOW.window_min)
+        assert p.sent_horizon == 10  # a head no more: nothing past match is vouched for
+
+    def test_a_reject_counts_as_an_answer(self):
+        p = progress(11, answering=False)
+        p.on_rejected()
+        assert p.answering
+
+    def test_an_ack_counts_as_an_answer(self):
+        p = progress(11, answering=False)
+        p.acked(10)
+        assert p.answering and p.acked_in_term and p.next_index == 11
+
+    def test_a_probe_below_first_index_takes_the_snapshot_path(self):
+        ring = three_node_ring()
+        leader = ring.bootstrap("n1")
+        for _ in range(6):
+            ring.commit_and_run(b"E", seconds=0.1)
+        ring.host("n3").crash()
+        progress = leader.leader_state.peers["n3"]
+        progress.answering, progress.next_index = False, 2
+        leader.storage.purge_below(4)
+        leader.cache.clear()
+        shipped = []
+        leader._maybe_ship_snapshot = lambda peer: shipped.append(peer) or True
+        sent = record_sends(ring.net)
+        leader._replicate_to("n3", force=True)
+        assert shipped == ["n3"]
+        assert not [m for _src, dst, m in sent if dst == "n3"]
+        assert leader.metrics["probes_sent"] == 0
 
 
 class TestHeartbeatSuppression:

@@ -1,13 +1,17 @@
 """Regression tests for snapshot-install safety invariants.
 
 Covers the ack-position contract (a done response must never advance the
-leader's match_index past the image OpId it actually verified) and the
-preservation of the image's membership config_index across an install.
+leader's match_index past the image OpId it actually verified), a member
+that catches up through the log while an image is on its way (it is not
+rolled back to the image), and the preservation of the image's
+membership config_index across an install.
 """
+
+from dataclasses import replace
 
 from repro.raft.log_storage import InMemoryLogStorage, LogEntry
 from repro.raft.membership import MembershipConfig
-from repro.raft.messages import InstallSnapshotRequest, InstallSnapshotResponse
+from repro.raft.messages import InstallSnapshotChunk, InstallSnapshotRequest, InstallSnapshotResponse
 from repro.raft.types import OpId
 from repro.snapshot.installer import SnapshotInstaller
 from repro.snapshot.transfer import LeaderSnapshotShipper, _Session
@@ -112,6 +116,40 @@ class TestAckPosition:
         )
         installed = shipper.handle_response("db2", response)
         assert installed == OpId(3, 42)
+
+
+class TestCaughtUpDuringTransfer:
+    def test_member_that_caught_up_through_the_log_keeps_its_state(self):
+        # The offer found the member behind the image, but the entries
+        # reached it through its region's head before the last chunk did.
+        # Installing then would roll back state it has already committed.
+        storage = InMemoryLogStorage()
+        storage.append([LogEntry(OpId(3, i), b"x") for i in range(1, 41)])
+        installed = []
+        installer = SnapshotInstaller(FakeHost(), FakeNode(storage), install_fn=installed.append)
+        image = build_image(
+            source="db1",
+            taken_at=1.0,
+            last_opid=OpId(3, 42),
+            executed_gtids="UUID:1-42",
+            tables={},
+        )
+        response = installer.handle_offer(replace(offer_for(image), chunk_digests=image.chunk_digests))
+        assert not response.done
+        storage.append([LogEntry(OpId(3, i), b"x") for i in range(41, 60)])
+        for seq, data in enumerate(image.chunks):
+            response = installer.handle_chunk(
+                InstallSnapshotChunk(
+                    term=5,
+                    leader="db1",
+                    snapshot_id=image.snapshot_id,
+                    seq=seq,
+                    data=data,
+                    is_last=seq == image.total_chunks - 1,
+                )
+            )
+        assert response.done and response.last_opid == OpId(3, 42)
+        assert installed == [] and storage.last_opid() == OpId(3, 59)
 
 
 class TestAdoptConfigIndex:
