@@ -27,6 +27,7 @@ from repro.check.mutations import apply_mutation
 from repro.check.scenarios import SCENARIOS, Scenario
 from repro.cluster.replicaset import MyRaftReplicaset
 from repro.errors import ReproError
+from repro.sim.coro import spawn
 from repro.workload.faults import FaultEvent, FaultSchedule
 from repro.workload.runner import WorkloadRunner
 
@@ -111,13 +112,6 @@ def run_once(
 ) -> RunOutcome:
     """One deterministic experiment. ``schedule`` overrides the scenario's
     own fault source with a scripted event list (replay / shrinking)."""
-    if scenario.shards > 0:
-        # Sharded scenarios run on a multi-ring fleet; the recipe lives
-        # next to the fleet safety monitor (local import: it imports us
-        # for RunOutcome).
-        from repro.check.sharding import run_sharded
-
-        return run_sharded(scenario, seed, schedule=schedule, mutation=mutation)
     outcome = RunOutcome(
         scenario=scenario.name,
         seed=seed,
@@ -137,6 +131,8 @@ def run_once(
         history = HistoryRecorder(cluster.loop)
         injector = None
         scripted: FaultSchedule | None = None
+        drills: list = []
+        drill_checks: dict[str, int] = {}
         try:
             cluster.bootstrap(timeout=30.0)
             if schedule is not None:
@@ -154,10 +150,20 @@ def run_once(
                 suite.watch_catch_up(cluster, scripted.events, scenario.catch_up_within)
             if scenario.leader_within > 0:
                 suite.watch_leader(cluster, scenario.leader_within)
+            if scenario.reimages > 0:
+                drills = [
+                    spawn(cluster.loop, scenario.reimage_drill(cluster, seed, drill_checks),
+                          label="reimage-drill"),
+                    spawn(cluster.loop, scenario.replace_drill(cluster, drill_checks),
+                          label="replace-drill"),
+                ]
             runner = WorkloadRunner(cluster, scenario.workload_spec(), history=history)
             result = runner.run(scenario.duration)
             cluster.run(scenario.settle)
             suite.check_cluster(cluster)
+            for drill in drills:
+                if drill.done():
+                    drill.result()  # a drill that died on a bug is a finding
             outcome.committed = result.committed
             outcome.errors = result.errors
         except Exception as err:  # noqa: BLE001 - a dead run is a finding
@@ -167,7 +173,7 @@ def run_once(
         outcome.violations = [v.to_wire() for v in suite.violations]
         outcome.linearizable = report.ok
         outcome.lin_detail = report.describe()
-        outcome.checks = suite.summary()["checks"]
+        outcome.checks = {**suite.summary()["checks"], **drill_checks}
         outcome.history_stats = history.stats()
         events = injector.events if injector is not None else (
             scripted.events if scripted is not None else []

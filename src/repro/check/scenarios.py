@@ -14,6 +14,9 @@ the fault pattern. Fault patterns come in two flavours:
   up front from the seed (region partitions, proxy faults), which ddmin
   can subset directly.
 
+Scenarios with ``reimages`` also run two operator drills beside the
+faults (:meth:`Scenario.reimage_drill`, :meth:`Scenario.replace_drill`).
+
 Scenario durations are short on purpose: the explorer's power comes from
 seed count, not from any single long run.
 """
@@ -21,10 +24,15 @@ seed count, not from any single long run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from repro.cluster.replicaset import paper_network_spec
 from repro.cluster.topology import ReplicaSetSpec, paper_topology
+from repro.control.automation import MembershipAutomation
+from repro.control.backup import take_backup
+from repro.errors import ControlPlaneError, ReproError
 from repro.raft.config import RaftConfig
+from repro.raft.types import MemberInfo
 from repro.sim.network import LogNormalLatency, NetworkSpec
 from repro.workload.faults import (
     ElectionStormInjector,
@@ -67,17 +75,11 @@ class Scenario:
     # leader — the hazard lease safety is about).
     read_mode: str = "barrier"
     read_routing: str = "primary"
-    # Sharded fleet (repro.shard): shards > 0 runs the scenario on a
-    # multi-ring fleet via repro.check.sharding.run_sharded, with
-    # shard_moves online replica relocations fired mid-run. Sharded
-    # scenarios must use injector-style faults ("random",
-    # "leader_crash_loop", "pause_storm") — the scripted
-    # region-partition builder is single-ring only.
-    shards: int = 0
-    shard_moves: int = 0
     # Mid-run member reimages (wipe + restore-from-backup + rejoin), the
     # snapshot subsystem's churn drill: each reimage forces an image or
-    # delta bootstrap and exercises DeltaInstallSafety.
+    # delta bootstrap and exercises DeltaInstallSafety. A scenario with
+    # reimages also replaces one database, seeded from a backup, at a
+    # quarter of the run (reimage_drill / replace_drill).
     reimages: int = 0
     # Liveness bound (CatchUpAfterHeal): this many seconds after every
     # heal of a scripted schedule, each live member must hold what was
@@ -212,6 +214,108 @@ class Scenario:
             t += downtime + self.catch_up_within + rng.uniform(0.5, 2.0)
         return FaultSchedule(events)
 
+    def reimage_drill(self, cluster, seed: int, checks: dict):
+        """Coroutine: wipe-and-rejoin ``reimages`` databases mid-run, the
+        snapshot subsystem's churn drill. Each round backs up a victim,
+        lets writes land, rotates and compacts the primary's log (so the
+        wiped member cannot be caught up from the log alone) and
+        reimages the victim seeded from that backup — the rejoin then
+        negotiates a *delta* snapshot and DeltaInstallSafety audits the
+        installed bytes. Victims come from :func:`reimage_victims`, at the
+        pick and again just before the wipe (an election can land in
+        between); a round with no eligible victim at either point is
+        skipped and counted in ``checks["stalled_reimages"]`` — reimage
+        *liveness* is best-effort, install *safety* is what the monitors
+        assert."""
+        yield self.duration * 0.2  # let some writes land first
+        interval = self.duration * 0.6 / self.reimages
+        for n in range(self.reimages):
+            victim = backup = None
+            victims = reimage_victims(cluster)
+            if victims:
+                victim = victims[(seed + n) % len(victims)]
+                # Backup FIRST, then let writes land before compacting:
+                # the backup must be a *stale* base so the rejoin needs
+                # rows past it — the delta-snapshot shape.
+                backup = take_backup(cluster, victim)
+            yield interval * 0.15
+            # Rotate so the open binlog file closes: purge drops whole
+            # closed files, and the rotate is itself a replicated
+            # proposal, so give it a beat to commit before compacting.
+            primary = cluster.primary_service()
+            if primary is not None:
+                _quietly(primary.flush_binary_logs)
+            yield interval * 0.1
+            if victim is not None and victim in reimage_victims(cluster):
+                primary = cluster.primary_service()
+                if primary is not None:
+                    _quietly(primary.snapshot_and_compact)
+                cluster.reimage_member(victim, base_backup=backup)
+            else:
+                checks["stalled_reimages"] = checks.get("stalled_reimages", 0) + 1
+            yield interval * 0.75
+
+    def replace_drill(self, cluster, checks: dict):
+        """Coroutine: at a quarter of the run, replace one non-primary
+        database with a new member of its region, seeded from a backup of
+        the primary (``MembershipAutomation.replace_member``), so the
+        checker sees a membership change under faults. Counted in
+        ``checks`` as ``replacements`` or, if it cannot finish under the
+        churn, ``stalled_replacements``."""
+        yield self.duration * 0.25
+        try:
+            primary = cluster.primary_service()
+            if primary is None:
+                raise ControlPlaneError("no writable primary")
+            old = min(
+                (m for m in cluster.current_membership().members
+                 if m.has_storage_engine and m.name != primary.host.name),
+                key=lambda m: m.name,
+            )
+            new_name = next(
+                name for name in (f"{old.region}-db{i}" for i in count(2))
+                if name not in cluster.hosts
+            )
+            yield from MembershipAutomation(cluster).replace_member(
+                old.name,
+                MemberInfo(new_name, old.region, old.member_type, True),
+                catchup_timeout=self.duration,
+                seed_backup=take_backup(cluster, primary.host.name),
+            )
+        except ReproError:
+            checks["stalled_replacements"] = 1
+        else:
+            checks["replacements"] = 1
+
+
+def reimage_victims(cluster) -> list[str]:
+    """The live databases the churn drill may wipe right now. Excluded:
+    the Raft leader — the highest-term live member that believes it
+    leads, whether or not it is a writable primary yet — and every voter
+    of its data quorum, which may hold the only copies of what it has
+    committed."""
+    leaders = [
+        service for name, service in cluster.services.items()
+        if cluster.hosts[name].alive and service.node.is_leader
+    ]
+    protected: set[str] = set()
+    if leaders:
+        leader = max(leaders, key=lambda service: service.node.current_term).node
+        protected = {leader.name, *cluster.policy.data_quorum_voters(leader.name, leader.membership)}
+    return sorted(
+        m.name for m in cluster.current_membership().members
+        if m.has_storage_engine and m.name not in protected and cluster.hosts[m.name].alive
+    )
+
+
+def _quietly(action) -> None:
+    """Run a log-maintenance step whose failure (the primary stepped down
+    or died a moment ago) only costs the drill its delta shape."""
+    try:
+        action()
+    except ReproError:
+        pass
+
 
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario
@@ -266,35 +370,14 @@ SCENARIOS: dict[str, Scenario] = {
             downtime=2.5,
         ),
         Scenario(
-            name="sharding",
-            description=(
-                "3-shard fleet under physical-host crash/isolate churn "
-                "with an online shard move mid-run (wrong-owner retry, "
-                "fenced cutover, dual-serve audit)"
-            ),
-            faults="random",
-            shards=3,
-            shard_moves=1,
-            clients=3,
-            duration=16.0,
-            settle=8.0,
-            crash_leader_bias=0.5,
-            isolate_probability=0.25,
-            mean_interval=5.0,
-            downtime=2.0,
-            read_fraction=0.25,
-            key_space=24,
-        ),
-        Scenario(
             name="snapshot-churn",
             description=(
-                "2-shard fleet with repeated crash/reimage of replicas "
+                "crash churn with repeated reimages of databases "
                 "(restore-from-backup then delta snapshot catch-up, "
-                "DeltaInstallSafety armed) plus one online shard move"
+                "DeltaInstallSafety armed) plus one backup-seeded member "
+                "replacement"
             ),
             faults="random",
-            shards=2,
-            shard_moves=1,
             reimages=3,
             clients=3,
             duration=18.0,

@@ -18,6 +18,7 @@ from repro.plugin.logtailer import LogtailerService
 from repro.plugin.raft_plugin import MyRaftServer
 from repro.raft.config import RaftConfig
 from repro.raft.quorum import QuorumPolicy
+from repro.raft.types import MemberInfo
 from repro.cluster.topology import ReplicaSetSpec
 from repro.snapshot import seed_engine_namespaces
 from repro.sim.clock import draw_skew
@@ -54,40 +55,25 @@ class MyRaftReplicaset:
         network_spec: NetworkSpec | None = None,
         timing: TimingProfile | None = None,
         trace_capacity: int | None = None,
-        loop: EventLoop | None = None,
-        network: Network | None = None,
-        tracer: Tracer | None = None,
-        rng: RngStream | None = None,
-        discovery: ServiceDiscovery | None = None,
     ) -> None:
-        # A standalone ring builds its own sim infrastructure (the historical
-        # behaviour, byte-identical for existing seeds). A fleet passes shared
-        # loop/network/tracer/rng/discovery so N rings coexist on one
-        # simulated world with colocated hosts and one service-discovery map.
         self.spec = spec
-        self.loop = loop if loop is not None else EventLoop()
-        self.rng = rng if rng is not None else RngStream(seed)
-        self.tracer = (
-            tracer if tracer is not None else Tracer(self.loop, capacity=trace_capacity)
+        self.loop = EventLoop()
+        self.rng = RngStream(seed)
+        self.tracer = Tracer(self.loop, capacity=trace_capacity)
+        self.net = Network(
+            self.loop,
+            self.rng,
+            spec=network_spec or paper_network_spec(),
+            tracer=self.tracer,
         )
-        self.net = (
-            network
-            if network is not None
-            else Network(
-                self.loop,
-                self.rng,
-                spec=network_spec or paper_network_spec(),
-                tracer=self.tracer,
-            )
-        )
-        self.discovery = discovery if discovery is not None else ServiceDiscovery(self.loop)
+        self.discovery = ServiceDiscovery(self.loop)
         self.membership = spec.membership()
         self.raft_config = raft_config or RaftConfig()
         self.policy = policy or FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC)
         self.timing = timing or myraft_profile()
 
         # Safety monitor (repro.check.InvariantSuite.attach installs one);
-        # reimage_member re-attaches it to freshly built services.
+        # provision() attaches it to every service built after that.
         self.monitor: Any | None = None
 
         self.hosts: dict[str, Host] = {}
@@ -101,32 +87,53 @@ class MyRaftReplicaset:
                 self.rng.child(f"clock-skew/{member.name}"),
                 self.raft_config.clock_drift_bound,
             )
-            if member.has_storage_engine:
-                service: Any = MyRaftServer(
-                    host=host,
-                    membership=self.membership,
-                    policy=self.policy,
-                    raft_config=self.raft_config,
-                    timing=self.timing,
-                    rng=self.rng,
-                    router=self.router,
-                    discovery=self.discovery,
-                    replicaset=spec.replicaset_id,
-                )
-            else:
-                service = LogtailerService(
-                    host=host,
-                    membership=self.membership,
-                    policy=self.policy,
-                    raft_config=self.raft_config,
-                    timing=self.timing,
-                    rng=self.rng,
-                    router=self.router,
-                    replicaset=spec.replicaset_id,
-                )
-            host.attach_service(service)
-            self.hosts[member.name] = host
-            self.services[member.name] = service
+            self.provision(host, member, self.membership)
+
+    def provision(
+        self, host: Host, member: MemberInfo, membership: Any, base_backup: Any = None
+    ) -> Any:
+        """Build ``member``'s service over ``host``'s disk and register it.
+
+        Every way a member comes to exist goes through here: the initial
+        ring, a reimage, a restore from backup and an AddMember
+        allocation. With ``base_backup`` (a ``control.backup.Backup``) a
+        database's disk is seeded from that image first — engine tables,
+        executed GTIDs, the term floor — and its log starts logically
+        right after the backup point, so the ring ships only the suffix
+        (or a delta snapshot chained on the backup when the suffix is
+        already compacted away)."""
+        seeded = base_backup is not None and member.has_storage_engine
+        if seeded:
+            seed_engine_namespaces(
+                host.disk,
+                base_backup.tables,
+                base_backup.executed_gtids,
+                base_backup.last_opid,
+            )
+            host.disk.namespace("raft")["current_term"] = base_backup.last_opid.term
+        common = dict(
+            host=host,
+            membership=membership,
+            policy=self.policy,
+            raft_config=self.raft_config,
+            timing=self.timing,
+            rng=self.rng,
+            router=self.router,
+            replicaset=self.spec.replicaset_id,
+        )
+        if member.has_storage_engine:
+            service: Any = MyRaftServer(discovery=self.discovery, **common)
+        else:
+            service = LogtailerService(**common)
+        if seeded:
+            service.storage.seed_base(base_backup.last_opid)
+        host.replace_service(service)
+        self.hosts[member.name] = host
+        self.services[member.name] = service
+        if self.monitor is not None:
+            self.monitor.reset_member(member.name)
+            service.node.monitor = self.monitor
+        return service
 
     # -- access ------------------------------------------------------------------
 
@@ -217,7 +224,9 @@ class MyRaftReplicaset:
         rejoins with a non-zero engine watermark, so a leader whose log no
         longer reaches back ships an incremental *delta* snapshot chained
         on the backup instead of the full image."""
-        host = self.hosts[name]
+        host = self.hosts.get(name)
+        if host is None:
+            raise ReproError(f"unknown member {name!r}")
         if host.alive:
             host.crash()
         # Re-provision against the ring's *current* membership, not the
@@ -230,49 +239,8 @@ class MyRaftReplicaset:
         if member is None:
             raise ReproError(f"unknown member {name!r}")
         host.disk.wipe()
-        if base_backup is not None and member.has_storage_engine:
-            seed_engine_namespaces(
-                host.disk,
-                base_backup.tables,
-                base_backup.executed_gtids,
-                base_backup.last_opid,
-            )
-            host.disk.namespace("raft")["current_term"] = base_backup.last_opid.term
         host.resurrect()
-        if member.has_storage_engine:
-            service: Any = MyRaftServer(
-                host=host,
-                membership=membership,
-                policy=self.policy,
-                raft_config=self.raft_config,
-                timing=self.timing,
-                rng=self.rng,
-                router=self.router,
-                discovery=self.discovery,
-                replicaset=self.spec.replicaset_id,
-            )
-        else:
-            service = LogtailerService(
-                host=host,
-                membership=membership,
-                policy=self.policy,
-                raft_config=self.raft_config,
-                timing=self.timing,
-                rng=self.rng,
-                router=self.router,
-                replicaset=self.spec.replicaset_id,
-            )
-        if base_backup is not None and member.has_storage_engine:
-            # The log starts logically right after the backup point; the
-            # ring ships only the suffix (or a delta snapshot chained on
-            # the backup when the suffix is already compacted away).
-            service.storage.seed_base(base_backup.last_opid)
-        host.replace_service(service)
-        self.services[name] = service
-        if self.monitor is not None:
-            self.monitor.reset_member(name)
-            service.node.monitor = self.monitor
-        return service
+        return self.provision(host, member, membership, base_backup)
 
     # -- operations -------------------------------------------------------------------
 

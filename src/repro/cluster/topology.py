@@ -31,18 +31,10 @@ class RegionSpec:
 @dataclass(frozen=True)
 class ReplicaSetSpec:
     """A named replicaset across regions. The first region listed is where
-    the initial primary lives.
-
-    ``name_prefix`` is prepended to every member name so multiple rings
-    can coexist on one shared :class:`~repro.sim.network.Network` (which
-    requires globally unique endpoint names) while keeping their *real*
-    region names — region identity drives latency and FlexiRaft quorums,
-    so a fleet must not mangle it into the prefix.
-    """
+    the initial primary lives."""
 
     replicaset_id: str
     regions: tuple = field(default_factory=tuple)  # tuple[RegionSpec, ...]
-    name_prefix: str = ""
 
     def __post_init__(self) -> None:
         if not self.regions:
@@ -53,24 +45,23 @@ class ReplicaSetSpec:
 
     def members(self) -> list[MemberInfo]:
         members: list[MemberInfo] = []
-        prefix = self.name_prefix
         for region in self.regions:
             for i in range(region.databases):
                 members.append(
                     MemberInfo(
-                        f"{prefix}{region.name}-db{i + 1}", region.name, MemberType.VOTER, True
+                        f"{region.name}-db{i + 1}", region.name, MemberType.VOTER, True
                     )
                 )
             for i in range(region.logtailers):
                 members.append(
                     MemberInfo(
-                        f"{prefix}{region.name}-lt{i + 1}", region.name, MemberType.VOTER, False
+                        f"{region.name}-lt{i + 1}", region.name, MemberType.VOTER, False
                     )
                 )
             for i in range(region.learners):
                 members.append(
                     MemberInfo(
-                        f"{prefix}{region.name}-lrn{i + 1}",
+                        f"{region.name}-lrn{i + 1}",
                         region.name,
                         MemberType.NON_VOTER,
                         True,
@@ -85,7 +76,7 @@ class ReplicaSetSpec:
         first = self.regions[0]
         if first.databases < 1:
             raise ReproError(f"first region {first.name!r} has no database for a primary")
-        return f"{self.name_prefix}{first.name}-db1"
+        return f"{first.name}-db1"
 
     def database_names(self) -> list[str]:
         return [m.name for m in self.members() if m.has_storage_engine]
@@ -109,100 +100,6 @@ def paper_topology(
             RegionSpec(f"region{i}", databases=1, logtailers=2, learners=learners_here)
         )
     return ReplicaSetSpec(replicaset_id, tuple(regions))
-
-
-@dataclass(frozen=True)
-class FleetSpec:
-    """A sharded fleet: N independent rings placed over a shared pool of
-    physical hosts (the paper's deployment unit — many MySQL instances,
-    each belonging to a different shard's ring, colocated per host).
-
-    Placement is deterministic. Region ``r`` contributes
-    ``hosts_per_region`` physical hosts named ``{r}-h{j}``. Shard ``k``'s
-    ring rotates its region list by ``k`` (so initial primaries — and
-    hence shard leaders — spread round-robin over regions), and within a
-    region its members land on hosts round-robin starting at offset
-    ``k`` — with more shards than hosts, leaders of different shards
-    share a host, paper-style.
-    """
-
-    fleet_id: str = "fleet0"
-    num_shards: int = 4
-    regions: tuple = ("region0", "region1", "region2")
-    hosts_per_region: int = 2
-    databases_per_region: int = 1
-    logtailers_per_region: int = 2
-    learners_per_region: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ReproError("fleet needs at least one shard")
-        if self.hosts_per_region < 1:
-            raise ReproError("fleet needs at least one host per region")
-        if not self.regions:
-            raise ReproError("fleet needs at least one region")
-        if len(set(self.regions)) != len(self.regions):
-            raise ReproError(f"duplicate fleet regions: {list(self.regions)}")
-
-    def shard_ids(self) -> list[str]:
-        return [f"s{i}" for i in range(self.num_shards)]
-
-    def _rotated_regions(self, shard_index: int) -> list[str]:
-        pivot = shard_index % len(self.regions)
-        return list(self.regions[pivot:]) + list(self.regions[:pivot])
-
-    def ring_spec(self, shard_id: str) -> ReplicaSetSpec:
-        """The :class:`ReplicaSetSpec` of one shard's ring. Member names
-        carry the ``{shard_id}.`` prefix (shared-network uniqueness);
-        region names are the fleet's real regions."""
-        index = self._shard_index(shard_id)
-        regions = tuple(
-            RegionSpec(
-                name,
-                databases=self.databases_per_region,
-                logtailers=self.logtailers_per_region,
-                learners=self.learners_per_region,
-            )
-            for name in self._rotated_regions(index)
-        )
-        return ReplicaSetSpec(shard_id, regions, name_prefix=f"{shard_id}.")
-
-    def _shard_index(self, shard_id: str) -> int:
-        try:
-            index = int(shard_id.lstrip("s"))
-        except ValueError as err:
-            raise ReproError(f"malformed shard id {shard_id!r}") from err
-        if not 0 <= index < self.num_shards:
-            raise ReproError(f"shard {shard_id!r} outside fleet of {self.num_shards}")
-        return index
-
-    def physical_hosts(self) -> list[tuple[str, str]]:
-        """(host name, region) pairs for the fleet's physical host pool."""
-        return [
-            (f"{region}-h{j + 1}", region)
-            for region in self.regions
-            for j in range(self.hosts_per_region)
-        ]
-
-    def placement(self) -> dict[str, str]:
-        """Endpoint name → physical host name, for every ring member."""
-        placed: dict[str, str] = {}
-        for shard_id in self.shard_ids():
-            index = self._shard_index(shard_id)
-            spec = self.ring_spec(shard_id)
-            ordinal_in_region: dict[str, int] = {}
-            for member in spec.members():
-                j = ordinal_in_region.get(member.region, 0)
-                ordinal_in_region[member.region] = j + 1
-                slot = (index + j) % self.hosts_per_region
-                placed[member.name] = f"{member.region}-h{slot + 1}"
-        return placed
-
-    def host_for(self, endpoint: str) -> str:
-        placement = self.placement()
-        if endpoint not in placement:
-            raise ReproError(f"unknown endpoint {endpoint!r}")
-        return placement[endpoint]
 
 
 def table1_roles(membership: MembershipConfig, leader: str) -> list[dict[str, str]]:

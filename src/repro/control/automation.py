@@ -11,11 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ControlPlaneError, MembershipError
-from repro.plugin.logtailer import LogtailerService
-from repro.plugin.raft_plugin import MyRaftServer
-from repro.raft.types import MemberInfo, MemberType
+from repro.raft.types import MemberInfo
 from repro.sim.host import Host
-from repro.snapshot import seed_engine_namespaces
 
 
 @dataclass
@@ -53,62 +50,25 @@ class MembershipAutomation:
             raise ControlPlaneError(f"host {member.name!r} already exists")
         host = Host(cluster.loop, cluster.net, member.name, member.region,
                     tracer=cluster.tracer)
-        if seed_backup is not None and member.has_storage_engine:
-            seed_engine_namespaces(
-                host.disk,
-                seed_backup.tables,
-                seed_backup.executed_gtids,
-                seed_backup.last_opid,
-            )
-            host.disk.namespace("raft")["current_term"] = seed_backup.last_opid.term
-        membership_with_new = cluster.membership.with_added(member, 0)
-        if member.has_storage_engine:
-            service = MyRaftServer(
-                host=host,
-                membership=membership_with_new,
-                policy=cluster.policy,
-                raft_config=cluster.raft_config,
-                timing=cluster.timing,
-                rng=cluster.rng,
-                router=cluster.router,
-                discovery=cluster.discovery,
-                replicaset=cluster.spec.replicaset_id,
-            )
-        else:
-            service = LogtailerService(
-                host=host,
-                membership=membership_with_new,
-                policy=cluster.policy,
-                raft_config=cluster.raft_config,
-                timing=cluster.timing,
-                rng=cluster.rng,
-                router=cluster.router,
-                replicaset=cluster.spec.replicaset_id,
-            )
-        if seed_backup is not None and member.has_storage_engine:
-            service.storage.seed_base(seed_backup.last_opid)
-        host.attach_service(service)
-        cluster.hosts[member.name] = host
-        cluster.services[member.name] = service
-        monitor = getattr(cluster, "monitor", None)
-        if monitor is not None:
-            service.node.monitor = monitor
-        return service
+        membership_with_new = cluster.current_membership().with_added(member, 0)
+        return cluster.provision(host, member, membership_with_new, seed_backup)
 
     def replace_member(
         self,
         old_name: str,
         new_member: MemberInfo,
         catchup_timeout: float = 60.0,
+        seed_backup=None,
     ):
-        """Coroutine: the standard replace flow — allocate, AddMember,
+        """Coroutine: the standard replace flow — allocate (from
+        ``seed_backup`` if given, see :meth:`allocate_member`), AddMember,
         wait for catch-up, RemoveMember the old one."""
         cluster = self.cluster
         report = ReplacementReport(started_at=cluster.loop.now)
         leader = cluster.primary_service()
         if leader is None:
             raise ControlPlaneError("no leader to drive the membership change")
-        self.allocate_member(new_member)
+        self.allocate_member(new_member, seed_backup=seed_backup)
         report.steps.append("allocated")
         _, add_future = leader.node.add_member(new_member)
         yield add_future

@@ -24,7 +24,6 @@ from typing import Any
 from repro.errors import ControlPlaneError
 from repro.plugin.raft_plugin import MyRaftServer
 from repro.raft.types import OpId
-from repro.snapshot import seed_engine_namespaces
 
 
 @dataclass(frozen=True)
@@ -68,50 +67,12 @@ def restore_member(cluster, member: str, backup: Backup) -> MyRaftServer:
 
     The host's disk is wiped (this is a replacement, not a repair), the
     snapshot is loaded as committed engine state, and a fresh MyRaft
-    service starts whose applier resumes from the backup's OpId. Raft
-    then ships only the suffix — the leader does NOT need log history
-    below the backup point for this member.
+    service starts against the ring's current membership, its applier
+    resuming from the backup's OpId. Raft then ships only the suffix —
+    the leader does NOT need log history below the backup point for this
+    member. This is :meth:`MyRaftReplicaset.reimage_member` with a base.
     """
-    host = cluster.hosts.get(member)
-    if host is None:
-        raise ControlPlaneError(f"unknown member {member!r}")
-    if host.alive:
-        host.crash()
-    host.disk.wipe()
-
-    # Seed the durable engine namespaces before the service constructs
-    # its MySQLServer over them (same helper the in-protocol snapshot
-    # installer uses — restore *is* an operator-driven snapshot install).
-    seed_engine_namespaces(host.disk, backup.tables, backup.executed_gtids, backup.last_opid)
-
-    # The Raft log starts logically right after the backup point: the
-    # leader ships only entries *after* it (it does not need — and may
-    # have purged — anything older). Seed the term floor too.
-    host.disk.namespace("mysqllog")  # created fresh by the new manager
-    durable = host.disk.namespace("raft")
-    durable["current_term"] = backup.last_opid.term
-
-    # Fresh service over the seeded disk (host must be up so the service
-    # can arm timers and start its applier).
-    host.resurrect()
-    service = MyRaftServer(
-        host=host,
-        membership=cluster.membership,
-        policy=cluster.policy,
-        raft_config=cluster.raft_config,
-        timing=cluster.timing,
-        rng=cluster.rng,
-        router=cluster.router,
-        discovery=cluster.discovery,
-        replicaset=cluster.spec.replicaset_id,
-    )
-    service.storage.seed_base(backup.last_opid)
-    host.replace_service(service)
-    cluster.services[member] = service
-    monitor = getattr(cluster, "monitor", None)
-    if monitor is not None:
-        service.node.monitor = monitor
-    return service
+    return cluster.reimage_member(member, base_backup=backup)
 
 
 @dataclass

@@ -82,27 +82,3 @@ class ControlPlaneError(ReproError):
 
 class RolloutAborted(ControlPlaneError):
     """enable-raft aborted due to a failed safety check."""
-
-
-class ShardError(ReproError):
-    """Errors raised by the sharded fleet layer (repro.shard)."""
-
-
-class WrongShardError(ShardError):
-    """A request reached an endpoint that does not own the key under the
-    fleet's current shard map. Carries the newer map so the client can
-    refresh its cache and retry — the gossip path of §repro.shard."""
-
-    def __init__(self, message: str, shard_id: str, shard_map) -> None:
-        super().__init__(message)
-        self.shard_id = shard_id
-        self.shard_map = shard_map
-
-
-class CrossShardError(ShardError):
-    """A transaction's keys span more than one shard (unsupported: the
-    fleet offers per-shard transactions only, like the paper's MySQL)."""
-
-
-class ShardMoveError(ShardError):
-    """A shard-move orchestration step failed permanently."""

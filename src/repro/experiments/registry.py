@@ -19,7 +19,6 @@ from repro.experiments.proxy_bandwidth import run_proxy_bandwidth
 from repro.experiments.quorum_fixer_drill import run_quorum_fixer_drill
 from repro.experiments.read_path import run_read_path
 from repro.experiments.rollout_drill import run_rollout_drill
-from repro.experiments.sharding import run_sharding
 from repro.experiments.snapshot_bootstrap import run_snapshot_bootstrap
 from repro.experiments.table1_roles import run_table1
 from repro.experiments.table2_downtime import run_table2
@@ -39,7 +38,6 @@ EXPERIMENTS: dict[str, Callable[..., Any]] = {
     "snapshot-bootstrap": run_snapshot_bootstrap,
     "parallel-apply": run_parallel_apply,
     "read-path": run_read_path,
-    "sharding": run_sharding,
     "harness-speed": run_harness_speed,
 }
 

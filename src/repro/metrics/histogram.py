@@ -99,13 +99,3 @@ class LatencyHistogram:
         merged = LatencyHistogram(name=self.name or other.name)
         merged._samples = self._samples + other._samples
         return merged
-
-    def merge(self, *others: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold other histograms' samples into this one, in place. Samples
-        were validated when first recorded, so fleet-level rollups (one
-        histogram per ring, merged once at the end) skip re-validation.
-        Returns self for chaining."""
-        for other in others:
-            self._samples.extend(other._samples)
-        self._sorted = None
-        return self

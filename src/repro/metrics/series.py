@@ -48,21 +48,6 @@ class ThroughputSeries:
         span = len(observed) * self.bucket_width
         return self.total / span
 
-    def merge(self, *others: "ThroughputSeries") -> "ThroughputSeries":
-        """Fold other series into this one bucket-wise, in place. All
-        series must share the bucket width — fleet rollups sum per-ring
-        commit counts without re-sampling events. Returns self."""
-        for other in others:
-            if other.bucket_width != self.bucket_width:
-                raise ReproError(
-                    f"cannot merge series with bucket widths "
-                    f"{self.bucket_width} and {other.bucket_width}"
-                )
-            for index, count in other._buckets.items():
-                self._buckets[index] = self._buckets.get(index, 0) + count
-            self.total += other.total
-        return self
-
     def stalled_buckets(self) -> int:
         """Number of interior buckets with zero events (availability gaps)."""
         return sum(1 for _, count in self.buckets() if count == 0)

@@ -34,6 +34,12 @@ class TestBootstrapAndWrites:
         assert primary.mysql.role == ServerRole.PRIMARY
         assert cluster.discovery.lookup_primary("rs-test") == "region0-db1"
 
+    def test_ring_id_labels_node_stats(self, cluster):
+        # Every member's stats carry the replicaset id, databases and
+        # logtailers alike.
+        for service in cluster.services.values():
+            assert service.node.stats()["ring_id"] == small_spec().replicaset_id
+
     def test_write_commits_and_returns_opid(self, cluster):
         process = cluster.write_and_run("users", {1: {"id": 1, "name": "ann"}})
         assert process.done() and not process.failed()
