@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro import profile as _profile
 from repro.check.history import HistoryRecorder, check_linearizable
 from repro.check.invariants import InvariantSuite
 from repro.check.mutations import apply_mutation
@@ -168,8 +167,7 @@ def run_once(
             outcome.errors = result.errors
         except Exception as err:  # noqa: BLE001 - a dead run is a finding
             outcome.crashed = f"{type(err).__name__}: {err}"
-        with _profile.span("check.linearizability"):
-            report = check_linearizable(history)
+        report = check_linearizable(history)
         outcome.violations = [v.to_wire() for v in suite.violations]
         outcome.linearizable = report.ok
         outcome.lin_detail = report.describe()

@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any
 
-from repro import profile as _profile
 from repro.errors import LogTruncatedError
 from repro.raft.log_storage import ENTRY_KIND_DATA
 from repro.raft.quorum import ElectionContext
@@ -233,15 +231,6 @@ class InvariantSuite:
         """Called whenever a node's commit index advances (leader quorum
         or follower commit-pointer). Verifies the newly committed range
         against the ledger."""
-        prof = _profile.ACTIVE
-        if prof is None:
-            self._on_commit_advance(node, old_index, new_index)
-            return
-        started = perf_counter()
-        self._on_commit_advance(node, old_index, new_index)
-        prof.account("check.monitors", perf_counter() - started)
-
-    def _on_commit_advance(self, node, old_index: int, new_index: int) -> None:
         self.checks["commits"] += 1
         for index in range(old_index + 1, new_index + 1):
             try:
@@ -454,10 +443,6 @@ class InvariantSuite:
         """Whole-cluster LogMatching over live members' shared index
         ranges (covers the uncommitted tail the per-commit checks never
         see) plus a ledger audit of every live log."""
-        with _profile.span("check.monitors"):
-            self._check_cluster(cluster)
-
-    def _check_cluster(self, cluster) -> None:
         storages: list[tuple[str, Any]] = []
         for name, service in cluster.services.items():
             if not cluster.hosts[name].alive:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, resolve_experiment
 
 
 def _parse_kwargs(args: list[str]) -> dict:
@@ -38,8 +38,13 @@ def main(argv: list[str]) -> int:
             print(f"  {experiment_id:<14} {summary}")
         return 0
     experiment_id, *rest = argv
-    result = run_experiment(experiment_id, **_parse_kwargs(rest))
-    print(result.format_report())
+    kwargs = _parse_kwargs(rest)
+    try:
+        runner = resolve_experiment(experiment_id, kwargs)
+    except KeyError as err:
+        print(err.args[0], file=sys.stderr)
+        return 2
+    print(runner(**kwargs).format_report())
     return 0
 
 

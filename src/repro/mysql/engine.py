@@ -17,10 +17,8 @@ through grant callbacks so the server layer can wrap them in futures.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Callable
 
-from repro import profile as _profile
 from repro.errors import MySQLError
 from repro.mysql.gtid import Gtid, GtidSet
 from repro.mysql.tables import Row, RowChange, Table, content_checksum
@@ -202,9 +200,6 @@ class StorageEngine:
         """Apply buffered changes durably and release locks (stage 3)."""
         if txn.state != "prepared":
             raise MySQLError(f"commit of {txn.state} transaction {txn.xid}")
-        prof = _profile.ACTIVE
-        if prof is not None:
-            started = perf_counter()
         for change in txn.changes:
             table = self.table(change.table)
             if change.after is None:
@@ -225,8 +220,6 @@ class StorageEngine:
         self._transactions.pop(txn.xid, None)
         self.locks.release_all(txn.xid)
         self.commits += 1
-        if prof is not None:
-            prof.account("engine.commit", perf_counter() - started)
 
     def rollback(self, txn: EngineTransaction) -> None:
         """Discard a transaction (active or prepared) online."""

@@ -18,10 +18,8 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Any, ClassVar, Iterator
 
-from repro import profile as _profile
 from repro.errors import BinlogCorruptionError, BinlogError
 from repro.raft.types import OpId
 
@@ -42,16 +40,10 @@ class BinlogEvent:
         raise NotImplementedError
 
     def encode(self) -> bytes:
-        prof = _profile.ACTIVE
-        if prof is not None:
-            started = perf_counter()
         payload = json.dumps(self.payload_dict(), sort_keys=True, separators=(",", ":")).encode()
         header = _HEADER.pack(self.TYPE_CODE, len(payload))
         checksum = zlib.crc32(header + payload)
-        data = header + payload + _CRC.pack(checksum)
-        if prof is not None:
-            prof.account("binlog.encode", perf_counter() - started)
-        return data
+        return header + payload + _CRC.pack(checksum)
 
     @property
     def wire_size(self) -> int:
@@ -313,9 +305,6 @@ def decode_event(data: bytes, offset: int = 0) -> tuple[BinlogEvent, int]:
     Raises :class:`BinlogCorruptionError` on truncation, a bad checksum,
     or an unknown type code.
     """
-    prof = _profile.ACTIVE
-    if prof is not None:
-        started = perf_counter()
     end_of_header = offset + _HEADER.size
     if end_of_header > len(data):
         raise BinlogCorruptionError(f"truncated header at offset {offset}")
@@ -333,10 +322,7 @@ def decode_event(data: bytes, offset: int = 0) -> tuple[BinlogEvent, int]:
         raise BinlogCorruptionError(f"unknown event type {type_code} at offset {offset}")
     # Decode bytes explicitly: json.loads on str skips encoding detection.
     payload = json.loads(data[end_of_header:end_of_payload].decode("utf-8"))
-    event = event_cls.from_dict(payload)
-    if prof is not None:
-        prof.account("binlog.decode", perf_counter() - started)
-    return event, end_of_event
+    return event_cls.from_dict(payload), end_of_event
 
 
 def decode_stream(data: bytes, offset: int = 0) -> Iterator[BinlogEvent]:

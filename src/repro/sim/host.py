@@ -16,10 +16,8 @@ Services implement ``handle_message(src, message)`` and optionally
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Callable, Generator
 
-from repro import profile as _profile
 from repro.errors import HostDownError, SimError
 from repro.sim.clock import SkewedClock
 from repro.sim.coro import Process, SimFuture
@@ -77,7 +75,6 @@ class Host:
         self.clock = SkewedClock(loop)
         self.disk = DurableStore()
         self.service: Any = None
-        self._profile_key = "handle.none"
         self._timers: list[Timer] = []
         self._processes: list[Process] = []
         self.paused = False
@@ -91,12 +88,10 @@ class Host:
         if self.service is not None:
             raise SimError(f"host {self.name!r} already has a service")
         self.service = service
-        self._profile_key = "handle." + type(service).__name__
 
     def replace_service(self, service: Any) -> None:
         """Swap the running service (used by enable-raft mid-rollout)."""
         self.service = service
-        self._profile_key = "handle." + type(service).__name__
 
     def receive(self, src: str, message: Any) -> None:
         if not self.alive or self.service is None:
@@ -106,13 +101,7 @@ class Host:
             # while every thread is frozen; they drain at resume.
             self._paused_inbox.append((src, message))
             return
-        prof = _profile.ACTIVE
-        if prof is None:
-            self.service.handle_message(src, message)
-            return
-        started = perf_counter()
         self.service.handle_message(src, message)
-        prof.account(self._profile_key, perf_counter() - started)
 
     def send(self, dst: str, message: Any) -> None:
         if not self.alive:

@@ -22,10 +22,8 @@ bit-for-bit unchanged.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable
 
-from repro import profile as _profile
 from repro.errors import SimError
 
 # Compact when the heap holds at least COMPACT_MIN_SIZE entries and at
@@ -180,13 +178,7 @@ class EventLoop:
             return False
         self._now = max(self._now, timer.fire_at)
         self._processed += 1
-        prof = _profile.ACTIVE
-        if prof is None:
-            timer._fire()
-        else:
-            started = perf_counter()
-            timer._fire()
-            prof.account("loop.dispatch", perf_counter() - started)
+        timer._fire()
         return True
 
     def run_until(self, deadline: float, max_events: int | None = None) -> None:
@@ -203,13 +195,7 @@ class EventLoop:
                 break
             self._now = max(self._now, timer.fire_at)
             self._processed += 1
-            prof = _profile.ACTIVE
-            if prof is None:
-                timer._fire()
-            else:
-                started = perf_counter()
-                timer._fire()
-                prof.account("loop.dispatch", perf_counter() - started)
+            timer._fire()
             fired += 1
             if max_events is not None and fired > max_events:
                 raise SimError(f"run_until exceeded max_events={max_events}")

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from repro import profile as _profile
 from repro.errors import SimError
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngStream
@@ -288,15 +286,6 @@ class Network:
         self.loop.call_at(deliver_at, self._deliver, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
-        prof = _profile.ACTIVE
-        if prof is None:
-            self._deliver_now(src, dst, message)
-            return
-        started = perf_counter()
-        self._deliver_now(src, dst, message)
-        prof.account("net.deliver", perf_counter() - started)
-
-    def _deliver_now(self, src: str, dst: str, message: Any) -> None:
         host = self._hosts.get(dst)
         if host is None or not host.alive or self.path_blocked(src, dst):
             self.total_drops += 1

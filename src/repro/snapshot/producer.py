@@ -39,10 +39,8 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any
 
-from repro import profile as _profile
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.mysql.tables import content_checksum
 from repro.raft.types import OpId
@@ -210,9 +208,6 @@ def build_image(
     """Serialize a consistent engine cut into transfer-ready chunks."""
     if chunk_bytes < 1:
         raise SnapshotError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-    prof = _profile.ACTIVE
-    if prof is not None:
-        started = perf_counter()
     state_crc = content_checksum(tables)
     chunks = [
         _encode_chunk(
@@ -230,7 +225,7 @@ def build_image(
         # round trip with its name intact.
         for group in _group_entries(_stable_rows(tables[name]), chunk_bytes) or [[]]:
             chunks.append(_encode_chunk({"kind": "rows", "table": name, "rows": group}))
-    image = _finish_image(
+    return _finish_image(
         source=source,
         taken_at=taken_at,
         last_opid=last_opid,
@@ -245,9 +240,6 @@ def build_image(
         upserts={},
         deletes={},
     )
-    if prof is not None:
-        prof.account("snapshot.encode", perf_counter() - started)
-    return image
 
 
 def build_delta(
@@ -272,9 +264,6 @@ def build_delta(
     """
     if chunk_bytes < 1:
         raise SnapshotError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-    prof = _profile.ACTIVE
-    if prof is not None:
-        started = perf_counter()
     chunks = [
         _encode_chunk(
             {
@@ -301,7 +290,7 @@ def build_delta(
         entries += [["d", pk] for pk in dels]
         for group in _group_entries(entries, chunk_bytes):
             chunks.append(_encode_chunk({"kind": "delta-rows", "table": name, "entries": group}))
-    image = _finish_image(
+    return _finish_image(
         source=source,
         taken_at=taken_at,
         last_opid=last_opid,
@@ -316,9 +305,6 @@ def build_delta(
         upserts=upserts,
         deletes=deletes,
     )
-    if prof is not None:
-        prof.account("snapshot.encode", perf_counter() - started)
-    return image
 
 
 def apply_delta(base_tables: dict, image: SnapshotImage) -> dict:
@@ -350,9 +336,6 @@ def assemble_image(manifest: dict, chunks: dict) -> SnapshotImage:
     disagrees with the manifest — the installer then discards the staging
     area rather than seeding a torn image.
     """
-    prof = _profile.ACTIVE
-    if prof is not None:
-        started = perf_counter()
     total = manifest["total_chunks"]
     digests = tuple(manifest.get("chunk_digests", ()))
     if len(digests) != total:
@@ -419,7 +402,7 @@ def assemble_image(manifest: dict, chunks: dict) -> SnapshotImage:
         raise SnapshotIntegrityError(
             f"snapshot {manifest['snapshot_id']!r} decoded state crc mismatch"
         )
-    image = SnapshotImage(
+    return SnapshotImage(
         snapshot_id=manifest["snapshot_id"],
         source="",
         taken_at=0.0,
@@ -437,6 +420,3 @@ def assemble_image(manifest: dict, chunks: dict) -> SnapshotImage:
         upserts=upserts,
         deletes=deletes,
     )
-    if prof is not None:
-        prof.account("snapshot.decode", perf_counter() - started)
-    return image

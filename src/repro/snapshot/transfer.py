@@ -35,10 +35,8 @@ transfer or a deposed leader are inert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Callable
 
-from repro import profile as _profile
 from repro.raft.messages import InstallSnapshotChunk, InstallSnapshotRequest, InstallSnapshotResponse
 from repro.raft.types import OpId
 from repro.snapshot.policy import image_covers
@@ -354,9 +352,6 @@ class LeaderSnapshotShipper:
         session.sent.add(seq)
         self.metrics["chunks_sent"] += 1
         self.metrics["bytes_sent"] += len(data)
-        prof = _profile.ACTIVE
-        if prof is not None:
-            started = perf_counter()
         self.host.send(
             session.peer,
             InstallSnapshotChunk(
@@ -368,8 +363,6 @@ class LeaderSnapshotShipper:
                 is_last=seq == session.image.total_chunks - 1,
             ),
         )
-        if prof is not None:
-            prof.account("snapshot.transfer", perf_counter() - started)
 
 
 class SnapshotManager:

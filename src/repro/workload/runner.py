@@ -25,7 +25,7 @@ class WorkloadResult:
     committed: int = 0
     errors: int = 0
     # Linearizable-read accounting (reads also count toward committed /
-    # errors; these break out the read share for the read-path benches).
+    # errors; these break out the read share of a mixed workload).
     reads: int = 0
     read_errors: int = 0
     # Replica apply lag (leader commit index minus replica engine

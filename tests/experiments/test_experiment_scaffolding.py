@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments.__main__ import main as experiments_cli
 from repro.experiments.common import (
     PAPER_TABLE2_MS,
     DowntimeDistribution,
@@ -16,16 +17,28 @@ from repro.experiments.common import (
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
+        # Exactly the paper's tables, figures and §4/§5 ablations: a
+        # feature-local harness belongs in tier-1 or the e2e ledger.
         expected = {
             "table1", "fig5a", "fig5b", "fig5c", "fig5d", "table2",
             "proxy-bw", "mock-election", "quorum-fixer", "flexi-latency",
             "enable-raft",
         }
-        assert expected <= set(EXPERIMENTS)
+        assert set(EXPERIMENTS) == expected
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             run_experiment("fig99z")
+
+    def test_unknown_keyword_names_the_accepted_ones(self):
+        with pytest.raises(KeyError, match="'trails'.*accepts: trials, base_seed"):
+            run_experiment("table2", trails=4)
+
+    def test_cli_rejects_an_unknown_keyword_with_exit_2(self, capsys):
+        assert experiments_cli(["table2", "trails=4"]) == 2
+        err = capsys.readouterr().err
+        assert "trails" in err and "trials, base_seed" in err
+        assert "Traceback" not in err
 
     def test_table1_via_registry(self):
         result = run_experiment("table1")

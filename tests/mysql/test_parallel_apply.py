@@ -1,18 +1,24 @@
 """Multi-threaded (MTS) applier: LOGICAL_CLOCK scheduling, duplicate-GTID
 skip, catch_up_to, and stop() mid-group rollback — under both serial and
-parallel modes, against the same relay-log entries."""
+parallel modes, against the same relay-log entries — plus a replica's
+catch-up drain on the paper topology, serial against 4 workers."""
 
 import hashlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro.cluster import MyRaftReplicaset, paper_topology
 from repro.mysql.applier import Applier
 from repro.mysql.events import GtidEvent
 from repro.mysql.timing import TimingProfile
+from repro.raft.config import RaftConfig
 from repro.raft.log_storage import ENTRY_KIND_DATA
 from repro.sim.rng import RngStream
+from repro.workload.profiles import production_timing
 
 from tests.mysql.test_server_applier import ServerWorld
 
@@ -182,6 +188,69 @@ class TestStopMidGroup:
         second.start(world.server.engine.last_committed_opid.index + 1)
         world.loop.run_for(1.0)
         assert_all_applied(world, 8)
+
+
+def drain_backlog(workers, txns=300, rows_per_txn=8):
+    """STOP REPLICA SQL_THREAD on a remote-region database of the paper
+    topology, pump ``txns`` low-contention multi-row writes into its relay
+    log, then START it and time the drain in simulated seconds."""
+    rs = MyRaftReplicaset(
+        paper_topology(),
+        seed=1,
+        raft_config=RaftConfig(parallel_apply_workers=workers),
+        timing=production_timing(myraft=True),
+        trace_capacity=256,
+    )
+    primary = rs.bootstrap()
+    lagging = next(
+        s for s in rs.database_services() if s.host.region != primary.host.region
+    )
+    lagging.stop_sql_thread()
+    for first in range(0, txns, 32):
+        batch = []
+        for n in range(first, min(first + 32, txns)):
+            keys = range(n * rows_per_txn, (n + 1) * rows_per_txn)
+            batch.append(primary.submit_write("kv", {k: {"id": k, "n": n} for k in keys}))
+        while not all(p.done() for p in batch):
+            rs.run(0.05)
+    goal = primary.node.last_opid.index
+    while lagging.node.last_opid.index < goal or lagging.node.commit_index < goal:
+        rs.run(0.02)  # the relay log holds the whole backlog
+    assert goal - lagging.mysql.engine.last_committed_opid.index >= txns
+    started = rs.loop.now
+    lagging.start_sql_thread()
+    while lagging.mysql.engine.last_committed_opid.index < goal:
+        assert rs.loop.now - started < 30.0, "the replica never drained its backlog"
+        rs.run(0.005)
+    drain = rs.loop.now - started
+    rs.run(2.0)
+    return {
+        "drain": drain,
+        "peak_inflight": lagging.applier.stats()["peak_inflight"],
+        "apply_lag": lagging.node.stats()["apply_lag"],
+        "checksums": (
+            lagging.mysql.engine.checksum(),
+            primary.mysql.log_manager.content_checksum(),
+        ),
+        "converged": rs.databases_converged(),
+    }
+
+
+class TestPaperTopologyCatchUp:
+    @pytest.fixture(scope="class")
+    def drains(self):
+        return {workers: drain_backlog(workers) for workers in (1, 4)}
+
+    def test_four_workers_drain_at_least_twice_as_fast(self, drains):
+        assert drains[1]["drain"] >= 2 * drains[4]["drain"]
+
+    def test_workers_overlap_and_the_lag_closes(self, drains):
+        assert drains[4]["peak_inflight"] > 1
+        assert drains[4]["apply_lag"] == 0
+
+    def test_serial_and_parallel_end_in_the_same_state(self, drains):
+        assert drains[1]["checksums"] == drains[4]["checksums"]
+        assert drains[1]["converged"] and drains[4]["converged"]
 
 
 class TestApplierXidStability:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
+from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec, paper_topology
 from repro.raft.config import RaftConfig
+from repro.sim.coro import spawn
+from repro.workload.profiles import production_timing
 
 from tests.raft.harness import record_sends
 
@@ -99,6 +101,68 @@ def test_lease_serves_reads_without_probe_rounds():
     assert total_metric(rs, "lease_reads") - leased_before == 5
     # Only heartbeat keepalive rounds in that window, not per-read rounds.
     assert total_metric(rs, "read_probe_rounds") - rounds_before <= 2
+
+
+def _timed_read(rs, target, pk, latencies):
+    started = rs.loop.now
+    yield target.submit_read("kv", pk)
+    latencies.append(rs.loop.now - started)
+
+
+def paper_topology_read_run(mode: str, writes: int = 20, reads: int = 32, burst: int = 8):
+    """One scripted run on the paper topology: a sequential write phase
+    (identical in every mode), then bursts of concurrent reads — from the
+    primary, or round-robin over the replicas in ``follower`` mode.
+    Returns the write-phase checksums, the read-phase cross-region bytes
+    and the read latencies."""
+    rs = MyRaftReplicaset(
+        paper_topology(),
+        seed=1,
+        raft_config=RaftConfig(read_mode=mode),
+        timing=production_timing(myraft=True),
+        trace_capacity=256,
+    )
+    primary = rs.bootstrap()
+    for i in range(writes):
+        write = primary.submit_write("kv", {i % 8: {"id": i % 8, "v": f"w{i}"}})
+        while not write.done():
+            rs.run(0.01)
+    rs.run(2.0)  # every replica applies the write phase
+    checksums = (primary.mysql.engine.checksum(), primary.mysql.log_manager.content_checksum())
+    targets = [primary]
+    if mode == "follower":
+        targets = [s for s in rs.database_services() if s is not primary]
+    bytes_before = rs.net.cross_region_bytes()
+    latencies: list[float] = []
+    for start in range(0, reads, burst):
+        batch = [
+            spawn(rs.loop, _timed_read(rs, targets[i % len(targets)], i % 8, latencies))
+            for i in range(start, start + burst)
+        ]
+        while not all(p.done() for p in batch):
+            rs.run(0.01)
+        assert not any(p.failed() for p in batch)
+    return checksums, rs.net.cross_region_bytes() - bytes_before, sorted(latencies)
+
+
+class TestReadModesOnThePaperTopology:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        modes = ("barrier", "read_index", "lease", "follower")
+        return {mode: paper_topology_read_run(mode) for mode in modes}
+
+    def test_reads_never_change_the_write_phase(self, runs):
+        assert len({checksums for checksums, _bytes, _lat in runs.values()}) == 1
+
+    def test_follower_reads_move_fewer_cross_region_bytes_than_the_barrier(self, runs):
+        assert runs["follower"][1] < runs["barrier"][1]
+
+    @pytest.mark.parametrize("mode", ["read_index", "lease"])
+    def test_primary_read_p50_is_no_worse_than_the_barrier(self, runs, mode):
+        def p50(latencies):
+            return latencies[len(latencies) // 2]
+
+        assert p50(runs[mode][2]) <= p50(runs["barrier"][2])
 
 
 def test_lease_duration_must_stay_under_election_timeout():

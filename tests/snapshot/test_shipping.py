@@ -12,6 +12,7 @@ from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
 from repro.flexiraft.watermarks import safe_purge_horizon
 from repro.raft.config import RaftConfig
 from repro.snapshot.installer import STAGING_NAMESPACE
+from repro.workload.profiles import sysbench_timing
 
 
 def two_region_spec() -> ReplicaSetSpec:
@@ -156,6 +157,54 @@ class TestSnapshotBootstrap:
 
         cluster.restart("region0-db1")
         run_until(cluster, cluster.databases_converged, timeout=30.0)
+
+    @staticmethod
+    def reimaged_catch_up(compact: bool, entries: int = 400):
+        """Wipe ``region1-db1`` after an overwrite-heavy ``entries``-write
+        stream — with or without ``snapshot_and_compact()`` first — and
+        measure its catch-up from the wipe: (cross-region bytes, simulated
+        seconds, snapshot installs). Same seed, same stream either way."""
+        cluster = MyRaftReplicaset(
+            two_region_spec(), seed=7, timing=sysbench_timing(myraft=True), trace_capacity=256
+        )
+        primary = cluster.bootstrap()
+        for first in range(0, entries, 32):
+            batch = []
+            for n in range(first, min(first + 32, entries)):
+                batch.append(primary.submit_write("kv", {n % 64: {"id": n % 64, "n": n, "v": "x" * 96}}))
+                if (n + 1) % 80 == 0:
+                    primary.flush_binary_logs()
+            run_until(cluster, lambda: all(p.done() for p in batch), step=0.05)
+        goal = primary.node.last_opid.index
+        run_until(cluster, member_caught_up(cluster, "region1-db1", goal, goal))
+        if compact:
+            assert primary.snapshot_and_compact()
+        goal_log = primary.node.last_opid.index
+        goal_engine = primary.mysql.engine.last_committed_opid.index
+        cluster.net.reset_accounting()
+        cluster.reimage_member("region1-db1")
+        started = cluster.loop.now
+        run_until(
+            cluster, member_caught_up(cluster, "region1-db1", goal_log, goal_engine), timeout=120.0
+        )
+        victim = cluster.services["region1-db1"]
+        return (
+            cluster.net.cross_region_bytes(),
+            cluster.loop.now - started,
+            victim.node.metrics["snapshot_installs"],
+        )
+
+    @pytest.fixture(scope="class")
+    def bootstraps(self):
+        return {compact: self.reimaged_catch_up(compact) for compact in (False, True)}
+
+    def test_snapshot_seeding_ships_fewer_bytes_than_index_1_replay(self, bootstraps):
+        replay, seeded = bootstraps[False], bootstraps[True]
+        assert seeded[0] < replay[0]
+        assert (replay[2], seeded[2]) == (0, 1)
+
+    def test_snapshot_seeding_catches_up_sooner_than_index_1_replay(self, bootstraps):
+        assert bootstraps[True][1] < bootstraps[False][1]
 
     def test_partitioned_region_purge_then_ship(self):
         # A partitioned region pins the vanilla purge watermark; with a
