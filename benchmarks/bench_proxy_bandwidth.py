@@ -6,11 +6,12 @@ router that has no chains (direct delivery). Gates, all on simulated
 counters that repeat exactly:
 
 * cross-region bytes fall by >= 55 % (five payload copies per entry
-  instead of seventeen). This stream commits one ~577 B entry per round,
-  and the seventeen 64 B acks per round and the idle heartbeats cost the
-  same in both variants, so the ceiling here is 59-61 % (58.6 % at the
-  smoke size, 60.4 % at 50 writes); where rounds carry ~27 entries the
-  same mechanism saves 70 % (``benchmarks/e2e``, ``sysbench_write``);
+  instead of seventeen, and five acks per round instead of seventeen —
+  each head folds its riders' acks into its own at 16 B per rider).
+  This stream commits one ~577 B entry per round and pays the idle
+  heartbeats in both variants: 63.0 % at the smoke size, 64.9 % at 50
+  writes; where rounds carry ~27 entries the same mechanism saves 70 %
+  (``benchmarks/e2e``, ``sysbench_write``);
 * ``proxy_degrades == 0`` in steady state — nobody is ever at a cursor
   its proxy cannot serve;
 * the per-entry PROXY_OP cost sits in the paper's 2-5 % band (it prices

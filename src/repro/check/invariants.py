@@ -14,6 +14,9 @@ ElectionSafety              at most one leader per term
 LogMatching                 same (term, index) ⇒ byte-identical entry
 LeaderCompleteness          a new leader's log holds every committed entry
 StateMachineSafety          only one entry is ever committed at each index
+GtidUniqueness              no GTID is carried by two committed entries
+                            (different OpIds): replicas skip a GTID they
+                            already executed, so a reissued one loses a write
 QuorumIntersection          a new leader's vote quorum intersects the previous
                             leader's FlexiRaft data quorum (so the deposed
                             leader cannot still commit behind the ring's back)
@@ -98,6 +101,9 @@ class InvariantSuite:
     leaders: dict[int, str] = field(default_factory=dict)
     #: Commit ledger: index -> (term, payload crc32).
     ledger: dict[int, tuple[int, int]] = field(default_factory=dict)
+    #: GTID -> OpId of the committed entry carrying it (GtidUniqueness
+    #: evidence; only logs that know their entries' GTIDs feed it).
+    gtids: dict[Any, OpId] = field(default_factory=dict)
     #: Per-member durable commit floor (survives crash/restart; reset only
     #: when a member is reimaged from a wiped disk).
     commit_floor: dict[str, int] = field(default_factory=dict)
@@ -249,6 +255,7 @@ class InvariantSuite:
             known = self.ledger.get(index)
             if known is None:
                 self.ledger[index] = digest
+                self._check_gtid_unique(node, entry.opid)
             elif known[0] != digest[0]:
                 self._record(
                     "StateMachineSafety",
@@ -265,6 +272,19 @@ class InvariantSuite:
         floor = self.commit_floor.get(node.name, 0)
         if new_index > floor:
             self.commit_floor[node.name] = new_index
+
+    def _check_gtid_unique(self, node, opid: OpId) -> None:
+        gtid_at = getattr(node.storage, "gtid_at", None)
+        gtid = gtid_at(opid.index) if gtid_at is not None else None
+        if gtid is None:
+            return
+        first = self.gtids.setdefault(gtid, opid)
+        if first != opid:
+            self._record(
+                "GtidUniqueness",
+                node,
+                f"GTID {gtid} committed at {first} is carried again by {opid}",
+            )
 
     def on_consistent_read(
         self, node, mode: str, read_index: int, applied_index: int

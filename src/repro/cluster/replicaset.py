@@ -227,17 +227,19 @@ class MyRaftReplicaset:
         host = self.hosts.get(name)
         if host is None:
             raise ReproError(f"unknown member {name!r}")
-        if host.alive:
-            host.crash()
         # Re-provision against the ring's *current* membership, not the
         # construction-time bootstrap list — the ring may have grown or
         # shrunk since (MembershipAutomation), and a stale config would
         # have the fresh member contacting removed peers until a snapshot
-        # or CONFIG entry overwrites it.
+        # or CONFIG entry overwrites it. Read before the crash: with no
+        # writable primary, the member may be the only live database that
+        # holds the newest config.
         membership = self.current_membership()
         member = membership.member(name)
         if member is None:
             raise ReproError(f"unknown member {name!r}")
+        if host.alive:
+            host.crash()
         host.disk.wipe()
         host.resurrect()
         return self.provision(host, member, membership, base_backup)

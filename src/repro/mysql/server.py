@@ -180,7 +180,14 @@ class MySQLServer:
                 yield wait
 
     def _next_gtid(self) -> Gtid:
-        txn_id = self._meta["next_txn_id"]
+        # The counter lives on this host's disk, so a reimaged ex-primary
+        # restarts it at 1, behind ids its earlier terms committed and its
+        # engine (restored from a backup or an image) has executed. Never
+        # hand those out again: replicas would skip them as re-deliveries.
+        txn_id = max(
+            self._meta["next_txn_id"],
+            self.engine.executed_gtids.last_txn_id(self.server_uuid) + 1,
+        )
         self._meta["next_txn_id"] = txn_id + 1
         return Gtid(self.server_uuid, txn_id)
 

@@ -248,6 +248,13 @@ class BinlogRaftLogStorage(LogStorage):
             return None
         return record.opid
 
+    def gtid_at(self, index: int) -> Gtid | None:
+        """The GTID the entry at ``index`` carries (None for control
+        entries and indexes this log does not hold) — from the index map,
+        no parse."""
+        record = self._records.get(index)
+        return record.gtid if record is not None else None
+
     def _entry_from_record(self, record: _IndexRecord) -> LogEntry:
         index = record.opid.index
         payload = self._payload_memo.get(index)

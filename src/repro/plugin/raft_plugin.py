@@ -632,6 +632,7 @@ class MyRaftServer:
                 )
         else:
             horizon = self.mysql.engine.last_committed_opid.index
+        self.node.keep_config_below(horizon)
         return self.storage.purge_files_below(horizon)
 
     def status(self) -> dict[str, Any]:

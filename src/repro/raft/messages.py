@@ -4,8 +4,9 @@ Wire sizes drive the network's byte accounting, which in turn drives the
 §4.2.2 proxy-bandwidth experiment. Sizes follow the paper's
 back-of-the-envelope framing: a header of a few dozen bytes per RPC,
 payload bytes for full entries, ~24 bytes of metadata per ``PROXY_OP``
-(term + index + length placeholder) instead of the payload, and one
-member id per fan-out destination riding on a proxy's own append.
+(term + index + length placeholder) instead of the payload, one member
+id per fan-out destination riding on a proxy's own append, and one
+member id per rider whose ack the proxy folded into its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from repro.raft.types import OpId
 RPC_HEADER_BYTES = 64
 PER_ENTRY_OVERHEAD_BYTES = 16
 PROXY_OP_BYTES = 24
-# One member id (a binary UUID) per fan-out destination.
+# One member id (a binary UUID) per fan-out destination, and per rider
+# named in a folded ack.
 FANOUT_DEST_BYTES = 16
 # Per-chunk framing for snapshot transfer: snapshot id + sequence number
 # + flags + payload length.
@@ -93,6 +95,13 @@ class AppendEntriesResponse:
     ``return_path`` and, when it is empty, deliver to ``leader``.
     ``degraded_through`` echoes the request's: the proxy on the path
     cannot serve this follower's windows through that index.
+
+    ``riders`` names the members behind a region's head whose successful
+    acks of this very ``last_opid`` the head folded into its own (the
+    response side of the request's ``fanout``): one member id each on the
+    wire instead of a response each. ``wire_size`` is set by whoever
+    builds a folded response — a plain int, not a property, because
+    the network reads it once per send.
     """
 
     term: int
@@ -102,6 +111,7 @@ class AppendEntriesResponse:
     leader: str = ""
     return_path: tuple = ()
     degraded_through: int = 0
+    riders: tuple = ()  # tuple[str, ...]
 
     wire_size: int = RPC_HEADER_BYTES
 
@@ -115,6 +125,8 @@ class AppendEntriesResponse:
             leader=self.leader,
             return_path=self.return_path[:-1],
             degraded_through=self.degraded_through,
+            riders=self.riders,
+            wire_size=self.wire_size,
         )
 
 

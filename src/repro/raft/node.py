@@ -59,7 +59,7 @@ from repro.raft.messages import (
     TimeoutNowRequest,
     VoteRetraction,
 )
-from repro.raft.proxy import RegionProxyRouter
+from repro.raft.proxy import AckFolds, RegionProxyRouter
 from repro.raft.quorum import ElectionContext, QuorumPolicy
 from repro.raft.replication import FlowControl, LeaderState, VoteTally
 from repro.raft.types import MemberInfo, OpId, RaftRole
@@ -139,9 +139,6 @@ class RaftNode:
         # apply lag — commit_index minus what the applier has committed.
         self.applied_index_fn: "Callable[[], int] | None" = None
 
-        # Volatile — rebuilt by _init_volatile on every (re)start.
-        self._init_volatile()
-
         # Counters for experiments and assertions.
         self.metrics: dict[str, int] = {
             "elections_started": 0,
@@ -153,6 +150,8 @@ class RaftNode:
             "proxy_forwards": 0,
             "proxy_degrades": 0,
             "proxy_reroots": 0,
+            "acks_folded": 0,
+            "folds_expired": 0,
             "probes_sent": 0,
             "transfers_initiated": 0,
             "handoff_attempts": 0,
@@ -171,6 +170,9 @@ class RaftNode:
         # Entry count of every entry-bearing AppendEntries sent while
         # leader (write-path observability; heartbeats excluded).
         self.append_sizes = LatencyHistogram("entries_per_append")
+
+        # Volatile — rebuilt by _init_volatile on every (re)start.
+        self._init_volatile()
 
     # ------------------------------------------------------------------ state
 
@@ -197,6 +199,10 @@ class RaftNode:
         self._transfer_target: str | None = None
         self._mock_completed_for_transfer = False
         self._pending_proxy: list[AppendEntriesRequest] = []
+        # As a region's head: riders' acks held for folding, and the one
+        # timer that closes the oldest fold at its deadline.
+        self._folds = AckFolds(self.metrics)
+        self._fold_timer_armed = False
         self._last_leader_contact = self.host.loop.now
         self._quorum_override: QuorumPolicy | None = None
         # Consistent-read machinery (repro.reads). All volatile: a crash
@@ -349,6 +355,8 @@ class RaftNode:
                 "forwards": self.metrics["proxy_forwards"],
                 "degrades": self.metrics["proxy_degrades"],
                 "reroots": self.metrics["proxy_reroots"],
+                "acks_folded": self.metrics["acks_folded"],
+                "folds_expired": self.metrics["folds_expired"],
                 "probes": self.metrics["probes_sent"],
                 "acting_heads": (
                     self.leader_state.acting_heads() if self.leader_state is not None else {}
@@ -988,6 +996,26 @@ class RaftNode:
         self._trace("raft.config_change", change=change, subject=subject)
         return self.propose(factory, ENTRY_KIND_CONFIG, metadata=wire)
 
+    def keep_config_below(self, horizon: int) -> None:
+        """The log is about to lose its entries below ``horizon`` (all
+        committed). Make the config in effect there durable as the
+        bootstrap config, which ``_rebuild_membership`` falls back to once
+        the log holds no CONFIG entry: else a restart after a purge past
+        the newest config reverts to the construction-time member list."""
+        config = self.membership
+        if config.config_index >= horizon:
+            # A newer config is retained: find the one in effect below it.
+            config = None
+            floor = max(self.storage.first_index(), self._durable["bootstrap_config_index"] + 1)
+            for index in range(horizon - 1, floor - 1, -1):
+                entry = self.storage.entry(index)
+                if entry is not None and entry.kind == ENTRY_KIND_CONFIG:
+                    config = MembershipConfig.from_wire(entry.metadata, index)
+                    break
+        if config is not None and config.config_index > self._durable["bootstrap_config_index"]:
+            self._durable["bootstrap_members"] = config.to_wire()
+            self._durable["bootstrap_config_index"] = config.config_index
+
     def _adopt_config_from(self, entry: LogEntry) -> None:
         self.membership = MembershipConfig.from_wire(entry.metadata, entry.opid.index)
         self_member = self.membership.member(self.name)
@@ -1095,10 +1123,17 @@ class RaftNode:
         out of ``starts``."""
         state = self.leader_state
         prev_opid, entries = window
+        retry = self.config.append_retry_interval
         riders = []
         for peer in behind:
             progress = state.peers.get(peer)
             if progress is None or progress.routed_around or not progress.answering:
+                continue
+            if progress.inflight and now - progress.inflight_since >= retry:
+                # Rule 2's retry, for a member its rides keep fresh: its
+                # windows went unacked, so it is probed, not carried.
+                progress.on_retry_timeout()
+                self._trace("raft.peer_silent", peer=peer, reason="retry")
                 continue
             start = starts.get(peer)
             if start is None:
@@ -1163,6 +1198,8 @@ class RaftNode:
         if entries:
             tail = entries[-1].opid.index
             progress.last_sent_index = tail
+            if not progress.inflight:
+                progress.inflight_since = now
             progress.note_sent_window(tail)
             if len(progress.inflight) > self.metrics["inflight_hwm"]:
                 self.metrics["inflight_hwm"] = len(progress.inflight)
@@ -1286,11 +1323,11 @@ class RaftNode:
     def _forward_fanout(self, request: AppendEntriesRequest) -> None:
         """We are the proxy this append is addressed to, and members
         behind us stand at the same window: hand each the request we
-        hold — no log read, no wait. Their acks are header-sized and
-        cross the WAN once whichever way they go, so they go straight to
-        the leader (like a ReadIndex response) instead of costing the
-        region a relay each."""
+        hold — no log read, no wait. Their acks come back through us and
+        are folded into ours (:class:`AckFolds`), so the region answers
+        the window with one WAN message, as it was sent one."""
         self.metrics["proxy_forwards"] += len(request.fanout)
+        return_path = request.return_path + (self.name,)
         for dest in request.fanout:
             # (Spelled out, not ``replace``: once per rider per window.)
             self.host.send(
@@ -1302,9 +1339,26 @@ class RaftNode:
                     commit_opid=request.commit_opid,
                     entries=request.entries,
                     final_dest=dest,
-                    return_path=request.return_path,
+                    return_path=return_path,
                 ),
             )
+        wait = self.config.proxy_wait_timeout
+        self._folds.open(request, self.host.loop.now + wait)
+        if not self._fold_timer_armed:
+            self._fold_timer_armed = True
+            self.host.call_after(wait, self._expire_folds)
+
+    def _expire_folds(self) -> None:
+        """The fold timer: close what is due, re-arm for the oldest fold
+        still waiting (one timer per head, never one per window)."""
+        now = self.host.loop.now
+        for response in self._folds.expire(now):
+            self.host.send(response.leader, response)
+        deadline = self._folds.next_deadline()
+        if deadline is None:
+            self._fold_timer_armed = False
+        else:
+            self.host.call_after(deadline - now, self._expire_folds)
 
     def _handle_proxy_forward(self, src: str, request: AppendEntriesRequest) -> None:
         """We are a proxy hop for this message.
@@ -1523,54 +1577,83 @@ class RaftNode:
         )
         if response.return_path:
             self.host.send(response.return_path[-1], response.popped())
+        elif request.fanout:
+            # We are a head: hold our ack for the riders' (rule 1).
+            for ready in self._folds.own(request, response):
+                self.host.send(ready.leader, ready)
         else:
             self.host.send(request.leader, response)
 
     def _handle_append_response(self, src: str, response: AppendEntriesResponse) -> None:
         # Proxied responses travel back up the return path to the leader
-        # (§4.2.1); intermediate hops just relay.
+        # (§4.2.1); intermediate hops just relay, and the last hop — the
+        # head — folds its riders' acks into its own.
         if response.leader and response.leader != self.name:
             if response.return_path:
                 self.host.send(response.return_path[-1], response.popped())
             else:
-                self.host.send(response.leader, response)
+                for ready in self._folds.rider(response):
+                    self.host.send(ready.leader, ready)
             return
-        if not self.is_leader or self.leader_state is None:
+        state = self.leader_state
+        if not self.is_leader or state is None:
             return
         if response.term > self.current_term:
             self._step_down(response.term, leader=None)
             return
+        if not response.success:
+            self._on_rejected(response)
+            return
+        # One folded response acks the head and every rider it names, at
+        # the same last_opid.
+        acked = (response.follower, *response.riders) if response.riders else (response.follower,)
+        policy, membership = self._effective_policy(), self.membership
+        index, now = response.last_opid.index, self.host.loop.now
+        advance = False
+        progresses = []
+        for follower in acked:
+            progress = state.ensure_peer(follower)
+            progresses.append(progress)
+            if not progress.answering:  # any response is an answer
+                self._trace("raft.peer_answering", peer=follower)
+            progress.acked(index)
+            progress.inflight_since = now
+            if follower == response.follower and response.degraded_through:
+                # Its proxy could not reconstitute the window (§4.2.3).
+                progress.route_around(response.degraded_through)
+            if state.counts_toward_commit(follower, policy, membership):
+                advance = True
+        if advance:
+            self._maybe_advance_commit()
+        # Send more only if unsent entries remain, in one pass; force=False
+        # avoids answering every ack with an empty heartbeat (which would
+        # ping-pong forever).
+        last = self.last_opid.index
+        behind = [
+            follower for follower, progress in zip(acked, progresses)
+            if progress.next_index <= last
+        ]
+        if behind:
+            self._replicate_many(behind, force=False)
+        handoff = (
+            state.handoff_tried is not None and response.last_opid.term == self.current_term
+        )
+        for follower in acked:
+            self._maybe_complete_transfer(follower)
+            if handoff:
+                self._witness_handoff(follower)
+
+    def _on_rejected(self, response: AppendEntriesResponse) -> None:
         progress = self.leader_state.ensure_peer(response.follower)
         if not progress.answering:  # any response is an answer
             self._trace("raft.peer_answering", peer=response.follower)
-        if response.success:
-            progress.acked(response.last_opid.index)
-            if response.degraded_through:
-                # Its proxy could not reconstitute the window (§4.2.3).
-                progress.route_around(response.degraded_through)
-            if self.leader_state.counts_toward_commit(
-                response.follower, self._effective_policy(), self.membership
-            ):
-                self._maybe_advance_commit()
-            # Send more only if unsent entries remain; force=False avoids
-            # answering every ack with an empty heartbeat (which would
-            # ping-pong forever).
-            if progress.next_index <= self.last_opid.index:
-                self._replicate_to(response.follower, force=False)
-            self._maybe_complete_transfer(response.follower)
-            if (
-                self.leader_state.handoff_tried is not None
-                and response.last_opid.term == self.current_term
-            ):
-                self._witness_handoff(response.follower)
-        else:
-            progress.on_rejected()
-            progress.next_index = max(
-                1, min(progress.next_index - 1, response.last_opid.index + 1)
-            )
-            progress.last_sent_index = 0
-            progress.last_sent_time = -1e9
-            self._replicate_to(response.follower, force=True)
+        progress.on_rejected()
+        progress.next_index = max(
+            1, min(progress.next_index - 1, response.last_opid.index + 1)
+        )
+        progress.last_sent_index = 0
+        progress.last_sent_time = -1e9
+        self._replicate_to(response.follower, force=True)
 
     def _maybe_advance_commit(self) -> None:
         if self.leader_state is None:

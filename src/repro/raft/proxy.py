@@ -16,7 +16,9 @@ any moment (route-around, §4.2.3) — or replaced — without protocol
 consequences. A router must be a pure function of its arguments: the
 leader memoizes its chains per membership in a :class:`RouteTable`,
 which is also where the one volatile part of routing lives — which
-member of a region currently does the proxy's job.
+member of a region currently does the proxy's job. :class:`AckFolds` is
+the head's half of the tree on the way back: riders' acks folded into
+the head's own.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.raft.membership import MembershipConfig
+from repro.raft.messages import (
+    FANOUT_DEST_BYTES,
+    RPC_HEADER_BYTES,
+    AppendEntriesRequest,
+    AppendEntriesResponse,
+)
+from repro.raft.types import OpId
 
 
 class ProxyRouter(ABC):
@@ -178,3 +187,142 @@ class RouteTable:
             chains.update(dict.fromkeys(others, (head,)))
             behind[head] = behind.get(head, []) + others
         self.chains, self.behind = chains, behind
+
+
+class _Fold:
+    """One forwarded window's acks, held by its head."""
+
+    __slots__ = ("last_opid", "waiting", "acks", "own", "deadline")
+
+    def __init__(self, last_opid: OpId, riders: tuple, deadline: float) -> None:
+        self.last_opid = last_opid
+        self.waiting = set(riders)
+        self.acks: list[AppendEntriesResponse] = []
+        self.own: AppendEntriesResponse | None = None
+        self.deadline = deadline
+
+    def folded(self) -> AppendEntriesResponse:
+        """The head's own ack, naming every rider folded into it."""
+        own = self.own
+        if not self.acks:
+            return own
+        riders = tuple(ack.follower for ack in self.acks)
+        return AppendEntriesResponse(
+            term=own.term,
+            follower=own.follower,
+            success=True,
+            last_opid=own.last_opid,
+            leader=own.leader,
+            riders=riders,
+            wire_size=RPC_HEADER_BYTES + FANOUT_DEST_BYTES * len(riders),
+        )
+
+
+def _window_key(request: AppendEntriesRequest) -> tuple[int, int]:
+    return (request.term, request.prev_opid.index + len(request.entries))
+
+
+class AckFolds:
+    """A head's held acks (DESIGN.md §15, rule 1): one WAN ack per
+    region per window.
+
+    A head that forwards an entry-bearing window to its riders opens a
+    *fold* for it, keyed by ``(term, last index)``; the riders answer
+    through the head, over the LAN. A rider's successful ack of the
+    window is folded. The head's own ack is held until every rider has
+    answered or the fold's deadline has passed, and then crosses the WAN
+    once, naming the folded riders. Anything a fold cannot vouch for is
+    relayed alone: a reject (which also stops every fold waiting for that
+    rider), an ack of another ``last_opid``, one from a member the fold
+    does not wait for, or one that arrives after the fold closed. A head
+    whose own answer is a reject sends it at once, followed by the rider
+    acks it held.
+
+    Every method returns the responses to send now, in order. Counters go
+    to ``metrics``: ``acks_folded`` per rider ack folded,
+    ``folds_expired`` per fold whose deadline passed with a rider still
+    silent — a rider that keeps it rising is dying.
+    """
+
+    def __init__(self, metrics: dict[str, int]) -> None:
+        self._folds: dict[tuple[int, int], _Fold] = {}
+        self._metrics = metrics
+
+    def open(self, request: AppendEntriesRequest, deadline: float) -> None:
+        """The head forwarded ``request`` to its ``fanout``. Deadlines
+        arrive in order: the folds stay sorted by them."""
+        key = _window_key(request)
+        if key not in self._folds:
+            self._folds[key] = _Fold(request.entries[-1].opid, request.fanout, deadline)
+
+    def own(
+        self, request: AppendEntriesRequest, response: AppendEntriesResponse
+    ) -> list[AppendEntriesResponse]:
+        """The head's own answer to a window it forwarded."""
+        key = _window_key(request)
+        fold = self._folds.get(key)
+        if fold is None or fold.own is not None:
+            return [response]
+        if not response.success or response.last_opid != fold.last_opid:
+            del self._folds[key]
+            return [response, *fold.acks]
+        fold.own = response
+        if fold.waiting:
+            return []
+        del self._folds[key]
+        return [fold.folded()]
+
+    def rider(self, response: AppendEntriesResponse) -> list[AppendEntriesResponse]:
+        """An answer from a member behind this head, on its way to the
+        leader."""
+        if not response.success:
+            return [response, *self._forget(response.follower)]
+        key = (response.term, response.last_opid.index)
+        fold = self._folds.get(key)
+        if (
+            fold is None
+            or response.follower not in fold.waiting
+            or response.last_opid != fold.last_opid
+            or response.degraded_through
+        ):
+            return [response]
+        fold.waiting.remove(response.follower)
+        fold.acks.append(response)
+        self._metrics["acks_folded"] += 1
+        if fold.waiting or fold.own is None:
+            return []
+        del self._folds[key]
+        return [fold.folded()]
+
+    def _forget(self, rider: str) -> list[AppendEntriesResponse]:
+        """``rider`` answered with a reject: no fold waits for it."""
+        ready = []
+        for key, fold in list(self._folds.items()):
+            if rider in fold.waiting:
+                fold.waiting.remove(rider)
+                if not fold.waiting and fold.own is not None:
+                    del self._folds[key]
+                    ready.append(fold.folded())
+        return ready
+
+    def expire(self, now: float) -> list[AppendEntriesResponse]:
+        """Close every fold whose deadline has passed: the riders still
+        silent will be relayed alone, if they answer at all."""
+        ready = []
+        for key, fold in list(self._folds.items()):
+            if fold.deadline > now:
+                break
+            if fold.waiting:
+                self._metrics["folds_expired"] += 1
+                fold.waiting.clear()
+            if fold.own is not None:
+                del self._folds[key]
+                ready.append(fold.folded())
+        return ready
+
+    def next_deadline(self) -> float | None:
+        """When the oldest fold still waiting for a rider expires."""
+        for fold in self._folds.values():
+            if fold.waiting:
+                return fold.deadline
+        return None

@@ -63,6 +63,10 @@ class PeerProgress:
     window_entries: int = 0
     # Tail indexes of entry-bearing appends sent but not yet acked.
     inflight: list = field(default_factory=list)
+    # When the oldest of them was sent, or the newest ack since arrived:
+    # a rider's retry clock. Every ride refreshes its last_sent_time, so
+    # that one never runs out for a rider whose head keeps being sent.
+    inflight_since: float = 0.0
     inflight_hwm: int = 0
     suppressed_heartbeats: int = 0
 

@@ -50,6 +50,18 @@ class TestRunOnce:
         assert replayed.scripted
 
 
+class TestReplayCli:
+    def test_scripted_replay_injects_the_recorded_faults(self, tmp_path, capsys):
+        from repro.check.__main__ import main
+
+        outcome = run_once(SCENARIOS["crashes"], seed=0, mutation="election-own-region-only")
+        bundle = write_bundle(outcome, tmp_path)
+        assert main(["--replay", str(bundle), "--scripted", "--quiet"]) == 1
+        assert capsys.readouterr().out.startswith("scripted replayed crashes seed=0:")
+        assert replay_bundle(bundle, scripted=True).scripted
+        assert not replay_bundle(bundle).scripted
+
+
 class TestProxyCrashSchedule:
     def test_half_the_episodes_cascade_onto_the_regions_first_logtailer(self):
         from repro.cluster.replicaset import MyRaftReplicaset

@@ -115,6 +115,41 @@ class TestCommitLedger:
         assert suite.commit_floor == {"a": 1, "b": 1}
 
 
+class GtidStorage(FakeStorage):
+    """A log that knows which GTID each entry carries."""
+
+    def __init__(self, entries, gtids):
+        super().__init__(entries)
+        self._gtids = gtids
+
+    def gtid_at(self, index):
+        return self._gtids.get(index)
+
+
+class TestGtidUniqueness:
+    def gtid_node(self, name, entries, gtids):
+        node = FakeNode(name, entries=entries)
+        node.storage = GtidStorage(entries, gtids)
+        return node
+
+    def test_a_gtid_reissued_at_another_index_is_flagged(self):
+        suite = InvariantSuite()
+        node = self.gtid_node(
+            "a", [entry(1), entry(2, term=2)], {1: "UUID-A:1", 2: "UUID-A:1"}
+        )
+        suite.on_commit_advance(node, 0, 2)
+        assert [v.invariant for v in suite.violations] == ["GtidUniqueness"]
+
+    def test_the_same_entry_committed_on_every_member_is_clean(self):
+        suite = InvariantSuite()
+        for name in ("a", "b"):
+            node = self.gtid_node(
+                name, [entry(1), entry(2)], {1: "UUID-A:1", 2: "UUID-A:2"}
+            )
+            suite.on_commit_advance(node, 0, 2)
+        assert suite.ok and suite.gtids == {"UUID-A:1": OpId(1, 1), "UUID-A:2": OpId(1, 2)}
+
+
 class TestQuorumIntersection:
     def test_disjoint_quorums_flagged(self):
         suite = InvariantSuite()

@@ -113,6 +113,39 @@ class TestMembershipAutomation:
             "v": "y",
         }
 
+    def test_reimage_reads_the_membership_before_the_wipe(self, cluster):
+        # No writable primary, and the member being reimaged is the only
+        # live database holding the config that added it: the config must
+        # be read before its host goes down, or the member is "unknown".
+        automation = MembershipAutomation(cluster)
+        new_member = MemberInfo("region1-db2", "region1", MemberType.VOTER, True)
+        assert automation.run_replace("region1-db1", new_member).succeeded
+        cluster.run(2.0)
+        cluster.crash("region1-db1")
+        cluster.crash("region0-db1")
+        service = cluster.reimage_member("region1-db2")
+        assert "region1-db2" in service.node.membership
+
+    def test_membership_survives_a_purge_past_its_config_entries(self, cluster):
+        # The primary compacts its log past the replacement's CONFIG
+        # entries, then restarts: it must rebuild the current membership,
+        # not the construction-time member list.
+        automation = MembershipAutomation(cluster)
+        new_member = MemberInfo("region1-db2", "region1", MemberType.VOTER, True)
+        assert automation.run_replace("region1-db1", new_member).succeeded
+        primary = cluster.primary_service()
+        config_index = primary.node.membership.config_index
+        cluster.write_and_run("t", {1: {"id": 1}}, seconds=1.0)
+        primary.flush_binary_logs()
+        cluster.write_and_run("t", {2: {"id": 2}}, seconds=1.0)
+        primary.snapshot_and_compact()
+        assert primary.storage.first_index() > config_index
+        cluster.crash("region0-db1")
+        cluster.restart("region0-db1")
+        view = primary.node.membership
+        assert "region1-db2" in view and "region1-db1" not in view
+        assert view.config_index == config_index
+
     def test_cannot_replace_current_leader(self, cluster):
         automation = MembershipAutomation(cluster)
         new_member = MemberInfo("region0-db2", "region0", MemberType.VOTER, True)

@@ -234,6 +234,31 @@ class TestGracefulPromotion:
         assert cluster.databases_converged()
 
 
+class TestReimagedExPrimary:
+    def test_promoted_again_it_issues_gtids_nobody_has_executed(self, cluster):
+        # region0-db1 commits GTIDs as primary, hands leadership over, is
+        # wiped and rejoins (its GTID counter lives on the wiped disk), and
+        # is promoted again. Its next write must carry a fresh GTID: every
+        # replica skips one it already executed as a re-delivery.
+        for i in range(1, 4):
+            cluster.write_and_run("t", {i: {"id": i}}, seconds=0.5)
+        cluster.transfer_leadership("region1-db1")
+        cluster.run(5.0)
+        assert cluster.wait_for_primary().host.name == "region1-db1"
+        cluster.reimage_member("region0-db1")
+        cluster.run(8.0)
+        cluster.transfer_leadership("region0-db1")
+        cluster.run(5.0)
+        primary = cluster.wait_for_primary()
+        assert primary.host.name == "region0-db1"
+        process = primary.submit_write("t", {9: {"id": 9}})
+        cluster.run(5.0)
+        assert process.done() and not process.failed()
+        for service in cluster.database_services():
+            assert service.mysql.engine.table("t").get(9) == {"id": 9}, service.host.name
+        assert cluster.databases_converged()
+
+
 class TestCrashRecovery:
     def test_replica_crash_recovery_reapplies(self, cluster):
         cluster.write_and_run("t", {1: {"id": 1}}, seconds=2.0)

@@ -7,12 +7,16 @@ those proxies must get it from their proxy. Direct delivery ships 17
 copies. The faulted case pins the same thing where it used to break: a
 region whose database — its preferred proxy — is down is still fed one
 copy, through the logtailer that took the role (DESIGN.md §15, rule 4),
-and the dead database is only probed (rule 2).
+and the dead database is only probed (rule 2). The acks pin the way back:
+each region answers an append with one WAN ack, its head's, into which
+the members behind it folded theirs (rule 1).
 Deterministic (simulated bytes, fixed seed): a pin, not a benchmark.
 """
 
+from collections import Counter
+
 from repro.cluster import MyRaftReplicaset, paper_topology
-from repro.raft.messages import AppendEntriesRequest
+from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
 from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
 
 from tests.raft.harness import record_sends, wan_bytes_by_kind, wan_entries_into
@@ -49,6 +53,36 @@ def test_fixed_seed_sysbench_run_ships_one_payload_copy_per_region():
     assert REMOTE_REGIONS <= copies <= MAX_WAN_COPIES_PER_WRITE
     assert cluster.databases_converged() and cluster.logs_prefix_equal()
     assert sum(s.node.metrics["proxy_degrades"] for s in cluster.services.values()) == 0
+
+
+def test_fixed_seed_sysbench_run_costs_a_region_one_wan_ack_per_append():
+    cluster = MyRaftReplicaset(
+        paper_topology(), seed=SEED, timing=sysbench_timing(myraft=True)
+    )
+    cluster.bootstrap()
+    region = {name: host.region for name, host in cluster.hosts.items()}
+    leader_region = region[cluster.primary_service().host.name]
+    sent = record_sends(cluster.net)
+    result = WorkloadRunner(cluster, sysbench_workload()).run(0.25)
+    cluster.run(1.0)  # drain
+    windows, empties, acks, folded = Counter(), Counter(), Counter(), Counter()
+    for src, dst, m in sent:
+        if region[src] == region[dst]:
+            continue
+        if isinstance(m, AppendEntriesRequest):
+            (windows if m.entries else empties)[region[dst]] += 1
+        elif isinstance(m, AppendEntriesResponse):
+            acks[region[src]] += 1
+            folded[region[src]] += len(m.riders)
+
+    assert result.errors == 0 and result.committed > 400
+    remote = set(region.values()) - {leader_region}
+    assert set(windows) == remote and len(remote) == REMOTE_REGIONS
+    # One WAN ack per append a region is sent, whether it carried entries
+    # (18–19 windows a region at this seed) or not (3–4 heartbeats).
+    # Riders that answer for themselves cost a region 57–80 acks here.
+    assert all(acks[r] <= windows[r] + empties[r] for r in remote)
+    assert all(folded[r] >= windows[r] for r in remote)
 
 
 def test_region_whose_database_is_down_is_still_fed_one_payload_copy():

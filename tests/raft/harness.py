@@ -8,6 +8,7 @@ from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.log_storage import InMemoryLogStorage
 from repro.raft.membership import MembershipConfig
 from repro.raft.messages import (
+    RPC_HEADER_BYTES,
     AppendEntriesRequest,
     AppendEntriesResponse,
     InstallSnapshotChunk,
@@ -61,7 +62,9 @@ def wan_entries_into(sent, region_of: dict, region: str) -> int:
     )
 
 
-WAN_KINDS = ("fanout", "direct", "proxy_op", "probe", "ack", "vote", "snapshot", "other")
+WAN_KINDS = (
+    "fanout", "direct", "proxy_op", "probe", "ack", "folded", "vote", "snapshot", "other",
+)
 
 
 def wan_kind(message) -> str:
@@ -69,7 +72,8 @@ def wan_kind(message) -> str:
     head forwards to riders (``fanout``) or that serves its addressee
     alone (``direct``), PROXY_OP metadata, an empty append (``probe``: a
     heartbeat or a probe of a silent peer), an append response, election
-    traffic, snapshot transfer, or anything else."""
+    traffic, snapshot transfer, or anything else. (The rider ids a head
+    folded into its ack count as ``folded``: see :func:`wan_bytes_by_kind`.)"""
     if isinstance(message, AppendEntriesRequest):
         if message.entries:
             return "fanout" if message.fanout else "direct"
@@ -88,11 +92,16 @@ def wan_kind(message) -> str:
 
 def wan_bytes_by_kind(sent, region_of: dict) -> dict[str, int]:
     """Wire bytes of the recorded sends that cross regions, by
-    :func:`wan_kind`. Every kind is present, zero or not."""
+    :func:`wan_kind`; an ack's own header counts as ``ack`` and the rider
+    ids folded into it as ``folded``. Every kind is present, zero or not."""
     totals = dict.fromkeys(WAN_KINDS, 0)
     for src, dst, message in sent:
         if region_of.get(src) != region_of.get(dst):
-            totals[wan_kind(message)] += message_wire_size(message)
+            size = message_wire_size(message)
+            if isinstance(message, AppendEntriesResponse) and message.riders:
+                totals["folded"] += size - RPC_HEADER_BYTES
+                size = RPC_HEADER_BYTES
+            totals[wan_kind(message)] += size
     return totals
 
 

@@ -132,3 +132,26 @@ class TestRemoveMember:
         leader = ring.current_leader()
         assert leader.name == "n2"
         assert "n4" not in leader.membership
+
+
+class TestConfigKeptBelowAPurge:
+    def test_a_restart_after_the_purge_rebuilds_the_config_in_effect_there(self):
+        ring = RaftRing([voter(f"n{i}") for i in range(1, 5)])
+        leader = ring.bootstrap("n1")
+        leader.remove_member("n4")
+        ring.run(2.0)
+        ring.commit_and_run(b"x")
+        # A newer config is written but cannot commit, so it is retained
+        # above the purge horizon while the committed one below is purged.
+        ring.host("n2").crash()
+        ring.host("n3").crash()
+        leader.remove_member("n3")
+        horizon = leader.membership.config_index
+        leader.keep_config_below(horizon)
+        leader.storage.purge_below(horizon)
+        # A later leader truncates the uncommitted config; the log then
+        # holds no CONFIG entry and a restart falls back to the durable one.
+        leader.storage.truncate_from(horizon)
+        ring.host("n1").crash()
+        ring.host("n1").restart()
+        assert leader.membership.names() == ["n1", "n2", "n3"]
