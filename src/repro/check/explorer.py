@@ -192,6 +192,9 @@ class ExploreReport:
     # witness the parallel explorer is audited against (same digests for
     # every --jobs value).
     digests: list = field(default_factory=list)
+    # Per scenario, every monitor's check count summed over its seeds:
+    # what the sweep actually exercised.
+    checks: dict = field(default_factory=dict)  # scenario -> {check: total}
 
     @property
     def ok(self) -> bool:
@@ -260,6 +263,9 @@ def explore(
     ):
         report.runs += 1
         report.digests.append(outcome.digest())
+        totals = report.checks.setdefault(name, {})
+        for check, count in outcome.checks.items():
+            totals[check] = totals.get(check, 0) + count
         if not outcome.ok:
             report.failures.append(outcome)
             if bundle_dir is not None:

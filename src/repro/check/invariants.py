@@ -289,9 +289,8 @@ class InvariantSuite:
     def on_consistent_read(
         self, node, mode: str, read_index: int, applied_index: int
     ) -> None:
-        """Called by the plugin at the instant a ReadIndex-style read is
-        served from the local engine (repro.reads; never for the legacy
-        barrier mode, whose reads are ordinary committed transactions).
+        """Called by the plugin at the instant a read is served from the
+        local engine (repro.reads): every MyRaft read, in either mode.
 
         ReadIndexSafety: a read must never be served before the engine has
         applied through its ReadIndex.

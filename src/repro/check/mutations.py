@@ -130,6 +130,26 @@ def _lease_never_expires() -> Callable[[], None]:
     return undo
 
 
+def _read_skips_apply_wait() -> Callable[[], None]:
+    """A ReadIndex read is served as soon as its index is confirmed,
+    without waiting for the local engine to apply through it. A member
+    whose engine lags the committed log answers from it →
+    ReadIndexSafety, and a stale read in the history."""
+    from repro.plugin.raft_plugin import MyRaftServer
+
+    original = MyRaftServer._applied_through
+
+    def mutated(self, read_index):
+        return True
+
+    MyRaftServer._applied_through = mutated
+
+    def undo() -> None:
+        MyRaftServer._applied_through = original
+
+    return undo
+
+
 def _grantor_history_ignored() -> Callable[[], None]:
     """Candidates drop the voting history piggybacked by voters that
     *granted* — the half of the history the election-safety argument
@@ -182,6 +202,11 @@ MUTATIONS: dict[str, Mutation] = {
             "lease-never-expires",
             "leader leases never expire; deposed leaders keep serving reads",
             _lease_never_expires,
+        ),
+        Mutation(
+            "read-skips-apply-wait",
+            "reads are served without waiting to apply through their ReadIndex",
+            _read_skips_apply_wait,
         ),
     )
 }

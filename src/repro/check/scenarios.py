@@ -73,7 +73,7 @@ class Scenario:
     # Consistent-read path (repro.reads): RaftConfig.read_mode plus the
     # workload's read routing ("sticky" keeps clients reading a deposed
     # leader — the hazard lease safety is about).
-    read_mode: str = "barrier"
+    read_mode: str = "read_index"
     read_routing: str = "primary"
     # Mid-run member reimages (wipe + restore-from-backup + rejoin), the
     # snapshot subsystem's churn drill: each reimage forces an image or

@@ -47,6 +47,16 @@ from repro.snapshot import (
     seed_engine_namespaces,
 )
 
+# Capacity of the primary's last-writer writeset history; when it fills,
+# the history resets and parallelism falls back to group boundaries until
+# it re-warms (mirrors binlog_transaction_dependency_history_size).
+WRITESET_HISTORY_SIZE = 2000
+# Delta re-base policy: when more than this fraction of the engine's rows
+# changed since the follower's base, ship a full image instead — a delta
+# that rewrites most of the database saves nothing and leaves a longer
+# chain to verify.
+SNAPSHOT_DELTA_MAX_FRACTION = 0.5
+
 
 class _RaftDiskTiming(TimingModel):
     """Follower-side relay-log write cost before the AppendEntries ack."""
@@ -215,7 +225,7 @@ class MyRaftServer:
         self.applier = None
         # Fresh logical clock per leadership: sequence numbers restart at
         # zero and replicas key the domain off the OpId term.
-        self._clock = LogicalClock(history_size=self.raft_config.writeset_history_size)
+        self._clock = LogicalClock(history_size=WRITESET_HISTORY_SIZE)
 
     # -- pipeline stage behaviours ---------------------------------------------------
 
@@ -426,7 +436,7 @@ class MyRaftServer:
             return None  # base predates the tracking floor (or tracking broke)
         changed_rows = sum(len(touched) for touched in changes.values())
         total_rows = max(1, engine.row_count())
-        if changed_rows > self.raft_config.snapshot_delta_max_fraction * total_rows:
+        if changed_rows > SNAPSHOT_DELTA_MAX_FRACTION * total_rows:
             return None  # re-base: most of the database changed anyway
         image = build_delta(
             source=self.host.name,
@@ -499,26 +509,18 @@ class MyRaftServer:
 
     def submit_read(self, table: str, pk):
         """Run one linearizable read; returns a Process resolving to
-        ``(opid | None, row | None)``.
+        ``(None, row | None)``.
 
-        ``read_mode == "barrier"`` keeps the legacy commit-pipeline read
-        barrier (an empty marker transaction through consensus). The
-        ``repro.reads`` modes instead obtain a ReadIndex — via a quorum
-        probe round, a valid leader lease, or a remote fetch from the
-        leader — wait for the local engine to apply through it, and serve
-        from the local engine with no log append.
+        The read obtains a ReadIndex (``repro.reads``) — from a quorum
+        probe round, a valid leader lease, or a fetch from the leader —
+        waits for the local engine to apply through it, and serves from
+        the local engine with no log append.
         """
-        if self.raft_config.read_mode == "barrier":
-            return self.host.spawn(
-                self.mysql.client_read(table, pk), label=f"{self.host.name}:read"
-            )
         return self.host.spawn(
             self._consistent_read(table, pk), label=f"{self.host.name}:read"
         )
 
     def _consistent_read(self, table: str, pk):
-        """ReadIndex-style read (§repro.reads): barrier on the consensus
-        commit frontier, wait for apply, serve locally."""
         timeout = self.raft_config.read_barrier_timeout
         read_index = yield with_timeout(
             self.host.loop, self.node.request_read_index(), timeout

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# §6.2: three consecutive missed heartbeats start an election.
+MISSED_HEARTBEATS_FOR_ELECTION = 3
+
 
 @dataclass
 class RaftConfig:
@@ -16,7 +19,6 @@ class RaftConfig:
 
     # -- failure detection / elections --------------------------------------
     heartbeat_interval: float = 0.5
-    missed_heartbeats_for_election: int = 3
     # Random extra election timeout in [0, jitter] decorrelates candidates.
     election_timeout_jitter: float = 0.5
     # How long a candidate waits for votes before retrying at a higher term.
@@ -24,18 +26,9 @@ class RaftConfig:
     # Run a mock election before TransferLeadership (§4.3).
     enable_mock_election: bool = True
     mock_election_timeout: float = 1.0
-    # A mock-election voter in the candidate's region denies its vote when
-    # it is *unhealthily* behind the cursor: more than this many entries,
-    # or silent from the leader beyond the failure-detection window.
-    # (A few entries of in-flight replication lag must not fail transfers.)
-    mock_election_max_lag_entries: int = 500
-    # After quiescing for a transfer, how long to wait for the target to
-    # catch up before aborting and restoring write availability.
-    transfer_catchup_timeout: float = 5.0
 
     # -- replication ---------------------------------------------------------
     max_entries_per_append: int = 64
-    max_bytes_per_append: int = 1 << 20
     # Resend window: if a follower hasn't acked for this long, retry.
     append_retry_interval: float = 0.25
 
@@ -47,12 +40,9 @@ class RaftConfig:
     # Flow control: entry-bearing AppendEntries a peer may have in flight
     # (sent, unacked) before the leader stops pipelining new windows to
     # it. Retries after append_retry_interval still go out regardless.
+    # The adaptive per-append window doubles from a small start up to
+    # max_entries_per_append (raft/node.py, APPEND_WINDOW_MIN).
     max_inflight_windows: int = 4
-    # Adaptive per-append window: starts at append_window_min entries,
-    # doubles on every cleanly acked window up to max_entries_per_append,
-    # and collapses back to the minimum on a rejection or retry timeout
-    # (slow-start, the Fast Raft / TCP-style flow-control shape).
-    append_window_min: int = 8
 
     # -- proxying (§4.2): a fault-path timer; the route itself is the
     # node's ProxyRouter, not a switch here, and a proxy that stops
@@ -80,39 +70,22 @@ class RaftConfig:
     # cap, collapsing on a retry timeout; 1 reproduces the legacy
     # stop-and-wait transfer exactly.
     snapshot_max_inflight_chunks: int = 8
-    # Incremental (delta) snapshots: a transfer to a follower with a
-    # usable engine base ships only the rows changed since that base.
-    # Re-base policy: when more than this fraction of the engine's rows
-    # changed since the follower's base, ship a full image instead — a
-    # delta that rewrites most of the database saves nothing and leaves
-    # a longer chain to verify.
-    snapshot_delta_max_fraction: float = 0.5
 
     # -- parallel replica apply (MTS, §3.5) ----------------------------------
     # Number of applier worker coroutines on replicas. 1 reproduces the
     # legacy serial applier exactly (same RNG draws, same schedule); >1
     # enables the LOGICAL_CLOCK dependency scheduler for A/B benches.
     parallel_apply_workers: int = 1
-    # Primary-side WRITESET relaxation: non-conflicting
-    # transactions get a commit parent below their group floor so replicas
-    # can overlap apply across group-commit boundaries.
-    # Capacity of the primary's last-writer writeset history; when it
-    # fills, the history resets and parallelism falls back to group
-    # boundaries until it re-warms (mirrors
-    # binlog_transaction_dependency_history_size).
-    writeset_history_size: int = 2000
 
     # -- consistent reads (repro.reads) --------------------------------------
-    # barrier     — legacy commit-pipeline read barrier (a consensus round
-    #               per read, via an empty marker transaction);
-    # read_index  — leader captures commit_index, confirms leadership with
-    #               one batched quorum probe round, serves locally;
-    # lease       — quorum probe acks extend a clock-bound leader lease;
-    #               a valid lease serves reads with zero network rounds;
-    # follower    — non-leaders fetch the leader's ReadIndex (optionally
-    #               via the §4.2 proxy path), wait for their applier, and
-    #               serve locally.
-    read_mode: str = "barrier"
+    # read_index  — the leader captures commit_index and confirms its
+    #               leadership with one batched quorum probe round; any
+    #               other member fetches that index from the leader. The
+    #               read is served once the local engine has applied it.
+    # lease       — as read_index, but quorum probe acks also extend a
+    #               clock-bound leader lease, and a valid lease answers
+    #               with zero network rounds.
+    read_mode: str = "read_index"
     # Lease window credited per quorum-acked probe round, measured from
     # the round's send time. Safety: the drift-padded window must end
     # before a natural election can complete (see validate()).
@@ -126,23 +99,17 @@ class RaftConfig:
     read_barrier_timeout: float = 2.0
 
     def election_timeout_base(self) -> float:
-        return self.heartbeat_interval * self.missed_heartbeats_for_election
+        return self.heartbeat_interval * MISSED_HEARTBEATS_FOR_ELECTION
 
     def validate(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.missed_heartbeats_for_election < 1:
-            raise ValueError("missed_heartbeats_for_election must be >= 1")
         if self.max_entries_per_append < 1:
             raise ValueError("max_entries_per_append must be >= 1")
         if self.propose_batch_max < 1:
             raise ValueError("propose_batch_max must be >= 1")
         if self.max_inflight_windows < 1:
             raise ValueError("max_inflight_windows must be >= 1")
-        if not 1 <= self.append_window_min <= self.max_entries_per_append:
-            raise ValueError(
-                "append_window_min must be in [1, max_entries_per_append]"
-            )
         if self.snapshot_chunk_bytes < 1:
             raise ValueError("snapshot_chunk_bytes must be >= 1")
         if self.snapshot_max_bytes_per_sec <= 0:
@@ -151,13 +118,9 @@ class RaftConfig:
             raise ValueError("snapshot_retry_interval must be positive")
         if self.snapshot_max_inflight_chunks < 1:
             raise ValueError("snapshot_max_inflight_chunks must be >= 1")
-        if not 0.0 < self.snapshot_delta_max_fraction <= 1.0:
-            raise ValueError("snapshot_delta_max_fraction must be in (0, 1]")
         if self.parallel_apply_workers < 1:
             raise ValueError("parallel_apply_workers must be >= 1")
-        if self.writeset_history_size < 1:
-            raise ValueError("writeset_history_size must be >= 1")
-        if self.read_mode not in ("barrier", "read_index", "lease", "follower"):
+        if self.read_mode not in ("read_index", "lease"):
             raise ValueError(f"unknown read_mode {self.read_mode!r}")
         if not 0.0 <= self.clock_drift_bound < 0.01:
             raise ValueError("clock_drift_bound must be in [0, 0.01)")

@@ -342,18 +342,12 @@ class ReadProbeResponse:
 class ReadIndexRequest:
     """Follower/learner → leader: fetch a confirmed ReadIndex so the
     requester can serve a read locally once its applier reaches it.
-
-    ``final_dest`` is the leader; when ``route`` is non-empty the request
-    travels through the in-region proxy path (§4.2) — each hop pops
-    itself off ``route`` — so follower reads reuse the same cross-region
-    topology as replication fan-in. The response returns directly (it is
-    header-sized either way)."""
+    Sent straight to the leader, and answered straight back: it is
+    header-sized, so no hop on the region tree could batch it."""
 
     term: int
     requester: str
     request_id: int
-    final_dest: str = ""
-    route: tuple = ()  # tuple[str, ...]
 
     wire_size: int = RPC_HEADER_BYTES
 

@@ -73,6 +73,21 @@ _ELECTION_COUNTERS = (
     "elections_started", "elections_won", "pre_votes_started",
     "pre_votes_abandoned", "elections_abandoned", "handoff_attempts",
 )
+# Adaptive per-append window: starts at this many entries, doubles on
+# every cleanly acked window up to max_entries_per_append, and collapses
+# back on a rejection or retry timeout (slow-start, the Fast Raft /
+# TCP-style flow-control shape).
+APPEND_WINDOW_MIN = 8
+# Byte cap on the entries one AppendEntries window carries.
+MAX_BYTES_PER_APPEND = 1 << 20
+# A mock-election voter in the candidate's region denies its vote when it
+# is *unhealthily* behind the cursor: more than this many entries, or
+# silent from the leader beyond the failure-detection window. (A few
+# entries of in-flight replication lag must not fail transfers.)
+MOCK_ELECTION_MAX_LAG_ENTRIES = 500
+# After quiescing for a transfer, how long to wait for the target to
+# catch up before aborting and restoring write availability.
+TRANSFER_CATCHUP_TIMEOUT = 5.0
 
 
 class RaftNode:
@@ -160,7 +175,6 @@ class RaftNode:
             "replication_rounds": 0,
             "read_probe_rounds": 0,
             "read_rounds_confirmed": 0,
-            "read_index_forwards": 0,
             "read_index_fetches": 0,
             "lease_reads": 0,
             "proposals": 0,
@@ -211,10 +225,6 @@ class RaftNode:
         self.reads = ReadManager(self)
         self.lease: LeaderLease | None = None
         self._lease_holdoff_hint = 0.0
-        self._read_fetch_waiters: list[SimFuture] = []
-        self._read_fetch_queue: list[SimFuture] = []  # for the next fetch
-        self._read_fetch_inflight = False
-        self._read_fetch_id = 0
         if self._is_voter:
             self._reset_election_timer()
 
@@ -415,7 +425,7 @@ class RaftNode:
             self._pending_transfer.fail_if_pending(RaftError(f"{self.name} crashed"))
         crash_error = RaftError(f"{self.name} crashed")
         self.reads.fail_all(crash_error)
-        self._fail_read_fetches(crash_error)
+        self.reads.fetches.fail_all(crash_error)
 
     def on_restart(self) -> None:
         self._init_volatile()
@@ -767,7 +777,7 @@ class RaftNode:
             self.last_opid.index,
             flow=FlowControl(
                 max_inflight_windows=self.config.max_inflight_windows,
-                window_min=self.config.append_window_min,
+                window_min=APPEND_WINDOW_MIN,
                 window_max=self.config.max_entries_per_append,
             ),
             silent=tally.silent if tally is not None else frozenset(),
@@ -1042,10 +1052,9 @@ class RaftNode:
         # stickiness window open so it denies disruptive vote requests.
         self._last_leader_contact = self.host.loop.now
         self._replicate_all(force=True)
-        if self.config.read_mode != "barrier":
-            # Lease mode: every tick earns a quorum round so the lease
-            # stays continuously valid; all modes: re-send stalled probes.
-            self.reads.keepalive()
+        # Lease mode: every tick earns a quorum round so the lease stays
+        # continuously valid; both modes: re-send stalled probes.
+        self.reads.keepalive()
         self._schedule_heartbeat()
 
     def _replicate_all(self, force: bool) -> None:
@@ -1186,7 +1195,7 @@ class RaftNode:
             if window is not None:
                 return window
         entries = tuple(
-            self._entries_for_send(start, limit, self.config.max_bytes_per_append)
+            self._entries_for_send(start, limit, MAX_BYTES_PER_APPEND)
         )
         window = windows[key] = (OpId(prev_term, prev_index), entries)
         return window
@@ -1889,7 +1898,7 @@ class RaftNode:
             far_behind = (
                 req.cursor is not None
                 and req.cursor.index - self.last_opid.index
-                > self.config.mock_election_max_lag_entries
+                > MOCK_ELECTION_MAX_LAG_ENTRIES
             )
             if same_region and behind and (stale_contact or far_behind):
                 granted, reason = False, "lagging in candidate region"
@@ -1968,7 +1977,7 @@ class RaftNode:
             # expires_at is kept so TimeoutNow can size the holdoff.
             self.lease.cede()
         self.host.call_after(
-            self.config.transfer_catchup_timeout,
+            TRANSFER_CATCHUP_TIMEOUT,
             self._transfer_catchup_expired,
             target,
             self.current_term,
@@ -2037,90 +2046,8 @@ class RaftNode:
     # ---------------------------------------------- consistent reads (repro.reads)
 
     def request_read_index(self) -> SimFuture:
-        """Entry point for consistent reads: a future resolving to a
-        quorum-confirmed read index, wherever this node sits in the ring.
-
-        - Leader with a valid lease: resolved immediately from
-          ``commit_index`` — zero network rounds.
-        - Leader without a (valid) lease: joins the next batched
-          ReadIndex probe round.
-        - Follower/learner: fetches the leader's ReadIndex over one
-          (batched, possibly proxied) RPC.
-        """
-        if self.is_leader:
-            if self.lease is not None and self.lease.valid():
-                self.metrics["lease_reads"] += 1
-                future = SimFuture(self.host.loop, label=f"lease-read:{self.name}")
-                future.resolve(self.commit_index)
-                return future
-            return self.reads.acquire_read_index()
-        return self._fetch_remote_read_index()
-
-    def _fetch_remote_read_index(self) -> SimFuture:
-        future = SimFuture(self.host.loop, label=f"read-fetch:{self.name}")
-        if self.leader_id is None or self.leader_id == self.name:
-            future.fail(NotLeaderError(f"{self.name} knows no leader"))
-            return future
-        # One fetch in flight per node, batched like the leader's probe
-        # rounds: a read arriving while one is in flight waits for the
-        # *next* fetch — the running one's index may have been captured
-        # before this read was invoked.
-        self._read_fetch_queue.append(future)
-        if not self._read_fetch_inflight:
-            self._start_read_fetch()
-        return future
-
-    def _start_read_fetch(self) -> None:
-        self._read_fetch_waiters, self._read_fetch_queue = self._read_fetch_queue, []
-        self._read_fetch_id += 1
-        self._read_fetch_inflight = True
-        self._send_read_fetch(self._read_fetch_id)
-
-    def _fail_read_fetches(self, error: Exception) -> None:
-        waiters = self._read_fetch_waiters + self._read_fetch_queue
-        self._read_fetch_waiters, self._read_fetch_queue = [], []
-        self._read_fetch_inflight = False
-        for waiter in waiters:
-            waiter.fail_if_pending(error)
-
-    def _send_read_fetch(self, request_id: int, resend: bool = False) -> None:
-        if not self._read_fetch_inflight or request_id != self._read_fetch_id:
-            return
-        self._read_fetch_waiters = [w for w in self._read_fetch_waiters if not w.done()]
-        leader = self.leader_id
-        if leader is None or leader == self.name:
-            self._fail_read_fetches(NotLeaderError(f"{self.name} knows no leader"))
-            return
-        if not self._read_fetch_waiters:  # every caller gave up (timed out)
-            self._read_fetch_inflight = False
-            if self._read_fetch_queue:
-                self._start_read_fetch()
-            return
-        self.metrics["read_index_fetches"] += 1
-        # Whatever path swallowed the first attempt, the re-send skips it
-        # (the fan-in twin of §4.2.3's route-around): straight to the leader.
-        hops = [] if resend else self._read_fetch_hops(leader)
-        request = ReadIndexRequest(
-            term=self.current_term,
-            requester=self.name,
-            request_id=request_id,
-            final_dest=leader,
-            route=tuple(hops[1:]),
-        )
-        self.host.send(hops[0] if hops else leader, request)
-        # Re-send while waiters remain (drops, leader change); the clients
-        # behind the waiters carry the overall timeout.
-        self.host.call_after(
-            self.config.append_retry_interval, self._send_read_fetch, request_id, True
-        )
-
-    def _read_fetch_hops(self, leader: str) -> list[str]:
-        """Proxy hops toward the leader (§4.2 fan-in): the same per-region
-        proxy replication fans out through."""
-        chain = self.router.chain_for(leader, self.name, self.membership)
-        if not chain:
-            return []
-        return [hop for hop in chain if hop != self.name]
+        """Entry point for consistent reads (see ``ReadManager.read_index``)."""
+        return self.reads.read_index()
 
     def _handle_read_probe(self, src: str, request: ReadProbeRequest) -> None:
         ok = self._accept_leader_authority(request.term, request.leader)
@@ -2133,97 +2060,6 @@ class RaftNode:
                 success=ok,
             ),
         )
-
-    def _handle_read_probe_response(self, src: str, response: ReadProbeResponse) -> None:
-        if response.term > self.current_term:
-            self._step_down(response.term, leader=None)
-            return
-        if response.success:
-            self.reads.on_ack(response.voter, response.round_id, response.term)
-
-    def _handle_read_index_request(self, src: str, request: ReadIndexRequest) -> None:
-        if request.final_dest and request.final_dest != self.name:
-            # We are a proxy hop: relay toward the leader.
-            self.metrics["read_index_forwards"] += 1
-            next_hop = request.route[0] if request.route else request.final_dest
-            self.host.send(
-                next_hop,
-                ReadIndexRequest(
-                    term=request.term,
-                    requester=request.requester,
-                    request_id=request.request_id,
-                    final_dest=request.final_dest,
-                    route=request.route[1:],
-                ),
-            )
-            return
-        if not self.is_leader:
-            self.host.send(
-                request.requester,
-                ReadIndexResponse(
-                    term=self.current_term,
-                    leader=self.name,
-                    request_id=request.request_id,
-                    read_index=0,
-                    success=False,
-                ),
-            )
-            return
-        if self.lease is not None and self.lease.valid():
-            # A valid lease answers the fetch without a probe round.
-            self.host.send(
-                request.requester,
-                ReadIndexResponse(
-                    term=self.current_term,
-                    leader=self.name,
-                    request_id=request.request_id,
-                    read_index=self.commit_index,
-                ),
-            )
-            return
-        future = self.reads.acquire_read_index()
-        requester, request_id = request.requester, request.request_id
-
-        def respond(done: SimFuture) -> None:
-            if not self.host.alive:
-                return
-            if done.exception() is not None:
-                response = ReadIndexResponse(
-                    term=self.current_term,
-                    leader=self.name,
-                    request_id=request_id,
-                    read_index=0,
-                    success=False,
-                )
-            else:
-                response = ReadIndexResponse(
-                    term=self.current_term,
-                    leader=self.name,
-                    request_id=request_id,
-                    read_index=done.result(),
-                )
-            self.host.send(requester, response)
-
-        future.add_done_callback(respond)
-
-    def _handle_read_index_response(self, src: str, response: ReadIndexResponse) -> None:
-        if response.term > self.current_term:
-            self._step_down(
-                response.term, leader=response.leader if response.success else None
-            )
-        if not self._read_fetch_inflight or response.request_id != self._read_fetch_id:
-            return
-        self._read_fetch_inflight = False
-        waiters, self._read_fetch_waiters = self._read_fetch_waiters, []
-        for waiter in waiters:
-            if response.success:
-                waiter.resolve_if_pending(response.read_index)
-            else:
-                waiter.fail_if_pending(
-                    NotLeaderError(f"{response.leader} is not (or no longer) leader")
-                )
-        if self._read_fetch_queue:
-            self._start_read_fetch()
 
     # --------------------------------------------------------- quorum fixer
 
@@ -2263,11 +2099,11 @@ class RaftNode:
         elif isinstance(message, ReadProbeRequest):
             self._handle_read_probe(src, message)
         elif isinstance(message, ReadProbeResponse):
-            self._handle_read_probe_response(src, message)
+            self.reads.on_probe_response(message)
         elif isinstance(message, ReadIndexRequest):
-            self._handle_read_index_request(src, message)
+            self.reads.answer_fetch(message)
         elif isinstance(message, ReadIndexResponse):
-            self._handle_read_index_response(src, message)
+            self.reads.fetches.on_response(message)
         elif isinstance(message, InstallSnapshotRequest):
             self._handle_install_snapshot(src, message)
         elif isinstance(message, InstallSnapshotChunk):

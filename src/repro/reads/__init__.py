@@ -1,27 +1,23 @@
-"""Consistent-read subsystem: ReadIndex, leader leases, follower reads.
+"""Consistent reads: every MyRaft read is a ReadIndex read.
 
-Three escalating read modes, A/B-selectable via
-:attr:`repro.raft.config.RaftConfig.read_mode`:
+A read obtains a quorum-confirmed read index, waits for the local engine
+to apply through it, and is served locally with no log append.
+:attr:`repro.raft.config.RaftConfig.read_mode` picks how the leader
+confirms the index:
 
-- ``barrier`` — the legacy commit-pipeline read barrier (a full consensus
-  round per read); lives in ``repro.mysql.server.client_read``.
-- ``read_index`` — the leader captures its commit index, confirms it is
-  still leader with one heartbeat-style quorum round, then serves every
-  read that was waiting on that round locally. Concurrent reads batch:
-  one round amortizes many barriers.
-- ``lease`` — quorum probe acks extend a clock-bound leader lease; while
-  the lease is valid the leader serves reads with *zero* network rounds.
-  Safe under bounded clock drift (``repro.sim.clock``) because the lease
-  window padded by the drift bound is strictly shorter than the follower
-  election-stickiness window, and leadership transfers cede the lease
-  explicitly.
-- ``follower`` — a follower (or learner) fetches the leader's ReadIndex,
-  waits for its local applier to reach it, and serves locally — the
-  read-side twin of §4.2 proxying: cross-region read traffic collapses
-  to one small RPC per batch.
+- ``read_index`` — one batched quorum probe round; concurrent reads
+  share it.
+- ``lease`` — probe acks also extend a clock-bound leader lease, and a
+  valid lease answers with *zero* network rounds. Safe under bounded
+  clock drift: the drift-padded lease ends before the election
+  stickiness window, and transfers cede it explicitly.
+
+Any other member fetches the leader's index (:mod:`repro.reads.fetch`).
+The marker-transaction read barrier is the semi-sync baseline's read.
 """
 
+from repro.reads.fetch import ReadIndexFetch
 from repro.reads.lease import LeaderLease
 from repro.reads.manager import ReadManager
 
-__all__ = ["LeaderLease", "ReadManager"]
+__all__ = ["LeaderLease", "ReadIndexFetch", "ReadManager"]

@@ -1,6 +1,7 @@
-"""Leader-side ReadIndex rounds: batch, probe, confirm, serve.
+"""ReadIndex reads: the node's entry point, and the leader's rounds.
 
-The manager owns the probe-round state machine:
+:meth:`ReadManager.read_index` starts every read; the leader answers a
+non-leader's fetch through the same probe-round state machine:
 
 - ``acquire_read_index()`` hands out a future that resolves to a
   *confirmed* read index. Reads arriving while a round is in flight are
@@ -24,7 +25,13 @@ fails every waiter on step-down.
 from __future__ import annotations
 
 from repro.errors import NotLeaderError
-from repro.raft.messages import ReadProbeRequest
+from repro.raft.messages import (
+    ReadIndexRequest,
+    ReadIndexResponse,
+    ReadProbeRequest,
+    ReadProbeResponse,
+)
+from repro.reads.fetch import ReadIndexFetch
 from repro.sim.coro import SimFuture
 
 
@@ -51,6 +58,28 @@ class ReadManager:
         self._round: _ProbeRound | None = None
         self._queue: list[SimFuture] = []
         self._next_round_id = 1
+        self.fetches = ReadIndexFetch(node)
+
+    def read_index(self) -> SimFuture:
+        """A future resolving to a quorum-confirmed read index, wherever
+        the node sits in the ring: zero rounds under a valid lease, one
+        batched probe round at any other leader, one fetch elsewhere."""
+        node = self.node
+        if not node.is_leader:
+            return self.fetches.fetch()
+        leased = self._leased_index()
+        if leased is None:
+            return self.acquire_read_index()
+        node.metrics["lease_reads"] += 1
+        future = SimFuture(node.host.loop, label=f"lease-read:{node.name}")
+        future.resolve(leased)
+        return future
+
+    def _leased_index(self) -> int | None:
+        node = self.node
+        if node.lease is not None and node.lease.valid():
+            return node.commit_index
+        return None
 
     # ------------------------------------------------------------- leader API
 
@@ -117,6 +146,39 @@ class ReadManager:
                 node.host.send(voter, request)
         if resend:
             round_.sent_at = node.host.loop.now
+
+    def on_probe_response(self, response: ReadProbeResponse) -> None:
+        node = self.node
+        if response.term > node.current_term:
+            node._step_down(response.term, leader=None)
+            return
+        if response.success:
+            self.on_ack(response.voter, response.round_id, response.term)
+
+    def answer_fetch(self, request: ReadIndexRequest) -> None:
+        """Answer a non-leader's fetch: at once under a valid lease, else
+        once the next probe round confirms; refuse if not leader."""
+        node = self.node
+
+        def respond(read_index: int | None) -> None:
+            node.host.send(request.requester, ReadIndexResponse(
+                term=node.current_term, leader=node.name, request_id=request.request_id,
+                read_index=read_index or 0, success=read_index is not None,
+            ))
+
+        if not node.is_leader:
+            respond(None)
+            return
+        leased = self._leased_index()
+        if leased is not None:
+            respond(leased)
+            return
+
+        def on_confirmed(done: SimFuture) -> None:
+            if node.host.alive:
+                respond(None if done.exception() is not None else done.result())
+
+        self.acquire_read_index().add_done_callback(on_confirmed)
 
     def on_ack(self, voter: str, round_id: int, term: int) -> None:
         round_ = self._round

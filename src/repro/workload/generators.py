@@ -31,8 +31,9 @@ class WorkloadSpec:
     key_space: int = 100_000
     rows_per_txn: int = 1
     value_bytes: int = 64
-    # Fraction of operations issued as linearizable reads (commit-barrier
-    # reads through the pipeline). 0.0 keeps the workload write-only and,
+    # Fraction of operations issued as linearizable reads (the target's
+    # submit_read: ReadIndex reads on MyRaft, the commit-pipeline barrier
+    # on the semi-sync baseline). 0.0 keeps the workload write-only and,
     # deliberately, draws nothing from the RNG — existing seeds replay
     # byte-identically.
     read_fraction: float = 0.0
@@ -42,7 +43,7 @@ class WorkloadSpec:
     #                using it (even across leadership changes — modeling
     #                a stale routing cache) until a read fails;
     # - "followers": each read picks a random live non-primary database
-    #                (the repro.reads follower/logtailer-read fan-out).
+    #                (each fetches the leader's ReadIndex, repro.reads).
     read_routing: str = "primary"
 
     def __post_init__(self) -> None:

@@ -37,6 +37,7 @@ class TestRunOnce:
         assert outcome.ok
         assert outcome.committed > 0
         assert outcome.checks["commits"] > 0
+        assert outcome.checks["reads"] > 0  # every read is a monitored ReadIndex read
         assert outcome.trace_tail
 
     def test_deterministic_digest(self):
@@ -110,13 +111,17 @@ class TestDdmin:
 
 class TestMutations:
     def test_all_mutations_restore_cleanly(self):
+        from repro.plugin.raft_plugin import MyRaftServer
+
         original_quorum = FlexiRaftPolicy.election_quorum_satisfied
         original_vote = RaftNode._evaluate_vote
+        original_applied = MyRaftServer._applied_through
         for name in MUTATIONS:
             with apply_mutation(name):
                 pass
         assert FlexiRaftPolicy.election_quorum_satisfied is original_quorum
         assert RaftNode._evaluate_vote is original_vote
+        assert MyRaftServer._applied_through is original_applied
 
     def test_grantor_history_mutation_drops_only_what_grantors_report(self):
         from repro.raft.messages import RequestVoteResponse
@@ -176,6 +181,7 @@ class TestParallelExplore:
         parallel = explore(["quick-parallel"], [3, 4], jobs=2)
         assert serial.runs == parallel.runs == 2
         assert serial.digests == parallel.digests
+        assert serial.checks == parallel.checks
 
     def test_jobs_zero_uses_auto_pool(self, monkeypatch):
         self._register_quick(monkeypatch)
@@ -206,6 +212,18 @@ class TestParallelExplore:
             assert (serial_dir / name).read_bytes() == (
                 parallel_dir / name
             ).read_bytes()
+
+    def test_sweep_prints_what_the_monitors_checked(self, monkeypatch, capsys):
+        from repro.check.__main__ import main
+
+        self._register_quick(monkeypatch)
+        assert main(["--scenario", "quick-parallel", "--seeds", "2", "--quiet"]) == 0
+        report = explore(["quick-parallel"], [1, 2])
+        totals = report.checks["quick-parallel"]
+        assert totals["reads"] > 0
+        out = capsys.readouterr().out
+        assert "checks per scenario, summed over 2 seeds:" in out
+        assert f"reads={totals['reads']}" in out
 
     def test_unknown_scenario_rejected_before_any_run(self):
         with pytest.raises(ReproError):
