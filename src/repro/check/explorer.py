@@ -172,6 +172,8 @@ def run_once(
         outcome.linearizable = report.ok
         outcome.lin_detail = report.describe()
         outcome.checks = {**suite.summary()["checks"], **drill_checks}
+        if scripted is not None:
+            outcome.checks.update(scripted.transfer_checks())
         outcome.history_stats = history.stats()
         events = injector.events if injector is not None else (
             scripted.events if scripted is not None else []

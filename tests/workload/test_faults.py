@@ -199,3 +199,33 @@ class TestElectionStormInjector:
         assert cluster.wait_for_primary() is not None
         for event in injector.events:
             assert FaultEvent.from_wire(event.to_wire()) == event
+
+
+class TestTransferFault:
+    def test_the_primary_promotes_the_target_and_the_schedule_counts_it(self):
+        cluster = paper_cluster(seed=3)
+        primary = cluster.wait_for_primary()
+        at = cluster.loop.now + 0.5
+        schedule = FaultSchedule([FaultEvent(at, "transfer", "region1-db1")])
+        schedule.arm(cluster)
+        cluster.run(4.0)
+        assert cluster.primary_service().host.name == "region1-db1"
+        assert primary.node.metrics["transfers_initiated"] == 1
+        assert schedule.transfer_checks() == {"transfers": 1, "transfers_failed": 0}
+
+    def test_a_transfer_to_the_primary_is_skipped_and_a_dead_target_fails(self):
+        cluster = paper_cluster(seed=3)
+        primary = cluster.wait_for_primary().host.name
+        cluster.crash("region2-db1")
+        now = cluster.loop.now
+        schedule = FaultSchedule([
+            FaultEvent(now + 0.5, "transfer", primary),
+            FaultEvent(now + 1.0, "transfer", "region2-db1"),
+        ])
+        schedule.arm(cluster)
+        cluster.run(4.0)
+        assert schedule.transfer_checks() == {"transfers": 1, "transfers_failed": 1}
+        assert cluster.primary_service().host.name == primary
+
+    def test_a_schedule_without_transfers_reports_none(self):
+        assert FaultSchedule([FaultEvent(1.0, "crash", "region1-lt1")]).transfer_checks() == {}
