@@ -70,9 +70,9 @@ def _vote_ignores_log_recency() -> Callable[[], None]:
     """Voters grant to candidates whose log is behind theirs. A stale
     candidate can then win and overwrite committed entries →
     LeaderCompleteness at election time."""
-    from repro.raft.node import RaftNode
+    from repro.raft.election import Election
 
-    original = RaftNode._evaluate_vote
+    original = Election.evaluate
 
     def mutated(self, req):
         granted, reason = original(self, req)
@@ -80,10 +80,10 @@ def _vote_ignores_log_recency() -> Callable[[], None]:
             return True, "ok"
         return granted, reason
 
-    RaftNode._evaluate_vote = mutated
+    Election.evaluate = mutated
 
     def undo() -> None:
-        RaftNode._evaluate_vote = original
+        Election.evaluate = original
 
     return undo
 
@@ -91,9 +91,9 @@ def _vote_ignores_log_recency() -> Callable[[], None]:
 def _double_vote() -> Callable[[], None]:
     """Voters forget who they voted for: two candidates can both collect
     the same grant in one term → ElectionSafety."""
-    from repro.raft.node import RaftNode
+    from repro.raft.election import Election
 
-    original = RaftNode._evaluate_vote
+    original = Election.evaluate
 
     def mutated(self, req):
         granted, reason = original(self, req)
@@ -101,10 +101,10 @@ def _double_vote() -> Callable[[], None]:
             return True, "ok"
         return granted, reason
 
-    RaftNode._evaluate_vote = mutated
+    Election.evaluate = mutated
 
     def undo() -> None:
-        RaftNode._evaluate_vote = original
+        Election.evaluate = original
 
     return undo
 
@@ -158,19 +158,19 @@ def _grantor_history_ignored() -> Callable[[], None]:
     this candidate's election quorum. Deniers' history is still absorbed.
     The candidate can then win disjointly from a leader it never heard
     of → LeaderCompleteness / StateMachineSafety."""
-    from repro.raft.node import RaftNode
+    from repro.raft.election import Election
 
-    original = RaftNode.__dict__["_absorb_vote_knowledge"]
+    original = Election.__dict__["absorb"]
 
     def mutated(tally, resp):
         if resp.granted:
             resp = replace(resp, vote_history=())
         original.__func__(tally, resp)
 
-    RaftNode._absorb_vote_knowledge = staticmethod(mutated)
+    Election.absorb = staticmethod(mutated)
 
     def undo() -> None:
-        RaftNode._absorb_vote_knowledge = original
+        Election.absorb = original
 
     return undo
 

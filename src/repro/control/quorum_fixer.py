@@ -115,7 +115,7 @@ class QuorumFixer:
         known leader's region (the previous data-commit quorum) whose log
         is covered by the chosen entity's log."""
         chosen_node = live[chosen].node
-        last_leader_region = chosen_node.last_known_leader_region
+        last_leader_region = chosen_node.election.last_known_leader_region
         for name, service in live.items():
             member = service.node.membership.member(name)
             if member is None or member.region != last_leader_region:

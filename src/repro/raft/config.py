@@ -19,13 +19,9 @@ class RaftConfig:
 
     # -- failure detection / elections --------------------------------------
     heartbeat_interval: float = 0.5
-    # Random extra election timeout in [0, jitter] decorrelates candidates.
-    election_timeout_jitter: float = 0.5
-    # How long a candidate waits for votes before retrying at a higher term.
-    vote_timeout: float = 1.0
-    # Run a mock election before TransferLeadership (§4.3).
+    # Run a mock election before TransferLeadership (§4.3); off is the
+    # paper's ablation.
     enable_mock_election: bool = True
-    mock_election_timeout: float = 1.0
 
     # -- replication ---------------------------------------------------------
     max_entries_per_append: int = 64

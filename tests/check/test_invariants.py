@@ -251,8 +251,8 @@ class TestLeaderWithin:
     def test_no_primary_while_a_quorum_is_up_is_flagged(self):
         cluster, suite, primary = self.cluster()
         for service in cluster.services.values():  # nobody ever campaigns
-            service.node._on_election_timeout = lambda: None
-            service.node.expire_election_timer()
+            service.node.election._on_timeout = lambda: None
+            service.node.election.expire_timer()
         cluster.crash(primary.host.name)
         cluster.run(4.0)
         assert [v.invariant for v in suite.violations] == ["LeaderWithin"]

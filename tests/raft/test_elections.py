@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import RaftError
+from repro.raft.election import ELECTION_TIMEOUT_JITTER, VOTE_TIMEOUT
 from repro.raft.messages import (
     AppendEntriesRequest,
     RequestVoteRequest,
@@ -84,7 +85,7 @@ class TestFailover:
         elected = ring.tracer.last("raft.leader_elected")
         downtime = elected.time - crash_time
         base = ring.config.election_timeout_base()
-        assert base * 0.9 <= downtime <= base + ring.config.election_timeout_jitter + 2.0
+        assert base * 0.9 <= downtime <= base + ELECTION_TIMEOUT_JITTER + 2.0
         assert new_leader.name != "n1"
 
     def test_erstwhile_leader_demotes_on_rejoin(self):
@@ -162,7 +163,7 @@ class TestVoteRules:
         ring.bootstrap("n1")
         ring.run(1.0)
         term_before = ring.node("n1").current_term
-        ring.node("n3")._start_pre_vote()
+        ring.node("n3").election.start_pre_vote()
         ring.run(3.0)
         assert ring.node("n1").role == RaftRole.LEADER
         assert ring.node("n1").current_term == term_before
@@ -189,7 +190,7 @@ class TestVoteRules:
             ring.net.isolate(name)  # messages are delivered by hand below
         n3 = ring.node("n3")
         n3._set_term(1)
-        n3._start_pre_vote()
+        n3.election.start_pre_vote()
         n3.handle_message("n2", self.PRE_VOTE_VOIDED_BY[reason])
         term_known = n3.current_term
         for granter in ("n4", "n5"):  # with n3 itself: a majority of five
@@ -212,7 +213,7 @@ class TestVoteRules:
             ring.net.isolate(name)
         n3 = ring.node("n3")
         n3._set_term(1)
-        n3._start_pre_vote()
+        n3.election.start_pre_vote()
         for granter in ("n4", "n5"):
             n3.handle_message(
                 granter, RequestVoteResponse(term=1, voter=granter, granted=True, is_pre_vote=True)
@@ -232,7 +233,7 @@ class TestVoteRules:
         ring = RaftRing(members, network_spec=spec)
         ring.node("n1").start_election()
         ring.run(0.029)
-        ring.node("n3")._start_pre_vote()
+        ring.node("n3").election.start_pre_vote()
         ring.run(1.0)
         elected = [(r.get("node"), r.get("term")) for r in ring.tracer.of_kind("raft.leader_elected")]
         assert elected == [("n1", 1)]
@@ -333,8 +334,8 @@ def answer(candidate, voter_name, granted, history=()):
         voter_name,
         RequestVoteResponse(
             term=candidate.current_term, voter=voter_name, granted=granted,
-            last_leader_term=candidate.last_known_leader_term,
-            last_leader_region=candidate.last_known_leader_region,
+            last_leader_term=candidate.election.last_known_leader_term,
+            last_leader_region=candidate.election.last_known_leader_region,
             vote_history=tuple(history),
         ),
     )
@@ -422,7 +423,7 @@ class TestHopelessCandidacy:
         assert abandonments(ring) == [("n3", "hopeless")]
         assert n3.metrics["elections_abandoned"] == 1
         assert n3.stats()["elections"]["elections_abandoned"] == 1
-        assert n3.vote_history == ()
+        assert n3.election.vote_history == ()
 
     def test_transfer_election_waits_for_the_old_leaders_grant(self):
         # The same answers to a TimeoutNow election: the old leader is alive
@@ -460,7 +461,7 @@ class TestHopelessCandidacy:
     def test_vote_timeout_is_the_backstop_for_voters_that_never_answer(self):
         ring, n3 = self.candidate()
         answer(n3, "n2", True)
-        ring.run(ring.config.vote_timeout + 0.01)
+        ring.run(VOTE_TIMEOUT + 0.01)
         assert abandonments(ring) == [("n3", "vote-timeout")]
 
     def test_isolated_member_campaigns_no_faster_than_before(self):
@@ -485,7 +486,7 @@ class TestThreeWaySplit:
     def split(self):
         ring = region_ring(regions=4)
         for node in ring.nodes.values():
-            node._election_timeout = lambda: 1e6  # the test starts the elections
+            node.election._timeout = lambda: 1e6  # the test starts the elections
         ring.bootstrap("db0")
         ring.host("db0").crash()
         ring.run(ring.config.election_timeout_base() + 0.1)  # stickiness lapses
@@ -509,11 +510,11 @@ class TestThreeWaySplit:
         # One round trip to hear the deciding denial (db1's comes 5 ms late).
         assert max(r.time for r in records) - started <= WAN_RTT + 0.005 + 0.002
         assert ring.tracer.count("raft.leader_elected") == 1  # bootstrap only
-        ring.run(ring.config.election_timeout_jitter + WAN_RTT)
+        ring.run(ELECTION_TIMEOUT_JITTER + WAN_RTT)
         leader = ring.current_leader()
         assert leader is not None
         elected = ring.tracer.last("raft.leader_elected")
-        assert elected.time - started <= ring.config.election_timeout_jitter + 3 * WAN_RTT
+        assert elected.time - started <= ELECTION_TIMEOUT_JITTER + 3 * WAN_RTT
 
     def test_no_voter_keeps_an_abandoned_term_in_its_vote_history(self):
         ring, started = self.split()
@@ -521,7 +522,7 @@ class TestThreeWaySplit:
         ring.run(WAN_RTT + 0.010 + 0.030 + 0.002)
         assert len(ring.tracer.of_kind("raft.election_abandoned")) == 3
         holding = {
-            name: node.vote_history for name, node in ring.nodes.items()
-            if ring.host(name).alive and node.vote_history
+            name: node.election.vote_history for name, node in ring.nodes.items()
+            if ring.host(name).alive and node.election.vote_history
         }
         assert holding == {}

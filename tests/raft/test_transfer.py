@@ -3,9 +3,12 @@
 import pytest
 
 from repro.raft.config import RaftConfig
-from repro.raft.types import RaftRole
+from repro.raft.election import MOCK_ELECTION_MAX_LAG_ENTRIES
+from repro.raft.messages import RequestVoteRequest, RequestVoteResponse
+from repro.raft.transfer import MOCK_ELECTION_TIMEOUT
+from repro.raft.types import OpId, RaftRole
 
-from tests.raft.harness import RaftRing, three_node_ring, voter, witness
+from tests.raft.harness import RaftRing, record_sends, three_node_ring, voter, witness
 
 
 class TestTransfer:
@@ -147,6 +150,70 @@ class TestMockElection:
         assert fut.done() and not fut.failed()
 
 
+class TestMockVoterRule:
+    """The §4.3 voter rule, driven through the voter side itself: a voter
+    in the candidate's region denies only when it lags the cursor *and*
+    is unhealthy — silent from the leader, or pathologically far behind.
+    The voter holds an empty log; the cursor sets how far it trails."""
+
+    def ring(self):
+        members = [
+            voter("db1", "r1"), witness("lt1a", "r1"),
+            voter("db2", "r2"), witness("lt2a", "r2"),
+        ]
+        ring = RaftRing(members)
+        for name in ring.nodes:
+            ring.net.isolate(name)  # answers are inspected, not delivered
+        return ring
+
+    @staticmethod
+    def mock_request(cursor_index):
+        cursor = OpId(1, cursor_index)
+        return RequestVoteRequest(
+            term=2, candidate="db2", last_opid=cursor, is_pre_vote=True, is_mock=True,
+            cursor=cursor,
+        )
+
+    OUTCOMES = {
+        # voter, entries behind the cursor, seconds since leader contact
+        "same-region-behind-stale-contact": ("lt2a", 3, 2.0, False),
+        "same-region-far-behind-fresh": ("lt2a", MOCK_ELECTION_MAX_LAG_ENTRIES + 1, 0.0, False),
+        "same-region-in-flight-lag-fresh": ("lt2a", MOCK_ELECTION_MAX_LAG_ENTRIES, 0.0, True),
+        "other-region-lagging": ("lt1a", MOCK_ELECTION_MAX_LAG_ENTRIES + 1, 2.0, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUTCOMES))
+    def test_outcome(self, case):
+        name, behind, silent_for, granted = self.OUTCOMES[case]
+        ring = self.ring()
+        ring.run(2.0)
+        election = ring.node(name).election
+        election.last_leader_contact = ring.loop.now - silent_for
+        verdict = election.evaluate_mock(self.mock_request(behind))
+        expected = (True, "ok") if granted else (False, "lagging in candidate region")
+        assert verdict == expected
+
+    def test_the_answer_is_a_mock_pre_vote_that_records_nothing(self):
+        ring = self.ring()
+        ring.run(2.0)
+        node = ring.node("lt2a")
+        node.election.last_leader_contact = ring.loop.now
+        sent = record_sends(ring.net)
+        node.handle_message("db2", self.mock_request(3))
+        [(_, dst, answer)] = sent
+        assert dst == "db2" and isinstance(answer, RequestVoteResponse)
+        assert answer.granted and answer.is_mock and answer.is_pre_vote
+        assert node.current_term == 0 and node.election.vote_history == ()
+
+    def test_stale_term_and_unknown_candidate_are_denied(self):
+        ring = self.ring()
+        election = ring.node("lt2a").election
+        stale = RequestVoteRequest(term=0, candidate="db2", last_opid=OpId(0, 0), is_mock=True)
+        ghost = RequestVoteRequest(term=2, candidate="ghost", last_opid=OpId(0, 0), is_mock=True)
+        assert election.evaluate_mock(stale) == (False, "stale term")
+        assert election.evaluate_mock(ghost) == (False, "unknown candidate")
+
+
 class TestWitnessHandoff:
     def test_witness_elected_then_transfers_to_database(self):
         # r1's database dies; a logtailer has the longest log and wins, then
@@ -241,7 +308,7 @@ class TestWitnessHandoffTargets:
         # Straight on: the failed attempt's mock-election timeout, and no
         # further wait, separates the two.
         gap = handoffs[1].time - handoffs[0].time
-        assert gap == pytest.approx(ring.config.mock_election_timeout, abs=1e-6)
+        assert gap == pytest.approx(MOCK_ELECTION_TIMEOUT, abs=1e-6)
         leader = ring.current_leader()
         assert leader is not None and leader.name == "db3"
         assert ring.node("lt1a").metrics["handoff_attempts"] == 2
