@@ -20,7 +20,7 @@ a second, slow mode at 3.3–5 s, and each has its own assertion below:
 - the split vote: several candidates win their pre-votes within one WAN
   round trip and campaign in the *same* term. A rival's same-term votes
   used to widen the quorum of a candidate that already held one, and a
-  candidacy that could no longer win waited out ``vote_timeout`` and then
+  candidacy that could no longer win waited out the vote timeout and then
   a second detection window. Such a term now costs a round trip and a
   jittered retry.
 """
