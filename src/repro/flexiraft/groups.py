@@ -10,15 +10,13 @@ from repro.raft.membership import MembershipConfig
 from repro.raft.types import MemberInfo
 
 
-def region_groups(config: MembershipConfig) -> dict[str, list[MemberInfo]]:
-    """Voters grouped by region; regions with no voters are absent."""
-    groups: dict[str, list[MemberInfo]] = {}
-    for member in config.voters():
-        groups.setdefault(member.region, []).append(member)
-    return groups
+def region_groups(config: MembershipConfig) -> dict[str, tuple[MemberInfo, ...]]:
+    """Voters grouped by region; regions with no voters are absent.
+    Computed once per config instance (see ``MembershipConfig``)."""
+    return config.voters_by_region
 
 
-def group_majority(group: list[MemberInfo], names: frozenset) -> bool:
+def group_majority(group: tuple[MemberInfo, ...], names: frozenset) -> bool:
     """True when ``names`` contains a majority of the group."""
     if not group:
         return False

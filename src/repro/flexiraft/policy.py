@@ -59,7 +59,7 @@ class FlexiRaftPolicy(QuorumPolicy):
             leader_member = config.member(leader)
             if leader_member is None:
                 return False
-            group = groups.get(leader_member.region, [])
+            group = groups.get(leader_member.region, ())
             return group_majority(group, ackers)
         # MULTI_REGION: in-region majorities in a majority of regions.
         satisfied = sum(1 for group in groups.values() if group_majority(group, ackers))

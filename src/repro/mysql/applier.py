@@ -504,7 +504,7 @@ class Applier:
             if after is None:
                 self.engine.delete_row(engine_txn, table, pk)
             else:
-                self.engine.write_row(engine_txn, table, pk, dict(after))
+                self.engine.write_row(engine_txn, table, pk, after)  # copies the image
 
     @staticmethod
     def _primary_key(before, after):
@@ -519,8 +519,14 @@ class Applier:
         # Stable digest (not built-in hash(), which varies per process
         # under hash randomization and would break byte-for-byte repro
         # bundle replay); offset keeps it collision-free with client xids
-        # (which are small).
-        digest = hashlib.sha256(
-            f"{gtid_event.source_uuid}/{gtid_event.txn_id}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") + (1 << 44)
+        # (which are small). Every replica applies the same interned
+        # event, so the digest is cached on it, the way a transaction
+        # caches its encoded bytes.
+        xid = gtid_event.__dict__.get("_applier_xid")
+        if xid is None:
+            digest = hashlib.sha256(
+                f"{gtid_event.source_uuid}/{gtid_event.txn_id}".encode()
+            ).digest()
+            xid = int.from_bytes(digest[:8], "big") + (1 << 44)
+            object.__setattr__(gtid_event, "_applier_xid", xid)
+        return xid

@@ -336,24 +336,40 @@ def encode_events(events: list[BinlogEvent]) -> bytes:
     return b"".join(event.encode() for event in events)
 
 
-# One payload is decoded by every member that stores or applies it (20
+# One payload is stored by every member and applied by every replica (20
 # and 7 on the paper's topology), all within the replication window of a
-# few hundred entries. Decoded transactions are therefore interned by the
+# few hundred entries. Transactions are therefore interned by the
 # *content* of their bytes: transactions are frozen and the codec is
-# canonical, so equal bytes mean an equal transaction. Only bytes that
-# decoded cleanly — every header and CRC checked — are ever entered, so a
-# torn or corrupted payload differs from every key and takes the full
-# validating decode. The bound is sized from the measured reuse window
-# (peak applier lag on the write benchmark is 175 entries); eviction is
-# first-in, first-out. The returned transaction is shared by every caller
-# in the process: its events are frozen, but the row images inside a
-# RowsEvent are plain dicts — read or copy them (as the applier and CDC
-# do), never write to them.
+# canonical, so equal bytes mean an equal transaction. An entry is bytes
+# this codec produced (:meth:`Transaction.encode` enters them, so the
+# leader's own storage append and its followers never parse what the
+# leader just encoded) or bytes that decoded cleanly, every header and
+# CRC checked. A torn or corrupted copy differs from every key and takes
+# the full validating decode. The bound is sized from the measured reuse
+# window (peak applier lag on the write benchmark is 175 entries);
+# eviction is first-in, first-out. The returned transaction is shared by
+# every caller in the process: its events are frozen, but the row images
+# inside a RowsEvent are plain dicts — read or copy them (as the applier
+# and CDC do), never write to them. The primary's images are already its
+# own: the engine copies every row it hands out or takes in.
 _INTERN_MAX = 1024
 _interned: dict[bytes, "Transaction"] = {}
 
 
-def _decode_interned(data: bytes) -> "Transaction":
+def _intern(data: bytes, txn: "Transaction") -> None:
+    if data in _interned:
+        return
+    if len(_interned) >= _INTERN_MAX:
+        del _interned[next(iter(_interned))]
+    _interned[data] = txn
+
+
+def decode_interned(data: bytes) -> "Transaction":
+    """The transaction ``data`` encodes, from the decode table when this
+    process has produced or validated equal bytes before, otherwise parsed
+    and validated whole (raising :class:`BinlogCorruptionError`) and
+    entered. Log storage reads entries through this rather than
+    :meth:`Transaction.decode`, which counts as a replica's decode."""
     data = bytes(data)
     txn = _interned.get(data)
     if txn is None:
@@ -361,18 +377,16 @@ def _decode_interned(data: bytes) -> "Transaction":
         # Bytes that decoded cleanly ARE the transaction's encoded form
         # (canonical codec), so a decoded transaction never re-encodes.
         object.__setattr__(txn, "_encoded", data)
-        if len(_interned) >= _INTERN_MAX:
-            del _interned[next(iter(_interned))]
-        _interned[data] = txn
+        _intern(data, txn)
     return txn
 
 
 def framing_event(data: bytes) -> BinlogEvent:
-    """The first (framing) event of an encoded transaction — what log
-    storage classifies and OpId-checks an entry by. Shares the decode
-    table with :meth:`Transaction.decode`, so a member storing a payload
-    another member already decoded parses nothing."""
-    return _decode_interned(data).events[0]
+    """The first (framing) event of an encoded transaction — what a
+    duplicate/conflict check reads an OpId from. Shares the decode table
+    with :meth:`Transaction.decode`, so bytes already produced or decoded
+    in this process parse nothing."""
+    return decode_interned(data).events[0]
 
 
 @dataclass(frozen=True)
@@ -384,7 +398,9 @@ class Transaction:
 
     Transactions are immutable, and the codec is canonical (sorted-key
     compact JSON), so the encoded byte form is a pure function of the
-    events — :meth:`encode` computes it once and memoizes. Stamping
+    events — :meth:`encode` computes it once, memoizes, and enters the
+    bytes in the decode table, so members storing or applying them get
+    this very transaction back instead of parsing a twin. Stamping
     helpers (:meth:`with_opid`, :meth:`with_commit_meta`) build *new*
     transactions, which naturally invalidates the cache; the hot
     re-encode sites (checksums, re-appends, replication fan-out,
@@ -455,6 +471,7 @@ class Transaction:
         if cached is None:
             cached = encode_events(list(self.events))
             object.__setattr__(self, "_encoded", cached)
+            _intern(cached, self)
         return cached
 
     @property
@@ -463,10 +480,11 @@ class Transaction:
 
     @classmethod
     def decode(cls, data: bytes) -> "Transaction":
-        """Parse and validate ``data`` — once per process for any given
-        content; later decodes of equal bytes return the same (frozen)
-        transaction, so its row-image dicts must not be mutated."""
-        return _decode_interned(data)
+        """Parse and validate ``data`` — at most once per process for any
+        given content, and not at all for bytes :meth:`encode` produced;
+        decodes of equal bytes return the same (frozen) transaction, so
+        its row-image dicts must not be mutated."""
+        return decode_interned(data)
 
     @staticmethod
     def peek_opid(data: bytes) -> OpId | None:

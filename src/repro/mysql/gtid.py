@@ -108,9 +108,21 @@ class GtidSet:
     def add_range(self, uuid: str, start: int, end: int) -> None:
         if start < 1 or end < start:
             raise GtidError(f"invalid interval {start}-{end}")
-        spans = self._intervals.setdefault(uuid, [])
-        spans.append((start, end))
-        self._intervals[uuid] = _merge_intervals(spans)
+        spans = self._intervals.get(uuid)
+        if not spans:
+            self._intervals[uuid] = [(start, end)]
+            return
+        last_start, last_end = spans[-1]
+        if start >= last_start:
+            # In order — the steady state of a log or an engine. Every
+            # earlier interval ends before ``last_start - 1``, so only the
+            # tail can absorb the range; extend it or append after it.
+            if start > last_end + 1:
+                spans.append((start, end))
+            elif end > last_end:
+                spans[-1] = (last_start, end)
+            return
+        self._intervals[uuid] = _merge_intervals(spans + [(start, end)])
 
     def remove(self, gtid: Gtid) -> bool:
         """Remove one GTID (used when Raft truncates uncommitted entries).

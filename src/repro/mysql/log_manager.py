@@ -28,7 +28,7 @@ from repro.mysql.binlog import (
     parse_file_sequence,
 )
 from repro.mysql.events import GtidEvent, RotateEvent, Transaction
-from repro.mysql.gtid import GtidSet
+from repro.mysql.gtid import Gtid, GtidSet
 
 Persona = str  # "binlog" | "relay"
 
@@ -111,19 +111,27 @@ class MySQLLogManager:
     def append_transaction(self, txn: Transaction) -> TransactionLocation:
         """Append one transaction to the current file (the durable part of
         the pipeline's flush stage). Rotate entries also rotate the file."""
-        return self.append_encoded(txn.encode(), txn.events[0])
-
-    def append_encoded(self, data: bytes, first_event) -> TransactionLocation:
-        """Fast path: append pre-encoded bytes, with the (already decoded)
-        framing event supplied for GTID/rotate bookkeeping."""
-        location = self.current_file.append_encoded(data)
-        if isinstance(first_event, GtidEvent):
-            self.log_gtids.add_range(
-                first_event.source_uuid, first_event.txn_id, first_event.txn_id
-            )
-        elif isinstance(first_event, RotateEvent):
-            self.rotate()
+        first = txn.events[0]
+        gtid = Gtid(first.source_uuid, first.txn_id) if isinstance(first, GtidEvent) else None
+        location, _next_file = self.append_encoded(
+            self.current_file, txn.encode(), gtid, isinstance(first, RotateEvent)
+        )
         return location
+
+    def append_encoded(
+        self, log_file: BinlogFile, data: bytes, gtid: Gtid | None, rotates: bool
+    ) -> tuple[TransactionLocation, BinlogFile]:
+        """Fast path: append pre-encoded bytes to ``log_file`` — the
+        current file, which a caller appending a window resolves once —
+        with the already classified framing facts for the GTID and rotate
+        bookkeeping. Returns the location and the file the next append
+        goes to: a rotate entry closes ``log_file`` and opens the next."""
+        location = log_file.append_encoded(data)
+        if gtid is not None:
+            self.log_gtids.add(gtid)
+        elif rotates:
+            log_file = self.rotate()
+        return location, log_file
 
     def rotate(self) -> BinlogFile:
         """Close the current file and open the next one, carrying the

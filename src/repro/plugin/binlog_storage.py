@@ -15,6 +15,14 @@ range instead of scanning every record, and a small bounded memo of
 recently materialized payload bytes so the active read window (lagging
 followers re-reading the same suffix every round) skips the file-byte
 copy.
+
+Every member stores every payload, so the work that depends only on the
+payload is done once per process: the framing facts an index record
+needs (framing event, entry kind, config metadata, GTID) are classified
+once and cached on the interned transaction the decode table returns.
+What depends on the window is done once per window: an append resolves
+the current file once (a rotate entry still rotates mid-window) and
+records each file's index range once per run of entries in that file.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from repro.mysql.events import (
     NoOpEvent,
     RotateEvent,
     Transaction,
-    framing_event,
+    decode_interned,
 )
 from repro.mysql.gtid import Gtid
 from repro.mysql.log_manager import MySQLLogManager
@@ -62,14 +70,18 @@ def _classify_event(first) -> tuple[str, tuple]:
     raise RaftError(f"unclassifiable transaction starting with {type(first).__name__}")
 
 
-def _classify(txn: Transaction) -> tuple[str, tuple]:
-    return _classify_event(txn.events[0])
-
-
-def _gtid_of_event(first) -> Gtid | None:
-    if isinstance(first, GtidEvent):
-        return Gtid(first.source_uuid, first.txn_id)
-    return None
+def _framing(txn: Transaction) -> tuple:
+    """(framing event, kind, metadata, gtid) of ``txn``, classified once
+    and cached on the (frozen, interned) transaction the way its encoded
+    bytes are — every member storing the payload shares one answer."""
+    facts = txn.__dict__.get("_framing")
+    if facts is None:
+        first = txn.events[0]
+        kind, metadata = _classify_event(first)
+        gtid = Gtid(first.source_uuid, first.txn_id) if kind == ENTRY_KIND_DATA else None
+        facts = (first, kind, metadata, gtid)
+        object.__setattr__(txn, "_framing", facts)
+    return facts
 
 
 @dataclass
@@ -133,15 +145,11 @@ class BinlogRaftLogStorage(LogStorage):
                 opid = txn.opid
                 if opid is None:
                     raise RaftError(f"unstamped transaction in {file_name!r}")
-                kind, metadata = _classify(txn)
+                _first, kind, metadata, gtid = _framing(txn)
                 self._records[opid.index] = _IndexRecord(
-                    TransactionLocation(file_name, offset, length),
-                    opid,
-                    kind,
-                    metadata,
-                    _gtid_of_event(txn.events[0]),
+                    TransactionLocation(file_name, offset, length), opid, kind, metadata, gtid
                 )
-                self._note_index_in_file(file_name, opid.index)
+                self._note_range(file_name, opid.index, opid.index)
                 if first_seen is None or opid.index < first_seen:
                     first_seen = opid.index
                 if opid > self._last:
@@ -149,37 +157,44 @@ class BinlogRaftLogStorage(LogStorage):
         if first_seen is not None:
             self._first = first_seen
 
-    def _note_index_in_file(self, file_name: str, index: int) -> None:
-        lo, hi = self._file_ranges.get(file_name, (index, index))
-        self._file_ranges[file_name] = (min(lo, index), max(hi, index))
+    def _note_range(self, file_name: str, low: int, high: int) -> None:
+        lo, hi = self._file_ranges.get(file_name, (low, high))
+        self._file_ranges[file_name] = (min(lo, low), max(hi, high))
 
     # -- LogStorage interface -----------------------------------------------------
 
     def append(self, entries: list[LogEntry]) -> None:
-        """Append ``entries`` in order. A payload this process has not
-        decoded before is validated whole, so a torn body raises
-        ``BinlogCorruptionError`` here — before anything of that entry is
-        stored — rather than on a later read; entries ahead of it in the
-        same call stay appended."""
-        for entry in entries:
-            expected = self._last.index + 1 if self._records else self._first
-            if self._records and entry.opid.index != expected:
-                raise RaftError(f"append gap: expected {expected}, got {entry.opid}")
-            # Classify from the framing event. The first member to see a
-            # payload validates all of it; the rest hit the decode table.
-            first_event = framing_event(entry.payload)
-            if getattr(first_event, "opid", None) != entry.opid:
-                raise RaftError(
-                    f"payload OpId {getattr(first_event, 'opid', None)} "
-                    f"!= entry OpId {entry.opid}"
+        """Append ``entries`` in order. A payload this process has neither
+        encoded nor decoded before is validated whole, so a torn body
+        raises ``BinlogCorruptionError`` here — before anything of that
+        entry is stored — rather than on a later read; entries ahead of it
+        in the same call stay appended, their file range recorded."""
+        mgr = self._mgr
+        log_file = mgr.current_file
+        run_from = None  # first index this call appended to ``log_file``
+        try:
+            for entry in entries:
+                opid = entry.opid
+                if self._records and opid.index != self._last.index + 1:
+                    raise RaftError(f"append gap: expected {self._last.index + 1}, got {opid}")
+                # The first member to see a payload it did not encode
+                # validates all of it; the rest hit the decode table.
+                first, kind, metadata, gtid = _framing(decode_interned(entry.payload))
+                if first.opid != opid:
+                    raise RaftError(f"payload OpId {first.opid} != entry OpId {opid}")
+                location, next_file = mgr.append_encoded(
+                    log_file, entry.payload, gtid, kind == ENTRY_KIND_ROTATE
                 )
-            kind, metadata = _classify_event(first_event)
-            location = self._mgr.append_encoded(entry.payload, first_event)
-            self._records[entry.opid.index] = _IndexRecord(
-                location, entry.opid, kind, metadata, _gtid_of_event(first_event)
-            )
-            self._note_index_in_file(location.file_name, entry.opid.index)
-            self._last = entry.opid
+                self._records[opid.index] = _IndexRecord(location, opid, kind, metadata, gtid)
+                self._last = opid
+                if run_from is None:
+                    run_from = opid.index
+                if next_file is not log_file:
+                    self._note_range(log_file.name, run_from, opid.index)
+                    log_file, run_from = next_file, None
+        finally:
+            if run_from is not None:
+                self._note_range(log_file.name, run_from, self._last.index)
 
     def truncate_from(self, index: int) -> list[LogEntry]:
         if index < self._first:

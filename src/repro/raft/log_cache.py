@@ -60,6 +60,8 @@ class LogCache:
         old = self._entries.pop(index, None)
         if old is not None:
             self._bytes -= old.size_bytes
+        elif not self._sorted_indexes or index > self._sorted_indexes[-1]:
+            self._sorted_indexes.append(index)  # the write path: past the tail
         else:
             insort(self._sorted_indexes, index)
         self._entries[index] = entry

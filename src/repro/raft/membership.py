@@ -9,6 +9,7 @@ may be in flight at a time, which preserves quorum intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import MembershipError
 from repro.raft.types import MemberInfo, MemberType
@@ -26,11 +27,26 @@ class MembershipConfig:
         if len(names) != len(set(names)):
             raise MembershipError(f"duplicate member names: {names}")
 
+    # Views derived from ``members`` are computed on first use and kept on
+    # the instance (the config is frozen, so they never go stale; a change
+    # builds a new config, which starts without them). The commit rule
+    # reads them once per pending index per ack.
+
+    @cached_property
+    def _by_name(self) -> dict[str, MemberInfo]:
+        return {m.name: m for m in self.members}
+
+    @cached_property
+    def voters_by_region(self) -> dict[str, tuple[MemberInfo, ...]]:
+        """Voters grouped by region, regions in first-member order;
+        regions with no voters are absent. Shared: do not mutate."""
+        groups: dict[str, list[MemberInfo]] = {}
+        for member in self.voters():
+            groups.setdefault(member.region, []).append(member)
+        return {region: tuple(group) for region, group in groups.items()}
+
     def member(self, name: str) -> MemberInfo | None:
-        for member in self.members:
-            if member.name == name:
-                return member
-        return None
+        return self._by_name.get(name)
 
     def __contains__(self, name: str) -> bool:
         return self.member(name) is not None

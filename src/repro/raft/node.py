@@ -1120,19 +1120,25 @@ class RaftNode:
     def _append_from_leader(self, prev: OpId, entries: list[LogEntry]) -> bool:
         """Append entries after ``prev``, truncating conflicts. Returns
         whether anything was written."""
-        to_append: list[LogEntry] = []
-        for entry in entries:
-            local_term = self._term_at(entry.opid.index)
-            if local_term is None:
-                to_append.append(entry)
-            elif local_term != entry.opid.term:
-                removed = self.storage.truncate_from(entry.opid.index)
-                self.cache.truncate_from(entry.opid.index)
-                self._trace("raft.truncated", from_index=entry.opid.index, count=len(removed))
-                self.hooks.on_truncated(removed)
-                self.membership = self._rebuild_membership()
-                to_append.append(entry)
-            # else: duplicate of what we already have; skip.
+        if prev.index == self.last_opid.index:
+            # The steady state: ``prev`` is our tail and the consistency
+            # check matched its term, so every entry is new — no
+            # per-entry conflict probe.
+            to_append = entries
+        else:
+            to_append = []
+            for entry in entries:
+                local_term = self._term_at(entry.opid.index)
+                if local_term is None:
+                    to_append.append(entry)
+                elif local_term != entry.opid.term:
+                    removed = self.storage.truncate_from(entry.opid.index)
+                    self.cache.truncate_from(entry.opid.index)
+                    self._trace("raft.truncated", from_index=entry.opid.index, count=len(removed))
+                    self.hooks.on_truncated(removed)
+                    self.membership = self._rebuild_membership()
+                    to_append.append(entry)
+                # else: duplicate of what we already have; skip.
         if not to_append:
             return False
         self.storage.append(to_append)

@@ -262,3 +262,47 @@ class TestDirtyTracking:
         self.commit(engine, 1, 10, writes=[("t", 1, {"v": "a"})])
         recovered = StorageEngine(durable_tables, durable_meta)
         assert recovered.changed_since(0) == {"t": {1: {"v": "a"}}}
+
+
+class TestRowImagesAreOwned:
+    """A primary's binlog payload carries its RowChange images, and the
+    decode table hands that very transaction to every member that stores
+    or applies the bytes. So no image may alias a dict that a caller, a
+    table or a later change can write to."""
+
+    def test_no_image_aliases_a_caller_a_table_or_another_change(self):
+        engine = make_engine()
+        row = {"id": 1, "v": "a"}
+        setup = engine.begin(1)
+        written = engine.write_row(setup, "t", 1, row)
+        engine.prepare(setup)
+        engine.commit(setup)
+        row["v"] = "caller wrote"
+        stored = engine.table("t").rows[1]
+        assert written.after == {"id": 1, "v": "a"} and stored is not written.after
+        stored["v"] = "table wrote"
+        assert written.after == {"id": 1, "v": "a"}
+
+        txn = engine.begin(2)
+        updated = engine.write_row(txn, "t", 1, {"id": 1, "v": "b"})
+        assert updated.before == {"id": 1, "v": "table wrote"} and updated.before is not stored
+        rewritten = engine.write_row(txn, "t", 1, {"id": 1, "v": "c"})
+        assert rewritten.before == updated.after and rewritten.before is not updated.after
+        deleted = engine.delete_row(txn, "t", 1)
+        assert deleted.before == rewritten.after and deleted.before is not rewritten.after
+        engine.prepare(txn)
+        engine.commit(txn)
+        assert updated.after == {"id": 1, "v": "b"} and rewritten.after == {"id": 1, "v": "c"}
+
+    def test_an_applied_image_is_copied_into_the_replica(self):
+        # The applier hands write_row the shared image itself; the engine
+        # copies it, so the replica's row never aliases the payload.
+        engine = make_engine()
+        shared = {"id": 3, "v": "from the payload"}
+        txn = engine.begin(1)
+        change = engine.write_row(txn, "t", 3, shared)
+        engine.prepare(txn)
+        engine.commit(txn)
+        assert change.after is not shared and engine.table("t").rows[3] is not shared
+        engine.table("t").rows[3]["v"] = "replica wrote"
+        assert shared == {"id": 3, "v": "from the payload"}

@@ -284,3 +284,113 @@ class TestEncodeCache:
         restamped = Transaction.decode(stamped.encode())
         assert restamped.gtid_event.sequence_number == 5
         assert restamped.gtid_event.writeset == ("t:1",)
+
+
+# -- the decode table's entry rule ---------------------------------------------------
+#
+# ``Transaction.encode`` enters its bytes in the decode table, so a member
+# decoding them gets the encoding transaction itself, not a parsed twin.
+# That is only sound if a parse of those bytes — what a member in another
+# process would run — yields an equal transaction for every event kind.
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**53), max_value=2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=10),
+)
+images = st.builds(
+    lambda pk, rest: {**rest, "id": pk},
+    st.integers(min_value=1, max_value=10**6),
+    st.dictionaries(st.text(min_size=1, max_size=6), json_scalars, max_size=4),
+)
+row_pairs = st.one_of(
+    st.tuples(st.just("write"), st.none(), images),
+    st.tuples(st.just("update"), images, images),
+    st.tuples(st.just("delete"), images, st.none()),
+)
+opids = st.builds(OpId, st.integers(0, 10**6), st.integers(0, 10**9))
+
+
+@st.composite
+def data_transactions(draw):
+    events = [
+        GtidEvent(
+            draw(st.sampled_from([UUID, "AAAAAAAA-0000-0000-0000-000000000000"])),
+            draw(st.integers(min_value=1, max_value=10**9)),
+            draw(st.none() | opids),
+            draw(st.integers(0, 10**6)),
+            draw(st.integers(0, 10**6)),
+            tuple(draw(st.lists(st.integers(0, 2**32 - 1), max_size=4))),
+        ),
+        QueryEvent(draw(st.text(max_size=12))),
+        TableMapEvent(3, "db", draw(st.text(min_size=1, max_size=8))),
+    ]
+    for kind, before, after in draw(st.lists(row_pairs, min_size=1, max_size=3)):
+        events.append(RowsEvent(kind, 3, ((before, after),)))
+    events.append(XidEvent(draw(st.integers(0, 10**12))))
+    return Transaction(events=tuple(events))
+
+
+control_transactions = st.one_of(
+    st.builds(lambda leader, opid: Transaction(events=(NoOpEvent(leader, opid),)),
+              st.text(max_size=8), opids),
+    st.builds(lambda name, opid: Transaction(events=(RotateEvent(name, opid),)),
+              st.text(max_size=20), opids),
+    st.builds(
+        lambda change, subject, members, opid: Transaction(
+            events=(ConfigChangeEvent(change, subject, members, opid),)
+        ),
+        st.sampled_from(["add", "remove", "bootstrap"]),
+        st.text(max_size=8),
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=6), st.text(max_size=6),
+                      st.sampled_from(["voter", "learner"]), st.booleans()),
+            max_size=4,
+        ).map(tuple),
+        opids,
+    ),
+)
+
+
+class TestDecodeTableEntryRule:
+    @given(st.one_of(data_transactions(), control_transactions))
+    def test_a_parse_of_encoded_bytes_equals_the_encoding_transaction(self, txn):
+        data = txn.encode()
+        parsed = Transaction(events=tuple(decode_stream(data)))  # bypasses the table
+        assert parsed == txn
+        assert parsed.encode() == data
+        assert Transaction.decode(data) == txn
+
+    @given(st.sampled_from(SAMPLE_EVENTS))
+    def test_every_event_kind_roundtrips_by_value(self, event):
+        assert decode_event(event.encode())[0] == event
+
+    def test_encoded_bytes_decode_to_the_encoding_transaction_without_a_parse(self, monkeypatch):
+        from repro.mysql import events
+
+        txn = Transaction(
+            events=(
+                GtidEvent(UUID, 424_242, OpId(8, 80)),
+                QueryEvent("BEGIN"),
+                TableMapEvent(1, "db", "t"),
+                RowsEvent("update", 1, (({"id": 5, "v": 1}, {"id": 5, "v": 2}),)),
+                XidEvent(1),
+            )
+        )
+        parses = []
+        monkeypatch.setattr(
+            events, "decode_stream", lambda *a: parses.append(a) or decode_stream(*a)
+        )
+        data = txn.encode()
+        assert Transaction.decode(data) is txn
+        assert Transaction.decode(bytes(bytearray(data))) is txn  # a copy read from a file
+        assert framing_event(data) is txn.events[0]
+        assert Transaction.peek_opid(data) == OpId(8, 80)
+        assert parses == []
+        torn = bytearray(data)
+        torn[len(torn) // 2] ^= 0x01
+        with pytest.raises(BinlogCorruptionError):
+            Transaction.decode(bytes(torn))
+        assert len(parses) == 1  # the torn copy took the validating parse

@@ -215,3 +215,94 @@ class TestGtidSetProperties:
             assert s.remove(Gtid(UUID_A, txn))
             assert Gtid(UUID_A, txn) not in s
         assert s.is_empty()
+
+
+def _runs(txn_ids):
+    """The normal form of a set of ints: sorted, coalesced, non-adjacent
+    closed intervals."""
+    runs: list[tuple[int, int]] = []
+    for txn in sorted(txn_ids):
+        if runs and txn == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], txn)
+        else:
+            runs.append((txn, txn))
+    return runs
+
+
+# One mutation of a two-uuid set. "next" ranges start at, just past or
+# inside the current tail (the in-order steady state); "any" ranges land
+# anywhere, so they also arrive out of order and overlap earlier spans.
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("next"), st.sampled_from([UUID_A, UUID_B]),
+            st.integers(-3, 2), st.integers(0, 4),
+        ),
+        st.tuples(
+            st.just("any"), st.sampled_from([UUID_A, UUID_B]),
+            st.integers(1, 60), st.integers(0, 6),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from([UUID_A, UUID_B]), st.integers(1, 70)),
+        st.tuples(st.just("update"), st.sampled_from([UUID_A, UUID_B]), ids),
+    ),
+    max_size=40,
+)
+
+
+class TestGtidSetMixedSequences:
+    """``add_range`` extends the tail in place when a range arrives in
+    order and merges only when it does not; whatever the mix of adds,
+    removes and unions, the set must hold exactly the reference ids in
+    the normal form ``_merge_intervals`` produces."""
+
+    @given(_ops)
+    def test_matches_reference_and_normal_form(self, ops):
+        from repro.mysql.gtid import _merge_intervals
+
+        s = GtidSet()
+        reference: dict[str, set[int]] = {UUID_A: set(), UUID_B: set()}
+        for op in ops:
+            kind, uuid = op[0], op[1]
+            if kind in ("next", "any"):
+                if kind == "next":
+                    start = max(1, s.last_txn_id(uuid) + op[2])
+                else:
+                    start = op[2]
+                end = start + op[3]
+                s.add_range(uuid, start, end)
+                reference[uuid].update(range(start, end + 1))
+            elif kind == "remove":
+                assert s.remove(Gtid(uuid, op[2])) == (op[2] in reference[uuid])
+                reference[uuid].discard(op[2])
+            else:
+                other = GtidSet()
+                for txn in op[2]:
+                    other.add(Gtid(uuid, txn))
+                s.update(other)
+                reference[uuid].update(op[2])
+            for name, members in reference.items():
+                spans = s._intervals.get(name, [])
+                assert spans == _runs(members)
+                assert spans == _merge_intervals(spans)
+        assert s.count() == sum(len(members) for members in reference.values())
+        assert s.is_empty() == (not any(reference.values()))
+
+    def test_in_order_ranges_extend_the_tail(self):
+        s = GtidSet()
+        s.add_range(UUID_A, 1, 3)
+        s.add_range(UUID_A, 4, 4)  # adjacent
+        s.add_range(UUID_A, 2, 6)  # overlaps the tail
+        s.add_range(UUID_A, 3, 5)  # inside the tail
+        s.add_range(UUID_A, 9, 9)  # after a gap
+        assert str(s) == f"{UUID_A}:1-6:9"
+        s.add_range(UUID_A, 7, 8)  # out of order: fills the gap
+        assert str(s) == f"{UUID_A}:1-9"
+
+    def test_invalid_range_rejected_on_the_fast_path_too(self):
+        s = GtidSet()
+        s.add_range(UUID_A, 1, 5)
+        with pytest.raises(GtidError):
+            s.add_range(UUID_A, 7, 6)
+        with pytest.raises(GtidError):
+            s.add_range(UUID_A, 0, 9)
+        assert str(s) == f"{UUID_A}:1-5"

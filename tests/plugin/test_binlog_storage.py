@@ -15,7 +15,7 @@ from repro.mysql.events import (
     XidEvent,
     decode_event,
 )
-from repro.mysql.gtid import Gtid
+from repro.mysql.gtid import Gtid, GtidSet
 from repro.mysql.log_manager import MySQLLogManager
 from repro.plugin.binlog_storage import BinlogRaftLogStorage
 from repro.raft.log_storage import (
@@ -288,3 +288,103 @@ class TestIndexedMaintenance:
         storage.truncate_from(2)
         assert not storage.log_manager.log_gtids.contains(Gtid(UUID, 12))
         assert storage.log_manager.log_gtids.contains(Gtid(UUID, 11))
+
+
+def torn_copy(entry, position=-6):
+    data = bytearray(entry.payload)
+    data[position] ^= 0x40
+    return LogEntry(entry.opid, bytes(data), entry.kind, entry.metadata)
+
+
+class TestEncodedPayloadsStayValidated:
+    """``Transaction.encode`` enters its bytes in the decode table, so an
+    encoded payload is stored without a parse; any corrupted copy of it
+    differs from every key and still takes the full validating decode."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: data_entry(1, txn_id=31_337),
+        lambda: noop_entry(1, term=4, leader="encoded-here"),
+        lambda: config_entry(1, 2, (("n1", "r1", "voter", True), ("n9", "r2", "learner", True))),
+    ], ids=["data", "noop", "config"])
+    def test_every_one_byte_corruption_of_encoded_bytes_is_rejected_at_append(self, storage, make):
+        good = make()
+        for position in range(len(good.payload)):
+            torn = bytearray(good.payload)
+            torn[position] ^= 0x01
+            with pytest.raises(BinlogCorruptionError):
+                storage.append([LogEntry(good.opid, bytes(torn), good.kind, good.metadata)])
+            assert storage.last_opid() == OpId.zero()
+        assert storage.log_manager.log_gtids.is_empty()
+        storage.append([good])
+        assert storage.entry(1).payload == good.payload
+
+
+class TestPartialWindow:
+    """An append records each file's index range once per run of entries,
+    not per entry; a window that raises part-way must still leave the
+    entries ahead of the failure fully recorded."""
+
+    def test_entries_ahead_of_a_torn_one_stay_appended(self, storage):
+        entries = [data_entry(1), data_entry(2), rotate_entry(3), data_entry(4),
+                   data_entry(5), data_entry(6), data_entry(7)]
+        window = entries[:5] + [torn_copy(entries[5])] + entries[6:]
+        with pytest.raises(BinlogCorruptionError):
+            storage.append(window)
+        assert storage.last_opid() == OpId(1, 5)
+        assert [storage.entry(i).payload for i in range(1, 6)] == [e.payload for e in entries[:5]]
+        assert storage.entry(6) is None
+        assert sorted(storage._file_ranges.values()) == [(1, 3), (4, 5)]
+        assert storage.log_manager.log_gtids == GtidSet.parse(f"{UUID}:1-2:4-5")
+        # What the window recorded is what a scan of the files rebuilds.
+        rebuilt = BinlogRaftLogStorage(storage.log_manager)
+        assert rebuilt._file_ranges == storage._file_ranges
+        assert [rebuilt.opid_at(i) for i in range(1, 6)] == [e.opid for e in entries[:5]]
+
+        # Maintenance treats them as appended: truncation strips entry 5
+        # and its GTID, and the purge drops the first file whole.
+        assert [e.opid.index for e in storage.truncate_from(5)] == [5]
+        assert sorted(storage._file_ranges.values()) == [(1, 3), (4, 4)]
+        assert Gtid(UUID, 5) not in storage.log_manager.log_gtids
+        assert storage.purge_files_below(horizon_index=4) == ["binary-logs-000001"]
+        assert storage.first_index() == 4
+        assert storage.log_manager.log_gtids == GtidSet.parse(f"{UUID}:1-2:4")
+
+        storage.append(entries[4:])  # the intact copies land behind them
+        assert storage.last_opid() == OpId(1, 7)
+        assert sorted(storage._file_ranges.values()) == [(4, 7)]
+
+    def test_a_gap_part_way_through_a_window_keeps_the_run_ahead_of_it(self, storage):
+        storage.append([data_entry(1)])
+        with pytest.raises(RaftError):
+            storage.append([data_entry(2), rotate_entry(3), data_entry(4), data_entry(6)])
+        assert storage.last_opid() == OpId(1, 4)
+        assert sorted(storage._file_ranges.values()) == [(1, 3), (4, 4)]
+        assert BinlogRaftLogStorage(storage.log_manager)._file_ranges == storage._file_ranges
+
+
+class TestOneParsePerPayload:
+    """Counter pin: on a 3-member ring (primary, replica, logtailer) no
+    member parses a payload the leader encoded — not the leader's own
+    storage append, not its followers', not the replica's applier."""
+
+    def test_leader_encoded_payloads_are_never_parsed(self, monkeypatch):
+        from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
+        from repro.mysql import events
+
+        spec = ReplicaSetSpec("rs-parse", (RegionSpec("region0", databases=2, logtailers=1),))
+        cluster = MyRaftReplicaset(spec, seed=5)
+        cluster.bootstrap()
+        parses = []
+        real = events.decode_stream
+        monkeypatch.setattr(events, "decode_stream", lambda *a: parses.append(1) or real(*a))
+        writes = 12
+        for pk in range(1, writes + 1):
+            cluster.write("t", {pk: {"id": pk, "v": f"row{pk}"}})
+            cluster.run(0.05)
+        cluster.run(1.0)
+        replica = cluster.server("region0-db2")
+        assert replica.mysql.engine.table("t").get(writes) == {"id": writes, "v": f"row{writes}"}
+        assert len(cluster.services) == 3
+        for service in cluster.services.values():
+            assert service.node.storage.log_manager.log_gtids.count() >= writes
+        assert parses == []

@@ -1,11 +1,13 @@
 """FlexiRaft quorum policy tests (§4.1): unit rules + ring behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.flexiraft import FlexiMode, FlexiRaftPolicy, region_quorum_watermark
+from repro.flexiraft import FlexiMode, FlexiRaftPolicy, region_groups, region_quorum_watermark
 from repro.flexiraft.watermarks import all_region_watermarks, safe_purge_horizon
 from repro.raft.membership import MembershipConfig
-from repro.raft.quorum import ElectionContext, ForcedQuorum, MajorityQuorum
+from repro.raft.quorum import ElectionContext, ForcedQuorum, MajorityQuorum, majority_count
 
 from tests.raft.harness import RaftRing, learner, voter, witness
 
@@ -212,3 +214,93 @@ class TestFlexiRingBehaviour:
         for opid in opids:
             entry = new_leader.storage.entry(opid.index)
             assert entry is not None and entry.opid == opid
+
+
+# -- quorum views are memoized per config instance -------------------------------------
+
+REGIONS = ("r1", "r2", "r3", "r4")
+_kinds = {"voter": voter, "witness": witness, "learner": learner}
+member_lists = st.lists(
+    st.tuples(st.sampled_from(REGIONS), st.sampled_from(sorted(_kinds))), min_size=1, max_size=9
+).map(lambda spec: tuple(_kinds[kind](f"m{i}", region) for i, (region, kind) in enumerate(spec)))
+# Names a config may or may not hold: m0..m9 plus a stranger.
+names = st.sampled_from([f"m{i}" for i in range(10)] + ["stranger"])
+name_sets = st.frozensets(names, max_size=10)
+contexts = st.builds(
+    ElectionContext,
+    names,
+    st.sampled_from((None,) + REGIONS + ("r9",)),
+    st.frozensets(st.sampled_from(REGIONS + ("r9",)), max_size=3),
+)
+
+
+def fresh_groups(members):
+    groups = {}
+    for member in members:
+        if member.is_voter:
+            groups.setdefault(member.region, []).append(member)
+    return groups
+
+
+def reference_data_quorum(mode, leader, ackers, members):
+    groups = fresh_groups(members)
+    if not groups:
+        return False
+    majority = [sum(m.name in ackers for m in g) >= len(g) // 2 + 1 for g in groups.values()]
+    if mode == FlexiMode.MULTI_REGION:
+        return sum(majority) >= majority_count(len(groups))
+    leader_member = next((m for m in members if m.name == leader), None)
+    if leader_member is None or leader_member.region not in groups:
+        return False
+    return majority[list(groups).index(leader_member.region)]
+
+
+class TestQuorumViewsPerConfig:
+    """``region_groups`` and ``MembershipConfig.member`` are computed once
+    per (frozen) config instance. Whatever sequence of checks runs against
+    one long-lived config must answer exactly as a fresh computation does,
+    and a changed config must never see the old views."""
+
+    @settings(max_examples=150)
+    @given(
+        member_lists,
+        st.sampled_from(list(FlexiMode)),
+        st.lists(st.tuples(names, name_sets, contexts), min_size=1, max_size=8),
+    )
+    def test_memoized_checks_agree_with_a_fresh_computation(self, members, mode, checks):
+        policy = FlexiRaftPolicy(mode)
+        config = MembershipConfig(members)
+        for leader, acks, context in checks:
+            fresh = MembershipConfig(members)  # no views computed yet
+            assert policy.data_quorum_satisfied(leader, acks, config) == (
+                policy.data_quorum_satisfied(leader, acks, fresh)
+            ) == reference_data_quorum(mode, leader, acks, members)
+            assert policy.election_quorum_satisfied(acks, config, context) == (
+                policy.election_quorum_satisfied(acks, MembershipConfig(members), context)
+            )
+            assert config.member(leader) == next((m for m in members if m.name == leader), None)
+            assert {r: list(g) for r, g in region_groups(config).items()} == fresh_groups(members)
+            assert list(region_groups(config)) == list(fresh_groups(members))
+
+    def test_views_are_kept_on_the_instance(self):
+        config = paper_topology()
+        assert region_groups(config) is region_groups(config)
+        assert config.member("db2") is config.member("db2")
+
+    def test_a_changed_config_never_sees_the_old_groups(self):
+        policy = FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC)
+        config = paper_topology()
+        assert not policy.data_quorum_satisfied("db4", frozenset({"db4"}), config)
+        grown = config.with_added(voter("db4", "r4"), config_index=7)
+        assert policy.data_quorum_satisfied("db4", frozenset({"db4"}), grown)
+        assert list(region_groups(grown)) == ["r1", "r2", "r3", "r4"]
+        assert list(region_groups(config)) == ["r1", "r2", "r3"]
+        assert config.member("db4") is None and grown.member("db4") is not None
+
+        shrunk = config.with_removed("lt1a", config_index=8)
+        # r1 is down to db1 and lt1b, so an ack from the removed lt1a no
+        # longer counts toward its majority.
+        assert [m.name for m in region_groups(shrunk)["r1"]] == ["db1", "lt1b"]
+        assert not policy.data_quorum_satisfied("db1", frozenset({"db1", "lt1a"}), shrunk)
+        assert policy.data_quorum_satisfied("db1", frozenset({"db1", "lt1a"}), config)
+        assert shrunk.member("lt1a") is None and config.member("lt1a") is not None
