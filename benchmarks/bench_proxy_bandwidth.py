@@ -2,7 +2,7 @@
 
 The same write stream over the paper topology twice: through the region
 tree every ring routes by default, and through a ring built with a
-router that has no chains (direct delivery). Gates, all on simulated
+router that names no proxy (direct delivery). Gates, all on simulated
 counters that repeat exactly:
 
 * cross-region bytes fall by >= 55 % (five payload copies per entry

@@ -4,7 +4,7 @@
 Runs the same write stream over the paper's topology (five remote
 regions, each with a database follower and two logtailers) twice — over
 the region tree every ring routes through by default, and over a ring
-built with a router that knows no chains (direct delivery) — and prints
+built with a router that names no proxy (direct delivery) — and prints
 the cross-region byte accounting. In the tree an entry crosses the WAN
 once per region: the region's database follower appends it and forwards
 it to the logtailers behind it (Figure 4); a member that has fallen to
@@ -19,7 +19,7 @@ from repro.workload.profiles import sysbench_timing
 
 
 class StarReplicaset(MyRaftReplicaset):
-    router = StaticProxyRouter({})  # no chains: the leader reaches everyone itself
+    router = StaticProxyRouter({})  # no proxies: the leader reaches everyone itself
 
 
 def measure(replicaset_class) -> tuple[int, int, int]:

@@ -5,7 +5,7 @@ proxying to a remote logtailer costs 2–5% of vanilla Raft's resource
 burden on a per-connection basis (the PROXY_OP metadata replaces the
 payload). We measure it directly from the network's byte accounting:
 identical write streams over the region tree every ring routes through
-and over a ring whose injected router has no chains (direct delivery).
+and over a ring whose injected router names no proxy (direct delivery).
 
 Since the region fan-out, a member at its proxy's cursor rides on the
 proxy's own append and costs the WAN nothing; PROXY_OPs — what the
@@ -28,8 +28,8 @@ from repro.workload.profiles import sysbench_timing
 
 
 class DirectReplicaset(MyRaftReplicaset):
-    """The A/B baseline: every member is built with a router that knows
-    no chains, so every entry goes to every member directly."""
+    """The A/B baseline: every member is built with a router that names
+    no proxy, so every entry goes to every member directly."""
 
     router = StaticProxyRouter({})
 

@@ -37,10 +37,10 @@ class RaftConfig:
     # (sent, unacked) before the leader stops pipelining new windows to
     # it. Retries after append_retry_interval still go out regardless.
     # The adaptive per-append window doubles from a small start up to
-    # max_entries_per_append (raft/node.py, APPEND_WINDOW_MIN).
+    # max_entries_per_append (raft/replication.py, APPEND_WINDOW_MIN).
     max_inflight_windows: int = 4
 
-    # -- proxying (§4.2): a fault-path timer; the route itself is the
+    # -- proxying (§4.2): a fault-path timer; the tree itself is the
     # node's ProxyRouter, not a switch here, and a proxy that stops
     # answering is routed around after append_retry_interval (§4.2.3) ---
     # How long a proxy waits for a missing entry to show up in its local

@@ -34,11 +34,13 @@ SNAPSHOT_DIGEST_WIRE_BYTES = 32
 class AppendEntriesRequest:
     """Leader → member replication RPC (also the heartbeat when empty).
 
-    Proxying (§4.2): when ``proxy_opids`` is non-empty, this is a
-    PROXY_OP message — metadata only; the final proxy reconstitutes the
-    payload from its own log. ``route`` is the remaining hops to
-    ``final_dest``; ``return_path`` accumulates hops for the response to
-    travel back up to the leader.
+    Proxying (§4.2) is one hop. When ``proxy_opids`` is non-empty, this
+    is a PROXY_OP message — metadata only, addressed to the proxy, which
+    reconstitutes the payload from its own log and sends it on to
+    ``final_dest``. It is the only message ever addressed through a
+    proxy. ``via`` names the proxy a request came through: the addressee
+    answers through it, so the response reaches the leader by way of the
+    region's head.
 
     ``fanout`` names in-region members whose window is this very
     ``(prev_opid, entries)``: the addressed proxy forwards the request it
@@ -56,8 +58,7 @@ class AppendEntriesRequest:
     entries: tuple = ()  # tuple[LogEntry, ...]
     proxy_opids: tuple = ()  # tuple[OpId, ...]
     final_dest: str = ""
-    route: tuple = ()  # tuple[str, ...]
-    return_path: tuple = ()  # tuple[str, ...]
+    via: str = ""
     fanout: tuple = ()  # tuple[str, ...]
     degraded_through: int = 0
 
@@ -78,22 +79,15 @@ class AppendEntriesRequest:
         size += FANOUT_DEST_BYTES * len(self.fanout)
         return size
 
-    def last_sent_opid(self) -> OpId:
-        """OpId of the newest entry this RPC covers (prev if empty)."""
-        if self.entries:
-            return self.entries[-1].opid
-        if self.proxy_opids:
-            return self.proxy_opids[-1]
-        return self.prev_opid
-
 
 @dataclass(frozen=True)
 class AppendEntriesResponse:
-    """Member → leader ack/nack, possibly proxied back via ``return_path``.
+    """Member → leader ack/nack, sent to the request's ``via`` when it
+    came through a proxy.
 
-    ``leader`` is the final addressee: proxies pop hops off
-    ``return_path`` and, when it is empty, deliver to ``leader``.
-    ``degraded_through`` echoes the request's: the proxy on the path
+    ``leader`` is the final addressee: a proxy that receives a response
+    for another leader relays it there (or folds it, below).
+    ``degraded_through`` echoes the request's: the proxy it came through
     cannot serve this follower's windows through that index.
 
     ``riders`` names the members behind a region's head whose successful
@@ -109,25 +103,10 @@ class AppendEntriesResponse:
     success: bool
     last_opid: OpId
     leader: str = ""
-    return_path: tuple = ()
     degraded_through: int = 0
     riders: tuple = ()  # tuple[str, ...]
 
     wire_size: int = RPC_HEADER_BYTES
-
-    def popped(self) -> "AppendEntriesResponse":
-        """Copy with the last return-path hop removed."""
-        return AppendEntriesResponse(
-            term=self.term,
-            follower=self.follower,
-            success=self.success,
-            last_opid=self.last_opid,
-            leader=self.leader,
-            return_path=self.return_path[:-1],
-            degraded_through=self.degraded_through,
-            riders=self.riders,
-            wire_size=self.wire_size,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""The Raft node: replication, membership, proxying, snapshots, dispatch.
+"""The Raft node: the core — term, vote, log, commit and applied index,
+membership, snapshots — and the RPC dispatch.
 
 One :class:`RaftNode` runs as (part of) a host's service. It is fully
 event-driven — message handlers plus host timers — and keeps the paper's
@@ -6,24 +7,27 @@ separation: durable state (term, vote, last-leader knowledge) lives on
 the host's disk; the log lives behind the :class:`LogStorage`
 abstraction; everything else dies with the process.
 
-Who leads is decided in two units the node builds per incarnation:
-:mod:`~repro.raft.election` (timer, pre-vote, vote, the voter side,
-retraction, the §4.1 voting history) and :mod:`~repro.raft.transfer`
-(TransferLeadership, the §4.3 mock election, TimeoutNow, the witness
-hand-off of §2.2/§4.1). Reads live in :mod:`repro.reads`.
+The protocol's larger parts are units the node builds per incarnation;
+each acts only through the ``send`` / ``call_after`` / ``now`` it is
+given, and the node dispatches their messages:
 
-MyRaft-specific behaviours implemented here:
+- :mod:`~repro.raft.election`: timer, pre-vote, vote, the voter side,
+  retraction, the §4.1 voting history;
+- :mod:`~repro.raft.transfer`: TransferLeadership, the §4.3 mock
+  election, TimeoutNow, the witness hand-off of §2.2/§4.1;
+- :mod:`~repro.raft.replication` (:class:`Replicator`): the leader's
+  send side — windows, fan-out riders, PROXY_OPs — and its acks;
+- :mod:`~repro.raft.proxy` (:class:`ProxyHop`): a member's half of the
+  one-hop region tree (§4.2) — forwarding to riders, folding their acks,
+  PROXY_OP reconstitution and degrade-to-heartbeat.
 
-- pluggable :class:`QuorumPolicy` (vanilla majority or FlexiRaft, §4.1);
-- AppendEntries proxying: one WAN message per region (fan-out riders on
-  the proxy's own append), PROXY_OP reconstitution for stragglers,
-  degrade-to-heartbeat, and per-destination route-around (§4.2);
-- Quorum Fixer override hooks (§5.3).
+Reads live in :mod:`repro.reads`. Also here: the pluggable
+:class:`QuorumPolicy` (vanilla majority or FlexiRaft, §4.1) and the
+Quorum Fixer override hooks (§5.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from repro.errors import (
@@ -63,9 +67,9 @@ from repro.raft.messages import (
     TimeoutNowRequest,
     VoteRetraction,
 )
-from repro.raft.proxy import AckFolds, RegionProxyRouter
+from repro.raft.proxy import ProxyHop, RegionProxyRouter
 from repro.raft.quorum import QuorumPolicy
-from repro.raft.replication import FlowControl, LeaderState
+from repro.raft.replication import LeaderState, Replicator
 from repro.raft.transfer import LeadershipTransfer
 from repro.raft.types import MemberInfo, OpId, RaftRole
 from repro.reads import LeaderLease, ReadManager
@@ -78,13 +82,6 @@ _ELECTION_COUNTERS = (
     "elections_started", "elections_won", "pre_votes_started",
     "pre_votes_abandoned", "elections_abandoned", "handoff_attempts",
 )
-# Adaptive per-append window: starts at this many entries, doubles on
-# every cleanly acked window up to max_entries_per_append, and collapses
-# back on a rejection or retry timeout (slow-start, the Fast Raft /
-# TCP-style flow-control shape).
-APPEND_WINDOW_MIN = 8
-# Byte cap on the entries one AppendEntries window carries.
-MAX_BYTES_PER_APPEND = 1 << 20
 
 
 class RaftNode:
@@ -114,7 +111,7 @@ class RaftNode:
         self.timing = timing or TimingModel()
         self.rng = (rng or RngStream(1)).child(f"raft/{self.name}")
         # The region tree (§4.2) unless the embedder injects another shape;
-        # a router that returns no chains spells direct delivery.
+        # a router that names no proxy spells direct delivery.
         self.router = router if router is not None else RegionProxyRouter()
         self.tracer = host.tracer
 
@@ -177,6 +174,7 @@ class RaftNode:
             "proposals": 0,
             "proposal_batches": 0,
             "inflight_hwm": 0,
+            "heartbeats_suppressed": 0,
         }
         # Entry count of every entry-bearing AppendEntries sent while
         # leader (write-path observability; heartbeats excluded).
@@ -197,20 +195,18 @@ class RaftNode:
         self._commit_opid_memo = OpId.zero()
         self.leader_state: LeaderState | None = None
         self.cache = LogCache(self.config.log_cache_max_bytes)
-        # Leader change: elections and graceful transfer. They act only
-        # through what they are given here; the node dispatches their
-        # messages.
+        # The units: leader change, the leader's send side, and this
+        # member's half of the region tree. They act only through what
+        # they are given here; the node dispatches their messages.
         host = self.host
-        self.election = Election(self, host.send, host.call_after, lambda: host.loop.now)
+        now = lambda: host.loop.now
+        self.election = Election(self, host.send, host.call_after, now)
         self.transfer = LeadershipTransfer(self, host.send, host.call_after)
+        self.replicator = Replicator(self, host.send, now)
+        self.proxy = ProxyHop(self, host.send, host.call_after, now)
         self._pending_proposals: dict[int, SimFuture] = {}
         # Group-commit accumulator (§3.4 write-path batching).
         self._accumulator = ProposalAccumulator(self)
-        self._pending_proxy: list[AppendEntriesRequest] = []
-        # As a region's head: riders' acks held for folding, and the one
-        # timer that closes the oldest fold at its deadline.
-        self._folds = AckFolds(self.metrics)
-        self._fold_timer_armed = False
         self._quorum_override: QuorumPolicy | None = None
         # Consistent-read machinery (repro.reads). All volatile: a crash
         # wipes the lease and every pending barrier, so a restarted
@@ -340,13 +336,12 @@ class RaftNode:
             }
         else:
             entries_per_append = {"count": 0}
-        peers = self.leader_state.peers.values() if self.leader_state is not None else ()
         return {
             "proposals": self.metrics["proposals"],
             "proposal_batches": self.metrics["proposal_batches"],
             "entries_per_append": entries_per_append,
             "inflight_hwm": self.metrics["inflight_hwm"],
-            "heartbeats_suppressed": sum(p.suppressed_heartbeats for p in peers),
+            "heartbeats_suppressed": self.metrics["heartbeats_suppressed"],
         }
 
     def status(self) -> dict[str, Any]:
@@ -401,18 +396,8 @@ class RaftNode:
         self.leader_id = self.name
         election.learn_leader(self.current_term, self.name)
         election.stop_timer()
-        self.leader_state = LeaderState.fresh(
-            self.current_term,
-            self.name,
-            self.membership,
-            self.last_opid.index,
-            flow=FlowControl(
-                max_inflight_windows=self.config.max_inflight_windows,
-                window_min=APPEND_WINDOW_MIN,
-                window_max=self.config.max_entries_per_append,
-            ),
-            silent=tally.silent if tally is not None else frozenset(),
-            on_region_head=self._on_region_head,
+        self.leader_state = self.replicator.fresh_state(
+            tally.silent if tally is not None else frozenset()
         )
         for peer in self.leader_state.silent():
             self._trace("raft.peer_silent", peer=peer, reason="presumed-dead")
@@ -429,7 +414,7 @@ class RaftNode:
         noop_opid = self._append_noop()
         self._trace("raft.leader_elected", noop=str(noop_opid))
         self.hooks.on_elected_leader(self.current_term, noop_opid)
-        self._replicate_all(force=True)
+        self.replicator.replicate_all(force=True)
         self._schedule_heartbeat()
         self.transfer.on_elected()
 
@@ -536,7 +521,7 @@ class RaftNode:
         self.hooks.on_entries_appended(staged, from_leader=False)
         self._maybe_advance_commit()
         self._resolve_proposals(self.commit_index)
-        self._replicate_all(force=False)
+        self.replicator.replicate_all(force=False)
 
     def _flush_staged_proposals(self) -> None:
         """Barrier: no RPC handler, heartbeat, or leadership action may
@@ -634,195 +619,11 @@ class RaftNode:
         # The leader is its own evidence of a live leader: keep the
         # stickiness window open so it denies disruptive vote requests.
         self.election.last_leader_contact = self.host.loop.now
-        self._replicate_all(force=True)
+        self.replicator.replicate_all(force=True)
         # Lease mode: every tick earns a quorum round so the lease stays
         # continuously valid; both modes: re-send stalled probes.
         self.reads.keepalive()
         self._schedule_heartbeat()
-
-    def _replicate_all(self, force: bool) -> None:
-        if self.leader_state is None:
-            return
-        self.metrics["replication_rounds"] += 1
-        self._replicate_many(
-            [member.name for member in self.membership.peers_of(self.name)], force
-        )
-
-    def _replicate_to(self, peer: str, force: bool) -> None:
-        self._replicate_many([peer], force)
-
-    def _replicate_many(self, peers: list[str], force: bool) -> None:
-        """Send each of ``peers`` its next window: one storage read (and
-        one immutable entries tuple) per distinct send cursor, and one
-        WAN message per remote region — whenever a region's head (the
-        proxy ``LeaderState.routes`` roots it at for this pass) is sent
-        entries, every member behind it that stands at the window's start
-        rides on that message as a fan-out destination (§4.2)."""
-        state = self.leader_state
-        if state is None:
-            return
-        now = self.host.loop.now
-        last = self.last_opid.index
-        windows: dict[tuple[int, int], tuple[OpId, tuple]] = {}
-        starts: dict[str, int] = {}
-        for peer in peers:
-            progress = state.ensure_peer(peer)
-            answering = progress.answering
-            start = progress.send_window_start(
-                last,
-                self.config.append_retry_interval,
-                now,
-                force,
-                heartbeat_suppress_window=self.config.heartbeat_interval,
-                commit_index=self.commit_index,
-            )
-            if answering and not progress.answering:
-                self._trace("raft.peer_silent", peer=peer, reason="retry")
-            if start is not None:
-                starts[peer] = start
-        if not starts:
-            return
-        chains, behind = state.routes(self.membership, self.router)
-        # Unrouted peers, probes and heartbeats (tiny anyway) first: what a
-        # routed peer gets depends on what its proxy is sent, this pass
-        # included.
-        routed = []
-        for peer, start in list(starts.items()):
-            progress = state.peers[peer]
-            if start <= last and peer in chains and progress.answering:
-                routed.append(peer)
-                continue
-            window = self._window_at(peer, progress, start, windows)
-            if window is None:
-                continue
-            riders = ()
-            if window[1] and peer in behind:
-                riders = self._take_riders(behind[peer], window, starts, now)
-            self._send_window(peer, progress, window, now, riders)
-        for peer in routed:
-            if peer in starts:  # did not ride on its proxy's message
-                self._send_routed(
-                    peer, state.peers[peer], starts[peer], chains[peer], windows, now
-                )
-
-    def _take_riders(
-        self, behind: list[str], window: "tuple[OpId, tuple]", starts: dict, now: float
-    ) -> tuple:
-        """The answering members behind a proxy that stand exactly at the
-        start of the window it is being sent: the proxy's window is
-        theirs, in no message of their own — whatever their own budget or
-        in-flight cap (the one WAN stream is paced by the proxy's). Taken
-        out of ``starts``."""
-        state = self.leader_state
-        prev_opid, entries = window
-        retry = self.config.append_retry_interval
-        riders = []
-        for peer in behind:
-            progress = state.peers.get(peer)
-            if progress is None or progress.routed_around or not progress.answering:
-                continue
-            if progress.inflight and now - progress.inflight_since >= retry:
-                # Rule 2's retry, for a member its rides keep fresh: its
-                # windows went unacked, so it is probed, not carried.
-                progress.on_retry_timeout()
-                self._trace("raft.peer_silent", peer=peer, reason="retry")
-                continue
-            start = starts.get(peer)
-            if start is None:
-                start = max(progress.next_index, progress.last_sent_index + 1)
-            if start == prev_opid.index + 1:
-                starts.pop(peer, None)
-                self._note_sent(progress, entries, now)
-                riders.append(peer)
-        return tuple(riders)
-
-    def _window_at(
-        self,
-        peer: str,
-        progress: Any,
-        start: int,
-        windows: "dict[tuple[int, int], tuple[OpId, tuple]]",
-    ) -> "tuple[OpId, tuple] | None":
-        """The ``(prev_opid, entries)`` window for ``peer`` from ``start``
-        (empty entries: a heartbeat, or a probe for a peer that is not
-        answering), or None when a snapshot went out instead."""
-        # Adaptive flow control gives each peer its own entry budget, so
-        # shared windows memoize on (start, budget) — peers with equal
-        # cursors *and* budgets still share one storage read.
-        limit = progress.window_entries if progress.answering else 0
-        key = (start, limit)
-        window = windows.get(key)
-        if window is not None:
-            return window
-        prev_index = start - 1
-        last = self.last_opid
-        # Pure heartbeats (start just past the tail) resolve the prev
-        # term from the O(1) tail opid instead of a storage lookup.
-        if prev_index == last.index and prev_index > 0:
-            prev_term = last.term
-        else:
-            prev_term = self._term_at(prev_index)
-        if prev_term is None or start < self.storage.first_index():
-            # Peer is so far behind that our log was purged below its
-            # next_index (LogTruncatedError territory): state transfer
-            # is the only way to catch it up. Ship a snapshot when the
-            # machinery is wired; otherwise resend from the oldest we
-            # still have (pure-protocol rings never purge mid-stream).
-            if self._maybe_ship_snapshot(peer):
-                return None
-            start = self.storage.first_index()
-            prev_index = start - 1
-            prev_term = self._term_at(prev_index) or 0
-            key = (start, limit)
-            window = windows.get(key)
-            if window is not None:
-                return window
-        entries = tuple(
-            self._entries_for_send(start, limit, MAX_BYTES_PER_APPEND)
-        )
-        window = windows[key] = (OpId(prev_term, prev_index), entries)
-        return window
-
-    def _note_sent(self, progress: Any, entries: tuple, now: float) -> None:
-        """Leader bookkeeping for one window on its way to one peer —
-        in a message of its own, as a PROXY_OP, or riding on its proxy's
-        (``append_sizes`` counts windows per peer, however they travel)."""
-        if entries:
-            tail = entries[-1].opid.index
-            progress.last_sent_index = tail
-            if not progress.inflight:
-                progress.inflight_since = now
-            progress.note_sent_window(tail)
-            if len(progress.inflight) > self.metrics["inflight_hwm"]:
-                self.metrics["inflight_hwm"] = len(progress.inflight)
-            self.append_sizes.record(float(len(entries)))
-        progress.last_sent_time = now
-        progress.last_sent_commit = self.commit_index
-
-    def _send_window(
-        self,
-        peer: str,
-        progress: Any,
-        window: "tuple[OpId, tuple]",
-        now: float,
-        fanout: tuple = (),
-    ) -> None:
-        prev_opid, entries = window
-        self._note_sent(progress, entries, now)
-        if not progress.answering:
-            self.metrics["probes_sent"] += 1
-        self.host.send(
-            peer,
-            AppendEntriesRequest(
-                term=self.current_term,
-                leader=self.name,
-                prev_opid=prev_opid,
-                commit_opid=self.commit_opid,
-                entries=entries,
-                final_dest=peer,
-                fanout=fanout,
-            ),
-        )
 
     def _entry_for_read(self, index: int) -> LogEntry | None:
         """Serve one entry from the in-memory cache; fall back to the log
@@ -837,216 +638,6 @@ class RaftNode:
         if entry is not None:
             self.cache.fill(entry)
         return entry
-
-    def _entries_for_send(self, start: int, max_entries: int, max_bytes: int) -> list[LogEntry]:
-        """Contiguous entries from ``start`` bounded by count and bytes
-        (≥1 entry if one exists, so a huge entry still replicates)."""
-        entries: list[LogEntry] = []
-        total = 0
-        index = start
-        while len(entries) < max_entries:
-            try:
-                entry = self._entry_for_read(index)
-            except LogTruncatedError:
-                break
-            if entry is None:
-                break
-            if entries and total + entry.size_bytes > max_bytes:
-                break
-            entries.append(entry)
-            total += entry.size_bytes
-            index += 1
-        return entries
-
-    # -- the region tree (§4.2) ------------------------------------------------------
-
-    def _on_region_head(self, group: str, head: str, reason: str) -> None:
-        self.metrics["proxy_reroots"] += 1
-        self._trace("raft.region_head", group=group, head=head, reason=reason)
-
-    def _send_routed(
-        self,
-        peer: str,
-        progress: Any,
-        start: int,
-        chain: tuple,
-        windows: dict,
-        now: float,
-    ) -> None:
-        """Entries from ``start`` for an answering peer that sits behind
-        a proxy — its group's head — and did not ride on the head's own
-        append in this pass. They cross the WAN as payload only when the
-        head cannot serve them: it is not answering, the peer is routed
-        around, or the peer is ahead of everything the head has been
-        sent."""
-        state = self.leader_state
-        covered = 0
-        if not progress.routed_around and all(state.is_answering(hop) for hop in chain):
-            proxy = state.peers[chain[-1]]
-            covered = proxy.sent_horizon - (start - 1)
-            if covered == 0 and proxy.inflight:
-                # Level with its proxy, which owes us an ack before it can
-                # take more: this peer rides on the proxy's next window.
-                return
-        window = self._window_at(peer, progress, start, windows)
-        if window is None:
-            return
-        prev_opid, entries = window
-        if covered <= 0 or prev_opid.index != start - 1:
-            self._send_window(peer, progress, window, now)
-            return
-        # PROXY_OP (§4.2.1): metadata for what the proxy has been sent;
-        # the proxy reconstitutes the payload from its own log.
-        entries = entries[:covered]
-        self._note_sent(progress, entries, now)
-        self.host.send(
-            chain[0],
-            AppendEntriesRequest(
-                term=self.current_term,
-                leader=self.name,
-                prev_opid=prev_opid,
-                commit_opid=self.commit_opid,
-                proxy_opids=tuple(e.opid for e in entries),
-                final_dest=peer,
-                route=chain[1:],
-            ),
-        )
-
-    def _forward_fanout(self, request: AppendEntriesRequest) -> None:
-        """We are the proxy this append is addressed to, and members
-        behind us stand at the same window: hand each the request we
-        hold — no log read, no wait. Their acks come back through us and
-        are folded into ours (:class:`AckFolds`), so the region answers
-        the window with one WAN message, as it was sent one."""
-        self.metrics["proxy_forwards"] += len(request.fanout)
-        return_path = request.return_path + (self.name,)
-        for dest in request.fanout:
-            # (Spelled out, not ``replace``: once per rider per window.)
-            self.host.send(
-                dest,
-                AppendEntriesRequest(
-                    term=request.term,
-                    leader=request.leader,
-                    prev_opid=request.prev_opid,
-                    commit_opid=request.commit_opid,
-                    entries=request.entries,
-                    final_dest=dest,
-                    return_path=return_path,
-                ),
-            )
-        wait = self.config.proxy_wait_timeout
-        self._folds.open(request, self.host.loop.now + wait)
-        if not self._fold_timer_armed:
-            self._fold_timer_armed = True
-            self.host.call_after(wait, self._expire_folds)
-
-    def _expire_folds(self) -> None:
-        """The fold timer: close what is due, re-arm for the oldest fold
-        still waiting (one timer per head, never one per window)."""
-        now = self.host.loop.now
-        for response in self._folds.expire(now):
-            self.host.send(response.leader, response)
-        deadline = self._folds.next_deadline()
-        if deadline is None:
-            self._fold_timer_armed = False
-        else:
-            self.host.call_after(deadline - now, self._expire_folds)
-
-    def _handle_proxy_forward(self, src: str, request: AppendEntriesRequest) -> None:
-        """We are a proxy hop for this message.
-
-        Intermediate hops relay the message untouched (PROXY_OP stays
-        metadata-only); the *final* proxy — the last hop before the
-        destination — reconstitutes the payload from its local log, or
-        degrades to a heartbeat if it can't (§4.2.1).
-        """
-        if request.route or not request.is_proxy_op:
-            # Not the final hop, or the message already carries its
-            # payload: pass it on and record ourselves on the return path
-            # so the response can travel back up.
-            self._send_along_route(
-                replace(request, return_path=request.return_path + (self.name,))
-            )
-            return
-        first = self.storage.first_index()
-        if request.proxy_opids[0].index < first:
-            # Purged: no wait brings it back. Our log serves from ``first``.
-            self._degrade(request, first - 1)
-            return
-        entries = self._reconstitute(request)
-        if entries is None:
-            # §4.2.1: wait a configurable period for the missing entry to
-            # arrive locally; re-check as our own log grows; degrade to a
-            # heartbeat at the deadline.
-            self._pending_proxy.append(request)
-            self.host.call_after(
-                self.config.proxy_wait_timeout, self._expire_proxy_wait, request
-            )
-            return
-        self._forward_reconstituted(request, entries)
-
-    def _reconstitute(self, request: AppendEntriesRequest) -> tuple | None:
-        """The PROXY_OP's entries from our own log, or None while any is
-        missing (or is another term's)."""
-        entries = []
-        for opid in request.proxy_opids:
-            try:
-                entry = self._entry_for_read(opid.index)
-            except LogTruncatedError:
-                return None
-            if entry is None or entry.opid != opid:
-                return None
-            entries.append(entry)
-        return tuple(entries)
-
-    def _expire_proxy_wait(self, request: AppendEntriesRequest) -> None:
-        if request in self._pending_proxy:
-            self._pending_proxy.remove(request)
-            self._degrade(request, request.proxy_opids[-1].index)
-
-    def _degrade(self, request: AppendEntriesRequest, through: int) -> None:
-        """Cannot reconstitute: the destination gets a heartbeat, and its
-        response's echo of ``through`` tells the leader to serve this
-        destination direct that far — O(lagging peers) degrades, never a
-        loop."""
-        self.metrics["proxy_degrades"] += 1
-        self._trace("raft.proxy_degraded", dest=request.final_dest)
-        self._send_along_route(
-            replace(
-                request,
-                proxy_opids=(),
-                degraded_through=through,
-                return_path=request.return_path + (self.name,),
-            )
-        )
-
-    def _retry_pending_proxies(self) -> None:
-        """Called when our local log grows: satisfy waiting proxy ops."""
-        still_waiting = []
-        for request in self._pending_proxy:
-            entries = self._reconstitute(request)
-            if entries is None:
-                still_waiting.append(request)
-            else:
-                self._forward_reconstituted(request, entries)
-        self._pending_proxy = still_waiting
-
-    def _forward_reconstituted(self, request: AppendEntriesRequest, entries: tuple) -> None:
-        self.metrics["proxy_forwards"] += 1
-        self._send_along_route(
-            replace(
-                request,
-                entries=entries,
-                proxy_opids=(),
-                return_path=request.return_path + (self.name,),
-            )
-        )
-
-    def _send_along_route(self, request: AppendEntriesRequest) -> None:
-        if request.route:
-            self.host.send(request.route[0], replace(request, route=request.route[1:]))
-        else:
-            self.host.send(request.final_dest, request)
 
     # -- AppendEntries (the receiving side) ----------------------------------------
 
@@ -1083,19 +674,15 @@ class RaftNode:
             self.election.learn_leader(term, leader)
 
     def _handle_append_entries(self, src: str, request: AppendEntriesRequest) -> None:
-        if request.final_dest and request.final_dest != self.name:
-            self._handle_proxy_forward(src, request)
-            return
         if request.is_proxy_op:
-            # A PROXY_OP that reached its destination unreconstituted is a
-            # protocol bug; treat as heartbeat-with-unknown-entries.
-            request = replace(request, proxy_opids=())
-
+            # Only a PROXY_OP is ever addressed through a proxy: us.
+            self.proxy.on_proxy_op(request)
+            return
         if not self._accept_leader_authority(request.term, request.leader):
             self._respond_append(request, success=False, ack_index=0)
             return
         if request.fanout:
-            self._forward_fanout(request)
+            self.proxy.forward(request)
 
         # Log consistency check on prev_opid.
         prev = request.prev_opid
@@ -1147,7 +734,7 @@ class RaftNode:
             if entry.kind == ENTRY_KIND_CONFIG:
                 self._adopt_config_from(entry)
         self.hooks.on_entries_appended(to_append, from_leader=True)
-        self._retry_pending_proxies()
+        self.proxy.on_log_grew()
         return True
 
     def _advance_follower_commit(self, index: int) -> None:
@@ -1168,28 +755,14 @@ class RaftNode:
             success=success,
             last_opid=OpId(ack_term or 0, ack_index) if success else self.last_opid,
             leader=request.leader,
-            return_path=request.return_path,
             degraded_through=request.degraded_through,
         )
-        if response.return_path:
-            self.host.send(response.return_path[-1], response.popped())
-        elif request.fanout:
-            # We are a head: hold our ack for the riders' (rule 1).
-            for ready in self._folds.own(request, response):
-                self.host.send(ready.leader, ready)
-        else:
-            self.host.send(request.leader, response)
+        self.proxy.answer(request, response)
 
     def _handle_append_response(self, src: str, response: AppendEntriesResponse) -> None:
-        # Proxied responses travel back up the return path to the leader
-        # (§4.2.1); intermediate hops just relay, and the last hop — the
-        # head — folds its riders' acks into its own.
         if response.leader and response.leader != self.name:
-            if response.return_path:
-                self.host.send(response.return_path[-1], response.popped())
-            else:
-                for ready in self._folds.rider(response):
-                    self.host.send(ready.leader, ready)
+            # We are the head it came through (§4.2.1).
+            self.proxy.relay(response)
             return
         state = self.leader_state
         if not self.is_leader or state is None:
@@ -1197,40 +770,7 @@ class RaftNode:
         if response.term > self.current_term:
             self._step_down(response.term, leader=None)
             return
-        if not response.success:
-            self._on_rejected(response)
-            return
-        # One folded response acks the head and every rider it names, at
-        # the same last_opid.
-        acked = (response.follower, *response.riders) if response.riders else (response.follower,)
-        policy, membership = self._effective_policy(), self.membership
-        index, now = response.last_opid.index, self.host.loop.now
-        advance = False
-        progresses = []
-        for follower in acked:
-            progress = state.ensure_peer(follower)
-            progresses.append(progress)
-            if not progress.answering:  # any response is an answer
-                self._trace("raft.peer_answering", peer=follower)
-            progress.acked(index)
-            progress.inflight_since = now
-            if follower == response.follower and response.degraded_through:
-                # Its proxy could not reconstitute the window (§4.2.3).
-                progress.route_around(response.degraded_through)
-            if state.counts_toward_commit(follower, policy, membership):
-                advance = True
-        if advance:
-            self._maybe_advance_commit()
-        # Send more only if unsent entries remain, in one pass; force=False
-        # avoids answering every ack with an empty heartbeat (which would
-        # ping-pong forever).
-        last = self.last_opid.index
-        behind = [
-            follower for follower, progress in zip(acked, progresses)
-            if progress.next_index <= last
-        ]
-        if behind:
-            self._replicate_many(behind, force=False)
+        acked = self.replicator.on_response(response)
         handoff = (
             state.handoff_tried is not None and response.last_opid.term == self.current_term
         )
@@ -1238,18 +778,6 @@ class RaftNode:
             self.transfer.maybe_complete(follower)
             if handoff:
                 self.transfer.witness_handoff(follower)
-
-    def _on_rejected(self, response: AppendEntriesResponse) -> None:
-        progress = self.leader_state.ensure_peer(response.follower)
-        if not progress.answering:  # any response is an answer
-            self._trace("raft.peer_answering", peer=response.follower)
-        progress.on_rejected()
-        progress.next_index = max(
-            1, min(progress.next_index - 1, response.last_opid.index + 1)
-        )
-        progress.last_sent_index = 0
-        progress.last_sent_time = -1e9
-        self._replicate_to(response.follower, force=True)
 
     def _maybe_advance_commit(self) -> None:
         if self.leader_state is None:
@@ -1333,11 +861,10 @@ class RaftNode:
             if not progress.answering:
                 self._trace("raft.peer_answering", peer=response.follower)
             progress.acked(installed.index)
-            progress.last_sent_index = 0
-            progress.last_sent_time = -1e9
+            progress.rewind()
             self._trace("raft.snapshot_shipped", peer=response.follower, opid=str(installed))
             self._maybe_advance_commit()
-            self._replicate_to(response.follower, force=True)
+            self.replicator.replicate([response.follower], force=True)
 
     def adopt_snapshot(self, opid: OpId, members_wire: tuple = (), config_index: int = 0) -> None:
         """Follower side: align volatile Raft state with a just-installed

@@ -1,30 +1,35 @@
-"""Proxy routing for AppendEntries (§4.2).
+"""The region tree for AppendEntries (§4.2): one proxy hop.
 
-The router answers one question for the leader: *through which hops
-should replication to member X travel?* :class:`RegionProxyRouter` —
-what every node gets unless another router is injected — implements the
-paper's topology (Figure 4): traffic to a remote region is funneled
+The router answers one question for the leader: *which member, if any,
+does replication to member X travel through?* :class:`RegionProxyRouter`
+— what every node gets unless another router is injected — implements
+the paper's topology (Figure 4): traffic to a remote region is funneled
 through that region's designated proxy — its storage-engine member when
-present, otherwise its first voter — and fans out in-region from there.
-Members co-located with the leader, and the proxies themselves, are
-reached directly. A router that returns no chain for anybody
+present, otherwise its first member — and fans out in-region from
+there. Members co-located with the leader, and the proxies themselves,
+are reached directly. A router that names no proxy for anybody
 (``StaticProxyRouter({})``) is how direct delivery is spelled.
 
 Routing is pure data-plane: votes are never proxied (§4.2.1), and the
 leader keeps all replication bookkeeping, so proxies can be bypassed at
-any moment (route-around, §4.2.3) — or replaced — without protocol
+any moment (routed around, §4.2.3) — or replaced — without protocol
 consequences. A router must be a pure function of its arguments: the
-leader memoizes its chains per membership in a :class:`RouteTable`,
+leader memoizes its answers per membership in a :class:`RouteTable`,
 which is also where the one volatile part of routing lives — which
-member of a region currently does the proxy's job. :class:`AckFolds` is
-the head's half of the tree on the way back: riders' acks folded into
-the head's own.
+member of a region currently does the proxy's job.
+
+:class:`ProxyHop` is a member's half of the tree: forwarding a head's
+window to its riders, reconstituting PROXY_OPs, and answering through
+the head, where :class:`AckFolds` folds riders' acks into the head's own.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import replace
+from typing import Any, Callable
 
+from repro.errors import LogTruncatedError
 from repro.raft.membership import MembershipConfig
 from repro.raft.messages import (
     FANOUT_DEST_BYTES,
@@ -36,22 +41,18 @@ from repro.raft.types import OpId
 
 
 class ProxyRouter(ABC):
-    """Strategy mapping (leader, destination) → proxy chain."""
+    """Strategy mapping (leader, destination) → proxy."""
 
     @abstractmethod
-    def chain_for(
-        self, leader: str, dst: str, config: MembershipConfig
-    ) -> list[str] | None:
-        """Hops between leader and ``dst`` (excluding both endpoints), or
-        None/[] for direct delivery."""
+    def proxy_for(self, leader: str, dst: str, config: MembershipConfig) -> str | None:
+        """The member ``dst``'s appends travel through, or None for
+        direct delivery."""
 
 
 class RegionProxyRouter(ProxyRouter):
     """One proxy per remote region (the region's database member)."""
 
-    def chain_for(
-        self, leader: str, dst: str, config: MembershipConfig
-    ) -> list[str] | None:
+    def proxy_for(self, leader: str, dst: str, config: MembershipConfig) -> str | None:
         leader_member = config.member(leader)
         dst_member = config.member(dst)
         if leader_member is None or dst_member is None:
@@ -61,7 +62,7 @@ class RegionProxyRouter(ProxyRouter):
         proxy = self._region_proxy(dst_member.region, config)
         if proxy is None or proxy == dst or proxy == leader:
             return None
-        return [proxy]
+        return proxy
 
     def _region_proxy(self, region: str, config: MembershipConfig) -> str | None:
         members = [m for m in config.members if m.region == region]
@@ -74,57 +75,53 @@ class RegionProxyRouter(ProxyRouter):
 
 
 class StaticProxyRouter(ProxyRouter):
-    """Explicit chains, for tests and unusual topologies.
+    """An explicit tree, for tests and unusual topologies.
 
-    ``chains`` maps destination name → hop list.
+    ``proxies`` maps destination name → proxy name.
     """
 
-    def __init__(self, chains: dict[str, list[str]]) -> None:
-        self._chains = chains
+    def __init__(self, proxies: dict[str, str]) -> None:
+        self._proxies = proxies
 
-    def chain_for(
-        self, leader: str, dst: str, config: MembershipConfig
-    ) -> list[str] | None:
-        chain = self._chains.get(dst)
-        if not chain or leader in chain or dst in chain:
+    def proxy_for(self, leader: str, dst: str, config: MembershipConfig) -> str | None:
+        proxy = self._proxies.get(dst)
+        if proxy == leader or proxy == dst:
             return None
-        return list(chain)
+        return proxy
 
 
 class RouteTable:
-    """The leader's routing table: the router's chains, re-rooted.
+    """The leader's routing table: the router's tree, re-rooted.
 
-    A proxy the leader reaches directly and the members one hop behind it
-    form a *group*; the member the group's payload travels through is its
+    A proxy the leader reaches directly and the members behind it form a
+    *group*; the member the group's payload travels through is its
     *head*. The router names the **preferred** head — the static choice,
     and the only one a fault-free ring ever runs. The role itself is
     volatile leader state: it moves on evidence the leader already keeps
     in :class:`~repro.raft.replication.PeerProgress` (DESIGN.md §15,
     rule 4), and an acting head is remembered only while it differs from
-    the preferred one. ``chains`` / ``behind`` are what replication
-    consumes: destination → hops, and head → the members it carries.
-    Chains longer than one hop, and groups whose proxy is itself routed,
-    are left as the router gave them.
+    the preferred one. ``heads`` / ``behind`` are what replication
+    consumes: destination → head, and head → the members it carries. A
+    proxy that is itself behind a proxy heads no group.
     """
 
     def __init__(self, leader: str, config: MembershipConfig, router: ProxyRouter) -> None:
         self.config = config
         self.router = router
-        chains: dict[str, tuple] = {}
+        heads: dict[str, str] = {}
         behind: dict[str, list[str]] = {}
         for member in config.peers_of(leader):
-            chain = router.chain_for(leader, member.name, config)
-            if chain:
-                chains[member.name] = tuple(chain)
-                if len(chain) == 1:
-                    behind.setdefault(chain[0], []).append(member.name)
-        self._static = (chains, behind)
-        self.chains, self.behind = chains, behind
+            proxy = router.proxy_for(leader, member.name, config)
+            if proxy is not None:
+                heads[member.name] = proxy
+                behind.setdefault(proxy, []).append(member.name)
+        self._static = (heads, behind)
+        self.heads, self.behind = heads, behind
         # Preferred head first, then membership order: the tie-break.
         self.groups: dict[str, tuple] = {
             proxy: (proxy, *members)
             for proxy, members in behind.items()
-            if proxy not in chains and proxy in config
+            if proxy not in heads and proxy in config
         }
         self.acting: dict[str, str] = {}  # preferred head → acting head
 
@@ -180,13 +177,13 @@ class RouteTable:
         return best
 
     def _reroot(self) -> None:
-        chains, behind = dict(self._static[0]), dict(self._static[1])
+        heads, behind = dict(self._static[0]), dict(self._static[1])
         for preferred, head in self.acting.items():
             others = [name for name in self.groups[preferred] if name != head]
-            del chains[head], behind[preferred]
-            chains.update(dict.fromkeys(others, (head,)))
+            del heads[head], behind[preferred]
+            heads.update(dict.fromkeys(others, head))
             behind[head] = behind.get(head, []) + others
-        self.chains, self.behind = chains, behind
+        self.heads, self.behind = heads, behind
 
 
 class _Fold:
@@ -326,3 +323,161 @@ class AckFolds:
             if fold.waiting:
                 return fold.deadline
         return None
+
+
+class ProxyHop:
+    """A member's half of the region tree. Rebuilt per incarnation; like
+    :class:`~repro.raft.election.Election` it acts only through
+    ``send``, ``call_after`` and ``now``, reads the log through the node,
+    and counts into the node's ``metrics``.
+
+    As a head it forwards a window to the riders named in its
+    ``fanout`` and folds their acks into its own (:class:`AckFolds`); as
+    a proxy it turns a PROXY_OP back into the payload from its own log
+    (§4.2.1) — waiting ``proxy_wait_timeout`` for entries not yet there,
+    and degrading to a heartbeat when the wait runs out or the entries
+    were purged."""
+
+    def __init__(self, node: Any, send: Callable, call_after: Callable, now: Callable) -> None:
+        self.node = node
+        self.send = send
+        self.call_after = call_after
+        self.now = now
+        self._metrics = node.metrics
+        self._wait = node.config.proxy_wait_timeout
+        # PROXY_OPs waiting for their entries to reach our log.
+        self._waiting: list[AppendEntriesRequest] = []
+        # Riders' acks held for folding, and the one timer that closes
+        # the oldest fold at its deadline.
+        self._folds = AckFolds(node.metrics)
+        self._fold_timer_armed = False
+
+    # -- as a head: riders and their acks ------------------------------------------
+
+    def forward(self, request: AppendEntriesRequest) -> None:
+        """We are the head this append is addressed to, and members
+        behind us stand at the same window: hand each the request we
+        hold — no log read, no wait. Their acks come back through us and
+        are folded into ours, so the region answers the window with one
+        WAN message, as it was sent one."""
+        self._metrics["proxy_forwards"] += len(request.fanout)
+        via = self.node.name
+        for dest in request.fanout:
+            # (Spelled out, not ``replace``: once per rider per window.)
+            self.send(
+                dest,
+                AppendEntriesRequest(
+                    term=request.term,
+                    leader=request.leader,
+                    prev_opid=request.prev_opid,
+                    commit_opid=request.commit_opid,
+                    entries=request.entries,
+                    final_dest=dest,
+                    via=via,
+                ),
+            )
+        self._folds.open(request, self.now() + self._wait)
+        if not self._fold_timer_armed:
+            self._fold_timer_armed = True
+            self.call_after(self._wait, self._expire_folds)
+
+    def _expire_folds(self) -> None:
+        """The fold timer: close what is due, re-arm for the oldest fold
+        still waiting (one timer per head, never one per window)."""
+        now = self.now()
+        for response in self._folds.expire(now):
+            self.send(response.leader, response)
+        deadline = self._folds.next_deadline()
+        if deadline is None:
+            self._fold_timer_armed = False
+        else:
+            self.call_after(deadline - now, self._expire_folds)
+
+    def answer(self, request: AppendEntriesRequest, response: AppendEntriesResponse) -> None:
+        """Send our ``response`` to ``request``: through the head it came
+        via; held for our riders' if we are that head (rule 1); else
+        straight to the leader."""
+        if request.via:
+            self.send(request.via, response)
+        elif request.fanout:
+            for ready in self._folds.own(request, response):
+                self.send(ready.leader, ready)
+        else:
+            self.send(request.leader, response)
+
+    def relay(self, response: AppendEntriesResponse) -> None:
+        """An answer that came through us on its way to the leader:
+        folded into our own ack, or passed on alone."""
+        for ready in self._folds.rider(response):
+            self.send(ready.leader, ready)
+
+    # -- as a proxy: PROXY_OPs -------------------------------------------------------
+
+    def on_proxy_op(self, request: AppendEntriesRequest) -> None:
+        """Reconstitute the payload from our log and send it on, or
+        degrade to a heartbeat if we can't (§4.2.1)."""
+        first = self.node.storage.first_index()
+        if request.proxy_opids[0].index < first:
+            # Purged: no wait brings it back. Our log serves from ``first``.
+            self._degrade(request, first - 1)
+            return
+        entries = self._reconstitute(request)
+        if entries is None:
+            # §4.2.1: wait a configurable period for the missing entry to
+            # arrive locally; re-check as our own log grows; degrade to a
+            # heartbeat at the deadline.
+            self._waiting.append(request)
+            self.call_after(self._wait, self._expire_wait, request)
+            return
+        self._forward_reconstituted(request, entries)
+
+    def on_log_grew(self) -> None:
+        """Our log grew: satisfy the PROXY_OPs waiting for it."""
+        if not self._waiting:
+            return
+        still_waiting = []
+        for request in self._waiting:
+            entries = self._reconstitute(request)
+            if entries is None:
+                still_waiting.append(request)
+            else:
+                self._forward_reconstituted(request, entries)
+        self._waiting = still_waiting
+
+    def _reconstitute(self, request: AppendEntriesRequest) -> tuple | None:
+        """The PROXY_OP's entries from our own log, or None while any is
+        missing (or is another term's)."""
+        entries = []
+        for opid in request.proxy_opids:
+            try:
+                entry = self.node._entry_for_read(opid.index)
+            except LogTruncatedError:
+                return None
+            if entry is None or entry.opid != opid:
+                return None
+            entries.append(entry)
+        return tuple(entries)
+
+    def _expire_wait(self, request: AppendEntriesRequest) -> None:
+        if request in self._waiting:
+            self._waiting.remove(request)
+            self._degrade(request, request.proxy_opids[-1].index)
+
+    def _degrade(self, request: AppendEntriesRequest, through: int) -> None:
+        """Cannot reconstitute: the destination gets a heartbeat, and its
+        response's echo of ``through`` tells the leader to serve this
+        destination direct that far — O(lagging peers) degrades, never a
+        loop."""
+        self._metrics["proxy_degrades"] += 1
+        self.node._trace("raft.proxy_degraded", dest=request.final_dest)
+        self.send(
+            request.final_dest,
+            replace(request, proxy_opids=(), degraded_through=through, via=self.node.name),
+        )
+
+    def _forward_reconstituted(self, request: AppendEntriesRequest, entries: tuple) -> None:
+        self._metrics["proxy_forwards"] += 1
+        self.send(
+            request.final_dest,
+            replace(request, entries=entries, proxy_opids=(), via=self.node.name),
+        )

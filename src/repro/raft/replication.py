@@ -1,20 +1,34 @@
-"""Leader-side replication bookkeeping.
+"""Leader replication: per-peer progress, the commit marker, and the
+send side (:class:`Replicator`).
 
 Per-peer progress (next/match indexes, whether the peer answers) plus the
 commit-marker advance: after every ack the leader asks the quorum policy
 which indexes are now consensus-committed. Proxying (§4.2.1) keeps *all*
 of this on the leader — proxies carry no bookkeeping — which is what
 keeps the design "effectively standard Raft from a safety perspective".
+The member side of the region tree is :class:`~repro.raft.proxy.ProxyHop`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
+from repro.errors import LogTruncatedError
+from repro.raft.log_storage import LogEntry
 from repro.raft.membership import MembershipConfig
+from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
 from repro.raft.proxy import ProxyRouter, RouteTable
-from repro.raft.quorum import QuorumPolicy, majority_count
+from repro.raft.quorum import QuorumPolicy
+from repro.raft.types import OpId
+
+# Adaptive per-append window: starts at this many entries, doubles on
+# every cleanly acked window up to max_entries_per_append, and collapses
+# back on a rejection or retry timeout (slow-start, the Fast Raft /
+# TCP-style flow-control shape).
+APPEND_WINDOW_MIN = 8
+# Byte cap on the entries one AppendEntries window carries.
+MAX_BYTES_PER_APPEND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,8 +80,6 @@ class PeerProgress:
     # a rider's retry clock. Every ride refreshes its last_sent_time, so
     # that one never runs out for a rider whose head keeps being sent.
     inflight_since: float = 0.0
-    inflight_hwm: int = 0
-    suppressed_heartbeats: int = 0
 
     def __post_init__(self) -> None:
         if self.window_entries == 0:
@@ -96,11 +108,6 @@ class PeerProgress:
             for _ in range(cleanly_acked):
                 self.window_entries = min(self.flow.window_max, self.window_entries * 2)
 
-    def note_sent_window(self, tail_index: int) -> None:
-        """Record one entry-bearing append as in flight (flow control)."""
-        self.inflight.append(tail_index)
-        self.inflight_hwm = max(self.inflight_hwm, len(self.inflight))
-
     def route_around(self, until: int) -> None:
         """The proxy degraded this peer's window to a heartbeat: nothing
         past ``match_index`` arrived, so rewind the send cursor and go
@@ -111,12 +118,21 @@ class PeerProgress:
         self.last_sent_index = self.match_index
         self.last_sent_time = -1e9
 
-    def on_rejected(self) -> None:
-        """AppendEntries rejected: whatever was in flight toward this
-        peer is junk (wrong prev), and the link/log state is suspect —
-        collapse the window back to slow-start. A reject is an answer."""
+    def on_rejected(self, last_index: int) -> None:
+        """AppendEntries rejected by a peer whose log ends at
+        ``last_index``: whatever was in flight toward it is junk (wrong
+        prev), and the link/log state is suspect — collapse the window
+        back to slow-start and resend from one entry earlier, or from
+        just past its tail. A reject is an answer."""
         self._collapse()
         self.answering = True
+        self.next_index = max(1, min(self.next_index - 1, last_index + 1))
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Forget what was sent: the next pass sends from ``next_index``."""
+        self.last_sent_index = 0
+        self.last_sent_time = -1e9
 
     def on_retry_timeout(self) -> None:
         """An unacked window went silent past the retry interval: the
@@ -131,13 +147,7 @@ class PeerProgress:
         self.window_entries = self.flow.window_min
 
     def send_window_start(
-        self,
-        last_log_index: int,
-        retry_interval: float,
-        now: float,
-        force: bool,
-        heartbeat_suppress_window: float = 0.0,
-        commit_index: int = 0,
+        self, last_log_index: int, retry_interval: float, now: float, force: bool
     ) -> int | None:
         """Where an AppendEntries to this peer should start, or None for
         nothing to send. ``last_log_index + 1`` means a pure heartbeat
@@ -151,28 +161,13 @@ class PeerProgress:
         ``max_inflight_windows`` appends are outstanding; the retry path
         (no ack for ``retry_interval``) always goes through, and when
         windows were in flight it turns into the first probe
-        (:meth:`on_retry_timeout`). ``heartbeat_suppress_window`` > 0
-        suppresses a *forced* pure heartbeat when traffic already went
-        out within that window AND that traffic carried the current
-        commit marker — then the heartbeat is pure duplication: the
-        follower's failure detector was fed and its commit point cannot
-        advance further."""
+        (:meth:`on_retry_timeout`)."""
         if not self.answering:
             if force or now - self.last_sent_time >= retry_interval:
                 return self.next_index  # probe
             return None
-        heartbeat_redundant = (
-            heartbeat_suppress_window > 0.0
-            and now - self.last_sent_time < heartbeat_suppress_window
-            and self.last_sent_commit >= commit_index
-        )
         if self.next_index > last_log_index:
-            if not force:
-                return None
-            if heartbeat_redundant:
-                self.suppressed_heartbeats += 1
-                return None
-            return last_log_index + 1  # pure heartbeat
+            return last_log_index + 1 if force else None  # pure heartbeat
         if now - self.last_sent_time >= retry_interval:
             if self.inflight:
                 self.on_retry_timeout()
@@ -182,11 +177,15 @@ class PeerProgress:
                 return None  # at the in-flight cap: wait for acks
             return max(self.next_index, self.last_sent_index + 1)  # pipeline new tail
         if force:
-            if heartbeat_redundant:
-                self.suppressed_heartbeats += 1
-                return None
             return last_log_index + 1  # heartbeat carrying the commit marker
         return None
+
+    def heartbeat_redundant(self, now: float, window: float, commit_index: int) -> bool:
+        """Whether a heartbeat to this answering peer is pure duplication:
+        traffic already went out within ``window`` AND carried the
+        current commit marker, so the follower's failure detector was
+        fed and its commit point cannot advance further."""
+        return now - self.last_sent_time < window and self.last_sent_commit >= commit_index
 
 
 @dataclass
@@ -204,8 +203,6 @@ class LeaderState:
     # this term. None = no hand-off owed (a database leads, or the
     # TimeoutNow has gone out).
     handoff_tried: set | None = None
-    # Told ``(group, head, reason)`` whenever a proxy group's head moves.
-    on_region_head: Callable[[str, str, str], None] | None = None
     _routes: RouteTable | None = None
     _commit_voters: tuple | None = None
 
@@ -218,17 +215,10 @@ class LeaderState:
         last_log_index: int,
         flow: FlowControl,
         silent: frozenset = frozenset(),
-        on_region_head: Callable[[str, str, str], None] | None = None,
     ) -> "LeaderState":
         """Every peer starts answering except those in ``silent``: the
         election's presumed-dead predecessor, if it never answered."""
-        state = cls(
-            term=term,
-            self_name=self_name,
-            last_log_index=last_log_index,
-            flow=flow,
-            on_region_head=on_region_head,
-        )
+        state = cls(term, self_name, last_log_index, flow)
         for member in config.peers_of(self_name):
             state.ensure_peer(member.name).answering = member.name not in silent
         return state
@@ -309,48 +299,345 @@ class LeaderState:
 
     # -- the region tree (§4.2) ------------------------------------------------
 
-    def is_answering(self, name: str) -> bool:
-        """Route-around check (§4.2.3): only a member that answers
-        carries other members' traffic."""
-        progress = self.peers.get(name)
-        return progress is not None and progress.answering
-
     def silent(self) -> list[str]:
         """Peers that are not answering, by name."""
         return sorted(name for name, progress in self.peers.items() if not progress.answering)
 
-    def routes(self, config: MembershipConfig, router: ProxyRouter) -> tuple[dict, dict]:
-        """``(chain by destination, destinations behind each one-hop
-        proxy)`` for this pass, every proxy group rooted at the head the
+    def routes(self, config: MembershipConfig, router: ProxyRouter) -> tuple[dict, dict, list]:
+        """``(head by destination, destinations behind each head, heads
+        moved)`` for this pass, every proxy group rooted at the head the
         rule picks from the progress above (:class:`RouteTable`). Routers
         are pure, so the static table lives as long as the membership.
-        A re-root clears the group's route-arounds: the path they avoid
+        A re-root clears the group's routing around: the path it avoids
         is gone."""
         table = self._routes
         if table is None or table.config is not config or table.router is not router:
             table = self._routes = RouteTable(self.self_name, config, router)
-        for group, head, reason in table.review_heads(self.peers):
+        moved = table.review_heads(self.peers)
+        for group, _head, _reason in moved:
             for name in table.groups[group]:
                 self.peers[name].direct_until = 0
-            if self.on_region_head is not None:
-                self.on_region_head(group, head, reason)
-        return table.chains, table.behind
+        return table.heads, table.behind, moved
 
     def acting_heads(self) -> dict[str, str]:
         """Proxy groups (by preferred head) currently fed through
         another member."""
         return dict(self._routes.acting) if self._routes is not None else {}
 
-    def region_watermark(self, region: str, config: MembershipConfig) -> int:
-        """Highest index held by a majority of the region's voters —
-        the per-region watermark used for commit decisions and purge
-        heuristics (§4.1, §A.1)."""
-        region_voters = config.voters_in_region(region)
-        if not region_voters:
-            return self.last_log_index  # vacuous: nothing to wait for
-        matches = sorted((self.match_of(m.name) for m in region_voters), reverse=True)
-        return matches[majority_count(len(matches)) - 1]
 
-    def min_region_watermark(self, config: MembershipConfig) -> int:
-        """The slowest region's watermark: safe global purge horizon."""
-        return min(self.region_watermark(region, config) for region in config.regions())
+class Replicator:
+    """The leader's send side, and the ack and reject half of
+    AppendEntries responses. Rebuilt per incarnation; like
+    :class:`~repro.raft.election.Election` it acts only through ``send``
+    and ``now`` (it sets no timer), reads log, term and membership from
+    the node, and counts into the node's ``metrics``.
+
+    Each pass sends every peer its next window: one storage read (and
+    one immutable entries tuple) per distinct send cursor, and one WAN
+    message per remote region — whenever a region's head is sent
+    entries, every member behind it that stands at the window's start
+    rides on that message as a fan-out destination (§4.2). A member
+    behind a head that did not ride gets a PROXY_OP through the head for
+    what the head has been sent."""
+
+    def __init__(self, node: Any, send: Callable, now: Callable) -> None:
+        self.node = node
+        self.send = send
+        self.now = now
+        self._config = node.config
+        self._metrics = node.metrics
+
+    def fresh_state(self, silent: frozenset) -> LeaderState:
+        """Bookkeeping for a term this node just won."""
+        node, config = self.node, self._config
+        flow = FlowControl(
+            config.max_inflight_windows, APPEND_WINDOW_MIN, config.max_entries_per_append
+        )
+        return LeaderState.fresh(
+            node.current_term, node.name, node.membership, node.last_opid.index, flow, silent
+        )
+
+    # -- sending -----------------------------------------------------------------
+
+    def replicate_all(self, force: bool) -> None:
+        """One replication round to every peer; ``force`` sends a
+        heartbeat to peers with nothing new (unless it is redundant)."""
+        node = self.node
+        if node.leader_state is None:
+            return
+        self._metrics["replication_rounds"] += 1
+        self.replicate([member.name for member in node.membership.peers_of(node.name)], force)
+
+    def replicate(self, peers: list[str], force: bool) -> None:
+        """Send each of ``peers`` its next window, if it is owed one."""
+        node = self.node
+        state = node.leader_state
+        if state is None:
+            return
+        config, now = self._config, self.now()
+        last, commit = node.last_opid.index, node.commit_index
+        windows: dict[tuple[int, int], tuple[OpId, tuple]] = {}
+        starts: dict[str, int] = {}
+        for peer in peers:
+            progress = state.ensure_peer(peer)
+            answering = progress.answering
+            start = progress.send_window_start(last, config.append_retry_interval, now, force)
+            if answering and not progress.answering:
+                node._trace("raft.peer_silent", peer=peer, reason="retry")
+            if start is None:
+                continue
+            if (
+                start > last
+                and progress.answering
+                and progress.heartbeat_redundant(now, config.heartbeat_interval, commit)
+            ):
+                self._metrics["heartbeats_suppressed"] += 1
+                continue
+            starts[peer] = start
+        if not starts:
+            return
+        heads, behind, moved = state.routes(node.membership, node.router)
+        for group, head, reason in moved:
+            self._metrics["proxy_reroots"] += 1
+            node._trace("raft.region_head", group=group, head=head, reason=reason)
+        # Unrouted peers, probes and heartbeats (tiny anyway) first: what a
+        # routed peer gets depends on what its head is sent, this pass
+        # included.
+        routed = []
+        for peer, start in list(starts.items()):
+            progress = state.peers[peer]
+            if start <= last and peer in heads and progress.answering:
+                routed.append(peer)
+                continue
+            window = self._window_at(peer, progress, start, windows)
+            if window is None:
+                continue
+            riders = ()
+            if window[1] and peer in behind:
+                riders = self._take_riders(behind[peer], window, starts, now)
+            self._send_window(peer, progress, window, now, riders)
+        for peer in routed:
+            if peer in starts:  # did not ride on its head's message
+                self._send_routed(
+                    peer, state.peers[peer], starts[peer], heads[peer], windows, now
+                )
+
+    def _take_riders(
+        self, behind: list[str], window: "tuple[OpId, tuple]", starts: dict, now: float
+    ) -> tuple:
+        """The answering members behind a head that stand exactly at the
+        start of the window it is being sent: the head's window is
+        theirs, in no message of their own — whatever their own budget or
+        in-flight cap (the one WAN stream is paced by the head's). Taken
+        out of ``starts``."""
+        peers = self.node.leader_state.peers
+        prev_opid, entries = window
+        retry = self._config.append_retry_interval
+        riders = []
+        for peer in behind:
+            progress = peers.get(peer)
+            if progress is None or progress.routed_around or not progress.answering:
+                continue
+            if progress.inflight and now - progress.inflight_since >= retry:
+                # Rule 2's retry, for a member its rides keep fresh: its
+                # windows went unacked, so it is probed, not carried.
+                progress.on_retry_timeout()
+                self.node._trace("raft.peer_silent", peer=peer, reason="retry")
+                continue
+            start = starts.get(peer)
+            if start is None:
+                start = max(progress.next_index, progress.last_sent_index + 1)
+            if start == prev_opid.index + 1:
+                starts.pop(peer, None)
+                self._note_sent(progress, entries, now)
+                riders.append(peer)
+        return tuple(riders)
+
+    def _window_at(
+        self, peer: str, progress: PeerProgress, start: int, windows: dict
+    ) -> "tuple[OpId, tuple] | None":
+        """The ``(prev_opid, entries)`` window for ``peer`` from ``start``
+        (empty entries: a heartbeat, or a probe for a peer that is not
+        answering), or None when a snapshot went out instead."""
+        # Adaptive flow control gives each peer its own entry budget, so
+        # shared windows memoize on (start, budget) — peers with equal
+        # cursors *and* budgets still share one storage read.
+        node = self.node
+        limit = progress.window_entries if progress.answering else 0
+        key = (start, limit)
+        window = windows.get(key)
+        if window is not None:
+            return window
+        prev_index = start - 1
+        last = node.last_opid
+        # Pure heartbeats (start just past the tail) resolve the prev
+        # term from the O(1) tail opid instead of a storage lookup.
+        if prev_index == last.index and prev_index > 0:
+            prev_term = last.term
+        else:
+            prev_term = node._term_at(prev_index)
+        if prev_term is None or start < node.storage.first_index():
+            # Peer is so far behind that our log was purged below its
+            # next_index (LogTruncatedError territory): state transfer
+            # is the only way to catch it up. Ship a snapshot when the
+            # machinery is wired; otherwise resend from the oldest we
+            # still have (pure-protocol rings never purge mid-stream).
+            if node._maybe_ship_snapshot(peer):
+                return None
+            start = node.storage.first_index()
+            prev_index = start - 1
+            prev_term = node._term_at(prev_index) or 0
+            key = (start, limit)
+            window = windows.get(key)
+            if window is not None:
+                return window
+        entries = tuple(self._entries_for_send(start, limit, MAX_BYTES_PER_APPEND))
+        window = windows[key] = (OpId(prev_term, prev_index), entries)
+        return window
+
+    def _entries_for_send(self, start: int, max_entries: int, max_bytes: int) -> list[LogEntry]:
+        """Contiguous entries from ``start`` bounded by count and bytes
+        (≥1 entry if one exists, so a huge entry still replicates)."""
+        read = self.node._entry_for_read
+        entries: list[LogEntry] = []
+        total = 0
+        index = start
+        while len(entries) < max_entries:
+            try:
+                entry = read(index)
+            except LogTruncatedError:
+                break
+            if entry is None:
+                break
+            if entries and total + entry.size_bytes > max_bytes:
+                break
+            entries.append(entry)
+            total += entry.size_bytes
+            index += 1
+        return entries
+
+    def _note_sent(self, progress: PeerProgress, entries: tuple, now: float) -> None:
+        """Leader bookkeeping for one window on its way to one peer —
+        in a message of its own, as a PROXY_OP, or riding on its head's
+        (``append_sizes`` counts windows per peer, however they travel)."""
+        if entries:
+            progress.last_sent_index = entries[-1].opid.index
+            inflight = progress.inflight
+            if not inflight:
+                progress.inflight_since = now
+            inflight.append(progress.last_sent_index)
+            if len(inflight) > self._metrics["inflight_hwm"]:
+                self._metrics["inflight_hwm"] = len(inflight)
+            self.node.append_sizes.record(float(len(entries)))
+        progress.last_sent_time = now
+        progress.last_sent_commit = self.node.commit_index
+
+    def _send_window(
+        self, peer: str, progress: PeerProgress, window: tuple, now: float, fanout: tuple = ()
+    ) -> None:
+        node = self.node
+        prev_opid, entries = window
+        self._note_sent(progress, entries, now)
+        if not progress.answering:
+            self._metrics["probes_sent"] += 1
+        self.send(
+            peer,
+            AppendEntriesRequest(
+                term=node.current_term,
+                leader=node.name,
+                prev_opid=prev_opid,
+                commit_opid=node.commit_opid,
+                entries=entries,
+                final_dest=peer,
+                fanout=fanout,
+            ),
+        )
+
+    def _send_routed(
+        self, peer: str, progress: PeerProgress, start: int, head: str, windows: dict, now: float
+    ) -> None:
+        """Entries from ``start`` for an answering peer that sits behind
+        a head and did not ride on the head's own append in this pass.
+        They cross the WAN as payload only when the head cannot serve
+        them: it is not answering, the peer is routed around, or the
+        peer is ahead of everything the head has been sent."""
+        node = self.node
+        covered = 0
+        # Only a head that answers carries other members' traffic (§4.2.3).
+        proxy = node.leader_state.peers.get(head)
+        if not progress.routed_around and proxy is not None and proxy.answering:
+            covered = proxy.sent_horizon - (start - 1)
+            if covered == 0 and proxy.inflight:
+                # Level with its head, which owes us an ack before it can
+                # take more: this peer rides on the head's next window.
+                return
+        window = self._window_at(peer, progress, start, windows)
+        if window is None:
+            return
+        prev_opid, entries = window
+        if covered <= 0 or prev_opid.index != start - 1:
+            self._send_window(peer, progress, window, now)
+            return
+        # PROXY_OP (§4.2.1): metadata for what the head has been sent;
+        # the head reconstitutes the payload from its own log.
+        entries = entries[:covered]
+        self._note_sent(progress, entries, now)
+        self.send(
+            head,
+            AppendEntriesRequest(
+                term=node.current_term,
+                leader=node.name,
+                prev_opid=prev_opid,
+                commit_opid=node.commit_opid,
+                proxy_opids=tuple(e.opid for e in entries),
+                final_dest=peer,
+            ),
+        )
+
+    # -- answers -------------------------------------------------------------------
+
+    def on_response(self, response: AppendEntriesResponse) -> tuple:
+        """An answer to this leader's term (the node checked both): move
+        progress and the commit marker, and send more where unsent
+        entries remain. Returns the peers it acked."""
+        node = self.node
+        state = node.leader_state
+        if not response.success:
+            progress = state.ensure_peer(response.follower)
+            if not progress.answering:  # any response is an answer
+                node._trace("raft.peer_answering", peer=response.follower)
+            progress.on_rejected(response.last_opid.index)
+            self.replicate([response.follower], force=True)
+            return ()
+        # One folded response acks the head and every rider it names, at
+        # the same last_opid.
+        acked = (response.follower, *response.riders) if response.riders else (response.follower,)
+        policy, membership = node._effective_policy(), node.membership
+        index, now = response.last_opid.index, self.now()
+        advance = False
+        progresses = []
+        for follower in acked:
+            progress = state.ensure_peer(follower)
+            progresses.append(progress)
+            if not progress.answering:  # any response is an answer
+                node._trace("raft.peer_answering", peer=follower)
+            progress.acked(index)
+            progress.inflight_since = now
+            if follower == response.follower and response.degraded_through:
+                # Its head could not reconstitute the window (§4.2.3).
+                progress.route_around(response.degraded_through)
+            if state.counts_toward_commit(follower, policy, membership):
+                advance = True
+        if advance:
+            node._maybe_advance_commit()
+        # Send more only if unsent entries remain, in one pass; force=False
+        # avoids answering every ack with an empty heartbeat (which would
+        # ping-pong forever).
+        last = node.last_opid.index
+        behind = [
+            follower for follower, progress in zip(acked, progresses)
+            if progress.next_index <= last
+        ]
+        if behind:
+            self.replicate(behind, force=False)
+        return acked

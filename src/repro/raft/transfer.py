@@ -155,7 +155,7 @@ class LeadershipTransfer:
         # A leader with a live transfer is still in the transfer's term:
         # stepping down ends the transfer.
         self.call_after(TRANSFER_CATCHUP_TIMEOUT, self._catchup_expired, record)
-        node._replicate_to(record.target, force=True)
+        node.replicator.replicate([record.target], force=True)
         self.maybe_complete(record.target)
 
     def _catchup_expired(self, armed: PendingTransfer) -> None:

@@ -235,8 +235,8 @@ class Network:
         exactly like a UDP datagram or broken TCP stream mid-failure.
         """
         key = (src, dst)
-        route = self._routes.get(key)
-        if route is None:
+        cached = self._routes.get(key)
+        if cached is None:
             src_host = self._hosts.get(src)
             if src_host is None:
                 raise SimError(f"send from unknown host {src!r}")
@@ -253,15 +253,15 @@ class Network:
                 if self.tracer is not None:
                     self.tracer.emit("net.drop", src=src, dst=dst, type=type(message).__name__)
                 return
-            route = (
+            cached = (
                 src_host,
                 dst_host,
                 self.spec.model_for(src_host.region, dst_host.region),
                 self.region_stats.setdefault((src_host.region, dst_host.region), LinkStats()),
                 self.link_stats.setdefault(key, LinkStats()),
             )
-            self._routes[key] = route
-        _src_host, _dst_host, model, stats, link = route
+            self._routes[key] = cached
+        _src_host, _dst_host, model, stats, link = cached
         size = message_wire_size(message)
 
         if self.path_blocked(src, dst) or self._rng.bernoulli(self.spec.loss_probability):

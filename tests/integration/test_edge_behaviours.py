@@ -156,31 +156,3 @@ class TestMultiRegionMode:
             cluster.crash(name)
         process = cluster.write_and_run("t", {2: {"id": 2}}, seconds=2.0)
         assert process.done() and not process.failed()
-
-
-class TestMultiHopProxy:
-    def test_static_two_hop_chain_delivers(self):
-        """Hierarchical tree deeper than one proxy hop (§4.2's generalized
-        topology): leader → regional db → first logtailer → second."""
-        from repro.raft.proxy import StaticProxyRouter
-
-        from tests.raft.harness import RaftRing, voter, witness
-
-        members = [
-            voter("db1", "r1"), witness("lt1a", "r1"), witness("lt1b", "r1"),
-            voter("db2", "r2"), witness("lt2a", "r2"), witness("lt2b", "r2"),
-        ]
-        router = StaticProxyRouter({
-            "lt2a": ["db2"],
-            "lt2b": ["db2", "lt2a"],  # two hops
-        })
-        ring = RaftRing(members, router=router)
-        ring.bootstrap("db1")
-        opid, fut = ring.commit_and_run(b"Z" * 400, seconds=2.0)
-        assert fut.done() and not fut.failed()
-        ring.run(2.0)
-        entry = ring.node("lt2b").storage.entry(opid.index)
-        assert entry is not None and entry.payload == b"Z" * 400
-        # The two-hop path was actually used.
-        assert ring.node("lt2a").metrics["proxy_forwards"] > 0
-        assert ring.node("db2").metrics["proxy_forwards"] > 0

@@ -75,7 +75,7 @@ class TestSharedFanoutReads:
         _reset_to_lagging(leader)
         leader.cache.clear()
         probe = _EntryProbe(leader.storage)
-        leader._replicate_all(force=True)
+        leader.replicator.replicate_all(force=True)
         # One shared window read for 12 lagging peers: cold cache, so
         # every in-window index hits storage exactly once.
         assert probe.reads == _window_length(leader)
@@ -84,7 +84,7 @@ class TestSharedFanoutReads:
         # free apart from the one probe past the tail.
         _reset_to_lagging(leader)
         probe.reads = 0
-        leader._replicate_all(force=True)
+        leader.replicator.replicate_all(force=True)
         assert probe.reads == 1
 
         # The rewound rounds really replicated: everyone reconverges.
@@ -103,7 +103,7 @@ class TestSharedFanoutReads:
             progress.last_sent_time = -1e9
         probe = _EntryProbe(leader.storage)
         leader.cache.clear()
-        leader._replicate_all(force=True)
+        leader.replicator.replicate_all(force=True)
         assert probe.reads == 1
 
 
@@ -128,7 +128,7 @@ class TestNodeStats:
         leader.cache.clear()
         _reset_to_lagging(leader)
         before = leader.cache.stats()["fills"]
-        leader._replicate_all(force=True)
+        leader.replicator.replicate_all(force=True)
         assert leader.cache.stats()["fills"] == before + leader.last_opid.index
 
 

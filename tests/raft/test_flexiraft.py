@@ -142,6 +142,13 @@ class TestWatermarks:
         assert watermarks["r1"] == 50
         assert watermarks["r3"] == 10
 
+    def test_non_voters_do_not_count(self):
+        config = paper_topology()
+        matches = {name: 0 for name in config.names()}
+        matches["db2"] = matches["lt2a"] = 50  # two of r2's three voters
+        # The learner lrn1 (also r2, at 0) is no part of the majority.
+        assert region_quorum_watermark("r2", config, matches) == 50
+
     def test_safe_purge_horizon_is_slowest_region(self):
         config = paper_topology()
         matches = {name: 90 for name in config.names()}

@@ -13,7 +13,6 @@ from repro.raft.messages import (
     PROXY_OP_BYTES,
     RPC_HEADER_BYTES,
     AppendEntriesRequest,
-    AppendEntriesResponse,
 )
 from repro.raft.quorum import MajorityQuorum
 from repro.raft.election import VoteTally
@@ -191,7 +190,7 @@ class TestMessageWireSizes:
         )
         proxied = AppendEntriesRequest(
             term=1, leader="a", prev_opid=OpId.zero(), commit_opid=OpId.zero(),
-            proxy_opids=(OpId(1, 1),), final_dest="lt", route=("db",),
+            proxy_opids=(OpId(1, 1),), final_dest="lt",
         )
         assert proxied.wire_size == RPC_HEADER_BYTES + PROXY_OP_BYTES
         assert proxied.wire_size < full.wire_size / 5
@@ -201,16 +200,6 @@ class TestMessageWireSizes:
             term=1, leader="a", prev_opid=OpId(1, 5), commit_opid=OpId(1, 5)
         )
         assert heartbeat.is_heartbeat
-        assert heartbeat.last_sent_opid() == OpId(1, 5)
-
-    def test_response_popped(self):
-        response = AppendEntriesResponse(
-            term=1, follower="f", success=True, last_opid=OpId(1, 1),
-            leader="l", return_path=("a", "b"),
-        )
-        popped = response.popped()
-        assert popped.return_path == ("a",)
-        assert popped.leader == "l"
 
 
 class TestLeaderState:
@@ -280,16 +269,6 @@ class TestLeaderState:
         state.peers["l"].match_index = 9
         assert state.most_caught_up_peer(["l", "b"]) == "b"
         assert state.most_caught_up_peer(["l", "ghost"]) is None
-
-    def test_region_watermarks(self):
-        state = LeaderState.fresh(1, "a", self.config(), last_log_index=10, flow=FLOW)
-        state.peers["b"].acked(4)
-        state.peers["c"].acked(7)
-        # r1 voters: a (leader, at 10) and b (4) → majority watermark 4.
-        assert state.region_watermark("r1", self.config()) == 4
-        # r2 voters: just c → watermark 7.
-        assert state.region_watermark("r2", self.config()) == 7
-        assert state.min_region_watermark(self.config()) == 4
 
 
 class TestVoteTally:

@@ -24,7 +24,7 @@ def two_region_members():
     ]
 
 
-DIRECT = StaticProxyRouter({})  # no chains: every member reached directly
+DIRECT = StaticProxyRouter({})  # no proxies: every member reached directly
 FLOW = FlowControl(max_inflight_windows=4, window_min=8, window_max=64)
 
 
@@ -71,23 +71,24 @@ class TestRouting:
     def test_same_region_is_direct(self):
         router = RegionProxyRouter()
         config = MembershipConfig(tuple(two_region_members()))
-        assert router.chain_for("db1", "lt1a", config) is None
+        assert router.proxy_for("db1", "lt1a", config) is None
 
     def test_remote_logtailer_routes_via_regional_database(self):
         router = RegionProxyRouter()
         config = MembershipConfig(tuple(two_region_members()))
-        assert router.chain_for("db1", "lt2a", config) == ["db2"]
+        assert router.proxy_for("db1", "lt2a", config) == "db2"
 
     def test_remote_database_is_direct(self):
         router = RegionProxyRouter()
         config = MembershipConfig(tuple(two_region_members()))
-        assert router.chain_for("db1", "db2", config) is None
+        assert router.proxy_for("db1", "db2", config) is None
 
     def test_static_router(self):
-        router = StaticProxyRouter({"x": ["p1", "p2"]})
+        router = StaticProxyRouter({"x": "p1", "y": "db1"})
         config = MembershipConfig(tuple(two_region_members()))
-        assert router.chain_for("db1", "x", config) == ["p1", "p2"]
-        assert router.chain_for("db1", "unrouted", config) is None
+        assert router.proxy_for("db1", "x", config) == "p1"
+        assert router.proxy_for("db1", "unrouted", config) is None
+        assert router.proxy_for("db1", "y", config) is None  # never through the leader
 
 
 class TestRouteTable:
@@ -108,7 +109,7 @@ class TestRouteTable:
         # A fault-free pass moves nothing.
         table, peers = self.table()
         assert table.review_heads(peers) == []
-        assert table.chains == {"lt2a": ("db2",), "lt2b": ("db2",)}
+        assert table.heads == {"lt2a": "db2", "lt2b": "db2"}
         assert table.behind == {"db2": ["lt2a", "lt2b"]}
         assert table.groups == {"db2": ("db2", "lt2a", "lt2b")} and table.acting == {}
 
@@ -118,7 +119,7 @@ class TestRouteTable:
         peers["lt2b"].last_sent_index = 12
         peers["lt2b"].direct_until = 14  # routed around db2: still eligible
         assert table.review_heads(peers) == [("db2", "lt2b", "silent")]
-        assert table.chains == {"db2": ("lt2b",), "lt2a": ("lt2b",)}
+        assert table.heads == {"db2": "lt2b", "lt2a": "lt2b"}
         assert table.behind == {"lt2b": ["db2", "lt2a"]}
         assert table.review_heads(peers) == []  # sticky: nothing new, nothing moves
 
@@ -160,7 +161,7 @@ class TestRouteTable:
         config = MembershipConfig(tuple(two_region_members()))
         state = LeaderState.fresh(1, "db1", config, last_log_index=10, flow=FLOW, silent={"db2"})
         state.peers["lt2a"].direct_until = 14  # degraded around db2
-        chains, behind = state.routes(config, RegionProxyRouter())
+        _heads, behind, _moved = state.routes(config, RegionProxyRouter())
         assert behind == {"lt2a": ["db2", "lt2b"]}
         assert state.peers["lt2a"].direct_until == 0 and not state.peers["lt2a"].routed_around
 
@@ -357,7 +358,7 @@ class TestRouteAround:
         """db1 leads; lt2a sits behind proxy db2, whose log is compacted
         to start above where lt2a stopped."""
         members = two_region_members()[:5]  # db1 lt1a lt1b | db2 lt2a
-        ring = RaftRing(members, router=StaticProxyRouter({"lt2a": ["db2"]}))
+        ring = RaftRing(members, router=StaticProxyRouter({"lt2a": "db2"}))
         ring.bootstrap("db1")
         for _ in range(4):
             ring.commit_and_run(b"E" * PAPER_ENTRY_BYTES, seconds=0.1)
@@ -615,17 +616,3 @@ class TestHeadFollowsHealth:
         assert sum(n.metrics["proxy_reroots"] for n in ring.nodes.values()) == 0
         assert sum(n.metrics["proxy_degrades"] for n in ring.nodes.values()) == 0
         assert leader.stats()["proxy"]["acting_heads"] == {} and head_moves(ring) == []
-
-    def test_chains_longer_than_one_hop_are_left_alone(self):
-        router = StaticProxyRouter({"lt2a": ["db2"], "lt2b": ["db2", "lt2a"]})
-        ring, leader = self.streaming_ring(router=router)
-        ring.host("db2").crash()
-        indexes = write_stream(ring, 1.0)
-        ring.run(1.0)  # the last window's retry waits for a heartbeat pass
-        # The one-hop group (db2, lt2a) re-roots; lt2b's two-hop chain
-        # still names the dead db2, so rule 2's retry serves it direct.
-        assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2a"}
-        chains, behind = leader.leader_state.routes(leader.membership, router)
-        assert chains == {"db2": ("lt2a",), "lt2b": ("db2", "lt2a")}
-        assert behind == {"lt2a": ["db2"]}
-        assert ring.node("lt2b").last_opid.index >= indexes[-1]

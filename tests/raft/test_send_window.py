@@ -3,8 +3,9 @@
 The send cursor arbitrates between five behaviours — retry-after-
 timeout, pipeline-new-tail, forced heartbeat, probe of a peer that is
 not answering, nothing — plus two that shape them: the in-flight window
-cap and redundant-heartbeat suppression. Each transition is pinned here
-at the unit level
+cap and redundant-heartbeat suppression (which the leader's Replicator
+applies to the heartbeats the cursor asks for). Each transition is
+pinned here at the unit level
 (ring-level interactions live in test_write_batching.py).
 """
 
@@ -42,7 +43,7 @@ class TestLegacyCursor:
         # The window sent at 1.0 was never acked: the resend from
         # next_index is a probe, and the cursor is rewound to match.
         p = progress(5, match_index=4, last_sent_index=9, last_sent_time=1.0)
-        p.note_sent_window(9)
+        p.inflight.append(9)
         assert p.send_window_start(10, RETRY, now=1.0 + RETRY, force=False) == 5
         assert not p.answering and p.last_sent_index == 4
 
@@ -65,16 +66,16 @@ class TestLegacyCursor:
 class TestInflightWindowCap:
     def test_at_cap_stops_pipelining_new_tail(self):
         p = progress(1, last_sent_time=1.0)
-        p.note_sent_window(8)
-        p.note_sent_window(16)
+        p.inflight.append(8)
+        p.inflight.append(16)
         p.last_sent_index = 16
         assert len(p.inflight) == FLOW.max_inflight_windows
         assert p.send_window_start(30, RETRY, now=1.1, force=False) is None
 
     def test_ack_frees_a_slot_and_pipelining_resumes(self):
         p = progress(1, last_sent_time=1.0)
-        p.note_sent_window(8)
-        p.note_sent_window(16)
+        p.inflight.append(8)
+        p.inflight.append(16)
         p.last_sent_index = 16
         p.acked(8)
         assert len(p.inflight) == 1
@@ -82,8 +83,8 @@ class TestInflightWindowCap:
 
     def test_retry_pierces_the_cap_and_collapses(self):
         p = progress(1, last_sent_time=1.0)
-        p.note_sent_window(8)
-        p.note_sent_window(16)
+        p.inflight.append(8)
+        p.inflight.append(16)
         p.window_entries = 64
         assert p.send_window_start(30, RETRY, now=1.0 + RETRY, force=False) == 1
         assert p.inflight == []
@@ -93,12 +94,24 @@ class TestInflightWindowCap:
         assert not p.answering and p.last_sent_index == 0
 
     def test_inflight_high_water_mark(self):
-        p = progress(1)
-        p.note_sent_window(8)
-        p.note_sent_window(16)
-        p.acked(16)
-        p.note_sent_window(24)
-        assert p.inflight_hwm == 2
+        # The node's one high-water mark: the most entry-bearing windows
+        # ever in flight toward any single peer, never lowered by acks.
+        ring = three_node_ring()
+        leader = ring.bootstrap("n1")
+        ring.run(0.5)
+        assert leader.metrics["inflight_hwm"] == 1  # the no-op's window
+        ring.net.block_link("n1", "n3")
+        for _ in range(3):
+            leader.propose(lambda opid: b"E")
+            ring.run(0.01)
+        assert leader.leader_state.peers["n3"].inflight
+        hwm = leader.metrics["inflight_hwm"]
+        assert hwm == len(leader.leader_state.peers["n3"].inflight) > 1
+        ring.net.unblock_link("n1", "n3")
+        ring.run(1.0)
+        assert not leader.leader_state.peers["n3"].inflight
+        assert leader.metrics["inflight_hwm"] == hwm
+        assert leader.stats()["write_path"]["inflight_hwm"] == hwm
 
 
 class TestAdaptiveWindow:
@@ -109,25 +122,25 @@ class TestAdaptiveWindow:
     def test_clean_acks_double_up_to_max(self):
         p = progress(1)
         for tail in (8, 16, 24, 32):
-            p.note_sent_window(tail)
+            p.inflight.append(tail)
             p.acked(tail)
         assert p.window_entries == FLOW.window_max
-        p.note_sent_window(40)
+        p.inflight.append(40)
         p.acked(40)
         assert p.window_entries == FLOW.window_max  # capped
 
     def test_partial_ack_only_credits_covered_windows(self):
         p = progress(1)
-        p.note_sent_window(8)
-        p.note_sent_window(16)
+        p.inflight.append(8)
+        p.inflight.append(16)
         p.acked(8)  # window 16 still outstanding
         assert p.inflight == [16]
         assert p.window_entries == 16  # one doubling, not two
 
     def test_rejection_collapses_to_slow_start(self):
         p = progress(10, window_entries=64)
-        p.note_sent_window(20)
-        p.on_rejected()
+        p.inflight.append(20)
+        p.on_rejected(20)
         assert p.window_entries == FLOW.window_min
         assert p.inflight == []
 
@@ -144,16 +157,15 @@ class TestProbes:
         assert p.send_window_start(10, RETRY, now=1.1, force=False) is None
         assert p.send_window_start(10, RETRY, now=1.1, force=True) == 5
         assert p.send_window_start(10, RETRY, now=1.0 + RETRY, force=False) == 5
-        # Neither suppression nor the in-flight cap applies to a probe.
-        p.last_sent_commit = 10
-        assert p.send_window_start(
-            10, RETRY, now=1.1, force=True, heartbeat_suppress_window=SUPPRESS, commit_index=10
-        ) == 5
+        # The in-flight cap does not apply to a probe (nor does heartbeat
+        # suppression: the leader suppresses answering peers only).
+        p.inflight.extend([7, 8, 9])
+        assert p.send_window_start(10, RETRY, now=1.1, force=True) == 5
 
     def test_a_silent_window_turns_into_a_probe_with_its_cursor_rewound(self):
         p = progress(11, match_index=10, last_sent_time=1.0, window_entries=32)
         for tail in (18, 26):
-            p.note_sent_window(tail)
+            p.inflight.append(tail)
         p.last_sent_index = 26
         assert p.send_window_start(40, RETRY, now=1.1, force=True) is None  # at the cap
         assert p.answering
@@ -164,7 +176,7 @@ class TestProbes:
 
     def test_a_reject_counts_as_an_answer(self):
         p = progress(11, answering=False)
-        p.on_rejected()
+        p.on_rejected(10)
         assert p.answering
 
     def test_an_ack_counts_as_an_answer(self):
@@ -185,59 +197,59 @@ class TestProbes:
         shipped = []
         leader._maybe_ship_snapshot = lambda peer: shipped.append(peer) or True
         sent = record_sends(ring.net)
-        leader._replicate_to("n3", force=True)
+        leader.replicator.replicate(["n3"], force=True)
         assert shipped == ["n3"]
         assert not [m for _src, dst, m in sent if dst == "n3"]
         assert leader.metrics["probes_sent"] == 0
 
 
 class TestHeartbeatSuppression:
+    """The cursor asks for a heartbeat; the leader skips it when it is
+    redundant and counts the skip in its metrics."""
+
     def test_fresh_traffic_with_current_commit_suppresses(self):
         p = caught_up(10, last_sent_time=1.0, last_sent_commit=9)
-        start = p.send_window_start(
-            10, RETRY, now=1.2, force=True,
-            heartbeat_suppress_window=SUPPRESS, commit_index=9,
-        )
-        assert start is None
-        assert p.suppressed_heartbeats == 1
+        assert p.send_window_start(10, RETRY, now=1.2, force=True) == 11
+        assert p.heartbeat_redundant(1.2, SUPPRESS, commit_index=9)
 
     def test_stale_commit_marker_still_heartbeats(self):
         # Commit advanced since the last send: the heartbeat is the only
         # carrier of the new marker and must go out.
         p = caught_up(10, last_sent_time=1.0, last_sent_commit=8)
-        start = p.send_window_start(
-            10, RETRY, now=1.2, force=True,
-            heartbeat_suppress_window=SUPPRESS, commit_index=9,
-        )
-        assert start == 11
-        assert p.suppressed_heartbeats == 0
+        assert p.send_window_start(10, RETRY, now=1.2, force=True) == 11
+        assert not p.heartbeat_redundant(1.2, SUPPRESS, commit_index=9)
 
     def test_stale_traffic_still_heartbeats(self):
         p = caught_up(10, last_sent_time=1.0, last_sent_commit=9)
-        start = p.send_window_start(
-            10, RETRY, now=1.0 + SUPPRESS, force=True,
-            heartbeat_suppress_window=SUPPRESS, commit_index=9,
-        )
-        assert start == 11
+        assert p.send_window_start(10, RETRY, now=1.0 + SUPPRESS, force=True) == 11
+        assert not p.heartbeat_redundant(1.0 + SUPPRESS, SUPPRESS, commit_index=9)
 
     def test_suppression_disabled_by_zero_window(self):
         p = caught_up(10, last_sent_time=1.0, last_sent_commit=9)
-        start = p.send_window_start(
-            10, RETRY, now=1.01, force=True,
-            heartbeat_suppress_window=0.0, commit_index=9,
-        )
-        assert start == 11
+        assert not p.heartbeat_redundant(1.01, 0.0, commit_index=9)
 
     def test_all_sent_branch_also_suppresses(self):
         p = progress(
             5, last_sent_index=10, last_sent_time=1.0, last_sent_commit=9
         )
-        start = p.send_window_start(
-            10, RETRY, now=1.1, force=True,
-            heartbeat_suppress_window=SUPPRESS, commit_index=9,
-        )
-        assert start is None
-        assert p.suppressed_heartbeats == 1
+        assert p.send_window_start(10, RETRY, now=1.1, force=True) == 11
+        assert p.heartbeat_redundant(1.1, SUPPRESS, commit_index=9)
+
+    def test_the_count_survives_a_change_of_leader(self):
+        # A cumulative node counter: it used to be a sum over the
+        # current term's peers, lost with them on step-down.
+        ring = three_node_ring()
+        leader = ring.bootstrap("n1")
+        for _ in range(40):
+            ring.commit_and_run(b"E", seconds=0.1)
+        suppressed = leader.stats()["write_path"]["heartbeats_suppressed"]
+        assert suppressed > 0
+        transfer = leader.transfer_leadership("n2")
+        ring.run(1.0)
+        assert transfer.result() is True and not leader.is_leader
+        after = leader.stats()["write_path"]["heartbeats_suppressed"]
+        assert after >= suppressed
+        assert leader.metrics["heartbeats_suppressed"] == after
 
 
 if __name__ == "__main__":
