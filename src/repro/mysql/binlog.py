@@ -1,10 +1,13 @@
 """Binary log files and the log index.
 
-A :class:`BinlogFile` is an append-only byte buffer framed as binlog
+A :class:`BinlogFile` is an append-only byte stream framed as binlog
 events: two header events (FormatDescription, PreviousGtids) followed by
 replicated transactions. The same class backs both personas — MySQL
 *binlogs* on a primary and *relay-logs* on a replica (§3.2); only the
-file-name prefix differs.
+file-name prefix differs. A file keeps each transaction as the immutable
+``bytes`` object it was handed rather than copying it into a buffer, so
+one payload stored by every member of a simulated replica set exists
+once per process.
 
 An :class:`LogIndex` mirrors MySQL's ``.index`` file: the ordered list of
 live log files, updated on rotation and purge.
@@ -12,7 +15,7 @@ live log files, updated on rotation and purge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
 from typing import Iterator
 
 from repro.errors import BinlogError
@@ -42,67 +45,55 @@ def parse_file_sequence(name: str) -> int:
     return int(sequence)
 
 
-@dataclass
-class TransactionLocation:
-    """Where a transaction lives: (file name, byte offset, byte length)."""
-
-    file_name: str
-    offset: int
-    length: int
-
-
 class BinlogFile:
-    """One append-only log file.
+    """One append-only log file: header events, then transactions.
 
-    The byte buffer is authoritative; transaction offsets are tracked at
-    append time and can be rebuilt by re-parsing the bytes (which is what
-    crash recovery does — see :meth:`transactions`).
+    The file holds its header bytes and the immutable ``bytes`` object of
+    each appended transaction, in order — on a follower the very object
+    the leader's ``Transaction.encode()`` produced, so every member in
+    the process shares one copy of each payload. Nothing here mutates a
+    stored payload; a fault that tears one member's copy must replace
+    that member's reference instead. A transaction is addressed by its
+    ordinal in the file. The byte stream (:meth:`raw_bytes`) is the
+    header followed by the payloads, and crash recovery re-parses it
+    (see :meth:`transactions`).
     """
 
     def __init__(self, name: str, previous_gtids: str = "") -> None:
         self.name = name
-        self._buffer = bytearray()
-        self._txn_offsets: list[tuple[int, int]] = []  # (offset, length)
-        self._length_at: dict[int, int] = {}  # offset -> length (O(1) reads)
-        header = FormatDescriptionEvent().encode() + PreviousGtidsEvent(previous_gtids).encode()
-        self._buffer.extend(header)
-        self._header_size = len(header)
+        self._header = FormatDescriptionEvent().encode() + PreviousGtidsEvent(previous_gtids).encode()
+        self._payloads: list[bytes] = []
+        self.size_bytes = len(self._header)  # running total of the byte stream
         self.closed = False
 
     @property
-    def size_bytes(self) -> int:
-        return len(self._buffer)
-
-    @property
     def transaction_count(self) -> int:
-        return len(self._txn_offsets)
+        return len(self._payloads)
 
-    def append_transaction(self, txn: Transaction) -> TransactionLocation:
+    def append_transaction(self, txn: Transaction) -> int:
         return self.append_encoded(txn.encode())
 
-    def append_encoded(self, data: bytes) -> TransactionLocation:
-        """Append pre-encoded transaction bytes (replication fast path)."""
+    def append_encoded(self, data: bytes) -> int:
+        """Append encoded transaction bytes, stored by reference. Returns
+        the transaction's ordinal in this file."""
         if self.closed:
             raise BinlogError(f"log file {self.name!r} is closed")
-        offset = len(self._buffer)
-        self._buffer.extend(data)
-        self._txn_offsets.append((offset, len(data)))
-        self._length_at[offset] = len(data)
-        return TransactionLocation(self.name, offset, len(data))
+        self._payloads.append(data)
+        self.size_bytes += len(data)
+        return len(self._payloads) - 1
 
-    def read_bytes_at(self, offset: int) -> bytes:
-        """Raw encoded transaction bytes at ``offset`` (O(1))."""
-        length = self._length_at.get(offset)
-        if length is None:
-            raise BinlogError(f"no transaction at offset {offset} in {self.name!r}")
-        return bytes(self._buffer[offset:offset + length])
+    def read_bytes_at(self, ordinal: int) -> bytes:
+        """The stored encoded bytes of transaction ``ordinal`` (no copy)."""
+        if not 0 <= ordinal < len(self._payloads):
+            raise BinlogError(f"no transaction {ordinal} in {self.name!r}")
+        return self._payloads[ordinal]
 
-    def read_transaction_at(self, offset: int) -> Transaction:
-        return Transaction.decode(self.read_bytes_at(offset))
+    def read_transaction_at(self, ordinal: int) -> Transaction:
+        return Transaction.decode(self.read_bytes_at(ordinal))
 
     def events(self) -> list[BinlogEvent]:
         """Parse the whole file from bytes (header events included)."""
-        return list(decode_stream(bytes(self._buffer)))
+        return list(decode_stream(self.raw_bytes()))
 
     def transactions(self) -> list[Transaction]:
         """Parse from raw bytes — the 'parse historical binlog files' path
@@ -110,7 +101,7 @@ class BinlogFile:
         return group_into_transactions(self.events())
 
     def previous_gtids(self) -> str:
-        header = self.events()[1]
+        header = list(decode_stream(self._header))[1]
         if not isinstance(header, PreviousGtidsEvent):
             raise BinlogError(f"file {self.name!r} missing PreviousGtids header")
         return header.gtid_set
@@ -119,42 +110,35 @@ class BinlogFile:
         """Drop all but the first ``count_to_keep`` transactions (Raft log
         truncation of an uncommitted suffix, §3.3 step 4). Returns how
         many transactions were removed."""
-        if count_to_keep < 0 or count_to_keep > len(self._txn_offsets):
+        if count_to_keep < 0 or count_to_keep > len(self._payloads):
             raise BinlogError(
-                f"cannot keep {count_to_keep} of {len(self._txn_offsets)} transactions"
+                f"cannot keep {count_to_keep} of {len(self._payloads)} transactions"
             )
-        removed = len(self._txn_offsets) - count_to_keep
-        if removed:
-            first_cut = self._txn_offsets[count_to_keep][0]
-            for offset, _ in self._txn_offsets[count_to_keep:]:
-                self._length_at.pop(offset, None)
-            del self._buffer[first_cut:]
-            del self._txn_offsets[count_to_keep:]
-        return removed
+        removed = self._payloads[count_to_keep:]
+        self.size_bytes -= sum(map(len, removed))
+        del self._payloads[count_to_keep:]
+        return len(removed)
 
     def raw_bytes(self) -> bytes:
-        return bytes(self._buffer)
+        return b"".join([self._header, *self._payloads])
 
-    def iter_transaction_bytes(self) -> "Iterator[memoryview]":
-        """Encoded bytes of each transaction, in append order, as
-        zero-copy views of the buffer — the checksum/ship fast path that
-        skips both the event parse and the re-encode. Views are only
-        valid until the next append/truncate; hash or copy them
-        immediately."""
-        view = memoryview(self._buffer)
-        for offset, length in self._txn_offsets:
-            yield view[offset:offset + length]
+    def iter_transaction_bytes(self) -> "Iterator[bytes]":
+        """Encoded bytes of each transaction, in append order — the
+        checksum/ship fast path that skips both the event parse and the
+        re-encode."""
+        return iter(self._payloads)
 
     def checksum(self) -> str:
         """Content hash for cross-replica log-equality checks (§5.1).
 
-        Uses sha256, not crc32: the buffer embeds per-event crc32 values,
+        Uses sha256, not crc32: the stream embeds per-event crc32 values,
         and crc32(m ‖ crc32(m)) is a constant residue for any m, so an
         outer crc32 would be blind to content.
         """
-        import hashlib
-
-        return hashlib.sha256(bytes(self._buffer)).hexdigest()
+        digest = hashlib.sha256(self._header)
+        for data in self._payloads:
+            digest.update(data)
+        return digest.hexdigest()
 
     def close(self) -> None:
         self.closed = True

@@ -10,6 +10,11 @@ through Raft like data — which is the paper's log-equality invariant.
 Purging is local (not replicated): each instance purges by its own disk
 budget, but only with approval from a callback (Raft withholds approval
 for files not yet shipped out of region, §A.1).
+
+A transaction's location is (file name, ordinal in that file). Files
+store the encoded bytes they are handed by reference (see
+:class:`~repro.mysql.binlog.BinlogFile`), so those bytes are shared and
+must never be mutated.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from repro.mysql.binlog import (
     RELAY_PREFIX,
     BinlogFile,
     LogIndex,
-    TransactionLocation,
     format_file_name,
     parse_file_sequence,
 )
@@ -47,9 +51,6 @@ class MySQLLogManager:
         if persona not in ("binlog", "relay"):
             raise BinlogError(f"unknown persona {persona!r}")
         self._state = durable
-        # Volatile probe counter: file-byte reads served (perf harness
-        # and fan-out tests assert on it; resets with the incarnation).
-        self.read_calls = 0
         if "files" not in self._state:
             self._state["files"] = {}
             self._state["index"] = LogIndex()
@@ -108,30 +109,33 @@ class MySQLLogManager:
 
     # -- the write path --------------------------------------------------------
 
-    def append_transaction(self, txn: Transaction) -> TransactionLocation:
+    def append_transaction(self, txn: Transaction) -> tuple[str, int]:
         """Append one transaction to the current file (the durable part of
-        the pipeline's flush stage). Rotate entries also rotate the file."""
+        the pipeline's flush stage). Rotate entries also rotate the file.
+        Returns its location: (file name, ordinal in that file)."""
         first = txn.events[0]
         gtid = Gtid(first.source_uuid, first.txn_id) if isinstance(first, GtidEvent) else None
-        location, _next_file = self.append_encoded(
-            self.current_file, txn.encode(), gtid, isinstance(first, RotateEvent)
+        log_file = self.current_file
+        ordinal, _next_file = self.append_encoded(
+            log_file, txn.encode(), gtid, isinstance(first, RotateEvent)
         )
-        return location
+        return log_file.name, ordinal
 
     def append_encoded(
         self, log_file: BinlogFile, data: bytes, gtid: Gtid | None, rotates: bool
-    ) -> tuple[TransactionLocation, BinlogFile]:
+    ) -> tuple[int, BinlogFile]:
         """Fast path: append pre-encoded bytes to ``log_file`` — the
         current file, which a caller appending a window resolves once —
         with the already classified framing facts for the GTID and rotate
-        bookkeeping. Returns the location and the file the next append
-        goes to: a rotate entry closes ``log_file`` and opens the next."""
-        location = log_file.append_encoded(data)
+        bookkeeping. Returns the ordinal in ``log_file`` and the file the
+        next append goes to: a rotate entry closes ``log_file`` and opens
+        the next."""
+        ordinal = log_file.append_encoded(data)
         if gtid is not None:
             self.log_gtids.add(gtid)
         elif rotates:
             log_file = self.rotate()
-        return location, log_file
+        return ordinal, log_file
 
     def rotate(self) -> BinlogFile:
         """Close the current file and open the next one, carrying the
@@ -141,17 +145,14 @@ class MySQLLogManager:
 
     # -- reads -----------------------------------------------------------------
 
-    def read_transaction(self, location: TransactionLocation) -> Transaction:
-        return Transaction.decode(self.read_transaction_bytes(location))
-
-    def read_transaction_bytes(self, location: TransactionLocation) -> bytes:
-        """Raw encoded bytes of a transaction (no parse cost)."""
-        self.read_calls += 1
+    def read_transaction(self, location: tuple[str, int]) -> Transaction:
+        """The transaction at ``location`` (file name, ordinal)."""
+        name, ordinal = location
         try:
-            log_file = self.files[location.file_name]
+            log_file = self.files[name]
         except KeyError:
-            raise BinlogError(f"log file {location.file_name!r} purged or unknown") from None
-        return log_file.read_bytes_at(location.offset)
+            raise BinlogError(f"log file {name!r} purged or unknown") from None
+        return log_file.read_transaction_at(ordinal)
 
     def all_transactions(self) -> list[Transaction]:
         """Every live transaction in index order — parsed from bytes."""
@@ -205,9 +206,9 @@ class MySQLLogManager:
         leader/follower log-equality check. sha256, because the encoded
         stream embeds per-event crc32s which make an outer crc32 constant.
 
-        Hashes the transactions' stored byte ranges directly: files only
-        ever hold canonical ``Transaction.encode()`` output (appends are
-        encoded bytes, truncation keeps a prefix), so the raw ranges are
+        Hashes the transactions' stored bytes directly: files only ever
+        hold canonical ``Transaction.encode()`` output (appends are
+        encoded bytes, truncation keeps a prefix), so they are
         byte-identical to a decode→re-encode pass at none of the cost.
         """
         digest = hashlib.sha256()

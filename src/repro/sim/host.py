@@ -131,7 +131,8 @@ class Host:
         timer = self.loop.call_after(delay, guarded)
         self._timers.append(timer)
         if len(self._timers) > 256:
-            self._timers = [t for t in self._timers if not t.cancelled and t.fire_at >= self.loop.now]
+            # Only timers still queued can fire; crash() cancels those.
+            self._timers = [t for t in self._timers if t._in_heap]
         return timer
 
     def spawn(self, gen: Generator[Any, Any, Any], label: str = "") -> Process:

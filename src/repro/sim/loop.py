@@ -71,7 +71,12 @@ class Timer:
             self._loop._note_cancelled()
 
     def _fire(self) -> None:
-        self._callback(*self._args)
+        callback, args = self._callback, self._args
+        # A fired timer may outlive its firing in a caller's list of
+        # handles; like a cancelled one, it must not pin what it ran.
+        self._callback = _noop
+        self._args = ()
+        callback(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "armed"

@@ -63,8 +63,8 @@ class TestBinlogFile:
     def test_append_and_read_back(self):
         f = BinlogFile("binary-logs-000001")
         txn = make_txn(1)
-        location = f.append_transaction(txn)
-        assert f.read_transaction_at(location.offset) == txn
+        ordinal = f.append_transaction(txn)
+        assert f.read_transaction_at(ordinal) == txn
         assert f.transaction_count == 1
 
     def test_transactions_parse_from_bytes(self):

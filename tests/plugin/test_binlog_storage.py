@@ -224,68 +224,53 @@ class TestPurging:
 
 
 class TestIndexedMaintenance:
-    """The per-file index-range map and the bounded payload memo."""
+    """The per-file index spans."""
 
     def test_file_ranges_track_appends_and_rotation(self, storage):
         storage.append([data_entry(1), rotate_entry(2)])
         storage.append([data_entry(3), data_entry(4)])
-        ranges = sorted(storage._file_ranges.values())
+        ranges = sorted(storage.file_ranges().values())
         assert ranges == [(1, 2), (3, 4)]
 
     def test_file_ranges_survive_rebuild(self, storage):
         storage.append([data_entry(1), rotate_entry(2), data_entry(3)])
-        before = dict(storage._file_ranges)
+        before = storage.file_ranges()
         rebuilt = BinlogRaftLogStorage(storage.log_manager)
-        assert rebuilt._file_ranges == before
+        assert rebuilt.file_ranges() == before
 
     def test_truncate_updates_ranges(self, storage):
         storage.append([data_entry(1), rotate_entry(2)])
         storage.append([data_entry(3), data_entry(4), data_entry(5)])
         storage.truncate_from(4)
-        assert sorted(storage._file_ranges.values()) == [(1, 2), (3, 3)]
+        assert sorted(storage.file_ranges().values()) == [(1, 2), (3, 3)]
         assert storage.last_opid() == OpId(1, 3)
         # Truncating a whole trailing file drops its range entry.
         storage.truncate_from(3)
-        assert sorted(storage._file_ranges.values()) == [(1, 2)]
+        assert sorted(storage.file_ranges().values()) == [(1, 2)]
 
-    def test_purge_drops_ranges_and_memo(self, storage):
+    def test_purge_drops_ranges(self, storage):
         storage.append([data_entry(1), rotate_entry(2)])
         storage.append([data_entry(3)])
-        storage.entry(1)  # populate the payload memo
-        assert 1 in storage._payload_memo
         purged = storage.purge_files_below(horizon_index=3)
         assert len(purged) == 1
-        assert 1 not in storage._payload_memo
-        assert sorted(storage._file_ranges.values()) == [(3, 3)]
+        assert sorted(storage.file_ranges().values()) == [(3, 3)]
 
-    def test_payload_memo_serves_repeat_reads_without_file_io(self, storage):
-        storage.append([data_entry(1), data_entry(2)])
-        mgr = storage.log_manager
-        baseline = mgr.read_calls
-        storage.entry(1)
-        assert mgr.read_calls == baseline + 1
-        for _ in range(5):
-            assert storage.entry(1).opid == OpId(1, 1)
-        assert mgr.read_calls == baseline + 1  # memo hit, no re-parse
-
-    def test_payload_memo_is_bounded(self, storage):
-        from repro.plugin import binlog_storage as mod
-
-        entries = [data_entry(i) for i in range(1, 12)]
+    def test_reads_return_the_appended_payload_object(self, storage):
+        entries = [data_entry(1), rotate_entry(2), data_entry(3)]
         storage.append(entries)
-        old = mod._PAYLOAD_MEMO_ENTRIES
-        mod._PAYLOAD_MEMO_ENTRIES = 4
-        try:
-            for i in range(1, 12):
-                storage.entry(i)
-            assert len(storage._payload_memo) <= 4
-        finally:
-            mod._PAYLOAD_MEMO_ENTRIES = old
+        for entry in entries:
+            assert storage.entry(entry.opid.index).payload is entry.payload
 
-    def test_truncate_strips_gtid_without_decoding(self, storage):
+    def test_truncate_strips_gtid_without_decoding(self, storage, monkeypatch):
+        from repro.mysql import events
+
         storage.append([data_entry(1, txn_id=11), data_entry(2, txn_id=12)])
-        assert storage._records[2].gtid == Gtid(UUID, 12)
+        assert storage.gtid_at(2) == Gtid(UUID, 12)
+        parses = []
+        real = events.decode_stream
+        monkeypatch.setattr(events, "decode_stream", lambda *a: parses.append(1) or real(*a))
         storage.truncate_from(2)
+        assert parses == []
         assert not storage.log_manager.log_gtids.contains(Gtid(UUID, 12))
         assert storage.log_manager.log_gtids.contains(Gtid(UUID, 11))
 
@@ -333,17 +318,17 @@ class TestPartialWindow:
         assert storage.last_opid() == OpId(1, 5)
         assert [storage.entry(i).payload for i in range(1, 6)] == [e.payload for e in entries[:5]]
         assert storage.entry(6) is None
-        assert sorted(storage._file_ranges.values()) == [(1, 3), (4, 5)]
+        assert sorted(storage.file_ranges().values()) == [(1, 3), (4, 5)]
         assert storage.log_manager.log_gtids == GtidSet.parse(f"{UUID}:1-2:4-5")
         # What the window recorded is what a scan of the files rebuilds.
         rebuilt = BinlogRaftLogStorage(storage.log_manager)
-        assert rebuilt._file_ranges == storage._file_ranges
+        assert rebuilt.file_ranges() == storage.file_ranges()
         assert [rebuilt.opid_at(i) for i in range(1, 6)] == [e.opid for e in entries[:5]]
 
         # Maintenance treats them as appended: truncation strips entry 5
         # and its GTID, and the purge drops the first file whole.
         assert [e.opid.index for e in storage.truncate_from(5)] == [5]
-        assert sorted(storage._file_ranges.values()) == [(1, 3), (4, 4)]
+        assert sorted(storage.file_ranges().values()) == [(1, 3), (4, 4)]
         assert Gtid(UUID, 5) not in storage.log_manager.log_gtids
         assert storage.purge_files_below(horizon_index=4) == ["binary-logs-000001"]
         assert storage.first_index() == 4
@@ -351,15 +336,15 @@ class TestPartialWindow:
 
         storage.append(entries[4:])  # the intact copies land behind them
         assert storage.last_opid() == OpId(1, 7)
-        assert sorted(storage._file_ranges.values()) == [(4, 7)]
+        assert sorted(storage.file_ranges().values()) == [(4, 7)]
 
     def test_a_gap_part_way_through_a_window_keeps_the_run_ahead_of_it(self, storage):
         storage.append([data_entry(1)])
         with pytest.raises(RaftError):
             storage.append([data_entry(2), rotate_entry(3), data_entry(4), data_entry(6)])
         assert storage.last_opid() == OpId(1, 4)
-        assert sorted(storage._file_ranges.values()) == [(1, 3), (4, 4)]
-        assert BinlogRaftLogStorage(storage.log_manager)._file_ranges == storage._file_ranges
+        assert sorted(storage.file_ranges().values()) == [(1, 3), (4, 4)]
+        assert BinlogRaftLogStorage(storage.log_manager).file_ranges() == storage.file_ranges()
 
 
 class TestOneParsePerPayload:

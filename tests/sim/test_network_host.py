@@ -1,5 +1,8 @@
 """Tests for the network fabric and crash/restartable hosts."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import HostDownError
@@ -224,6 +227,33 @@ class TestHostLifecycle:
         a.call_after(2.0, fired.append, "new")
         loop.run_until(5.0)
         assert fired == ["new"]
+
+    def test_fired_timer_releases_its_arguments(self, world):
+        # The host keeps its timer handles until a prune; a fired one
+        # must not keep what it was given (an acked request and its
+        # entries) alive meanwhile.
+        loop, net = world
+        a, _ = make_host(loop, net, "a")
+        argument = SizedMessage(1)
+        ref = weakref.ref(argument)
+        fired = []
+        a.call_after(0.5, lambda message: fired.append(message.wire_size), argument)
+        del argument
+        loop.run_until(1.0)
+        gc.collect()
+        assert fired == [1]
+        assert ref() is None
+
+    def test_timer_list_keeps_only_queued_timers(self, world):
+        # Timers that fired at the current instant are done too, though
+        # their fire time is not yet in the past.
+        loop, net = world
+        a, _ = make_host(loop, net, "a")
+        for _ in range(300):
+            a.call_after(0.0, lambda: None)
+        loop.run_until(loop.now)
+        pending = a.call_after(1.0, lambda: None)
+        assert a._timers == [pending]
 
     def test_crash_kills_spawned_processes(self, world):
         loop, net = world
