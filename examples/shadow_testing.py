@@ -1,59 +1,40 @@
 #!/usr/bin/env python
-"""MyShadow-style shadow testing (§5.1).
+"""MyShadow-style shadow testing (§5.1), as model-checker runs.
 
-Runs a production-representative workload while continuously injecting
-leader crashes, then verifies the §5.1 correctness checks: engine
-checksum equality between leader and followers, replicated-log equality,
-and GTID agreement — plus client-side downtime accounting.
+MyShadow replays production-representative traffic while it crashes
+members and moves leadership, then checks that nothing diverged. Here
+that is one ``repro.check`` run per mode on the paper-shaped topology:
+
+- failure injection: the ``crashes`` scenario, random crash/restart
+  churn that favours the primary;
+- functional: the ``promotion-churn`` scenario, graceful promotions of
+  random databases while members crash and restart.
+
+Every run carries the checker's safety monitors (election safety, log
+matching, state-machine safety and the rest) and ends with a
+linearizability check of the clients' history. ``outcome.ok`` is all
+of them passing.
 
 Run:  python examples/shadow_testing.py
 """
 
-from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
-from repro.control.shadow import ShadowTestHarness
-from repro.sim.network import FixedLatency
-from repro.workload.generators import WorkloadSpec
+from collections import Counter
+
+from repro.check import SCENARIOS, run_once
 
 
 def main() -> None:
-    spec = ReplicaSetSpec(
-        "shadow-example",
-        (
-            RegionSpec("region0", databases=1, logtailers=2),
-            RegionSpec("region1", databases=1, logtailers=2),
-        ),
-    )
-    cluster = MyRaftReplicaset(spec, seed=99)
-    cluster.bootstrap()
-
-    workload = WorkloadSpec(
-        name="shadow",
-        clients=3,
-        think_time=0.04,
-        client_latency=FixedLatency(0.0003),
-    )
-    harness = ShadowTestHarness(cluster, workload)
-
-    print("failure-injection shadow test: 90s of writes with random crashes...")
-    report = harness.run_failure_injection(
-        duration=90.0, mean_crash_interval=20.0, crash_downtime=5.0
-    )
-    print(f"  committed transactions: {report.committed}")
-    print(f"  faults injected:        {report.faults_injected}")
-    print(f"  client-visible windows: {len(report.downtime_windows)} "
-          f"(total {report.total_downtime():.1f}s)")
-    print(f"  engine checksums equal: {report.databases_converged}")
-    print(f"  log equality:           {report.logs_prefix_equal}")
-    print(f"  all checks passed:      {report.checks_passed}")
-
-    print("\nfunctional shadow test: repeated graceful TransferLeadership...")
-    cluster2 = MyRaftReplicaset(spec, seed=100)
-    cluster2.bootstrap()
-    harness2 = ShadowTestHarness(cluster2, workload)
-    report2 = harness2.run_functional(rounds=5, inter_op_delay=5.0)
-    print(f"  transfers completed:    {report2.operations}")
-    print(f"  committed transactions: {report2.committed}")
-    print(f"  all checks passed:      {report2.checks_passed}")
+    for name in ("crashes", "promotion-churn"):
+        scenario = SCENARIOS[name]
+        print(f"{name}: {scenario.description}")
+        outcome = run_once(scenario, seed=1)
+        faults = Counter(kind for _, kind, _, _ in outcome.fault_events)
+        print(f"  committed transactions: {outcome.committed}")
+        print(f"  faults injected:        {dict(sorted(faults.items()))}")
+        if "transfers" in outcome.checks:
+            completed = outcome.checks["transfers"] - outcome.checks["transfers_failed"]
+            print(f"  transfers completed:    {completed} of {outcome.checks['transfers']}")
+        print(f"  all checks passed:      {outcome.ok}")
 
 
 if __name__ == "__main__":

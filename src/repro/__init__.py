@@ -7,9 +7,11 @@ Public entry points:
   (MySQL + mysql_raft_repl plugin + Raft, logtailers, FlexiRaft quorums);
 - :class:`repro.semisync.SemiSyncReplicaset` — the prior-setup baseline
   (semi-sync replication + external failover automation);
-- :mod:`repro.experiments` — harnesses regenerating every table and
-  figure of the paper's evaluation;
-- :mod:`repro.control` — enable-raft, Quorum Fixer, shadow testing, CDC.
+- :mod:`repro.control` — enable-raft, Quorum Fixer, backup, CDC;
+- :mod:`repro.check` — the model checker, which also plays §5.1's
+  shadow testing;
+- :mod:`repro.experiments` — the Figure 5a–d and Table 2 harnesses.
+  Every other paper verdict is a tier-1 test.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ControlPlaneError
+from repro.errors import ControlPlaneError, LogTruncatedError
 from repro.mysql.events import GtidEvent, RowsEvent, TableMapEvent, Transaction
 from repro.mysql.gtid import Gtid, GtidSet
 
@@ -94,8 +94,8 @@ class CdcConsumer:
         while self._cursor <= node.commit_index:
             try:
                 entry = storage.entry(self._cursor)
-            except Exception:  # noqa: BLE001 - purged below cursor
-                # The source purged history below our cursor: skip forward
+            except LogTruncatedError:
+                # The source purged history past our cursor: skip forward
                 # (a real consumer would fall back to backups).
                 self._cursor = storage.first_index()
                 continue

@@ -14,8 +14,8 @@ The tool:
 4. after the promotion succeeds, resets quorum expectations to normal.
 
 It is deliberately *not* run automatically (the paper wants every
-shattered quorum root-caused); here it is invoked explicitly by tests,
-benchmarks, and examples.
+shattered quorum root-caused); here it is invoked explicitly by tests
+and examples.
 """
 
 from __future__ import annotations

@@ -1,12 +1,9 @@
-"""Experiment harnesses: one module per paper table/figure (§6) plus
-ablations for the design choices in §4 and §5.
+"""Harnesses for the paper's Figure 5a–d and Table 2 (§6).
 
-Use :mod:`repro.experiments.registry` to run experiments by id
-(``fig5a``, ``table2``, ``proxy-bw``, ...). Every experiment returns a
-structured result object with a ``format_report()`` → str method whose
-rows mirror what the paper prints.
+``run_ab_comparison`` runs the §6.1 A/B that Figures 5a–d read and
+``run_table2`` the Table 2 drills; their result objects'
+``format_report()`` prints the paper's rows. The ``bench_fig5*`` and
+``bench_table2_downtime`` modules under ``benchmarks/`` drive them.
+Every other paper verdict is a tier-1 test (EXPERIMENTS.md's Summary
+names each producer).
 """
-
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-__all__ = ["EXPERIMENTS", "run_experiment"]

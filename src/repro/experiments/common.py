@@ -21,15 +21,6 @@ PAPER_TABLE2_MS = {
     ("raft", "promotion"): {"pct99": 357, "pct95": 322, "median": 202, "avg": 218},
 }
 
-# §4.2.2: proxying's control overhead vs vanilla, per connection, at an
-# average of 500 bytes per log entry.
-PAPER_PROXY_OVERHEAD_RANGE = (0.02, 0.05)
-PAPER_PROXY_ENTRY_BYTES = 500
-
-# Headline claims (§6.2): 24x faster failover, 4x faster promotion.
-PAPER_FAILOVER_SPEEDUP = 24.0
-PAPER_PROMOTION_SPEEDUP = 4.0
-
 
 def format_table(headers: list[str], rows: list[list]) -> str:
     """Plain-text aligned table (what the bench harness prints)."""
@@ -46,10 +37,6 @@ def format_table(headers: list[str], rows: list[list]) -> str:
 
 def us(value_seconds: float) -> float:
     return round(value_seconds * 1e6, 1)
-
-
-def ms(value_seconds: float) -> float:
-    return round(value_seconds * 1e3, 1)
 
 
 @dataclass

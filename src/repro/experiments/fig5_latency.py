@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.ab_comparison import ABResult, run_ab_comparison
-from repro.experiments.common import (
-    PAPER_FIG5A_AVG_US,
-    PAPER_FIG5C_AVG_US,
-    format_table,
-    us,
-)
+from repro.experiments.ab_comparison import ABResult
+from repro.experiments.common import format_table, us
 from repro.metrics import log_spaced_bins
 
 
@@ -65,14 +60,3 @@ class LatencyFigureResult:
         ]
         return "\n".join(lines)
 
-
-def run_fig5a(seed: int = 1, duration: float = 25.0) -> LatencyFigureResult:
-    """Figure 5a: production workload latency histogram."""
-    ab = run_ab_comparison("production", seed=seed, duration=duration)
-    return LatencyFigureResult("Figure 5a", ab, PAPER_FIG5A_AVG_US)
-
-
-def run_fig5c(seed: int = 1, duration: float = 5.0) -> LatencyFigureResult:
-    """Figure 5c: sysbench OLTP write latency histogram."""
-    ab = run_ab_comparison("sysbench", seed=seed, duration=duration, warmup=1.0)
-    return LatencyFigureResult("Figure 5c", ab, PAPER_FIG5C_AVG_US)

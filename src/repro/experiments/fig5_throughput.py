@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.ab_comparison import ABResult, run_ab_comparison
+from repro.experiments.ab_comparison import ABResult
 from repro.experiments.common import format_table
 
 
@@ -47,14 +47,3 @@ class ThroughputFigureResult:
         ]
         return "\n".join(lines)
 
-
-def run_fig5b(seed: int = 1, duration: float = 25.0) -> ThroughputFigureResult:
-    """Figure 5b: production workload throughput over time."""
-    ab = run_ab_comparison("production", seed=seed, duration=duration)
-    return ThroughputFigureResult("Figure 5b", ab)
-
-
-def run_fig5d(seed: int = 1, duration: float = 5.0) -> ThroughputFigureResult:
-    """Figure 5d: sysbench throughput over time."""
-    ab = run_ab_comparison("sysbench", seed=seed, duration=duration, warmup=1.0)
-    return ThroughputFigureResult("Figure 5d", ab)

@@ -1,8 +1,9 @@
 """Structured tracing for simulation runs.
 
 A :class:`Tracer` collects ``TraceRecord`` entries (time, kind, fields).
-Tests and the shadow-testing harness assert on traces; experiments use
-them to measure unavailability windows and event timings.
+Tests assert on traces, the model checker keeps their tail in its repro
+bundles, and experiments use them to measure unavailability windows and
+event timings.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Topology spec and Table 1 derivation tests."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.topology import (
@@ -80,3 +82,14 @@ class TestPaperTopology:
         assert learner_row["myraft_role"] == "Learner"
         assert learner_row["database_role"] == "Non-failover replica"
         assert learner_row["serves_reads"] == "Yes"
+        # The paper's rows: 1 leader, 5 followers, 2 learners, 12 witnesses,
+        # and every member of a row plays it the same way.
+        roles = Counter(r["myraft_role"] for r in rows)
+        assert roles == {"Leader": 1, "Follower": 5, "Learner": 2, "Witness": 12}
+        for row in rows:
+            if row["myraft_role"] == "Witness":
+                assert (row["entity"], row["prior_setup_role"], row["serves_reads"]) == (
+                    "Logtailer", "Semi-Sync Acker", "No"
+                )
+            elif row["myraft_role"] == "Follower":
+                assert (row["database_role"], row["accepts_writes"]) == ("Failover replica", "No")

@@ -102,3 +102,24 @@ class TestCdcAcrossFailover:
             **{i: {"id": i, "v": "pre"} for i in range(4)},
             **{i: {"id": i, "v": "post"} for i in range(4, 8)},
         }
+
+
+class TestCdcAfterPurge:
+    def test_resumes_at_the_first_retained_index_without_a_gap(self, cluster):
+        # The consumer drains once and sleeps while its source purges past
+        # its cursor: it skips to first_index() and misses nothing after.
+        consumer = CdcConsumer(cluster, source="region0-db1", poll_interval=30.0)
+        consumer.start()
+        for i in range(4):
+            cluster.write_and_run("t", {i: {"id": i}}, seconds=0.3)
+        primary = cluster.primary_service()
+        primary.flush_binary_logs()
+        for i in range(4, 6):
+            cluster.write_and_run("t", {i: {"id": i}}, seconds=0.3)
+        assert primary.snapshot_and_compact()
+        for i in range(6, 9):
+            cluster.write_and_run("t", {i: {"id": i}}, seconds=0.3)
+        cluster.run(30.0)
+        first, commit = primary.storage.first_index(), primary.node.commit_index
+        assert [r.opid_index for r in consumer.records] == list(range(first, commit + 1))
+        assert [r.pk for r in consumer.records] == [4, 5, 6, 7, 8]

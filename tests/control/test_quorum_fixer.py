@@ -57,6 +57,7 @@ class TestQuorumFixer:
         fixer = QuorumFixer(cluster)
         report = fixer.run_to_completion()
         assert report.succeeded
+        assert report.restore_seconds < 0.5  # 50 ms: the tool, not the operator
         primary = cluster.primary_service()
         assert primary is not None
         # The new leader sits in the healthy region and commits normally.

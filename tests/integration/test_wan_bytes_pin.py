@@ -9,14 +9,22 @@ region whose database — its preferred proxy — is down is still fed one
 copy, through the logtailer that took the role (DESIGN.md §15, rule 4),
 and the dead database is only probed (rule 2). The acks pin the way back:
 each region answers an append with one WAN ack, its head's, into which
-the members behind it folded theirs (rule 1).
+the members behind it folded theirs (rule 1). The §4.2.2 case runs one
+stream twice, through the tree and through a ring whose router names no
+proxy, and prices what the tree saves against the paper's 2–5 % figure.
 Deterministic (simulated bytes, fixed seed): a pin, not a benchmark.
 """
 
 from collections import Counter
 
 from repro.cluster import MyRaftReplicaset, paper_topology
-from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
+from repro.raft.messages import (
+    PER_ENTRY_OVERHEAD_BYTES,
+    PROXY_OP_BYTES,
+    AppendEntriesRequest,
+    AppendEntriesResponse,
+)
+from repro.raft.proxy import StaticProxyRouter
 from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
 
 from tests.raft.harness import record_sends, wan_bytes_by_kind, wan_entries_into
@@ -118,3 +126,45 @@ def test_region_whose_database_is_down_is_still_fed_one_payload_copy():
     assert cluster.databases_converged() and cluster.logs_prefix_equal()
     stats = primary.node.stats()["proxy"]
     assert stats["reroots"] == 2 and stats["acting_heads"] == {}  # there and back
+
+
+class DirectReplicaset(MyRaftReplicaset):
+    router = StaticProxyRouter({})  # no proxies: the leader reaches everyone itself
+
+
+def _one_entry_per_round(replicaset_class):
+    """§4.2.2's stream: 50 writes of ~577-byte entries, one round apart,
+    on the 20-member topology (seed 5, as ``examples/proxy_topology.py``)."""
+    cluster = replicaset_class(
+        paper_topology(follower_regions=5, learners=2),
+        seed=5,
+        timing=sysbench_timing(myraft=True),
+        trace_capacity=5_000,
+    )
+    cluster.bootstrap()
+    cluster.run(1.0)
+    cluster.net.reset_accounting()
+    for i in range(50):
+        cluster.write("bw", {i: {"id": i, "v": "x" * 280}})
+        cluster.run(0.05)
+    cluster.run(3.0)  # replication drains
+    return cluster
+
+
+def test_region_tree_saves_most_cross_region_bytes_of_direct_delivery():
+    direct = _one_entry_per_round(DirectReplicaset)
+    tree = _one_entry_per_round(MyRaftReplicaset)
+    metrics = [s.node.metrics for s in tree.database_services()]
+    storage = tree.primary_service().storage
+    entry_bytes = storage.entry(storage.last_opid().index).size_bytes
+
+    # 635,800 -> 223,096 bytes (64.9 %): 5 payload copies and 5 acks a
+    # round instead of 17 each; the idle heartbeats cost both the same.
+    savings = 1 - tree.net.cross_region_bytes() / direct.net.cross_region_bytes()
+    assert savings >= 0.55
+    assert sum(m["proxy_degrades"] for m in metrics) == 0
+    assert sum(m["proxy_forwards"] for m in metrics) > 0  # 612
+    # The paper's per-connection price of a PROXY_OP: 4.05 % at 577 B.
+    assert 0.02 <= PROXY_OP_BYTES / (PER_ENTRY_OVERHEAD_BYTES + entry_bytes) <= 0.05
+    assert direct.databases_converged() and tree.databases_converged()
+    assert direct.engine_checksums() == tree.engine_checksums()

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import MyRaftReplicaset
+from repro.cluster import paper_topology as paper_replicaset
 from repro.flexiraft import FlexiMode, FlexiRaftPolicy, region_groups, region_quorum_watermark
 from repro.flexiraft.watermarks import all_region_watermarks, safe_purge_horizon
 from repro.raft.membership import MembershipConfig
 from repro.raft.quorum import ElectionContext, ForcedQuorum, MajorityQuorum, majority_count
+from repro.workload import sysbench_timing
 
 from tests.raft.harness import RaftRing, learner, voter, witness
 
@@ -260,6 +263,37 @@ def reference_data_quorum(mode, leader, ackers, members):
     if leader_member is None or leader_member.region not in groups:
         return False
     return majority[list(groups).index(leader_member.region)]
+
+
+def mean_commit_latency(policy, writes=40, seed=3):
+    """Mean client commit latency of sequential writes on the paper's
+    replicaset (five regions ~30 ms apart), at 0.5 ms resolution."""
+    cluster = MyRaftReplicaset(
+        paper_replicaset(follower_regions=4, learners=0), seed=seed, policy=policy,
+        timing=sysbench_timing(myraft=True), trace_capacity=5_000,
+    )
+    cluster.bootstrap()
+    cluster.run(1.0)
+    latencies = []
+    for i in range(writes):
+        start = cluster.loop.now
+        process = cluster.write("t", {i: {"id": i}})
+        while not process.done():
+            cluster.run(0.0005)
+        assert not process.failed()
+        latencies.append(cluster.loop.now - start)
+        cluster.run(0.01)
+    return sum(latencies) / len(latencies)
+
+
+def test_single_region_dynamic_keeps_commits_off_the_wan():
+    # §4.1's motivation: 0.99 ms against 60.8 ms for both WAN policies.
+    single = mean_commit_latency(FlexiRaftPolicy(FlexiMode.SINGLE_REGION_DYNAMIC))
+    multi = mean_commit_latency(FlexiRaftPolicy(FlexiMode.MULTI_REGION))
+    majority = mean_commit_latency(MajorityQuorum())
+    assert single < 0.005
+    assert multi > 0.020 and majority > 0.020  # at least one WAN round trip
+    assert majority / single > 10.0
 
 
 class TestQuorumViewsPerConfig:

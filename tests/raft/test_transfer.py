@@ -102,7 +102,13 @@ class TestMockElection:
         for i in range(3):
             ring.commit_and_run(f"e{i}".encode(), seconds=0.3)
         future = ring.node("db1").transfer_leadership("db2")
-        ring.run(5.0)
+        # The abort comes before the quiesce: 0.2 s in, when the transfer
+        # would have handed over, db1 still commits at once.
+        ring.run(0.2)
+        _, write = ring.node("db1").propose(lambda o: b"during-transfer")
+        ring.run(0.5)
+        assert write.done() and not write.failed()
+        ring.run(4.3)
         assert future.done()
         assert future.result() is False
         leader = ring.current_leader()
