@@ -49,9 +49,6 @@ class Scenario:
 
     name: str
     description: str
-    # Topology: paper-shaped, 1 db + 2 logtailers per region.
-    follower_regions: int = 2
-    learners: int = 0
     # Run shape.
     duration: float = 22.0
     settle: float = 6.0  # fault-free tail so the ring converges
@@ -65,7 +62,6 @@ class Scenario:
     faults: str = "random"
     mean_interval: float = 5.0
     downtime: float = 2.0
-    pause_probability: float = 0.0
     isolate_probability: float = 0.0
     crash_leader_bias: float = 0.5
     # Replica apply mode: 1 = serial, >1 = MTS parallel apply.
@@ -91,9 +87,8 @@ class Scenario:
     leader_within: float = 0.0
 
     def topology(self) -> ReplicaSetSpec:
-        return paper_topology(
-            follower_regions=self.follower_regions, learners=self.learners
-        )
+        """Paper-shaped: 1 db + 2 logtailers in each of three regions."""
+        return paper_topology(follower_regions=2, learners=0)
 
     def raft_config(self) -> RaftConfig:
         return RaftConfig(
@@ -153,7 +148,6 @@ class Scenario:
                 mean_interval=self.mean_interval,
                 downtime=self.downtime,
                 crash_leader_bias=self.crash_leader_bias,
-                pause_probability=self.pause_probability,
                 isolate_probability=self.isolate_probability,
             )
         return injector, None

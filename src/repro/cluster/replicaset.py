@@ -19,6 +19,7 @@ from repro.plugin.raft_plugin import MyRaftServer
 from repro.raft.config import RaftConfig
 from repro.raft.quorum import QuorumPolicy
 from repro.raft.types import MemberInfo
+from repro.reads.lease import CLOCK_DRIFT_BOUND
 from repro.cluster.topology import ReplicaSetSpec
 from repro.snapshot import seed_engine_namespaces
 from repro.sim.clock import draw_skew
@@ -85,7 +86,7 @@ class MyRaftReplicaset:
             host.clock = draw_skew(
                 self.loop,
                 self.rng.child(f"clock-skew/{member.name}"),
-                self.raft_config.clock_drift_bound,
+                CLOCK_DRIFT_BOUND,
             )
             self.provision(host, member, self.membership)
 

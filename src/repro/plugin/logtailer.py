@@ -90,9 +90,7 @@ class LogtailerService:
         reads, so only the Raft metadata matters)."""
         from repro.snapshot import SnapshotManager
 
-        SnapshotManager(
-            self.host, self.node, self.raft_config, install_image=self._install_snapshot_image
-        )
+        SnapshotManager(self.host, self.node, install_image=self._install_snapshot_image)
 
     def _install_snapshot_image(self, image) -> None:
         self.host.disk.namespace("mysqllog").clear()

@@ -56,6 +56,9 @@ WRITESET_HISTORY_SIZE = 2000
 # that rewrites most of the database saves nothing and leaves a longer
 # chain to verify.
 SNAPSHOT_DELTA_MAX_FRACTION = 0.5
+# Client-visible cap on one consistent-read barrier (quorum round or
+# remote ReadIndex fetch + apply wait).
+READ_BARRIER_TIMEOUT = 2.0
 
 
 class _RaftDiskTiming(TimingModel):
@@ -377,7 +380,6 @@ class MyRaftServer:
         SnapshotManager(
             self.host,
             self.node,
-            self.raft_config,
             produce_image=self._produce_snapshot_image,
             install_image=self._install_snapshot_image,
             produce_delta=self._produce_snapshot_delta,
@@ -390,28 +392,22 @@ class MyRaftServer:
         ``control.backup.take_backup`` produces — into a shippable image.
         Returns None when nothing has been applied yet (nothing to ship
         that an empty follower doesn't already have)."""
-        from repro.control.backup import Backup  # control imports us; defer
-
         engine = self.mysql.engine
         if engine.last_committed_opid == OpId.zero():
             return None
-        backup = Backup(
+        tables = {
+            name: {pk: dict(row) for pk, row in engine.table(name).rows.items()}
+            for name in engine.table_names()
+        }
+        last_opid = engine.last_committed_opid
+        rows = sum(len(table) for table in tables.values())
+        self._trace("myraft.snapshot_produced", opid=str(last_opid), rows=rows)
+        return build_image(
             source=self.host.name,
             taken_at=self.host.loop.now,
-            last_opid=engine.last_committed_opid,
+            last_opid=last_opid,
             executed_gtids=str(engine.executed_gtids),
-            tables={
-                name: {pk: dict(row) for pk, row in engine.table(name).rows.items()}
-                for name in engine.table_names()
-            },
-        )
-        self._trace("myraft.snapshot_produced", opid=str(backup.last_opid), rows=backup.row_count())
-        return build_image(
-            source=backup.source,
-            taken_at=backup.taken_at,
-            last_opid=backup.last_opid,
-            executed_gtids=backup.executed_gtids,
-            tables=backup.tables,
+            tables=tables,
             members_wire=self.node.membership.to_wire(),
             config_index=self.node.membership.config_index,
             chunk_bytes=chunk_bytes,
@@ -521,11 +517,10 @@ class MyRaftServer:
         )
 
     def _consistent_read(self, table: str, pk):
-        timeout = self.raft_config.read_barrier_timeout
         read_index = yield with_timeout(
-            self.host.loop, self.node.request_read_index(), timeout
+            self.host.loop, self.node.request_read_index(), READ_BARRIER_TIMEOUT
         )
-        yield from self._wait_applied(read_index, timeout)
+        yield from self._wait_applied(read_index, READ_BARRIER_TIMEOUT)
         monitor = self.node.monitor
         if monitor is not None and hasattr(monitor, "on_consistent_read"):
             monitor.on_consistent_read(

@@ -5,7 +5,7 @@ instead of each paying a storage append and a replication fan-out. The
 accumulator assigns OpIds eagerly (so callers still get their OpId
 synchronously) and *stages* the built
 entries; one flush then writes every staged entry with a single
-``storage.append`` per ``propose_batch_max`` chunk and triggers one
+``storage.append`` per ``PROPOSE_BATCH_MAX`` chunk and triggers one
 replication round for the whole batch.
 
 Flush discipline — the safety-critical part:

@@ -78,6 +78,10 @@ from repro.sim.host import Host
 from repro.sim.rng import RngStream
 
 _DURABLE_NS = "raft"
+# Upper bound on entries in one batched storage append. A flush group
+# larger than this is split across consecutive appends (group-commit
+# boundaries are preserved: a batch never reorders).
+PROPOSE_BATCH_MAX = 256
 _ELECTION_COUNTERS = (
     "elections_started", "elections_won", "pre_votes_started",
     "pre_votes_abandoned", "elections_abandoned", "handoff_attempts",
@@ -403,9 +407,7 @@ class RaftNode:
             self._trace("raft.peer_silent", peer=peer, reason="presumed-dead")
         holdoff, self.transfer.lease_holdoff = self.transfer.lease_holdoff, 0.0
         if self.config.read_mode == "lease":
-            self.lease = LeaderLease(
-                self.host.clock, self.config.lease_duration, self.config.clock_drift_bound
-            )
+            self.lease = LeaderLease(self.host.clock)
             self.lease.apply_holdoff(holdoff)
         if self.monitor is not None:
             self.monitor.on_leader_elected(self, granted)
@@ -475,7 +477,7 @@ class RaftNode:
 
         The binlog group-commit boundary survives into the Raft log: the
         group's entries are contiguous, in submission order, and (up to
-        ``propose_batch_max``) land in one storage append. Returns one
+        ``PROPOSE_BATCH_MAX``) land in one storage append. Returns one
         (opid, consensus future) pair per factory."""
         if not self.is_leader:
             raise NotLeaderError(f"{self.name} is {self.role.value}, not leader")
@@ -495,7 +497,7 @@ class RaftNode:
 
     def _commit_staged(self, staged: list[LogEntry]) -> None:
         """Accumulator flush: make the whole microbatch durable with one
-        storage append per ``propose_batch_max`` chunk, then self-ack and
+        storage append per ``PROPOSE_BATCH_MAX`` chunk, then self-ack and
         run one replication fan-out for the batch."""
         if not self.is_leader:
             # Unreachable through the flush barriers (any step-down
@@ -507,9 +509,8 @@ class RaftNode:
                 if future is not None:
                     future.fail_if_pending(error)
             return
-        limit = self.config.propose_batch_max
-        for offset in range(0, len(staged), limit):
-            chunk = staged[offset : offset + limit]
+        for offset in range(0, len(staged), PROPOSE_BATCH_MAX):
+            chunk = staged[offset : offset + PROPOSE_BATCH_MAX]
             self.storage.append(chunk)
             self.metrics["proposal_batches"] += 1
         for entry in staged:

@@ -4,7 +4,7 @@ The request is header-sized and no hop could batch it, so a relay up
 the region tree would cross the WAN once all the same. Fetches batch
 like probe rounds: one in flight per node, and a read arriving while
 one is in flight waits for the *next* — the running fetch's index may
-predate this read. A fetch is re-sent every ``append_retry_interval``
+predate this read. A fetch is re-sent every ``APPEND_RETRY_INTERVAL``
 while callers still wait on it; the callers carry the overall timeout.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.errors import NotLeaderError
 from repro.raft.messages import ReadIndexRequest, ReadIndexResponse
+from repro.raft.replication import APPEND_RETRY_INTERVAL
 from repro.sim.coro import SimFuture
 
 
@@ -88,4 +89,4 @@ class ReadIndexFetch:
             leader,
             ReadIndexRequest(term=node.current_term, requester=node.name, request_id=request_id),
         )
-        node.host.call_after(node.config.append_retry_interval, self._send, request_id)
+        node.host.call_after(APPEND_RETRY_INTERVAL, self._send, request_id)

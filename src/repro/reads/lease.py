@@ -11,8 +11,9 @@ Safety argument (full version in DESIGN.md):
   and voters refuse votes until they have been silent for
   ``election_timeout_base()`` (leader stickiness). With
   ``duration * (1 + 2*drift_bound) < election_timeout_base()``
-  (enforced by ``RaftConfig.validate``), every lease has expired — on
-  every bounded-drift clock — before a natural election can complete.
+  (``RaftConfig.validate`` checks it against the configured heartbeat),
+  every lease has expired — on every bounded-drift clock — before a
+  natural election can complete.
 - Leadership *transfers* bypass stickiness, so the old leader cedes its
   lease at the quiesce point and ships the remaining lease window in
   ``TimeoutNowRequest.lease_holdoff``; the new leader refuses to serve
@@ -24,12 +25,23 @@ Safety argument (full version in DESIGN.md):
 
 from __future__ import annotations
 
+# Lease window credited per quorum-acked probe round, measured from the
+# round's send time. Safety: the drift-padded window must end before a
+# natural election can complete (RaftConfig.validate).
+LEASE_DURATION = 1.2
+# Assumed bound on per-host clock rate drift (fractional). The sim draws
+# every host's true drift within this bound (repro.sim.clock); lease
+# arithmetic pads durations by it on both sides.
+CLOCK_DRIFT_BOUND = 5e-4
+
 
 class LeaderLease:
     """Volatile lease bookkeeping; created on election, dropped on
     step-down/crash. All times are on the owner's local skewed clock."""
 
-    def __init__(self, clock, duration: float, drift_bound: float) -> None:
+    def __init__(
+        self, clock, duration: float = LEASE_DURATION, drift_bound: float = CLOCK_DRIFT_BOUND
+    ) -> None:
         self.clock = clock
         self.duration = duration
         self.drift_bound = drift_bound

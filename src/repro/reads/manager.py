@@ -31,6 +31,7 @@ from repro.raft.messages import (
     ReadProbeRequest,
     ReadProbeResponse,
 )
+from repro.raft.replication import APPEND_RETRY_INTERVAL
 from repro.reads.fetch import ReadIndexFetch
 from repro.sim.coro import SimFuture
 
@@ -105,10 +106,7 @@ class ReadManager:
         if self._round is None:
             if self._queue or self.node.lease is not None:
                 self._start_round()
-        elif (
-            self.node.host.loop.now - self._round.sent_at
-            >= self.node.config.append_retry_interval
-        ):
+        elif self.node.host.loop.now - self._round.sent_at >= APPEND_RETRY_INTERVAL:
             self._send_probes(resend=True)
 
     # ------------------------------------------------------------ round logic

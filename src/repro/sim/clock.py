@@ -5,7 +5,7 @@ a local clock with a bounded rate drift and an arbitrary offset. Leader
 leases (``repro.reads``) are only safe under an *assumed* drift bound, so
 the simulation must model drift deterministically — every host gets a
 :class:`SkewedClock` whose offset/drift are drawn from a seeded child
-RNG stream, and lease arithmetic pads durations by the configured bound.
+RNG stream, and lease arithmetic pads durations by the assumed bound.
 
 A skewed clock is a pure function of the event loop's time, so it is
 automatically pause-safe: a stop-the-world pause simply makes the local
@@ -19,7 +19,7 @@ class SkewedClock:
     """A local clock: ``offset + loop.now * (1 + drift)``.
 
     ``drift`` is the fractional rate error (positive = runs fast). Lease
-    safety requires ``abs(drift) <= clock_drift_bound`` for every host;
+    safety requires ``abs(drift) <= CLOCK_DRIFT_BOUND`` for every host;
     :func:`draw_skew` enforces that by construction.
     """
 

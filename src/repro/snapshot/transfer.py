@@ -5,12 +5,12 @@ session per peer. Three mechanisms replace the v1 stop-and-wait loop:
 
 - **Pipelining.** Each session keeps a window of in-flight chunks,
   opened at 1 and doubled on every clean ack up to
-  ``snapshot_max_inflight_chunks`` (slow-start), collapsing back to 1
+  ``SNAPSHOT_MAX_INFLIGHT_CHUNKS`` (slow-start), collapsing back to 1
   when the retry probe finds the follower silent — the same
-  grow/collapse shape as ``raft/batching.FlowControl``. Sends are paced
-  against a cumulative clock derived from
-  ``snapshot_max_bytes_per_sec``, so the window never outruns the
-  configured transfer rate.
+  grow/collapse shape as the AppendEntries window
+  (``raft/replication.PeerProgress``). Sends are paced against a
+  cumulative clock derived from ``SNAPSHOT_MAX_BYTES_PER_SEC``, so the
+  window never outruns the transfer rate.
 
 - **Content dedupe.** Every follower response advertises the chunk
   digests it already holds staged; those sequences are marked delivered
@@ -42,6 +42,18 @@ from repro.raft.types import OpId
 from repro.snapshot.policy import image_covers
 from repro.snapshot.producer import SnapshotImage
 
+# Bytes of serialized rows per image chunk.
+SNAPSHOT_CHUNK_BYTES = 64 << 10
+# Transfer throttle: pacing delay between chunks models disk+network
+# pressure so a bootstrap never starves foreground replication.
+SNAPSHOT_MAX_BYTES_PER_SEC = 8 << 20
+# How often a shipping leader re-probes a silent follower with the
+# snapshot offer (the offer doubles as the resume cursor probe).
+SNAPSHOT_RETRY_INTERVAL = 0.5
+# Pipelined transfer window: chunks a session may have in flight (sent,
+# unacked). The window opens at 1 and slow-starts up to this cap,
+# collapsing on a retry timeout.
+SNAPSHOT_MAX_INFLIGHT_CHUNKS = 8
 
 @dataclass
 class _Session:
@@ -73,13 +85,11 @@ class LeaderSnapshotShipper:
         self,
         host: Any,
         node: Any,
-        config: Any,
         produce_image: Callable[[int], SnapshotImage | None],
         produce_delta: Callable[[int, int], SnapshotImage | None] | None = None,
     ) -> None:
         self.host = host
         self.node = node
-        self.config = config
         self.produce_image = produce_image
         self.produce_delta = produce_delta
         self.image: SnapshotImage | None = None
@@ -105,7 +115,7 @@ class LeaderSnapshotShipper:
         """Produce a fresh image of the current engine state (used before
         compaction and whenever the cached image no longer covers the
         purged prefix)."""
-        image = self.produce_image(self.config.snapshot_chunk_bytes)
+        image = self.produce_image(SNAPSHOT_CHUNK_BYTES)
         if image is not None:
             self.metrics["images_produced"] += 1
             self.image = image
@@ -248,7 +258,7 @@ class LeaderSnapshotShipper:
         ):
             return False
         session.delta_attempted = True
-        delta = self.produce_delta(self.config.snapshot_chunk_bytes, watermark)
+        delta = self.produce_delta(SNAPSHOT_CHUNK_BYTES, watermark)
         if delta is None:
             return False  # chain broken or re-base policy says full
         self.metrics["deltas_produced"] += 1
@@ -269,8 +279,7 @@ class LeaderSnapshotShipper:
         self._arm_retry(session)
 
     def _grow_window(self, session: _Session) -> None:
-        limit = max(1, self.config.snapshot_max_inflight_chunks)
-        session.window = min(session.window * 2, limit)
+        session.window = min(session.window * 2, SNAPSHOT_MAX_INFLIGHT_CHUNKS)
 
     def _send_offer(self, session: _Session) -> None:
         image = session.image
@@ -295,7 +304,7 @@ class LeaderSnapshotShipper:
 
     def _arm_retry(self, session: _Session) -> None:
         timer = self.host.call_after(
-            self.config.snapshot_retry_interval,
+            SNAPSHOT_RETRY_INTERVAL,
             self._retry_tick,
             session,
             session.last_activity,
@@ -322,7 +331,7 @@ class LeaderSnapshotShipper:
 
     def _pump(self, session: _Session) -> None:
         """Schedule sends for undelivered chunks up to the window, paced
-        so cumulative bytes never exceed ``snapshot_max_bytes_per_sec``."""
+        so cumulative bytes never exceed ``SNAPSHOT_MAX_BYTES_PER_SEC``."""
         total = session.image.total_chunks
         if len(session.delivered) >= total:
             return  # done response is in flight
@@ -336,7 +345,7 @@ class LeaderSnapshotShipper:
                 continue
             session.inflight.add(seq)
             data = session.image.chunks[seq]
-            session.send_clock += len(data) / self.config.snapshot_max_bytes_per_sec
+            session.send_clock += len(data) / SNAPSHOT_MAX_BYTES_PER_SEC
             timer = self.host.call_after(
                 session.send_clock - now, self._send_chunk, session, seq
             )
@@ -377,7 +386,6 @@ class SnapshotManager:
         self,
         host: Any,
         node: Any,
-        config: Any,
         produce_image: Callable[[int], SnapshotImage | None] | None = None,
         install_image: Callable[[SnapshotImage], None] | None = None,
         produce_delta: Callable[[int, int], SnapshotImage | None] | None = None,
@@ -389,7 +397,7 @@ class SnapshotManager:
         self.host = host
         self.node = node
         self.shipper = (
-            LeaderSnapshotShipper(host, node, config, produce_image, produce_delta)
+            LeaderSnapshotShipper(host, node, produce_image, produce_delta)
             if produce_image is not None
             else None
         )

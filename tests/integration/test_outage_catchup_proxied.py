@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import MyRaftReplicaset, paper_topology
 from repro.raft.config import RaftConfig
+from repro.raft.replication import APPEND_RETRY_INTERVAL
 from repro.sim.coro import spawn
 from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
 
@@ -74,7 +75,7 @@ def test_every_member_reaches_the_heal_time_commit_index(seed):
     # The windows in flight at the outage are written off a retry
     # interval later; from then until the heal, the dark members are
     # only probed.
-    loop.call_at(origin + 0.2 * LOAD + 2 * cluster.raft_config.append_retry_interval, silenced)
+    loop.call_at(origin + 0.2 * LOAD + 2 * APPEND_RETRY_INTERVAL, silenced)
     loop.call_at(origin + 0.6 * LOAD, compact)
     loop.call_at(origin + 0.7 * LOAD, heal)
     result = WorkloadRunner(cluster, sysbench_workload()).run(LOAD)

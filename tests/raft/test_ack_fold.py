@@ -1,7 +1,7 @@
 """A head folds its riders' acks into its own (DESIGN.md §15, rule 1).
 
 Riders ack their head over the LAN; the head's ack, held until every
-rider has answered or ``proxy_wait_timeout`` has passed, crosses the WAN
+rider has answered or ``PROXY_WAIT_TIMEOUT`` has passed, crosses the WAN
 once and names the riders it folded. Anything the fold cannot vouch for
 travels alone.
 """
@@ -13,7 +13,8 @@ from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
 )
-from repro.raft.proxy import AckFolds
+from repro.raft.proxy import PROXY_WAIT_TIMEOUT, AckFolds
+from repro.raft.replication import APPEND_RETRY_INTERVAL
 from repro.raft.types import OpId
 
 from tests.raft.test_proxy import WAN_RTT, proxy_ring, write_stream
@@ -113,14 +114,14 @@ class TestWhatTravelsAlone:
         # The reject answered lt2a's part: the head did not sit out its
         # wait for it.
         assert folded.riders == ("lt2b",)
-        assert t - sent_at < WAN_RTT / 2 + ring.config.proxy_wait_timeout / 2
+        assert t - sent_at < WAN_RTT / 2 + PROXY_WAIT_TIMEOUT / 2
         assert ring.node("db2").metrics["folds_expired"] == 0
         ring.run(WAN_RTT * 2)
         assert matched(leader, "lt2a") == leader.last_opid.index
 
     def test_a_late_riders_ack_is_relayed_not_dropped(self):
         ring, leader = streaming_ring()
-        wait = ring.config.proxy_wait_timeout
+        wait = PROXY_WAIT_TIMEOUT
         acks = record_acks(ring)
         sent_at = ring.loop.now
         index = write_one(ring)
@@ -140,7 +141,7 @@ class TestWhatTravelsAlone:
 class TestFaults:
     def test_a_crashed_rider_holds_the_heads_ack_one_wait_then_is_silenced(self):
         ring, leader = streaming_ring()
-        wait, retry = ring.config.proxy_wait_timeout, ring.config.append_retry_interval
+        wait, retry = PROXY_WAIT_TIMEOUT, APPEND_RETRY_INTERVAL
         ring.host("lt2a").crash()
         acks = record_acks(ring)
         sent_at = ring.loop.now
@@ -162,7 +163,7 @@ class TestFaults:
 
     def test_a_head_that_crashes_holding_acks_costs_its_riders_one_retry(self):
         ring, leader = streaming_ring()
-        retry = ring.config.append_retry_interval
+        retry = APPEND_RETRY_INTERVAL
         index = write_one(ring)
         while ring.node("lt2b").last_opid.index < index:
             ring.run(0.0002)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster import MyRaftReplicaset, paper_topology
 from repro.raft.config import RaftConfig
+from repro.raft.replication import MAX_ENTRIES_PER_APPEND
 from repro.raft.types import RaftRole
 from repro.workload import sysbench_timing
 
@@ -56,13 +57,13 @@ def _reset_to_lagging(leader) -> None:
         progress.last_sent_index = 0
         progress.last_sent_time = -1e9
         progress.inflight.clear()
-        progress.window_entries = progress.flow.window_max
+        progress.window_entries = MAX_ENTRIES_PER_APPEND
 
 
 def _window_length(leader) -> int:
     # The full log fits in one append window here; the send loop also
     # probes one index past the tail to find the end.
-    assert leader.last_opid.index <= leader.config.max_entries_per_append
+    assert leader.last_opid.index <= MAX_ENTRIES_PER_APPEND
     return leader.last_opid.index + 1
 
 

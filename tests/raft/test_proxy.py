@@ -8,8 +8,13 @@ from repro.cluster import paper_topology
 from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 from repro.raft.membership import MembershipConfig
 from repro.raft.messages import AppendEntriesRequest
-from repro.raft.proxy import RegionProxyRouter, RouteTable, StaticProxyRouter
-from repro.raft.replication import FlowControl, LeaderState, PeerProgress
+from repro.raft.proxy import PROXY_WAIT_TIMEOUT, RegionProxyRouter, RouteTable, StaticProxyRouter
+from repro.raft.replication import (
+    APPEND_RETRY_INTERVAL,
+    MAX_INFLIGHT_WINDOWS,
+    LeaderState,
+    PeerProgress,
+)
 
 from tests.raft.harness import RaftRing, record_sends, voter, witness
 
@@ -25,7 +30,6 @@ def two_region_members():
 
 
 DIRECT = StaticProxyRouter({})  # no proxies: every member reached directly
-FLOW = FlowControl(max_inflight_windows=4, window_min=8, window_max=64)
 
 
 def proxy_ring(seed=1, members=None, router=None, **kwargs):
@@ -97,7 +101,7 @@ class TestRouteTable:
     def table(self):
         config = MembershipConfig(tuple(two_region_members()))
         table = RouteTable("db1", config, RegionProxyRouter())
-        peers = {m.name: PeerProgress(next_index=11, flow=FLOW, match_index=10) for m in config.peers_of("db1")}
+        peers = {m.name: PeerProgress(next_index=11, match_index=10) for m in config.peers_of("db1")}
         return table, peers
 
     @staticmethod
@@ -159,7 +163,7 @@ class TestRouteTable:
 
     def test_a_reroot_clears_the_groups_route_arounds(self):
         config = MembershipConfig(tuple(two_region_members()))
-        state = LeaderState.fresh(1, "db1", config, last_log_index=10, flow=FLOW, silent={"db2"})
+        state = LeaderState.fresh(1, "db1", config, last_log_index=10, silent={"db2"})
         state.peers["lt2a"].direct_until = 14  # degraded around db2
         _heads, behind, _moved = state.routes(config, RegionProxyRouter())
         assert behind == {"lt2a": ["db2", "lt2b"]}
@@ -202,7 +206,7 @@ class TestProxiedReplication:
 
     def test_degrade_to_heartbeat_when_proxy_lacks_entry(self):
         # Hand the proxy a PROXY_OP for an entry it will never have; after
-        # proxy_wait_timeout it must degrade the message to a heartbeat and
+        # PROXY_WAIT_TIMEOUT it must degrade the message to a heartbeat and
         # still forward it downstream (§4.2.1).
         from repro.raft.types import OpId
 
@@ -219,7 +223,7 @@ class TestProxiedReplication:
             final_dest="lt2a",
         )
         proxy.handle_message("db1", phantom)
-        ring.run(ring.config.proxy_wait_timeout + 0.1)
+        ring.run(PROXY_WAIT_TIMEOUT + 0.1)
         assert proxy.metrics["proxy_degrades"] == 1
         # The degraded message still reached lt2a, and the response that
         # traveled back up through the proxy told the leader how far to
@@ -256,7 +260,7 @@ class TestProxiedReplication:
         ring.net.block_link("db1", "db2")
         # Once db2's windows go unanswered for the retry interval the
         # leader only probes it, and the logtailers still get entries.
-        ring.run(ring.config.append_retry_interval + 1.0)
+        ring.run(APPEND_RETRY_INTERVAL + 1.0)
         opid, fut = ring.commit_and_run(b"direct", seconds=2.0)
         assert fut.done() and not fut.failed()
         ring.run(2.0)
@@ -319,7 +323,7 @@ class TestRegionFanout:
         ring.commit_and_run(b"lost-on-the-last-hop", seconds=0.1)
         ring.net.unblock_link("db2", "lt2a")
         sent = record_sends(ring.net)
-        opid, fut = ring.commit_and_run(b"next", seconds=0.24)  # < append_retry_interval
+        opid, fut = ring.commit_and_run(b"next", seconds=0.24)  # < APPEND_RETRY_INTERVAL
         assert fut.done() and not fut.failed()
         assert ring.node("lt2a").last_opid == ring.node("db1").last_opid
         to_lt2a = [m for _s, _d, m in sent if isinstance(m, AppendEntriesRequest) and m.final_dest == "lt2a"]
@@ -378,7 +382,7 @@ class TestRouteAround:
         leader, proxy, follower = ring.node("db1"), ring.node("db2"), ring.node("lt2a")
         assert follower.storage.last_opid().index < proxy.storage.first_index()
         ring.host("lt2a").restart()
-        ring.run(2 * ring.config.append_retry_interval)
+        ring.run(2 * APPEND_RETRY_INTERVAL)
         assert follower.last_opid == leader.last_opid
         assert proxy.metrics["proxy_degrades"] <= 2
         # Caught up, it is served through the proxy again.
@@ -409,14 +413,14 @@ class TestRouteAround:
                 final_dest="lt2a",
             ),
         )
-        assert proxy.metrics["proxy_degrades"] == 1  # no proxy_wait_timeout first
+        assert proxy.metrics["proxy_degrades"] == 1  # no PROXY_WAIT_TIMEOUT first
         (_src, dst, heartbeat), = sent
         assert dst == "lt2a" and heartbeat.is_heartbeat
         assert heartbeat.degraded_through == proxy.storage.first_index() - 1 == 24
         ring.run(0.1)
         progress = leader.leader_state.peers["lt2a"]
         assert progress.direct_until >= 24
-        ring.run(2 * ring.config.append_retry_interval)
+        ring.run(2 * APPEND_RETRY_INTERVAL)
         assert follower.last_opid == leader.last_opid
         assert proxy.metrics["proxy_degrades"] == 1
 
@@ -495,11 +499,11 @@ class TestHeadFollowsHealth:
 
     def test_crashed_proxy_hands_its_group_to_a_member_behind_it(self):
         ring, leader = self.streaming_ring()
-        every, config = 0.01, ring.config
+        every = 0.01
         ring.host("db2").crash()
         # The in-flight windows fill and go unanswered, the retry probes
         # all three members, and the first logtailer to answer is head.
-        write_stream(ring, config.max_inflight_windows * every + config.append_retry_interval + WAN_RTT + every)
+        write_stream(ring, MAX_INFLIGHT_WINDOWS * every + APPEND_RETRY_INTERVAL + WAN_RTT + every)
         assert head_moves(ring) == [("lt2a", "silent")]
         assert leader.stats()["proxy"]["acting_heads"] == {"db2": "lt2a"}
         assert leader.metrics["proxy_reroots"] == 1

@@ -4,13 +4,12 @@ clock and an in-memory log (DESIGN.md §15)."""
 
 from types import SimpleNamespace
 
-from repro.raft.config import RaftConfig
 from repro.raft.log_storage import InMemoryLogStorage, LogEntry
 from repro.raft.messages import AppendEntriesRequest, AppendEntriesResponse
-from repro.raft.proxy import ProxyHop
+from repro.raft.proxy import PROXY_WAIT_TIMEOUT, ProxyHop
 from repro.raft.types import OpId
 
-WAIT = RaftConfig().proxy_wait_timeout
+WAIT = PROXY_WAIT_TIMEOUT
 TERM = 3
 
 
@@ -27,7 +26,7 @@ class Harness:
         self.metrics = {"proxy_forwards": 0, "proxy_degrades": 0,
                         "acks_folded": 0, "folds_expired": 0}
         node = SimpleNamespace(
-            name="head", metrics=self.metrics, config=RaftConfig(), storage=self.storage,
+            name="head", metrics=self.metrics, storage=self.storage,
             _entry_for_read=self.storage.entry, _trace=lambda kind, **fields: None,
         )
         self.hop = ProxyHop(node, self.send, self.call_after, lambda: self.clock)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NotLeaderError
+from repro.raft import replication
 from repro.raft.hooks import RaftHooks
 
 from tests.raft.harness import RaftRing, learner, three_node_ring, voter
@@ -82,9 +83,9 @@ class TestBasicReplication:
         assert indexes == sorted(indexes)
         assert ring.logs_consistent_up_to_commit()
 
-    def test_large_batch_respects_append_limits(self):
+    def test_large_batch_respects_append_limits(self, monkeypatch):
+        monkeypatch.setattr(replication, "MAX_ENTRIES_PER_APPEND", 4)
         ring = three_node_ring()
-        ring.config.max_entries_per_append = 4
         ring.bootstrap("n1")
         ring.net.isolate("n3")
         for i in range(20):

@@ -2,7 +2,7 @@
 
 The §3.4 contract: a flush group handed to ``propose_batch`` lands as
 one contiguous, in-order run of entries via ONE storage append (up to
-``propose_batch_max``), commits exactly like individually proposed
+``PROPOSE_BATCH_MAX``), commits exactly like individually proposed
 entries, and produces the same log as proposing them one at a time.
 Plus redundant-heartbeat suppression: it cuts message counts without
 losing convergence.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RaftError
-from repro.raft.config import RaftConfig
+from repro.raft import node as node_module
 from repro.raft.types import RaftRole
 
 from tests.raft.harness import RaftRing, three_node_ring, voter
@@ -71,8 +71,9 @@ class TestProposalBatching:
         assert probe.entries == 5
         assert all(f.result() is not None for f in futures)
 
-    def test_batch_splits_at_propose_batch_max(self):
-        ring = three_node_ring(raft_config=RaftConfig(propose_batch_max=4))
+    def test_batch_splits_at_propose_batch_max(self, monkeypatch):
+        monkeypatch.setattr(node_module, "PROPOSE_BATCH_MAX", 4)
+        ring = three_node_ring()
         leader = ring.bootstrap("n1")
         probe = _AppendProbe(leader.storage)
         leader.propose_batch([lambda opid, i=i: b"s%d" % i for i in range(10)])

@@ -4,6 +4,7 @@ baseline's commit-pipeline read barrier they are measured against."""
 import pytest
 
 from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec, paper_topology
+from repro.plugin.raft_plugin import READ_BARRIER_TIMEOUT
 from repro.raft.config import RaftConfig
 from repro.semisync import SemiSyncReplicaset
 from repro.sim.coro import spawn
@@ -199,7 +200,7 @@ class TestReadModesOnThePaperTopology:
 
 def test_lease_duration_must_stay_under_election_timeout():
     with pytest.raises(Exception):
-        RaftConfig(read_mode="lease", lease_duration=10.0).validate()
+        RaftConfig(read_mode="lease", heartbeat_interval=0.3).validate()
 
 
 def test_follower_read_does_not_join_a_fetch_sent_before_it_was_invoked():
@@ -286,11 +287,11 @@ def test_read_still_fails_at_the_barrier_timeout_without_an_in_region_quorum():
     rs.crash("region0-lt2")
     started = rs.loop.now
     process = primary.submit_read("kv", 1)
-    rs.run(rs.raft_config.read_barrier_timeout - 0.05)
+    rs.run(READ_BARRIER_TIMEOUT - 0.05)
     assert not process.done()
     rs.run(0.1)
     assert process.done() and process.failed()
-    assert rs.loop.now - started < rs.raft_config.read_barrier_timeout + 0.1
+    assert rs.loop.now - started < READ_BARRIER_TIMEOUT + 0.1
 
 
 # -- a fetch goes straight to the leader ------------------------------------------

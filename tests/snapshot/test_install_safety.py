@@ -101,7 +101,7 @@ class TestAckPosition:
         )
         host = FakeHost()
         node = FakeNode(InMemoryLogStorage(), name="db1")
-        shipper = LeaderSnapshotShipper(host, node, config=None, produce_image=lambda _: None)
+        shipper = LeaderSnapshotShipper(host, node, produce_image=lambda _: None)
         shipper.sessions["db2"] = _Session(
             peer="db2", term=5, image=image, last_activity=0.0
         )

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
 from repro.flexiraft.watermarks import safe_purge_horizon
-from repro.raft.config import RaftConfig
+from repro.snapshot import transfer
 from repro.snapshot.installer import STAGING_NAMESPACE
 from repro.workload.profiles import sysbench_timing
 
@@ -23,6 +23,17 @@ def two_region_spec() -> ReplicaSetSpec:
             RegionSpec("region1", databases=1, logtailers=1),
         ),
     )
+
+
+def pace_transfers(
+    monkeypatch, chunk_bytes: int, bytes_per_sec: float, retry: float | None = None
+) -> None:
+    """Tiny chunks and a slow ship rate stretch a transfer over many
+    events (the shipper reads these constants when it sends)."""
+    monkeypatch.setattr(transfer, "SNAPSHOT_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(transfer, "SNAPSHOT_MAX_BYTES_PER_SEC", bytes_per_sec)
+    if retry is not None:
+        monkeypatch.setattr(transfer, "SNAPSHOT_RETRY_INTERVAL", retry)
 
 
 def load(cluster, primary, writes: int, rotate_every: int = 10, start: int = 0) -> None:
@@ -81,15 +92,11 @@ class TestSnapshotBootstrap:
         assert cluster.databases_converged()
         assert cluster.logs_prefix_equal()
 
-    def test_crash_mid_transfer_resumes_from_staging(self):
+    def test_crash_mid_transfer_resumes_from_staging(self, monkeypatch):
         # Tiny chunks + a slow ship rate stretch the transfer over many
         # events so we can crash the follower in the middle of it.
-        config = RaftConfig(
-            snapshot_chunk_bytes=128,
-            snapshot_max_bytes_per_sec=2048.0,
-            snapshot_retry_interval=0.2,
-        )
-        cluster = MyRaftReplicaset(two_region_spec(), seed=12, raft_config=config)
+        pace_transfers(monkeypatch, chunk_bytes=128, bytes_per_sec=2048.0, retry=0.2)
+        cluster = MyRaftReplicaset(two_region_spec(), seed=12)
         primary = cluster.bootstrap()
         load(cluster, primary, 40)
         goal = primary.node.last_opid.index
@@ -115,17 +122,15 @@ class TestSnapshotBootstrap:
         assert installer.metrics["installs"] >= 1
         assert cluster.databases_converged()
 
-    def test_install_races_leader_change(self):
+    def test_install_races_leader_change(self, monkeypatch):
         # Three databases in one region; the victim's transfer is cut
         # short by the leader crashing, and the *new* leader (whose own
         # log prefix is also purged) must re-ship from a fresh image.
         spec = ReplicaSetSpec(
             "snap-lead", (RegionSpec("region0", databases=3, logtailers=0),)
         )
-        config = RaftConfig(
-            snapshot_chunk_bytes=128, snapshot_max_bytes_per_sec=2048.0
-        )
-        cluster = MyRaftReplicaset(spec, seed=13, raft_config=config)
+        pace_transfers(monkeypatch, chunk_bytes=128, bytes_per_sec=2048.0)
+        cluster = MyRaftReplicaset(spec, seed=13)
         primary = cluster.bootstrap()
         load(cluster, primary, 40, rotate_every=8)
         goal = primary.node.last_opid.index
