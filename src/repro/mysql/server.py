@@ -117,9 +117,11 @@ class MySQLServer:
 
     def client_write(self, table: str, rows: dict):
         """Coroutine: execute one write transaction; returns its OpId (or
-        None for the semi-sync driver). Raise ReadOnlyError on replicas,
-        TransactionAborted if demoted mid-commit."""
-        if self.read_only or self.pipeline is None:
+        None for the semi-sync driver). Raise ReadOnlyError on replicas
+        and if demoted before the commit point, TransactionAborted if
+        demoted mid-commit."""
+        pipeline = self.pipeline
+        if self.read_only or pipeline is None:
             self.writes_rejected += 1
             raise ReadOnlyError(f"{self.host.name} is read-only")
         xid = next(self._xids)
@@ -133,6 +135,11 @@ class MySQLServer:
                     self.engine.write_row(engine_txn, table, pk, row)
             # Prepare in the connection thread: engine WAL markers etc.
             yield self.timing.prepare(self.rng)
+            if self.pipeline is not pipeline:
+                # Demoted while preparing: the pipeline now attached is a
+                # replica's applier. The write was never logged.
+                self.writes_rejected += 1
+                raise ReadOnlyError(f"{self.host.name} was demoted before the commit point")
             self.engine.prepare(engine_txn)
             # GTID assigned at commit time (§3.4).
             gtid = self._next_gtid()
@@ -143,7 +150,7 @@ class MySQLServer:
                 engine_txn=engine_txn,
                 done=SimFuture(self.host.loop, label="commit"),
             )
-            opid = yield self.pipeline.submit(pipeline_txn)
+            opid = yield pipeline.submit(pipeline_txn)
         except Exception:
             if engine_txn.state in ("active", "prepared"):
                 self.engine.rollback(engine_txn)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import MyRaftReplicaset, RegionSpec, ReplicaSetSpec
 from repro.control.automation import MembershipAutomation
+from repro.errors import ReadOnlyError
 from repro.flexiraft import FlexiMode, FlexiRaftPolicy
 from repro.raft.types import MemberInfo, MemberType
 
@@ -156,3 +157,65 @@ class TestMultiRegionMode:
             cluster.crash(name)
         process = cluster.write_and_run("t", {2: {"id": 2}}, seconds=2.0)
         assert process.done() and not process.failed()
+
+
+class _DemoteDuringPrepare:
+    """A timing profile whose next ``prepare`` lasts ``seconds`` and
+    schedules ``demote`` for the instant it starts: the write that drew it
+    is demoted while it sleeps in prepare, before its GTID is assigned."""
+
+    def __init__(self, timing, loop, demote, seconds: float) -> None:
+        self._timing = timing
+        self._loop = loop
+        self._demote = demote
+        self._seconds = seconds
+
+    def __getattr__(self, name):
+        return getattr(self._timing, name)
+
+    def prepare(self, rng) -> float:
+        if self._demote is None:
+            return self._timing.prepare(rng)
+        self._loop.call_soon(self._demote)
+        self._demote = None
+        return self._seconds
+
+
+class TestWriteStraddlingDemotion:
+    # 30 us (the median prepare) resumes the write as the last of an
+    # applier flush group; 100 us puts it inside one, ahead of the
+    # applier's next transaction.
+    @pytest.mark.parametrize("prepare", [30e-6, 100e-6])
+    def test_write_demoted_in_prepare_fails_and_the_applier_still_commits(self, prepare):
+        """§3.3: a write admitted by the primary but demoted before its
+        GTID is assigned never reaches the log. It must fail as
+        read-only, not slip into the new applier pipeline, and the
+        in-flight writes the demotion aborted must still commit when the
+        applier re-applies them from the log."""
+        cluster = MyRaftReplicaset(two_region_spec(), seed=47)
+        primary = cluster.bootstrap()
+        cluster.write_and_run("t", {0: {"id": 0}}, seconds=1.0)
+        committed_before = primary.node.commit_index
+        in_flight = [primary.submit_write("t", {k: {"id": k}}) for k in range(1, 5)]
+        while primary.node.commit_index < committed_before + len(in_flight):
+            cluster.loop.step()
+        aborted = [k for k, write in enumerate(in_flight, 1) if not write.done()]
+        assert len(aborted) >= 2
+        node = primary.node
+        primary.mysql.timing = _DemoteDuringPrepare(
+            primary.mysql.timing,
+            cluster.loop,
+            lambda: node._step_down(node.current_term + 1, None),
+            prepare,
+        )
+        straddler = primary.submit_write("t", {100: {"id": 100}})
+        cluster.run(0.5)
+
+        assert straddler.done() and isinstance(straddler.exception(), ReadOnlyError)
+        assert primary.mysql.read_only
+        assert primary.applier.applied == len(aborted)
+        engine = primary.mysql.engine
+        for k in range(1, 5):
+            assert engine.table("t").get(k) == {"id": k}
+        assert engine.table("t").get(100) is None  # never logged, never applied
+        assert engine.locks.held_count() == 0
