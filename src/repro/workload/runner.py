@@ -72,15 +72,18 @@ class WorkloadRunner:
         loop = self.cluster.loop
         measure_from = loop.now + warmup
         self._stop_at = measure_from + duration
-        for client_id in range(self.spec.clients):
-            spawn(
-                loop,
-                self._client(client_id, measure_from),
-                label=f"client-{client_id}",
-            )
+        clients = [
+            spawn(loop, self._client(client_id, measure_from), label=f"client-{client_id}")
+            for client_id in range(self.spec.clients)
+        ]
         if callable(getattr(self.cluster, "database_services", None)):
             spawn(loop, self._lag_sampler(), label="apply-lag-sampler")
         self.cluster.run(warmup + duration)
+        for client in clients:
+            if client.failed():
+                # A client counts library errors per operation; anything
+                # else that killed it is a bug, not an unavailable cluster.
+                raise client.exception()
         return self.result
 
     def _client(self, client_id: int, measure_from: float):
@@ -158,7 +161,7 @@ class WorkloadRunner:
         try:
             process = primary.submit_write(self.spec.table, rows)
             yield process
-        except Exception as err:  # noqa: BLE001 - demotion/crash mid-write
+        except ReproError as err:  # demotion/crash mid-write
             self.result.errors += 1
             # Rejected before submission → definitely not applied. Any
             # failure after submission is indeterminate: the payload may
@@ -279,7 +282,7 @@ class AvailabilityProbe:
 
                 yield with_timeout(loop, process, self.probe_timeout)
                 self.success_times.append(loop.now)
-            except Exception:  # noqa: BLE001
+            except ReproError:
                 self.failures += 1
             yield self.interval
 

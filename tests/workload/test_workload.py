@@ -91,6 +91,21 @@ class TestWorkloadRunner:
         assert last_bucket_time > 5.0
         assert result.committed > 10
 
+    def test_a_client_killed_by_a_non_library_error_fails_the_run(self):
+        # Library errors are client-visible outcomes, counted per
+        # operation; anything else is a bug and must not be counted as one.
+        cluster = small_cluster()
+        primary = cluster.primary_service()
+
+        def broken_write(table, rows):
+            raise RuntimeError("bug in the write path")
+
+        primary.submit_write = broken_write
+        runner = WorkloadRunner(cluster, tiny_workload(clients=1))
+        with pytest.raises(RuntimeError, match="bug in the write path"):
+            runner.run(duration=1.0)
+        assert runner.result.errors == 0
+
 
 class TestAvailabilityProbe:
     def test_probe_measures_failover_gap(self):
