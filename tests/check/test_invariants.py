@@ -1,7 +1,11 @@
 """Unit tests for the invariant monitors (fakes) plus one failover
 integration check on the real stack."""
 
+from dataclasses import replace
+
+from repro.check.explorer import run_once
 from repro.check.invariants import MAX_VIOLATIONS, InvariantSuite
+from repro.check.scenarios import SCENARIOS
 from repro.cluster.replicaset import MyRaftReplicaset
 from repro.cluster.topology import paper_topology
 from repro.raft.log_storage import LogEntry
@@ -266,6 +270,30 @@ class TestLeaderWithin:
         cluster.run(4.0)
         assert suite.checks["failovers"] == 1
         assert suite.ok, [str(v) for v in suite.violations]
+
+    def test_a_successor_crashing_inside_the_window_ends_it_met(self):
+        # Seed 3: region1-db1 crashes at 14.6 s, region0-db1 is promoted
+        # at 16.29 s and crashes at 16.90 s, region2-db1 is promoted at
+        # 18.59 s. Nothing is writable at 17.6 s, yet both failovers
+        # finished inside their own bound.
+        scenario = replace(SCENARIOS["leader-crash-loop"], leader_within=3.0)
+        outcome = run_once(scenario, 3)
+        assert outcome.ok, outcome.violations
+        assert outcome.checks["failovers"] == 5
+
+    def test_a_crash_of_no_writable_primary_does_not_end_the_window(self):
+        # Nobody campaigns, so nothing becomes writable; a second member
+        # crashing inside the window still leaves an election quorum up.
+        cluster, suite, primary = self.cluster()
+        for service in cluster.services.values():
+            service.node.election._on_timeout = lambda: None
+            service.node.election.expire_timer()
+        cluster.crash(primary.host.name)
+        cluster.run(1.0)
+        cluster.crash("region1-db1")
+        cluster.run(3.0)
+        assert suite.checks["failovers"] == 1
+        assert [v.invariant for v in suite.violations] == ["LeaderWithin"]
 
     def test_a_follower_crash_starts_no_clock(self):
         cluster, suite, primary = self.cluster()
