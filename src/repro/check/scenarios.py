@@ -66,10 +66,9 @@ class Scenario:
     crash_leader_bias: float = 0.5
     # Replica apply mode: 1 = serial, >1 = MTS parallel apply.
     parallel_apply_workers: int = 1
-    # Consistent-read path (repro.reads): RaftConfig.read_mode plus the
-    # workload's read routing ("sticky" keeps clients reading a deposed
-    # leader — the hazard lease safety is about).
-    read_mode: str = "read_index"
+    # The workload's read routing ("sticky" keeps clients reading a
+    # deposed leader: the stale-leader hazard the ReadIndex barrier
+    # guards against).
     read_routing: str = "primary"
     # Mid-run member reimages (wipe + restore-from-backup + rejoin), the
     # snapshot subsystem's churn drill: each reimage forces an image or
@@ -91,10 +90,7 @@ class Scenario:
         return paper_topology(follower_regions=2, learners=0)
 
     def raft_config(self) -> RaftConfig:
-        return RaftConfig(
-            parallel_apply_workers=self.parallel_apply_workers,
-            read_mode=self.read_mode,
-        )
+        return RaftConfig(parallel_apply_workers=self.parallel_apply_workers)
 
     def network_spec(self) -> NetworkSpec:
         return paper_network_spec()
@@ -451,14 +447,13 @@ SCENARIOS: dict[str, Scenario] = {
             downtime=1.5,
         ),
         Scenario(
-            name="read-lease",
+            name="sticky-reads",
             description=(
-                "read-heavy lease-mode reads with sticky client routing and "
-                "leader isolation (stale-leader lease hazard)"
+                "read-heavy ReadIndex reads with sticky client routing and "
+                "leader isolation (stale-leader read hazard)"
             ),
             faults="random",
             read_fraction=0.6,
-            read_mode="lease",
             read_routing="sticky",
             clients=3,
             crash_leader_bias=0.8,

@@ -19,10 +19,8 @@ from repro.plugin.raft_plugin import MyRaftServer
 from repro.raft.config import RaftConfig
 from repro.raft.quorum import QuorumPolicy
 from repro.raft.types import MemberInfo
-from repro.reads.lease import CLOCK_DRIFT_BOUND
 from repro.cluster.topology import ReplicaSetSpec
 from repro.snapshot import seed_engine_namespaces
-from repro.sim.clock import draw_skew
 from repro.sim.host import Host
 from repro.sim.loop import EventLoop
 from repro.sim.network import LogNormalLatency, Network, NetworkSpec
@@ -81,13 +79,6 @@ class MyRaftReplicaset:
         self.services: dict[str, Any] = {}
         for member in self.membership.members:
             host = Host(self.loop, self.net, member.name, member.region, tracer=self.tracer)
-            # Per-host wall clocks drift within the configured bound; the
-            # child stream keeps every existing seed's draw order intact.
-            host.clock = draw_skew(
-                self.loop,
-                self.rng.child(f"clock-skew/{member.name}"),
-                CLOCK_DRIFT_BOUND,
-            )
             self.provision(host, member, self.membership)
 
     def provision(

@@ -508,7 +508,7 @@ class MyRaftServer:
         ``(None, row | None)``.
 
         The read obtains a ReadIndex (``repro.reads``) — from a quorum
-        probe round, a valid leader lease, or a fetch from the leader —
+        probe round at the leader, or a fetch from the leader elsewhere —
         waits for the local engine to apply through it, and serves from
         the local engine with no log append.
         """
@@ -524,10 +524,7 @@ class MyRaftServer:
         monitor = self.node.monitor
         if monitor is not None and hasattr(monitor, "on_consistent_read"):
             monitor.on_consistent_read(
-                self.node,
-                self.raft_config.read_mode,
-                read_index,
-                self.mysql.engine.last_committed_opid.index,
+                self.node, read_index, self.mysql.engine.last_committed_opid.index
             )
         self.mysql.reads_served += 1
         row = self.mysql.engine.table(table).get(pk)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.reads.lease import CLOCK_DRIFT_BOUND, LEASE_DURATION
-
 # §6.2: three consecutive missed heartbeats start an election.
 MISSED_HEARTBEATS_FOR_ELECTION = 3
 
@@ -36,13 +34,11 @@ class RaftConfig:
     parallel_apply_workers: int = 1
 
     # -- consistent reads (repro.reads) --------------------------------------
-    # read_index  — the leader captures commit_index and confirms its
-    #               leadership with one batched quorum probe round; any
-    #               other member fetches that index from the leader. The
-    #               read is served once the local engine has applied it.
-    # lease       — as read_index, but quorum probe acks also extend a
-    #               clock-bound leader lease (reads/lease.py), and a valid
-    #               lease answers with zero network rounds.
+    # The one read protocol, ReadIndex: the leader captures commit_index
+    # and confirms its leadership with one batched quorum probe round; any
+    # other member fetches that index from the leader. The read is served
+    # once the local engine has applied it. "read_index" is the only
+    # value; the field stays so callers that name it keep working.
     read_mode: str = "read_index"
 
     def election_timeout_base(self) -> float:
@@ -53,16 +49,5 @@ class RaftConfig:
             raise ValueError("heartbeat_interval must be positive")
         if self.parallel_apply_workers < 1:
             raise ValueError("parallel_apply_workers must be >= 1")
-        if self.read_mode not in ("read_index", "lease"):
+        if self.read_mode != "read_index":
             raise ValueError(f"unknown read_mode {self.read_mode!r}")
-        if self.read_mode == "lease":
-            # Lease safety precondition: every lease — measured on any
-            # clock within the drift bound — expires before a voter can
-            # have been silent long enough to grant a destabilizing vote
-            # (leader stickiness window = election_timeout_base()).
-            padded = LEASE_DURATION * (1.0 + 2.0 * CLOCK_DRIFT_BOUND)
-            if padded >= self.election_timeout_base():
-                raise ValueError(
-                    "LEASE_DURATION (drift-padded) must stay below "
-                    "election_timeout_base() for lease reads to be safe"
-                )

@@ -271,17 +271,10 @@ class VoteRetraction:
 @dataclass(frozen=True)
 class TimeoutNowRequest:
     """Leader → transfer target: start a real election immediately (the
-    TransferLeadership trigger).
-
-    ``lease_holdoff`` ships the worst-case remaining window of the old
-    leader's ceded read lease (``repro.reads``): the new leader must not
-    serve lease reads until that many seconds have passed on its own
-    clock (padded by its drift bound), so a transferred leadership never
-    overlaps the predecessor's lease."""
+    TransferLeadership trigger)."""
 
     term: int
     leader: str
-    lease_holdoff: float = 0.0
 
     wire_size: int = RPC_HEADER_BYTES
 
@@ -292,8 +285,7 @@ class ReadProbeRequest:
 
     One probe round with a data quorum of acks confirms the sender was
     still the term-``term`` leader when the probes were sent — the
-    ReadIndex barrier. In lease mode the same quorum extends the leader's
-    clock-bound lease. ``round_id`` ties acks to one batch of waiting
+    ReadIndex barrier. ``round_id`` ties acks to one batch of waiting
     reads."""
 
     term: int

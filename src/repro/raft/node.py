@@ -72,7 +72,7 @@ from repro.raft.quorum import QuorumPolicy
 from repro.raft.replication import LeaderState, Replicator
 from repro.raft.transfer import LeadershipTransfer
 from repro.raft.types import MemberInfo, OpId, RaftRole
-from repro.reads import LeaderLease, ReadManager
+from repro.reads import ReadManager
 from repro.sim.coro import SimFuture
 from repro.sim.host import Host
 from repro.sim.rng import RngStream
@@ -174,7 +174,6 @@ class RaftNode:
             "read_probe_rounds": 0,
             "read_rounds_confirmed": 0,
             "read_index_fetches": 0,
-            "lease_reads": 0,
             "proposals": 0,
             "proposal_batches": 0,
             "inflight_hwm": 0,
@@ -213,10 +212,9 @@ class RaftNode:
         self._accumulator = ProposalAccumulator(self)
         self._quorum_override: QuorumPolicy | None = None
         # Consistent-read machinery (repro.reads). All volatile: a crash
-        # wipes the lease and every pending barrier, so a restarted
-        # leader re-earns quorum confirmation before serving.
+        # wipes every pending barrier, so a restarted leader re-earns
+        # quorum confirmation before serving.
         self.reads = ReadManager(self)
-        self.lease: LeaderLease | None = None
         self.election.reset_timer()
 
     def _rebuild_membership(self) -> MembershipConfig:
@@ -405,10 +403,6 @@ class RaftNode:
         )
         for peer in self.leader_state.silent():
             self._trace("raft.peer_silent", peer=peer, reason="presumed-dead")
-        holdoff, self.transfer.lease_holdoff = self.transfer.lease_holdoff, 0.0
-        if self.config.read_mode == "lease":
-            self.lease = LeaderLease(self.host.clock)
-            self.lease.apply_holdoff(holdoff)
         if self.monitor is not None:
             self.monitor.on_leader_elected(self, granted)
         # §3.3 step 1: assert leadership with a no-op entry; committing it
@@ -424,9 +418,7 @@ class RaftNode:
         """Clear leader-side volatile state without role-change hooks."""
         self.leader_state = None
         self.election.vote_tally = None
-        # Dropping the lease stops lease-serving instantly; pending read
-        # barriers can no longer be confirmed and fail cleanly.
-        self.lease = None
+        # Pending read barriers can no longer be confirmed: fail cleanly.
         self.reads.fail_all(NotLeaderError(f"{self.name} lost leadership"))
         if self.snapshots is not None:
             self.snapshots.on_step_down()
@@ -621,8 +613,7 @@ class RaftNode:
         # stickiness window open so it denies disruptive vote requests.
         self.election.last_leader_contact = self.host.loop.now
         self.replicator.replicate_all(force=True)
-        # Lease mode: every tick earns a quorum round so the lease stays
-        # continuously valid; both modes: re-send stalled probes.
+        # Re-send stalled read probes.
         self.reads.keepalive()
         self._schedule_heartbeat()
 

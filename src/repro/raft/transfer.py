@@ -55,10 +55,9 @@ class LeadershipTransfer:
         self.call_after = call_after
         self.pending: PendingTransfer | None = None
         # As a transfer target: the mock round in progress and whom to
-        # answer, and the predecessor's ceded-lease window.
+        # answer.
         self._mock_tally = None
         self._mock_reply_to: str | None = None
-        self.lease_holdoff = 0.0
         self._crashed = False
 
     def _live(self, target: str | None = None, term: int | None = None) -> PendingTransfer | None:
@@ -147,11 +146,6 @@ class LeadershipTransfer:
         # Quiesce: stop accepting new writes so the tail stops moving.
         # This is where graceful-promotion client downtime begins (§4.3).
         node.hooks.on_transfer_quiesce()
-        if node.lease is not None:
-            # Cede the lease now: from here on the target may become
-            # leader (stickiness is bypassed), so lease reads must stop.
-            # expires_at is kept so TimeoutNow can size the holdoff.
-            node.lease.cede()
         # A leader with a live transfer is still in the transfer's term:
         # stepping down ends the transfer.
         self.call_after(TRANSFER_CATCHUP_TIMEOUT, self._catchup_expired, record)
@@ -174,11 +168,7 @@ class LeadershipTransfer:
             return
         if node.leader_state.match_of(acked_peer) >= node.last_opid.index:
             node._trace("raft.timeout_now_sent", target=acked_peer)
-            holdoff = node.lease.remaining() if node.lease is not None else 0.0
-            self.send(
-                acked_peer,
-                TimeoutNowRequest(term=node.current_term, leader=node.name, lease_holdoff=holdoff),
-            )
+            self.send(acked_peer, TimeoutNowRequest(term=node.current_term, leader=node.name))
             self._finish(True)
 
     def abort(self) -> None:
@@ -193,10 +183,6 @@ class LeadershipTransfer:
         if not ok and node.is_leader and record.phase == "catch-up":
             # The transfer failed but we are still the leader: resume.
             node.hooks.on_transfer_unquiesce()
-            if node.lease is not None:
-                # Safe to serve again: leadership was never lost and probe
-                # rounds kept extending the window during the quiesce.
-                node.lease.restore()
         record.future.resolve_if_pending(ok)
 
     def on_crash(self, error: Exception) -> None:
@@ -302,7 +288,4 @@ class LeadershipTransfer:
         if request.term < node.current_term or not node._is_voter:
             return
         node._trace("raft.timeout_now_received", from_leader=src)
-        # Remember the predecessor's ceded-lease window: if we win this
-        # election we must not serve lease reads until it has expired.
-        self.lease_holdoff = max(self.lease_holdoff, request.lease_holdoff)
         node.start_election(is_transfer=True)

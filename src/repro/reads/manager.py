@@ -14,9 +14,8 @@ non-leader's fetch through the same probe-round state machine:
   data quorum intersects every possible election quorum (FlexiRaft
   §4.1), so a full tally proves no newer leader had been acknowledged
   when the probes were sent.
-- On confirmation the node's lease (if any) is extended from the round's
-  *send-time* local clock reading, every waiter resolves with the
-  round's read index, and a queued next round starts immediately.
+- On confirmation every waiter resolves with the round's read index,
+  and a queued next round starts immediately.
 
 All state is volatile: the node rebuilds the manager on restart and
 fails every waiter on step-down.
@@ -37,15 +36,12 @@ from repro.sim.coro import SimFuture
 
 
 class _ProbeRound:
-    __slots__ = ("round_id", "term", "read_index", "sent_local", "sent_at", "acks", "waiters")
+    __slots__ = ("round_id", "term", "read_index", "sent_at", "acks", "waiters")
 
-    def __init__(self, round_id, term, read_index, sent_local, sent_at, waiters):
+    def __init__(self, round_id, term, read_index, sent_at, waiters):
         self.round_id = round_id
         self.term = term
         self.read_index = read_index
-        # Local-clock send time: what a quorum of acks proves leadership
-        # at, hence what the lease extends from (conservative: first send).
-        self.sent_local = sent_local
         self.sent_at = sent_at  # loop time, for resend pacing
         self.acks: set = set()
         self.waiters: list = waiters
@@ -63,24 +59,11 @@ class ReadManager:
 
     def read_index(self) -> SimFuture:
         """A future resolving to a quorum-confirmed read index, wherever
-        the node sits in the ring: zero rounds under a valid lease, one
-        batched probe round at any other leader, one fetch elsewhere."""
-        node = self.node
-        if not node.is_leader:
+        the node sits in the ring: one batched probe round at the
+        leader, one fetch elsewhere."""
+        if not self.node.is_leader:
             return self.fetches.fetch()
-        leased = self._leased_index()
-        if leased is None:
-            return self.acquire_read_index()
-        node.metrics["lease_reads"] += 1
-        future = SimFuture(node.host.loop, label=f"lease-read:{node.name}")
-        future.resolve(leased)
-        return future
-
-    def _leased_index(self) -> int | None:
-        node = self.node
-        if node.lease is not None and node.lease.valid():
-            return node.commit_index
-        return None
+        return self.acquire_read_index()
 
     # ------------------------------------------------------------- leader API
 
@@ -98,13 +81,12 @@ class ReadManager:
         return future
 
     def keepalive(self) -> None:
-        """Heartbeat-tick driver: in lease mode, every tick earns a fresh
-        quorum round so the lease never lapses in steady state; in every
-        mode a stalled round (dropped probes) is re-sent."""
+        """Heartbeat-tick driver: a stalled round (dropped probes) is
+        re-sent."""
         if not self.node.is_leader:
             return
         if self._round is None:
-            if self._queue or self.node.lease is not None:
+            if self._queue:
                 self._start_round()
         elif self.node.host.loop.now - self._round.sent_at >= APPEND_RETRY_INTERVAL:
             self._send_probes(resend=True)
@@ -117,7 +99,6 @@ class ReadManager:
             round_id=self._next_round_id,
             term=node.current_term,
             read_index=node.commit_index,
-            sent_local=node.host.clock.now(),
             sent_at=node.host.loop.now,
             waiters=self._queue,
         )
@@ -154,8 +135,8 @@ class ReadManager:
             self.on_ack(response.voter, response.round_id, response.term)
 
     def answer_fetch(self, request: ReadIndexRequest) -> None:
-        """Answer a non-leader's fetch: at once under a valid lease, else
-        once the next probe round confirms; refuse if not leader."""
+        """Answer a non-leader's fetch once the next probe round
+        confirms; refuse if not leader."""
         node = self.node
 
         def respond(read_index: int | None) -> None:
@@ -166,10 +147,6 @@ class ReadManager:
 
         if not node.is_leader:
             respond(None)
-            return
-        leased = self._leased_index()
-        if leased is not None:
-            respond(leased)
             return
 
         def on_confirmed(done: SimFuture) -> None:
@@ -203,8 +180,6 @@ class ReadManager:
             return
         self._round = None
         node.metrics["read_rounds_confirmed"] += 1
-        if node.lease is not None:
-            node.lease.extend(round_.sent_local)
         for waiter in round_.waiters:
             waiter.resolve_if_pending(round_.read_index)
         if self._queue:

@@ -12,7 +12,6 @@ The rest of the library is built on these pieces:
   that separates durable from volatile state.
 """
 
-from repro.sim.clock import SkewedClock, draw_skew
 from repro.sim.coro import Process, SimFuture, all_of, any_of, sleep, with_timeout
 from repro.sim.host import DurableStore, Host
 from repro.sim.loop import EventLoop, Timer
@@ -39,14 +38,12 @@ __all__ = [
     "Process",
     "RngStream",
     "SimFuture",
-    "SkewedClock",
     "Timer",
     "TraceRecord",
     "Tracer",
     "UniformLatency",
     "all_of",
     "any_of",
-    "draw_skew",
     "sleep",
     "with_timeout",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.errors import HostDownError, SimError
-from repro.sim.clock import SkewedClock
 from repro.sim.coro import Process, SimFuture
 from repro.sim.loop import EventLoop, Timer
 from repro.sim.network import Network
@@ -70,9 +69,6 @@ class Host:
         self.tracer = tracer
         self.alive = True
         self.incarnation = 0
-        # Local wall clock. Defaults to a perfect clock; topologies that
-        # model drift (leader leases) install a seeded skewed clock.
-        self.clock = SkewedClock(loop)
         self.disk = DurableStore()
         self.service: Any = None
         self._timers: list[Timer] = []
@@ -164,7 +160,7 @@ class Host:
         stall; nothing is lost. Models a stop-the-world event (GC pause,
         VM migration, SIGSTOP) — the process keeps its volatile state and
         still *believes* whatever it believed, which is exactly the
-        stale-leader hazard window lease-less protocols must survive."""
+        stale-leader hazard window the read path must survive."""
         if not self.alive or self.paused:
             return
         self.paused = True

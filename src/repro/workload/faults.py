@@ -125,13 +125,13 @@ class RandomFaultInjector:
     targets: list = field(default_factory=list)
     crash_leader_bias: float = 0.5
     # Probability that an injected fault is a stop-the-world pause instead
-    # of a crash (exercises stale-leader / lease-less read hazards).
+    # of a crash (exercises stale-leader read hazards).
     pause_probability: float = 0.0
     pause_stall: float | None = None  # defaults to ``downtime``
     # Probability that an injected fault is a network isolation instead of
     # a crash: the member stays alive — and keeps believing whatever it
     # believed — but no packets flow. The canonical stale-leader-serving-
-    # reads hazard leases must survive. Drawn before pause_probability.
+    # reads hazard. Drawn before pause_probability.
     isolate_probability: float = 0.0
     isolate_downtime: float | None = None  # defaults to ``downtime``
     injected: int = 0

@@ -48,7 +48,7 @@ def total_metric(rs, key):
     return sum(s.node.metrics[key] for s in rs.services.values())
 
 
-@pytest.mark.parametrize("mode", ["barrier", "read_index", "lease"])
+@pytest.mark.parametrize("mode", ["barrier", "read_index"])
 def test_primary_read_returns_latest_value(mode):
     rs = make_cluster(mode)
     primary = rs.primary_service()
@@ -66,8 +66,8 @@ def test_follower_mode_serves_from_replica():
 
 @pytest.mark.parametrize(
     "mode, target",
-    [("read_index", "primary"), ("lease", "primary"), ("read_index", "region1-db1")],
-    ids=["read_index", "lease", "follower"],
+    [("read_index", "primary"), ("read_index", "region1-db1")],
+    ids=["read_index", "follower"],
 )
 def test_consistent_modes_append_nothing_to_the_log(mode, target):
     rs = make_cluster(mode)
@@ -102,20 +102,6 @@ def test_read_index_rounds_are_batched():
     # Concurrent reads share probe rounds: at most the "current + queued
     # next" pair, never one round per read.
     assert 1 <= rounds < 8
-
-
-def test_lease_serves_reads_without_probe_rounds():
-    rs = make_cluster("lease")
-    primary = rs.primary_service()
-    rs.run(2.0)  # heartbeat keepalives earn and extend the lease
-    assert primary.node.lease is not None and primary.node.lease.valid()
-    leased_before = total_metric(rs, "lease_reads")
-    rounds_before = total_metric(rs, "read_probe_rounds")
-    for _ in range(5):
-        assert run_read(rs, primary, "kv", 1, seconds=0.05) == {"id": 1, "v": "one"}
-    assert total_metric(rs, "lease_reads") - leased_before == 5
-    # Only heartbeat keepalive rounds in that window, not per-read rounds.
-    assert total_metric(rs, "read_probe_rounds") - rounds_before <= 2
 
 
 def _timed_read(rs, target, pk, latencies):
@@ -171,7 +157,6 @@ class TestReadModesOnThePaperTopology:
     def runs(self):
         return {
             "read_index": paper_topology_read_run("read_index"),
-            "lease": paper_topology_read_run("lease"),
             "replica": paper_topology_read_run("read_index", replicas=True),
         }
 
@@ -186,9 +171,6 @@ class TestReadModesOnThePaperTopology:
         assert wan_bytes == 0
         assert p50(latencies) < 1e-3
 
-    def test_lease_reads_cost_no_round_at_all(self, runs):
-        assert p50(runs["lease"][2]) == 0.0
-
     def test_replica_reads_cross_the_wan_only_as_header_sized_fetches(self, runs):
         # 32 reads round-robin over the seven replicas, all outside the
         # leader's region: one 64 B fetch and one 64 B answer per read
@@ -198,9 +180,10 @@ class TestReadModesOnThePaperTopology:
         assert runs["replica"][1] <= 6272
 
 
-def test_lease_duration_must_stay_under_election_timeout():
-    with pytest.raises(Exception):
-        RaftConfig(read_mode="lease", heartbeat_interval=0.3).validate()
+def test_read_index_is_the_only_read_mode():
+    RaftConfig(read_mode="read_index").validate()
+    with pytest.raises(ValueError):
+        RaftConfig(read_mode="lease").validate()
 
 
 def test_follower_read_does_not_join_a_fetch_sent_before_it_was_invoked():
@@ -236,10 +219,10 @@ def probe_destinations(sent):
     return [(src, dst) for src, dst, m in sent if isinstance(m, ReadProbeRequest)]
 
 
-@pytest.mark.parametrize("mode", ["read_index", "lease"])
+@pytest.mark.parametrize("mode", ["read_index"])
 def test_single_region_dynamic_probes_never_leave_the_leaders_region(mode):
-    # First send, resend of a stalled round, and the lease keepalive: the
-    # round is decided by the leader's region, so nobody else is asked.
+    # First send and resend of a stalled round: the round is decided by
+    # the leader's region, so nobody else is asked.
     rs = make_cluster(mode)
     primary = rs.primary_service()
     sent = record_sends(rs.net)
