@@ -156,17 +156,20 @@ class TestDdmin:
 
 class TestMutations:
     def test_all_mutations_restore_cleanly(self):
+        from repro.mysql.applier import Applier
         from repro.plugin.raft_plugin import MyRaftServer
 
         original_quorum = FlexiRaftPolicy.election_quorum_satisfied
         original_vote = Election.evaluate
         original_applied = MyRaftServer._applied_through
+        original_submit = Applier._submit
         for name in MUTATIONS:
             with apply_mutation(name):
                 pass
         assert FlexiRaftPolicy.election_quorum_satisfied is original_quorum
         assert Election.evaluate is original_vote
         assert MyRaftServer._applied_through is original_applied
+        assert Applier._submit is original_submit
 
     def test_grantor_history_mutation_drops_only_what_grantors_report(self):
         from repro.raft.election import VoteTally
@@ -202,6 +205,20 @@ class TestMutations:
         )
         assert result.probes >= 1
         assert len(result.minimal) <= len(result.original)
+
+    def test_read_served_before_apply_is_caught_on_sticky_reads(self):
+        # Seed 3 is the witness `--mutate all` reports for this mutation.
+        scenario = SCENARIOS["sticky-reads"]
+        mutated = run_once(scenario, 3, mutation="read-skips-apply-wait")
+        assert "ReadIndexSafety" in mutated.failure_kinds()
+        assert run_once(scenario, 3).ok
+
+    def test_a_transaction_the_applier_drops_is_caught_by_engine_agreement(self):
+        # Seed 1 is the witness `--mutate all` reports for this mutation.
+        scenario = SCENARIOS["leader-crash-loop"]
+        mutated = run_once(scenario, 1, mutation="applier-skips-a-transaction")
+        assert mutated.failure_kinds() == ["EngineAgreement"]
+        assert run_once(scenario, 1).ok
 
     def test_mutation_does_not_leak_into_clean_run(self):
         with apply_mutation("election-own-region-only"):

@@ -8,6 +8,7 @@ from repro.check.invariants import MAX_VIOLATIONS, InvariantSuite
 from repro.check.scenarios import SCENARIOS
 from repro.cluster.replicaset import MyRaftReplicaset
 from repro.cluster.topology import paper_topology
+from repro.mysql.gtid import Gtid
 from repro.raft.log_storage import LogEntry
 from repro.raft.membership import MembershipConfig
 from repro.raft.quorum import MajorityQuorum
@@ -235,6 +236,32 @@ class TestFailoverIntegration:
         assert suite.ok, [str(v) for v in suite.violations]
         assert suite.checks["elections"] >= 2
         assert cluster.databases_converged()
+
+
+class TestEngineAgreement:
+    def converged(self):
+        cluster = MyRaftReplicaset(paper_topology(follower_regions=2, learners=0), seed=7)
+        suite = InvariantSuite()
+        suite.attach(cluster)
+        cluster.bootstrap()
+        for i in range(5):
+            cluster.write_and_run("t", {i: {"id": i, "v": i}}, seconds=0.5)
+        cluster.run(2.0)
+        return cluster, suite
+
+    def test_engines_at_the_same_opid_agree(self):
+        cluster, suite = self.converged()
+        suite.check_cluster(cluster)
+        assert suite.ok, [str(v) for v in suite.violations]
+        assert suite.checks["engine_agreements"] == 2  # three databases
+
+    def test_a_gtid_missing_from_one_engine_is_flagged(self):
+        cluster, suite = self.converged()
+        executed = cluster.server("region1-db1").mysql.engine.executed_gtids
+        uuid = executed.uuids()[0]
+        assert executed.remove(Gtid(uuid, executed.last_txn_id(uuid)))
+        suite.check_cluster(cluster)
+        assert [v.invariant for v in suite.violations] == ["EngineAgreement"]
 
 
 class TestLeaderWithin:
