@@ -398,7 +398,7 @@ class Election:
         node.metrics["elections_abandoned"] += 1
         node._trace("raft.election_abandoned", reason=reason)
         retraction = VoteRetraction(term=tally.term, candidate=node.name)
-        for voter in tally.granted:
+        for voter in sorted(tally.granted):
             if voter != node.name:
                 self.send(voter, retraction)
         # Our own self-vote is retracted locally the same way.
