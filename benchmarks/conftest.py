@@ -1,29 +1,6 @@
-"""Shared benchmark plumbing.
-
-The paper-reproduction benches print the same rows/series the paper
-reports; pytest-benchmark records the harness runtime. A/B runs are
-cached per session so Figure 5a/5b (and 5c/5d) share one execution.
-"""
+"""Collection hook for the benchmark's own tests under benchmarks/e2e."""
 
 import pytest
-
-from repro.experiments.ab_comparison import run_ab_comparison
-
-_AB_CACHE = {}
-
-# Simulation durations chosen so each figure gets thousands of samples
-# while the full bench suite stays in single-digit minutes.
-AB_DURATIONS = {"production": 20.0, "sysbench": 4.0}
-
-
-def get_ab(kind: str):
-    """Run (or reuse) the A/B comparison for a workload kind."""
-    if kind not in _AB_CACHE:
-        _AB_CACHE[kind] = run_ab_comparison(
-            kind, seed=1, duration=AB_DURATIONS[kind], warmup=1.0
-        )
-    return _AB_CACHE[kind]
-
 
 # Tests under benchmarks/e2e (frozen for any PR that claims a gain the
 # benchmark measures) whose expectation such a PR made stale. Marked here
@@ -46,15 +23,3 @@ def pytest_collection_modifyitems(items):
         reason = _STALE_E2E_EXPECTATIONS.get(item.nodeid)
         if reason is not None:
             item.add_marker(pytest.mark.xfail(reason=reason, raises=AssertionError, strict=True))
-
-
-@pytest.fixture
-def report_printer(capsys):
-    """Print a report so it survives pytest's capture (shown with -s or
-    in the captured-output section)."""
-
-    def emit(text: str) -> None:
-        with capsys.disabled():
-            print("\n" + text + "\n")
-
-    return emit

@@ -1,67 +1,29 @@
 #!/usr/bin/env python
 """Failover drill: MyRaft vs the prior semi-sync setup (Table 2's story).
 
-Crashes the primary of each system under identical topology and measures
-client-observed write downtime. MyRaft detects the failure inside the
-server (3 missed 500ms heartbeats) and fails over in seconds; the prior
-setup waits for external automation and takes a minute.
+One ``repro.check`` run of the ``table2-failover`` drill per stack, at
+the same seed: the primary crashes, and an availability probe measures
+the client-observed write downtime. MyRaft detects the failure inside
+the server (3 missed 500 ms heartbeats) and fails over in seconds; the
+prior setup waits for external automation and takes about a minute.
+Every run also carries the checker's safety checks (``outcome.ok``).
 
 Run:  python examples/failover_comparison.py
 """
 
-from repro.cluster import MyRaftReplicaset, paper_topology
-from repro.semisync import SemiSyncReplicaset
-from repro.workload.profiles import sysbench_timing
-from repro.workload.runner import AvailabilityProbe
+from dataclasses import replace
 
-TOPOLOGY = paper_topology(follower_regions=3, learners=0)
-
-
-def drill_myraft(seed: int) -> float:
-    cluster = MyRaftReplicaset(
-        TOPOLOGY, seed=seed, timing=sysbench_timing(myraft=True), trace_capacity=5_000
-    )
-    cluster.bootstrap()
-    probe = AvailabilityProbe(cluster, interval=0.02)
-    probe.start(120.0)
-    cluster.run(2.0)
-    crash_time = cluster.loop.now
-    cluster.crash("region0-db1")
-    cluster.wait_for_primary(exclude="region0-db1")
-    cluster.run(1.0)
-    return probe.downtime_after(crash_time)
-
-
-def drill_semisync(seed: int) -> float:
-    cluster = SemiSyncReplicaset(
-        TOPOLOGY, seed=seed, timing=sysbench_timing(myraft=False), trace_capacity=5_000
-    )
-    cluster.bootstrap()
-    probe = AvailabilityProbe(cluster, interval=0.25)
-    probe.start(600.0)
-    cluster.run(2.0)
-    crash_time = cluster.loop.now
-    cluster.crash("region0-db1")
-    cluster.wait_for_primary(exclude="region0-db1")
-    cluster.run(2.0)
-    return probe.downtime_after(crash_time)
+from repro.check import SCENARIOS, run_once
 
 
 def main() -> None:
     print("Dead-primary failover, client-observed downtime:\n")
-    myraft_samples = []
-    semisync_samples = []
-    for seed in (1, 2, 3):
-        raft_downtime = drill_myraft(seed)
-        myraft_samples.append(raft_downtime)
-        print(f"  seed {seed}:  MyRaft    {raft_downtime:7.2f}s")
-        semisync_downtime = drill_semisync(seed)
-        semisync_samples.append(semisync_downtime)
-        print(f"  seed {seed}:  Semi-sync {semisync_downtime:7.2f}s")
-    raft_avg = sum(myraft_samples) / len(myraft_samples)
-    semisync_avg = sum(semisync_samples) / len(semisync_samples)
-    print(f"\naverages: MyRaft {raft_avg:.2f}s vs Semi-sync {semisync_avg:.2f}s "
-          f"-> {semisync_avg / raft_avg:.0f}x improvement (paper: 24x)")
+    downtime = {}
+    for stack, label in (("myraft", "MyRaft"), ("semisync", "Semi-sync")):
+        outcome = run_once(replace(SCENARIOS["table2-failover"], stack=stack), seed=1)
+        downtime[stack] = outcome.downtime
+        print(f"  {label:9s} {outcome.downtime:6.2f}s  (all checks passed: {outcome.ok})")
+    print(f"\nMyRaft is {downtime['semisync'] / downtime['myraft']:.0f}x faster (paper: 24x)")
 
 
 if __name__ == "__main__":

@@ -8,10 +8,9 @@ Public entry points:
 - :class:`repro.semisync.SemiSyncReplicaset` — the prior-setup baseline
   (semi-sync replication + external failover automation);
 - :mod:`repro.control` — enable-raft, Quorum Fixer, backup, CDC;
-- :mod:`repro.check` — the model checker, which also plays §5.1's
-  shadow testing;
-- :mod:`repro.experiments` — the Figure 5a–d and Table 2 harnesses.
-  Every other paper verdict is a tier-1 test.
+- :mod:`repro.check` — the model checker, on either stack, which also
+  plays §5.1's shadow testing and runs §6's Figure 5a–d and Table 2
+  drills. Every paper verdict is a tier-1 test.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.

@@ -8,7 +8,8 @@ turns that determinism into a checker in the TigerBeetle/Jepsen mold:
   intersection, snapshot-install monotonicity) hooked into RaftNode;
 - :mod:`repro.check.history` — client operation recording plus a
   Wing–Gong linearizability checker over the KV history;
-- :mod:`repro.check.scenarios` — the topology × workload × fault matrix;
+- :mod:`repro.check.scenarios` — the topology × workload × fault matrix,
+  on MyRaft or the semi-sync baseline, and the paper's §6 drills;
 - :mod:`repro.check.explorer` — the seed sweep, repro bundles, and
   replay-from-bundle;
 - :mod:`repro.check.shrink` — ddmin over fault schedules;

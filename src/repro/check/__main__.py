@@ -41,7 +41,7 @@ from repro.check.explorer import (
     write_bundle,
 )
 from repro.check.mutations import MUTATIONS
-from repro.check.scenarios import SCENARIOS
+from repro.check.scenarios import SCENARIOS, SWEEP
 from repro.check.shrink import shrink_schedule
 from repro.workload.faults import FaultEvent
 
@@ -163,13 +163,15 @@ def _cmd_shrink(path: Path, quiet: bool) -> int:
     )
     print(f"shrink: {len(result.original)} -> {len(result.minimal)} fault events "
           f"in {result.probes} probes")
+    if result.needs_no_fault:
+        print("shrink: needs no fault (the run fails with an empty schedule)")
     for event in result.minimal:
         print(f"  {event.to_wire()}")
     return 0
 
 
 def _run_sweep(args) -> int:
-    names = args.scenario or sorted(SCENARIOS)
+    names = args.scenario or sorted(SWEEP)
     seeds = list(range(args.base_seed, args.base_seed + (25 if args.smoke else args.seeds)))
     report = explore(
         names, seeds, bundle_dir=args.bundle_dir, log=_log(args.quiet),
@@ -199,18 +201,23 @@ def _run_mutations(args) -> int:
             print(f"mutation {name}: NOT FOUND in {searched} (recorded; "
                   f"hunt on with --mutate {name} --base-seed N)")
             continue
-        passed = _validate_mutation(name, args, log)
-        if not passed and searched is not None:
+        verdict = _validate_mutation(name, args, log)
+        if verdict is None and searched is not None:
             print(f"mutation {name}: NOT FOUND in this hunt, nor in {searched}")
             continue
-        print(f"mutation {name}: {'DETECTED and shrunk' if passed else 'NOT DETECTED'}")
-        all_passed = all_passed and passed
+        print(f"mutation {name}: {verdict or 'NOT DETECTED'}")
+        all_passed = all_passed and verdict is not None
     return 0 if all_passed else 1
 
 
-def _validate_mutation(name: str, args, log) -> bool:
-    """True when the weakened rule is caught by the monitors and its fault
-    schedule shrinks to a minimal failing one."""
+SHRUNK = "DETECTED and shrunk"
+NO_FAULT = "DETECTED, needs no fault"
+
+
+def _validate_mutation(name: str, args, log) -> str | None:
+    """The verdict once the weakened rule is caught by the monitors:
+    SHRUNK when its fault schedule shrinks to a minimal failing one,
+    NO_FAULT when the run fails with no fault at all. None: not caught."""
     scenario_names, skip = MUTATION_HUNT_OVERRIDES.get(name, (MUTATION_HUNT_ORDER, 0))
     first = args.base_seed + skip
     seeds = range(first, first + max(args.seeds, 10))
@@ -228,25 +235,21 @@ def _validate_mutation(name: str, args, log) -> bool:
                 log(f"  detected -> {bundle}")
             events = [FaultEvent.from_wire(w) for w in outcome.fault_events]
             if not events:
-                # Violation without any fault (e.g. at bootstrap): already
-                # minimal, nothing to shrink.
-                return True
+                return NO_FAULT  # a violation without any fault
             result = shrink_schedule(scenario, seed, events, mutation=name, log=log)
+            if result.needs_no_fault:
+                return NO_FAULT
             if len(result.minimal) < len(result.original):
                 if log is not None:
                     log(f"  shrunk {len(result.original)} -> {len(result.minimal)} "
                         f"events in {result.probes} probes")
-                return True
-            # Scripted replay diverged or already minimal; detection still
-            # counts if the scripted replay reproduces the failure.
-            if result.probes > 0 and result.minimal == result.original:
-                replayed = run_once(
-                    scenario, seed, schedule=events, mutation=name
-                )
-                if not replayed.ok:
-                    return True
-            # Otherwise hunt for a different failing run.
-    return False
+                return SHRUNK
+            # Already minimal; detection still counts if the scripted
+            # replay reproduces the failure. Otherwise hunt for a
+            # different failing run.
+            if result.reproduced:
+                return SHRUNK
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:

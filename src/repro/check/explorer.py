@@ -1,10 +1,12 @@
 """Seed explorer: sweep scenarios × seeds, bundle anything that fails.
 
 One :func:`run_once` is a complete, deterministic experiment: build the
-cluster for a scenario at a seed, attach the invariant monitors, record
-the client history, inject faults, then check every invariant and the
-linearizability of the observed history. :func:`explore` sweeps the
-matrix and writes a self-contained repro bundle (JSON: scenario, seed,
+cluster for a scenario at a seed, on the scenario's stack, attach the
+invariant monitors, record the client history, inject faults, then check
+every invariant and the linearizability of the observed history. The
+outcome also carries what the paper's §6 drills measure: the
+availability probe's downtime and the clients' latency and throughput.
+:func:`explore` sweeps the matrix and writes a self-contained repro bundle (JSON: scenario, seed,
 fault schedule, violations, trace tail) for every failing run —
 re-running the bundle's (scenario, seed) reproduces the run event for
 event, because the simulator is deterministic in exactly those inputs.
@@ -26,11 +28,14 @@ from repro.check.mutations import apply_mutation
 from repro.check.scenarios import SCENARIOS, Scenario
 from repro.cluster.replicaset import MyRaftReplicaset
 from repro.errors import ReproError
+from repro.semisync.replicaset import SemiSyncReplicaset
 from repro.sim.coro import spawn
 from repro.workload.faults import FaultEvent, FaultSchedule
-from repro.workload.runner import WorkloadRunner
+from repro.workload.runner import AvailabilityProbe, WorkloadResult, WorkloadRunner
 
 TRACE_TAIL = 200
+# How long a run with a probe may wait for a write after its last fault.
+RECOVERY_LIMIT = 300.0
 
 
 @dataclass
@@ -51,6 +56,12 @@ class RunOutcome:
     mutation: str | None = None
     scripted: bool = False  # fault_events were replayed as a script
     trace_tail: list = field(default_factory=list)
+    # What the §6 drills read, in seconds: the probe's longest write gap
+    # from the first fault on (None without a probe), and the measured
+    # commits' latency percentiles, rate and empty rate buckets (empty
+    # without clients).
+    downtime: float | None = None
+    load: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -66,21 +77,23 @@ class RunOutcome:
 
     def digest(self) -> str:
         """Hash of the deterministic face of the outcome — two runs of the
-        same (scenario, seed, schedule, mutation) must agree on it."""
-        canonical = json.dumps(
-            {
-                "scenario": self.scenario,
-                "seed": self.seed,
-                "violations": self.violations,
-                "linearizable": self.linearizable,
-                "committed": self.committed,
-                "errors": self.errors,
-                "crashed": self.crashed,
-                "history": self.history_stats,
-                "faults": self.fault_events,
-            },
-            sort_keys=True,
-        )
+        same (scenario, seed, schedule, mutation) must agree on it. The
+        probe's downtime counts where there is a probe; ``load`` derives
+        from the commits already counted here."""
+        face = {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "violations": self.violations,
+            "linearizable": self.linearizable,
+            "committed": self.committed,
+            "errors": self.errors,
+            "crashed": self.crashed,
+            "history": self.history_stats,
+            "faults": self.fault_events,
+        }
+        if self.downtime is not None:
+            face["downtime"] = self.downtime
+        canonical = json.dumps(face, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def to_wire(self) -> dict[str, Any]:
@@ -100,6 +113,8 @@ class RunOutcome:
             "scripted": self.scripted,
             "digest": self.digest(),
             "trace_tail": self.trace_tail,
+            "downtime": self.downtime,
+            "load": self.load,
         }
 
 
@@ -117,16 +132,28 @@ def run_once(
         mutation=mutation,
         scripted=schedule is not None,
     )
+    myraft = scenario.stack == "myraft"
     with apply_mutation(mutation):
-        cluster = MyRaftReplicaset(
-            scenario.topology(),
-            seed=seed,
-            raft_config=scenario.raft_config(),
-            network_spec=scenario.network_spec(),
-            trace_capacity=2048,
-        )
+        if myraft:
+            cluster = MyRaftReplicaset(
+                scenario.topology(),
+                seed=seed,
+                raft_config=scenario.raft_config(),
+                network_spec=scenario.network_spec(),
+                timing=scenario.timing(),
+                trace_capacity=2048,
+            )
+        else:
+            cluster = SemiSyncReplicaset(
+                scenario.topology(),
+                seed=seed,
+                network_spec=scenario.network_spec(),
+                timing=scenario.timing(),
+                trace_capacity=2048,
+            )
         suite = InvariantSuite()
-        suite.attach(cluster)
+        if myraft:
+            suite.attach(cluster)
         history = HistoryRecorder(cluster.loop)
         injector = None
         scripted: FaultSchedule | None = None
@@ -156,15 +183,32 @@ def run_once(
                     spawn(cluster.loop, scenario.replace_drill(cluster, drill_checks),
                           label="replace-drill"),
                 ]
-            runner = WorkloadRunner(cluster, scenario.workload_spec(), history=history)
-            result = runner.run(scenario.duration)
+            probe = None
+            if scenario.probe_interval > 0:
+                probe = AvailabilityProbe(cluster, interval=scenario.probe_interval)
+                probe.start(float("inf"))
+            spec = scenario.workload_spec()
+            result = None
+            if spec is not None:
+                runner = WorkloadRunner(cluster, spec, history=history)
+                result = runner.run(scenario.duration, warmup=scenario.warmup)
+            else:
+                cluster.run(scenario.warmup + scenario.duration)
+            # A drill's probe measures from its scripted fault on.
+            probed = probe is not None and scripted is not None and scripted.events
+            if probed:
+                _run_until_recovered(cluster, probe, scripted)
             cluster.run(scenario.settle)
+            if probed:
+                outcome.downtime = probe.max_gap(scripted.events[0].time, cluster.loop.now)
             suite.check_cluster(cluster)
             for drill in drills:
                 if drill.done():
                     drill.result()  # a drill that died on a bug is a finding
-            outcome.committed = result.committed
-            outcome.errors = result.errors
+            if result is not None:
+                outcome.committed = result.committed
+                outcome.errors = result.errors
+                outcome.load = _load(result)
         except Exception as err:  # noqa: BLE001 - a dead run is a finding
             outcome.crashed = f"{type(err).__name__}: {err}"
         report = check_linearizable(history)
@@ -181,6 +225,41 @@ def run_once(
         outcome.fault_events = [e.to_wire() for e in events]
         outcome.trace_tail = [str(r) for r in cluster.tracer.tail(TRACE_TAIL)]
     return outcome
+
+
+def _run_until_recovered(cluster, probe: AvailabilityProbe, schedule: FaultSchedule) -> None:
+    """Run until the ring is back from the schedule's faults: the last
+    has fired, every transfer started has finished, and the probe has
+    written since."""
+    deadline = schedule.events[-1].time + RECOVERY_LIMIT
+    last = schedule.events[-1].time
+
+    def step() -> None:
+        if cluster.loop.now >= deadline:
+            raise ReproError(f"no recovery within {RECOVERY_LIMIT:g}s of the last fault")
+        cluster.run(0.1)
+
+    while cluster.loop.now <= last or not all(t.done() for t in schedule.transfers):
+        step()
+    mark = cluster.loop.now
+    while not probe.success_times or probe.success_times[-1] <= mark:
+        step()
+
+
+def _load(result: WorkloadResult) -> dict:
+    """The commits' latency percentiles (seconds), their rate and the
+    empty one-second buckets in between (Figure 5's two panels)."""
+    if result.latency.count == 0:
+        return {}
+    summary = result.latency_summary()
+    return {
+        "latency_avg": summary.avg,
+        "latency_p50": summary.median,
+        "latency_p95": summary.p95,
+        "latency_p99": summary.p99,
+        "commits_per_s": result.throughput.mean_rate(),
+        "stalled_buckets": result.throughput.stalled_buckets(),
+    }
 
 
 @dataclass

@@ -144,14 +144,16 @@ class InvariantSuite:
     def ok(self) -> bool:
         return not self.violations
 
-    def _record(self, invariant: str, node, detail: str) -> None:
+    def _record(self, invariant: str, member, detail: str) -> None:
+        """``member``: the RaftNode that violated, or the Host of a
+        service (the end-of-run checks read either stack's services)."""
         if len(self.violations) >= MAX_VIOLATIONS:
             return
         self.violations.append(
             Violation(
                 invariant=invariant,
-                time=node.host.loop.now,
-                node=node.name,
+                time=getattr(member, "host", member).loop.now,
+                node=member.name,
                 detail=detail,
             )
         )
@@ -455,33 +457,31 @@ class InvariantSuite:
     def check_cluster(self, cluster) -> None:
         """Whole-cluster LogMatching over live members' shared index
         ranges (covers the uncommitted tail the per-commit checks never
-        see), a ledger audit of every live log, and EngineAgreement."""
-        storages: list[tuple[str, Any]] = []
-        for name, service in cluster.services.items():
-            if not cluster.hosts[name].alive:
-                continue
-            storage = getattr(service, "storage", None)
-            if storage is not None and storage.last_opid().index > 0:
-                storages.append((name, service))
-        for name, service in storages:
-            node = service.node
-            first = node.storage.first_index()
-            last = node.storage.last_opid().index
+        see), a ledger audit of every live log, and EngineAgreement. It
+        reads only logs and engines, so it runs on the semi-sync stack
+        too, whose logs hold OpIds as well (term = generation); there the
+        ledger is empty and the audit vacuous."""
+        services = [
+            service for name, service in cluster.services.items()
+            if cluster.hosts[name].alive and service.storage.last_opid().index > 0
+        ]
+        for service in services:
+            storage = service.storage
+            first = storage.first_index()
+            last = storage.last_opid().index
             for index, (term, crc) in self.ledger.items():
                 if index < first or index > last:
                     continue
-                entry = node.storage.entry(index)
+                entry = storage.entry(index)
                 if entry is None:
                     continue
                 if entry.opid.term == term and _digest(entry.payload) != crc:
                     self._record(
                         "LogMatching",
-                        node,
+                        service.host,
                         f"entry {entry.opid} diverges from the committed payload",
                     )
-        for i, (name_a, service_a) in enumerate(storages):
-            for name_b, service_b in storages[i + 1 :]:
-                self._check_pairwise(service_a, service_b)
+        self._check_logs_agree(services)
         self._check_engines(cluster)
 
     def _check_engines(self, cluster) -> None:
@@ -510,27 +510,33 @@ class InvariantSuite:
                 continue
             self._record(
                 "EngineAgreement",
-                service.node,
+                service.host,
                 f"{service.host.name} and {first.host.name} both applied through "
                 f"{engine.last_committed_opid} but disagree on {what}",
             )
 
-    def _check_pairwise(self, service_a, service_b) -> None:
-        a, b = service_a.node.storage, service_b.node.storage
-        start = max(a.first_index(), b.first_index())
-        end = min(a.last_opid().index, b.last_opid().index)
-        for index in range(start, end + 1):
-            ea, eb = a.entry(index), b.entry(index)
-            if ea is None or eb is None:
-                continue
-            if ea.opid.term == eb.opid.term and ea.payload != eb.payload:
-                self._record(
-                    "LogMatching",
-                    service_b.node,
-                    f"{service_a.node.name} and {service_b.node.name} disagree on "
-                    f"entry {ea.opid} payload",
+    def _check_logs_agree(self, services) -> None:
+        """LogMatching across the live logs, in one pass: an entry must
+        carry the same payload as the first log seen holding its (index,
+        term)."""
+        first_at: dict[tuple[int, int], tuple[bytes, Any]] = {}
+        for service in services:
+            storage = service.storage
+            for index in range(storage.first_index(), storage.last_opid().index + 1):
+                entry = storage.entry(index)
+                if entry is None:
+                    continue
+                payload, holder = first_at.setdefault(
+                    (index, entry.opid.term), (entry.payload, service)
                 )
-                return  # one pairwise sample is enough evidence
+                if payload != entry.payload:
+                    self._record(
+                        "LogMatching",
+                        service.host,
+                        f"{holder.host.name} and {service.host.name} disagree on "
+                        f"entry {entry.opid} payload",
+                    )
+                    break  # one sample per log is enough evidence
 
     def summary(self) -> dict[str, Any]:
         return {

@@ -19,6 +19,14 @@ faults (:meth:`Scenario.reimage_drill`, :meth:`Scenario.replace_drill`).
 
 Scenario durations are short on purpose: the explorer's power comes from
 seed count, not from any single long run.
+
+Every scenario runs on either stack (``Scenario.stack``): MyRaft, or the
+semi-sync setup the paper compares it against. The paper's §6 drills
+are scenarios too (:data:`DRILLS`): Table 2's failover and promotion
+under an availability probe, and Figure 5's A/B workloads on the §6.1
+topology. They are run on both stacks and read from the outcome's
+``downtime`` and ``load``; a default sweep (:data:`SWEEP`) leaves them
+out.
 """
 
 from __future__ import annotations
@@ -31,8 +39,10 @@ from repro.cluster.topology import ReplicaSetSpec, paper_topology
 from repro.control.automation import MembershipAutomation
 from repro.control.backup import take_backup
 from repro.errors import ControlPlaneError, ReproError
+from repro.mysql.timing import TimingProfile
 from repro.raft.config import RaftConfig
 from repro.raft.types import MemberInfo
+from repro.semisync.automation import SemiSyncAutomationConfig
 from repro.sim.network import LogNormalLatency, NetworkSpec
 from repro.workload.faults import (
     ElectionStormInjector,
@@ -40,7 +50,21 @@ from repro.workload.faults import (
     FaultSchedule,
     RandomFaultInjector,
 )
-from repro.workload.generators import WorkloadSpec
+from repro.workload.generators import WorkloadSpec, production_workload, sysbench_workload
+from repro.workload.profiles import production_timing, sysbench_timing
+
+# §6.1's two workloads: the client spec and the timing profile of each.
+PROFILES = {
+    "production": (production_workload, production_timing),
+    "sysbench": (sysbench_workload, sysbench_timing),
+}
+# Table 2's drills fault the ring this long after bootstrap, once the
+# probe has written for a while.
+DRILL_LEAD = 2.0
+# A drill's primary crash falls at a uniformly random phase of the
+# slowest failure detector, the semi-sync automation's health check
+# (MyRaft's 0.5 s heartbeat divides it).
+CRASH_PHASE = SemiSyncAutomationConfig.health_check_interval
 
 
 @dataclass(frozen=True)
@@ -49,16 +73,30 @@ class Scenario:
 
     name: str
     description: str
+    # "myraft", or "semisync": the prior setup (SemiSyncReplicaset). On
+    # semisync only the checks that need no Raft member run: the
+    # history's linearizability and the end-of-run log and engine
+    # comparisons.
+    stack: str = "myraft"
+    # The paper's topology with this many remote regions and learners.
+    follower_regions: int = 2
+    learners: int = 0
     # Run shape.
     duration: float = 22.0
     settle: float = 6.0  # fault-free tail so the ring converges
-    # Workload.
+    warmup: float = 0.0  # unmeasured lead-in before the workload's clients count
+    # Workload. A §6.1 ``profile`` ("production" or "sysbench") takes its
+    # client spec and timing profile from PROFILES, with this scenario's
+    # clients and think time; "" is the checker's own small workload on
+    # the stack's default timing. clients=0 runs no workload.
+    profile: str = ""
     clients: int = 2
     think_time: float = 0.08
     key_space: int = 8
     read_fraction: float = 0.3
     # Fault pattern: "random" | "leader_crash_loop" | "region_partitions"
-    # | "pause_storm" | "proxy_faults" | "election_storm" | "promotion_churn".
+    # | "pause_storm" | "proxy_faults" | "election_storm" | "promotion_churn"
+    # | "primary_crash" | "transfer" (Table 2's drills) | "none".
     faults: str = "random"
     mean_interval: float = 5.0
     downtime: float = 2.0
@@ -84,10 +122,25 @@ class Scenario:
     # crashes, a writable primary must exist again if the members still
     # up can form an election quorum. 0 = not required.
     leader_within: float = 0.0
+    # Table 2's availability probe: a lone writer every this many seconds
+    # (0 = none). A run with a probe lasts until the ring is back from its
+    # faults (the last has fired, its transfers have finished and the
+    # probe has written since); its ``downtime`` is the probe's longest
+    # gap between two writes from the first fault on.
+    probe_interval: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.stack not in ("myraft", "semisync"):
+            raise ReproError(f"unknown stack {self.stack!r}")
+        if self.stack == "semisync" and (
+            self.reimages or self.catch_up_within or self.leader_within
+        ):
+            raise ReproError(f"{self.name}: reimages and liveness bounds need Raft members")
 
     def topology(self) -> ReplicaSetSpec:
-        """Paper-shaped: 1 db + 2 logtailers in each of three regions."""
-        return paper_topology(follower_regions=2, learners=0)
+        """Paper-shaped: 1 db + 2 logtailers in the primary's region and
+        in each remote one."""
+        return paper_topology(follower_regions=self.follower_regions, learners=self.learners)
 
     def raft_config(self) -> RaftConfig:
         return RaftConfig(parallel_apply_workers=self.parallel_apply_workers)
@@ -95,7 +148,17 @@ class Scenario:
     def network_spec(self) -> NetworkSpec:
         return paper_network_spec()
 
-    def workload_spec(self) -> WorkloadSpec:
+    def timing(self) -> TimingProfile | None:
+        """The profile's timing for this stack; None: the stack's default."""
+        if not self.profile:
+            return None
+        return PROFILES[self.profile][1](myraft=self.stack == "myraft")
+
+    def workload_spec(self) -> WorkloadSpec | None:
+        if self.clients == 0:
+            return None
+        if self.profile:
+            return PROFILES[self.profile][0](self.clients, self.think_time)
         return WorkloadSpec(
             name=f"check-{self.name}",
             clients=self.clients,
@@ -110,6 +173,10 @@ class Scenario:
         """Build this scenario's fault source against ``cluster``.
         Returns ``(injector | None, schedule | None)`` — exactly one is
         set."""
+        if self.faults == "none":
+            return None, FaultSchedule([])
+        if self.faults in ("primary_crash", "transfer"):
+            return None, self._drill_schedule(cluster, rng)
         if self.faults == "region_partitions":
             return None, self._partition_schedule(cluster, rng)
         if self.faults == "proxy_faults":
@@ -147,6 +214,24 @@ class Scenario:
                 isolate_probability=self.isolate_probability,
             )
         return injector, None
+
+    def _drill_schedule(self, cluster, rng) -> FaultSchedule:
+        """Table 2's one fault: crash the primary ("primary_crash"), or
+        gracefully promote the database of a random remote region
+        ("transfer": TransferLeadership on MyRaft, the automation's
+        graceful promotion on semi-sync)."""
+        primary = cluster.primary_service().host.name
+        at = cluster.loop.now + DRILL_LEAD
+        if self.faults == "primary_crash":
+            return FaultSchedule(
+                [FaultEvent(at + rng.uniform(0.0, CRASH_PHASE), "crash", primary)]
+            )
+        region = cluster.membership.member(primary).region
+        targets = [
+            m.name for m in cluster.membership.members
+            if m.has_storage_engine and m.is_voter and m.region != region
+        ]
+        return FaultSchedule([FaultEvent(at, "transfer", rng.choice(targets))])
 
     def _partition_schedule(self, cluster, rng) -> FaultSchedule:
         """A seed-deterministic scripted schedule of region partitions
@@ -460,5 +545,72 @@ SCENARIOS: dict[str, Scenario] = {
             isolate_probability=0.5,
             downtime=3.0,
         ),
+        Scenario(
+            name="table2-failover",
+            description=(
+                "Table 2 failover: the primary crashes once, at a random phase "
+                "of the failure detectors; a 20 ms probe measures the write "
+                "downtime"
+            ),
+            follower_regions=3,
+            profile="sysbench",
+            clients=0,
+            faults="primary_crash",
+            duration=DRILL_LEAD,
+            settle=1.0,
+            probe_interval=0.02,
+        ),
+        Scenario(
+            name="table2-promotion",
+            description=(
+                "Table 2 promotion: one graceful promotion of a remote "
+                "region's database; a 10 ms probe measures the write downtime"
+            ),
+            follower_regions=3,
+            profile="sysbench",
+            clients=0,
+            faults="transfer",
+            duration=DRILL_LEAD,
+            settle=1.0,
+            probe_interval=0.01,
+        ),
+        Scenario(
+            name="ab-production",
+            description=(
+                "Figure 5a/5b: the production workload on the 20-member "
+                "§6.1 topology, no faults"
+            ),
+            follower_regions=5,
+            learners=2,
+            profile="production",
+            clients=12,
+            think_time=0.08,
+            faults="none",
+            duration=20.0,
+            warmup=1.0,
+            settle=1.0,
+        ),
+        Scenario(
+            name="ab-sysbench",
+            description=(
+                "Figure 5c/5d: sysbench OLTP write on the 20-member §6.1 "
+                "topology, no faults"
+            ),
+            follower_regions=5,
+            learners=2,
+            profile="sysbench",
+            clients=8,
+            think_time=0.004,
+            faults="none",
+            duration=4.0,
+            warmup=1.0,
+            settle=1.0,
+        ),
     )
 }
+
+# The paper's §6 drills: measurements, each run on both stacks, rather
+# than fault hunts. A sweep covers them only when named.
+DRILLS = ("table2-failover", "table2-promotion", "ab-production", "ab-sysbench")
+# What a sweep runs by default (--smoke, the nightly fuzz).
+SWEEP = tuple(name for name in SCENARIOS if name not in DRILLS)

@@ -6,7 +6,9 @@ the scenario at the same seed with scripted *subsets* of the recorded
 fault events and keeps the classic ddmin loop going until the schedule
 is 1-minimal: removing any single remaining chunk makes the violation
 disappear. Because the simulator is deterministic in (scenario, seed,
-schedule), every probe is exact — no flakiness, no retries.
+schedule), every probe is exact — no flakiness, no retries. The first
+probe is the empty schedule: a violation that needs no fault at all
+shrinks to ``[]``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ def ddmin(
     on_probe: Callable[[list, bool], None] | None = None,
 ) -> list:
     """Zeller's ddmin: minimize ``items`` while ``still_fails`` holds.
-    ``still_fails(items)`` must be True on entry."""
+    ``still_fails(items)`` must be True on entry. The empty list is
+    probed first."""
+    if items:
+        fails = still_fails([])
+        if on_probe is not None:
+            on_probe([], fails)
+        if fails:
+            return []
     granularity = 2
     while len(items) >= 2:
         chunk_size = max(1, len(items) // granularity)
@@ -59,10 +68,18 @@ class ShrinkResult:
     original: list = field(default_factory=list)  # FaultEvent
     minimal: list = field(default_factory=list)  # FaultEvent
     probes: int = 0
+    # The scripted replay of the original schedule fails (else nothing
+    # was shrunk and ``minimal`` is the original).
+    reproduced: bool = False
 
     @property
     def removed(self) -> int:
         return len(self.original) - len(self.minimal)
+
+    @property
+    def needs_no_fault(self) -> bool:
+        """The run fails with no fault injected at all."""
+        return self.reproduced and not self.minimal
 
     def minimal_wire(self) -> list:
         return [e.to_wire() for e in self.minimal]
@@ -95,6 +112,7 @@ def shrink_schedule(
         if log is not None:
             log("shrink: scripted replay of the full schedule passes; keeping original")
         return result
+    result.reproduced = True
 
     def on_probe(subset, fails):
         if log is not None:

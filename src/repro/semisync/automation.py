@@ -360,3 +360,4 @@ class FailoverAutomation:
         self.current_primary = target
         self.promotions_completed += 1
         self._trace("semisync.promotion_done", new_primary=target)
+        return True

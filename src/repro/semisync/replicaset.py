@@ -163,7 +163,9 @@ class SemiSyncReplicaset:
         self.run(seconds)
         return process
 
-    def graceful_promotion(self, target: str):
+    def transfer_leadership(self, target: str):
+        """Operator-driven graceful promotion of ``target``; the process
+        resolves True once the automation has published it."""
         return self.hosts["automation"].spawn(
             self.automation.graceful_promotion(target), label="graceful-promotion"
         )

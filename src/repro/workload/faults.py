@@ -14,7 +14,8 @@ class FaultEvent:
     isolate / heal / partition_regions / heal_regions / spurious_timeout
     (the member's election timer fires now: a clock jump, a GC pause) /
     transfer (the writable primary, if any other, gracefully promotes
-    ``target``: TransferLeadership, §2.2)."""
+    ``target``: TransferLeadership, §2.2, or the semi-sync automation's
+    graceful promotion)."""
 
     time: float
     kind: str
@@ -102,7 +103,7 @@ class FaultSchedule:
         elif event.kind == "transfer":
             primary = cluster.primary_service()
             if primary is not None and primary.host.name != event.target:
-                return primary.node.transfer_leadership(event.target)
+                return cluster.transfer_leadership(event.target)
         return None
 
 

@@ -18,7 +18,7 @@ from repro.check.explorer import (
 from repro.errors import ReproError
 from repro.check.invariants import InvariantSuite
 from repro.check.mutations import MUTATIONS, apply_mutation
-from repro.check.scenarios import SCENARIOS
+from repro.check.scenarios import SCENARIOS, SWEEP
 from repro.check.shrink import ddmin, shrink_schedule
 from repro.flexiraft.policy import FlexiRaftPolicy
 from repro.raft.election import Election
@@ -137,7 +137,7 @@ class TestNightlyMatrix:
         assert matrix is not None, "nightly-fuzz.yml has no scenario matrix"
         listed = [name.strip() for name in matrix.group(1).split(",")]
         assert len(listed) == len(set(listed))
-        assert sorted(listed) == sorted(SCENARIOS)
+        assert sorted(listed) == sorted(SWEEP)
 
 
 class TestDdmin:
@@ -152,6 +152,11 @@ class TestDdmin:
     def test_all_items_needed(self):
         items = [1, 2, 3]
         assert ddmin(items, lambda subset: len(subset) == 3) == items
+
+    def test_the_empty_list_is_probed_first(self):
+        probes = []
+        assert ddmin([1, 2, 3], lambda subset: True, lambda s, _: probes.append(s)) == []
+        assert probes == [[]]
 
 
 class TestMutations:
@@ -220,11 +225,42 @@ class TestMutations:
         assert mutated.failure_kinds() == ["EngineAgreement"]
         assert run_once(scenario, 1).ok
 
+    def test_a_dropped_transaction_shrinks_to_no_fault_at_all(self):
+        # The crash loop is not what loses the transaction: the shrinker's
+        # first probe, the empty schedule, still fails.
+        scenario = SCENARIOS["leader-crash-loop"]
+        mutated = run_once(scenario, 1, mutation="applier-skips-a-transaction")
+        events = [FaultEvent.from_wire(w) for w in mutated.fault_events]
+        result = shrink_schedule(scenario, 1, events, mutation="applier-skips-a-transaction")
+        assert events and result.minimal == []
+        assert result.needs_no_fault and result.probes == 2
+
     def test_mutation_does_not_leak_into_clean_run(self):
         with apply_mutation("election-own-region-only"):
             pass
         outcome = run_once(QUICK, seed=3)
         assert outcome.ok
+
+
+class TestSemiSyncStack:
+    """run_once on the prior setup: no Raft-hook monitor is attached, and
+    the checks that read only the history, the logs and the engines run
+    and can fail."""
+
+    def test_a_faulted_run_is_checked_without_raft_monitors(self):
+        outcome = run_once(replace(SCENARIOS["region-partitions"], stack="semisync"), seed=1)
+        assert outcome.ok and outcome.committed > 0
+        assert outcome.checks["engine_agreements"] > 0
+        assert outcome.checks["elections"] == outcome.checks["commits"] == 0
+
+    def test_a_transaction_the_applier_drops_is_caught_by_engine_agreement(self):
+        scenario = replace(SCENARIOS["region-partitions"], stack="semisync")
+        mutated = run_once(scenario, 1, mutation="applier-skips-a-transaction")
+        assert mutated.failure_kinds() == ["EngineAgreement"]
+
+    def test_raft_only_checks_are_refused(self):
+        with pytest.raises(ReproError):
+            replace(SCENARIOS["proxy-crash"], stack="semisync")
 
 
 class TestParallelExplore:

@@ -44,6 +44,6 @@ def test_every_summary_row_cites_a_test_that_exists():
         assert citations, f"{row['Artifact']} cites no producer"
         for citation in citations:
             path, *names = citation.split("::")
-            assert path.startswith(("tests/", "benchmarks/bench_")), citation
+            assert path.startswith("tests/"), citation
             assert (ROOT / path).is_file() and names, citation
             assert defines(ROOT / path, names), f"{row['Artifact']}: {citation} not found"

@@ -140,7 +140,7 @@ class TestSemiSyncFailover:
 class TestGracefulPromotion:
     def test_graceful_promotion(self, cluster):
         cluster.write_and_run("t", {1: {"id": 1}}, seconds=2.0)
-        process = cluster.graceful_promotion("region1-db1")
+        process = cluster.transfer_leadership("region1-db1")
         cluster.run(20.0)
         assert process.done() and not process.failed()
         primary = cluster.primary_service()
@@ -157,7 +157,7 @@ class TestGracefulPromotion:
     def test_promotion_is_subsecond_scale(self, cluster):
         cluster.write_and_run("t", {1: {"id": 1}}, seconds=2.0)
         t0 = cluster.loop.now
-        process = cluster.graceful_promotion("region1-db1")
+        process = cluster.transfer_leadership("region1-db1")
         while not process.done():
             cluster.run(0.1)
         elapsed = cluster.loop.now - t0
