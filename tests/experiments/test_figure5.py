@@ -6,7 +6,7 @@
 ``load``. The paper reports MyRaft +0.8 % / +1.9 % slower and no
 throughput difference; the reproduction targets that shape.
 
-Tier-1 runs a quarter of each workload's measured time; the ``full``
+Tier-1 runs an eighth of each workload's measured time; the ``full``
 cases (``pytest -m full_size``) run all of it, the size EXPERIMENTS.md
 reports, under the same assertions. ``-s`` prints the rows.
 """
@@ -24,7 +24,7 @@ PAPER_AVG_US = {
     "ab-sysbench": {"myraft": 826.368, "semisync": 811.178},
 }
 SCALES = [
-    pytest.param(0.25, id="slice"),
+    pytest.param(0.125, id="slice"),
     pytest.param(1.0, id="full", marks=pytest.mark.full_size),
 ]
 
