@@ -208,7 +208,7 @@ def run_once(
             if result is not None:
                 outcome.committed = result.committed
                 outcome.errors = result.errors
-                outcome.load = _load(result)
+                outcome.load = _load(result, scenario.duration)
         except Exception as err:  # noqa: BLE001 - a dead run is a finding
             outcome.crashed = f"{type(err).__name__}: {err}"
         report = check_linearizable(history)
@@ -246,9 +246,10 @@ def _run_until_recovered(cluster, probe: AvailabilityProbe, schedule: FaultSched
         step()
 
 
-def _load(result: WorkloadResult) -> dict:
-    """The commits' latency percentiles (seconds), their rate and the
-    empty one-second buckets in between (Figure 5's two panels)."""
+def _load(result: WorkloadResult, duration: float) -> dict:
+    """The commits' latency percentiles (seconds), their rate over the
+    ``duration`` measured and the empty one-second buckets in between
+    (Figure 5's two panels)."""
     if result.latency.count == 0:
         return {}
     summary = result.latency_summary()
@@ -257,7 +258,7 @@ def _load(result: WorkloadResult) -> dict:
         "latency_p50": summary.median,
         "latency_p95": summary.p95,
         "latency_p99": summary.p99,
-        "commits_per_s": result.throughput.mean_rate(),
+        "commits_per_s": result.throughput.mean_rate(duration),
         "stalled_buckets": result.throughput.stalled_buckets(),
     }
 

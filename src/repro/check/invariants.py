@@ -327,7 +327,7 @@ class InvariantSuite:
         return False
 
     def on_snapshot_adopted(self, node, opid: OpId) -> None:
-        """Called at the top of ``adopt_snapshot`` — before the node bumps
+        """Called at the top of ``SnapshotManager.adopt`` — before the node bumps
         its commit index — so ``commit_floor`` still reflects the durable
         state the install just replaced."""
         self.checks["snapshots"] += 1

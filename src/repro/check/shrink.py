@@ -81,9 +81,6 @@ class ShrinkResult:
         """The run fails with no fault injected at all."""
         return self.reproduced and not self.minimal
 
-    def minimal_wire(self) -> list:
-        return [e.to_wire() for e in self.minimal]
-
 
 def shrink_schedule(
     scenario: Scenario,

@@ -81,9 +81,6 @@ class ReplicaSetSpec:
     def database_names(self) -> list[str]:
         return [m.name for m in self.members() if m.has_storage_engine]
 
-    def logtailer_names(self) -> list[str]:
-        return [m.name for m in self.members() if not m.has_storage_engine]
-
 
 def paper_topology(
     replicaset_id: str = "rs0",

@@ -70,7 +70,7 @@ class MembershipAutomation:
             raise ControlPlaneError("no leader to drive the membership change")
         self.allocate_member(new_member, seed_backup=seed_backup)
         report.steps.append("allocated")
-        _, add_future = leader.node.add_member(new_member)
+        _, add_future = leader.node.config_changes.add_member(new_member)
         yield add_future
         report.added = new_member.name
         report.steps.append("added")
@@ -90,7 +90,7 @@ class MembershipAutomation:
             raise ControlPlaneError("leader lost during replacement")
         if leader.host.name == old_name:
             raise MembershipError("cannot replace the current leader; transfer first")
-        _, remove_future = leader.node.remove_member(old_name)
+        _, remove_future = leader.node.config_changes.remove_member(old_name)
         yield remove_future
         report.removed = old_name
         report.steps.append("removed")

@@ -24,6 +24,7 @@ from typing import Any
 from repro.errors import ControlPlaneError
 from repro.plugin.raft_plugin import MyRaftServer
 from repro.raft.types import OpId
+from repro.snapshot.producer import engine_tables
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,12 @@ def take_backup(cluster, member: str) -> Backup:
     if not cluster.hosts[member].alive:
         raise ControlPlaneError(f"{member!r} is down")
     engine = service.mysql.engine
-    tables = {
-        name: {pk: dict(row) for pk, row in engine.table(name).rows.items()}
-        for name in engine.table_names()
-    }
     return Backup(
         source=member,
         taken_at=cluster.loop.now,
         last_opid=engine.last_committed_opid,
         executed_gtids=str(engine.executed_gtids),
-        tables=tables,
+        tables=engine_tables(engine),
     )
 
 

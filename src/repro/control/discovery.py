@@ -37,10 +37,3 @@ class ServiceDiscovery:
 
     def lookup_primary(self, replicaset: str) -> str | None:
         return self._primaries.get(replicaset)
-
-    def publications_for(self, replicaset: str) -> list[DiscoveryRecord]:
-        return [r for r in self.history if r.replicaset == replicaset]
-
-    def last_change_time(self, replicaset: str) -> float | None:
-        records = self.publications_for(replicaset)
-        return records[-1].time if records else None

@@ -40,10 +40,6 @@ class LogTruncatedError(RaftError):
     """A requested log entry was purged or truncated away."""
 
 
-class QuorumUnavailableError(RaftError):
-    """Not enough healthy voters to satisfy the active quorum policy."""
-
-
 class SnapshotError(RaftError):
     """Snapshot production, transfer, or install failure."""
 

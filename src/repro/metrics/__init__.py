@@ -1,6 +1,6 @@
 """Measurement primitives: latency histograms, throughput series, counters."""
 
-from repro.metrics.histogram import LatencyHistogram, log_spaced_bins
+from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.series import ThroughputSeries
 from repro.metrics.stats import LatencySummary, summarize
 
@@ -8,6 +8,5 @@ __all__ = [
     "LatencyHistogram",
     "LatencySummary",
     "ThroughputSeries",
-    "log_spaced_bins",
     "summarize",
 ]

@@ -1,24 +1,14 @@
 """Exact latency histogram.
 
 Samples are kept verbatim (simulation runs produce at most a few hundred
-thousand), so percentiles are exact rather than bucket-interpolated. The
-``histogram`` method buckets on demand for figure output.
+thousand), so percentiles are exact rather than bucket-interpolated.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 from repro.errors import ReproError
-
-
-def log_spaced_bins(low: float, high: float, count: int) -> list[float]:
-    """``count + 1`` bin edges spaced logarithmically over [low, high]."""
-    if low <= 0 or high <= low or count < 1:
-        raise ReproError(f"invalid bin spec: low={low}, high={high}, count={count}")
-    ratio = (high / low) ** (1.0 / count)
-    return [low * ratio**i for i in range(count + 1)]
 
 
 class LatencyHistogram:
@@ -82,18 +72,6 @@ class LatencyHistogram:
 
     def max(self) -> float:
         return self._ensure_sorted()[-1]
-
-    def histogram(self, bin_edges: list[float]) -> list[int]:
-        """Counts per bin for the given edges. Samples outside the edges
-        are clamped into the first/last bin so nothing silently vanishes."""
-        if len(bin_edges) < 2:
-            raise ReproError("need at least two bin edges")
-        counts = [0] * (len(bin_edges) - 1)
-        for sample in self._samples:
-            index = bisect_right(bin_edges, sample) - 1
-            index = min(max(index, 0), len(counts) - 1)
-            counts[index] += 1
-        return counts
 
     def merged_with(self, other: "LatencyHistogram") -> "LatencyHistogram":
         merged = LatencyHistogram(name=self.name or other.name)

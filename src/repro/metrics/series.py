@@ -33,20 +33,12 @@ class ThroughputSeries:
             for index in range(first, last + 1)
         ]
 
-    def counts(self) -> list[int]:
-        return [count for _, count in self.buckets()]
-
-    def rate_series(self) -> list[tuple[float, float]]:
-        """(bucket start, events/second) pairs."""
-        return [(start, count / self.bucket_width) for start, count in self.buckets()]
-
-    def mean_rate(self) -> float:
-        """Average events/second across the observed span."""
-        observed = self.buckets()
-        if not observed:
-            return 0.0
-        span = len(observed) * self.bucket_width
-        return self.total / span
+    def mean_rate(self, window: float) -> float:
+        """Average events/second over the ``window`` seconds the events
+        were counted in. (A window that does not start on a bucket edge
+        touches one bucket more than it spans, so the buckets would
+        overstate it.)"""
+        return self.total / window
 
     def stalled_buckets(self) -> int:
         """Number of interior buckets with zero events (availability gaps)."""

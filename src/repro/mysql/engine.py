@@ -271,9 +271,6 @@ class StorageEngine:
     def dirty_floor(self) -> int:
         return self._meta["dirty_floor"]
 
-    def dirty_row_count(self) -> int:
-        return sum(len(seqs) for seqs in self._meta["dirty_seqs"].values())
-
     def changed_since(self, base_index: int) -> dict[str, dict[Any, Row | None]] | None:
         """Rows touched by commits after ``base_index``, without scanning
         clean tables: ``{table: {pk: row-or-None}}`` where ``None`` marks

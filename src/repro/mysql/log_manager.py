@@ -161,9 +161,6 @@ class MySQLLogManager:
             transactions.extend(self.files[name].transactions())
         return transactions
 
-    def file_sizes(self) -> dict[str, int]:
-        return {name: self.files[name].size_bytes for name in self.index.names()}
-
     # -- persona rewiring (§3.3 step 3) ------------------------------------------
 
     def rewire(self, persona: Persona) -> None:

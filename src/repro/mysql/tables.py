@@ -53,10 +53,6 @@ class Table:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def stable_items(self) -> list[tuple[Any, Row]]:
-        """Rows in deterministic order, for checksums and comparisons."""
-        return sorted(self.rows.items(), key=lambda item: repr(item[0]))
-
 
 class RowChange:
     """One row mutation with its RBR images."""
@@ -78,10 +74,6 @@ class RowChange:
         if self.after is None:
             return "delete"
         return "update"
-
-    def inverted(self) -> "RowChange":
-        """The rollback image (after ↔ before)."""
-        return RowChange(self.table, self.pk, self.after, self.before)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RowChange({self.kind} {self.table}[{self.pk!r}])"

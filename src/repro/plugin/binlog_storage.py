@@ -39,6 +39,8 @@ from repro.mysql.events import (
 )
 from repro.mysql.gtid import Gtid
 from repro.mysql.log_manager import MySQLLogManager
+from repro.mysql.timing import TimingProfile
+from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.log_storage import (
     ENTRY_KIND_CONFIG,
     ENTRY_KIND_DATA,
@@ -48,6 +50,33 @@ from repro.raft.log_storage import (
     LogStorage,
 )
 from repro.raft.types import OpId
+from repro.sim.rng import RngStream
+
+
+class BinlogHooks(RaftHooks):
+    """Raft's own entries rendered as binlog transactions: the leader's
+    no-op and a membership change. Database members and logtailers
+    share them."""
+
+    def noop_payload(self, leader: str):
+        return lambda opid: Transaction(events=(NoOpEvent(leader, opid),)).encode()
+
+    def config_payload(self, change: str, subject: str, members_wire: tuple):
+        return lambda opid: Transaction(
+            events=(ConfigChangeEvent(change, subject, members_wire, opid),)
+        ).encode()
+
+
+class BinlogFsyncTiming(TimingModel):
+    """Follower-side relay-log write cost before the AppendEntries ack:
+    one binlog fsync, drawn from the ``label`` child stream."""
+
+    def __init__(self, timing: TimingProfile, rng: RngStream, label: str) -> None:
+        self._timing = timing
+        self._rng = rng.child(label)
+
+    def log_append_delay(self, total_bytes: int) -> float:
+        return self._timing.binlog_fsync(self._rng)
 
 
 def _classify_event(first) -> tuple[str, tuple]:

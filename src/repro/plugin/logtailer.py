@@ -13,38 +13,15 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import RaftError
-from repro.mysql.events import ConfigChangeEvent, NoOpEvent, Transaction
 from repro.mysql.log_manager import MySQLLogManager
 from repro.mysql.timing import TimingProfile
-from repro.plugin.binlog_storage import BinlogRaftLogStorage
+from repro.plugin.binlog_storage import BinlogFsyncTiming, BinlogHooks, BinlogRaftLogStorage
 from repro.raft.config import RaftConfig
-from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.membership import MembershipConfig
 from repro.raft.node import RaftNode
 from repro.raft.quorum import QuorumPolicy
 from repro.sim.host import Host
 from repro.sim.rng import RngStream
-
-
-class _LogtailerTiming(TimingModel):
-    def __init__(self, timing: TimingProfile, rng: RngStream) -> None:
-        self._timing = timing
-        self._rng = rng.child("logtailer-disk")
-
-    def log_append_delay(self, total_bytes: int) -> float:
-        return self._timing.binlog_fsync(self._rng)
-
-
-class _LogtailerHooks(RaftHooks):
-    """Payload factories only: there is no database to orchestrate."""
-
-    def noop_payload(self, leader: str):
-        return lambda opid: Transaction(events=(NoOpEvent(leader, opid),)).encode()
-
-    def config_payload(self, change: str, subject: str, members_wire: tuple):
-        return lambda opid: Transaction(
-            events=(ConfigChangeEvent(change, subject, members_wire, opid),)
-        ).encode()
 
 
 class LogtailerService:
@@ -75,8 +52,9 @@ class LogtailerService:
             storage=self.storage,
             policy=policy,
             membership=membership,
-            hooks=_LogtailerHooks(),
-            timing=_LogtailerTiming(timing, rng),
+            # Payload factories only: there is no database to orchestrate.
+            hooks=BinlogHooks(),
+            timing=BinlogFsyncTiming(timing, rng, "logtailer-disk"),
             rng=rng,
             router=router,
             ring_id=replicaset,
@@ -97,7 +75,7 @@ class LogtailerService:
         self.log_manager = MySQLLogManager(self.host.disk.namespace("mysqllog"), persona="relay")
         self.storage.reload(self.log_manager)
         self.storage.seed_base(image.last_opid)
-        self.node.adopt_snapshot(image.last_opid, image.members_wire, image.config_index)
+        self.node.snapshots.adopt(image.last_opid, image.members_wire, image.config_index)
 
     def handle_message(self, src: str, message: Any) -> None:
         if not type(message).__module__.startswith("repro.raft"):

@@ -23,14 +23,13 @@ from typing import Any
 from repro.control.discovery import ServiceDiscovery
 from repro.errors import LogTruncatedError, NotLeaderError, SimTimeoutError
 from repro.mysql.applier import Applier
-from repro.mysql.events import ConfigChangeEvent, NoOpEvent, RotateEvent, Transaction
+from repro.mysql.events import RotateEvent, Transaction
 from repro.mysql.logical_clock import LogicalClock, writeset_hashes
 from repro.mysql.pipeline import PipelineTxn
 from repro.mysql.server import MySQLServer, ServerRole, make_pipeline_for_server
 from repro.mysql.timing import TimingProfile
-from repro.plugin.binlog_storage import BinlogRaftLogStorage
+from repro.plugin.binlog_storage import BinlogFsyncTiming, BinlogHooks, BinlogRaftLogStorage
 from repro.raft.config import RaftConfig
-from repro.raft.hooks import RaftHooks, TimingModel
 from repro.raft.log_storage import ENTRY_KIND_DATA, LogEntry
 from repro.raft.membership import MembershipConfig
 from repro.raft.node import RaftNode
@@ -39,40 +38,19 @@ from repro.raft.types import OpId
 from repro.sim.coro import SimFuture, with_timeout
 from repro.sim.host import Host
 from repro.sim.rng import RngStream
-from repro.snapshot import (
-    SnapshotImage,
-    SnapshotManager,
-    build_delta,
-    build_image,
-    seed_engine_namespaces,
-)
+from repro.snapshot import SnapshotImage, SnapshotManager, seed_engine_namespaces
+from repro.snapshot.producer import engine_delta, engine_image
 
 # Capacity of the primary's last-writer writeset history; when it fills,
 # the history resets and parallelism falls back to group boundaries until
 # it re-warms (mirrors binlog_transaction_dependency_history_size).
 WRITESET_HISTORY_SIZE = 2000
-# Delta re-base policy: when more than this fraction of the engine's rows
-# changed since the follower's base, ship a full image instead — a delta
-# that rewrites most of the database saves nothing and leaves a longer
-# chain to verify.
-SNAPSHOT_DELTA_MAX_FRACTION = 0.5
 # Client-visible cap on one consistent-read barrier (quorum round or
 # remote ReadIndex fetch + apply wait).
 READ_BARRIER_TIMEOUT = 2.0
 
 
-class _RaftDiskTiming(TimingModel):
-    """Follower-side relay-log write cost before the AppendEntries ack."""
-
-    def __init__(self, timing: TimingProfile, rng: RngStream) -> None:
-        self._timing = timing
-        self._rng = rng.child("raft-disk")
-
-    def log_append_delay(self, total_bytes: int) -> float:
-        return self._timing.binlog_fsync(self._rng)
-
-
-class _PluginHooks(RaftHooks):
+class _PluginHooks(BinlogHooks):
     """Raft → MySQL callback API (§3.1), delegating to the plugin."""
 
     def __init__(self, plugin: "MyRaftServer") -> None:
@@ -99,14 +77,6 @@ class _PluginHooks(RaftHooks):
 
     def on_commit_advance(self, opid: OpId) -> None:
         self._plugin._on_commit_advance(opid)
-
-    def noop_payload(self, leader: str):
-        return lambda opid: Transaction(events=(NoOpEvent(leader, opid),)).encode()
-
-    def config_payload(self, change: str, subject: str, members_wire: tuple):
-        return lambda opid: Transaction(
-            events=(ConfigChangeEvent(change, subject, members_wire, opid),)
-        ).encode()
 
 
 class MyRaftServer:
@@ -137,7 +107,7 @@ class MyRaftServer:
             policy=policy,
             membership=membership,
             hooks=_PluginHooks(self),
-            timing=_RaftDiskTiming(timing, rng),
+            timing=BinlogFsyncTiming(timing, rng, "raft-disk"),
             rng=rng,
             router=router,
             ring_id=replicaset,
@@ -376,83 +346,26 @@ class MyRaftServer:
 
     def _wire_snapshots(self) -> None:
         """(Re)attach the snapshot manager; called at construction and on
-        restart so transfer sessions never outlive an incarnation."""
+        restart so transfer sessions never outlive an incarnation. The
+        images are of whatever engine the server runs at the time."""
         SnapshotManager(
             self.host,
             self.node,
-            produce_image=self._produce_snapshot_image,
+            produce_image=lambda chunk_bytes: engine_image(
+                self.host, self.mysql.engine, self.node.membership, chunk_bytes
+            ),
             install_image=self._install_snapshot_image,
-            produce_delta=self._produce_snapshot_delta,
+            produce_delta=lambda chunk_bytes, base_index: engine_delta(
+                self.host, self.mysql.engine, self.node.membership, chunk_bytes, base_index
+            ),
             engine_watermark=lambda: self.mysql.engine.last_committed_opid.index,
-            engine_tables=self._engine_tables,
+            # Plain ``{name: {pk: row}}`` view for the delta merge and the
+            # DeltaInstallSafety re-hash (rows are copied downstream).
+            engine_tables=lambda: {
+                name: self.mysql.engine.table(name).rows
+                for name in self.mysql.engine.table_names()
+            },
         )
-
-    def _produce_snapshot_image(self, chunk_bytes: int) -> SnapshotImage | None:
-        """Serialize this member's engine state — the same consistent cut
-        ``control.backup.take_backup`` produces — into a shippable image.
-        Returns None when nothing has been applied yet (nothing to ship
-        that an empty follower doesn't already have)."""
-        engine = self.mysql.engine
-        if engine.last_committed_opid == OpId.zero():
-            return None
-        tables = {
-            name: {pk: dict(row) for pk, row in engine.table(name).rows.items()}
-            for name in engine.table_names()
-        }
-        last_opid = engine.last_committed_opid
-        rows = sum(len(table) for table in tables.values())
-        self._trace("myraft.snapshot_produced", opid=str(last_opid), rows=rows)
-        return build_image(
-            source=self.host.name,
-            taken_at=self.host.loop.now,
-            last_opid=last_opid,
-            executed_gtids=str(engine.executed_gtids),
-            tables=tables,
-            members_wire=self.node.membership.to_wire(),
-            config_index=self.node.membership.config_index,
-            chunk_bytes=chunk_bytes,
-        )
-
-    def _engine_tables(self) -> dict:
-        """Plain ``{name: {pk: row}}`` view of the engine for delta merge
-        and the DeltaInstallSafety re-hash (rows are copied downstream)."""
-        engine = self.mysql.engine
-        return {name: engine.table(name).rows for name in engine.table_names()}
-
-    def _produce_snapshot_delta(self, chunk_bytes: int, base_index: int) -> SnapshotImage | None:
-        """Build a delta of rows changed since ``base_index`` (a follower's
-        engine watermark). Returns None — making the shipper stay on the
-        full image — when the dirty tracker can't vouch for the base or
-        the re-base policy says the delta would be too fat to pay off."""
-        engine = self.mysql.engine
-        if engine.last_committed_opid.index <= base_index:
-            return None
-        changes = engine.changed_since(base_index)
-        if changes is None:
-            return None  # base predates the tracking floor (or tracking broke)
-        changed_rows = sum(len(touched) for touched in changes.values())
-        total_rows = max(1, engine.row_count())
-        if changed_rows > SNAPSHOT_DELTA_MAX_FRACTION * total_rows:
-            return None  # re-base: most of the database changed anyway
-        image = build_delta(
-            source=self.host.name,
-            taken_at=self.host.loop.now,
-            last_opid=engine.last_committed_opid,
-            executed_gtids=str(engine.executed_gtids),
-            base_index=base_index,
-            changes=changes,
-            state_crc=engine.checksum(),
-            members_wire=self.node.membership.to_wire(),
-            config_index=self.node.membership.config_index,
-            chunk_bytes=chunk_bytes,
-        )
-        self._trace(
-            "myraft.snapshot_delta_produced",
-            base=base_index,
-            opid=str(image.last_opid),
-            rows=changed_rows,
-        )
-        return image
 
     def _install_snapshot_image(self, image: SnapshotImage) -> None:
         """Cutover to a received snapshot (runs atomically in one event):
@@ -472,7 +385,7 @@ class MyRaftServer:
         self.mysql.reset_to_seeded_disk(persona="relay")
         self.storage.reload(self.mysql.log_manager)
         self.storage.seed_base(image.last_opid)
-        self.node.adopt_snapshot(image.last_opid, image.members_wire, image.config_index)
+        self.node.snapshots.adopt(image.last_opid, image.members_wire, image.config_index)
         self._build_replica_runtime()
         self._trace("myraft.snapshot_installed", opid=str(image.last_opid))
 
@@ -482,9 +395,7 @@ class MyRaftServer:
         retained log, now bootstraps anyone who needed the purged prefix."""
         if not self.node.is_leader:
             raise NotLeaderError(f"{self.host.name} is not the primary")
-        shipper = self.node.snapshots.shipper if self.node.snapshots is not None else None
-        if shipper is not None:
-            shipper.refresh_image()
+        self.node.snapshots.shipper.refresh_image()
         return self.purge_to_horizon()
 
     # -- applier feed ----------------------------------------------------------------------
@@ -606,27 +517,21 @@ class MyRaftServer:
     def purge_to_horizon(self) -> list[str]:
         """PURGE LOGS with Raft approval (§A.1): the leader purges below
         the slowest region's watermark — or past it, up to the newest
-        snapshot image, when snapshot shipping can re-seed laggards; a
+        snapshot image, since snapshot shipping re-seeds laggards; a
         replica purges below what it has applied to the engine."""
         if self.node.is_leader and self.node.leader_state is not None:
-            from repro.flexiraft.watermarks import compaction_horizon, safe_purge_horizon
+            from repro.flexiraft.watermarks import compaction_horizon
 
-            shipper = self.node.snapshots.shipper if self.node.snapshots is not None else None
-            if shipper is not None:
-                image = shipper.image
-                horizon = compaction_horizon(
-                    self.node.membership,
-                    self.node.leader_state.match_of,
-                    snapshot_index=image.last_opid.index if image is not None else None,
-                    applied_floor=self.mysql.engine.last_committed_opid.index,
-                )
-            else:
-                horizon = safe_purge_horizon(
-                    self.node.membership, self.node.leader_state.match_of
-                )
+            image = self.node.snapshots.shipper.image
+            horizon = compaction_horizon(
+                self.node.membership,
+                self.node.leader_state.match_of,
+                snapshot_index=image.last_opid.index if image is not None else None,
+                applied_floor=self.mysql.engine.last_committed_opid.index,
+            )
         else:
             horizon = self.mysql.engine.last_committed_opid.index
-        self.node.keep_config_below(horizon)
+        self.node.config_changes.keep_config_below(horizon)
         return self.storage.purge_files_below(horizon)
 
     def status(self) -> dict[str, Any]:

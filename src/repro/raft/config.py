@@ -20,9 +20,6 @@ class RaftConfig:
 
     # -- failure detection / elections --------------------------------------
     heartbeat_interval: float = 0.5
-    # Run a mock election before TransferLeadership (§4.3); off is the
-    # paper's ablation.
-    enable_mock_election: bool = True
 
     # -- log cache -------------------------------------------------------------
     log_cache_max_bytes: int = 4 << 20

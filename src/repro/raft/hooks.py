@@ -7,6 +7,10 @@ server of log activity. :class:`RaftHooks` is that API: the
 pure-protocol tests, and any other RDBMS could specialize its own
 handlers (the paper's stated design goal).
 
+:class:`NoSnapshots` is the same kind of default for the snapshot side:
+a ring without state transfer keeps it, and
+:class:`repro.snapshot.SnapshotManager` replaces it.
+
 Payload factories exist because OpIds are assigned by Raft at append
 time but must be stamped *inside* the payload (MySQL stores the OpId in
 the GTID event), so Raft asks the state machine to render payload bytes
@@ -81,12 +85,21 @@ class TimingModel:
         return 0.0
 
 
-class ConstantTiming(TimingModel):
-    """Fixed per-append delay plus a per-byte cost."""
+class NoSnapshots:
+    """The snapshot side of a ring without state transfer. Nothing ships
+    (pure-protocol rings never purge mid-stream), nothing installs, and
+    no InstallSnapshot RPC arrives, since only a shipper sends them.
+    :class:`repro.snapshot.SnapshotManager` replaces it on services that
+    produce or install images."""
 
-    def __init__(self, base: float = 0.0, per_byte: float = 0.0) -> None:
-        self.base = base
-        self.per_byte = per_byte
+    def handle_message(self, src: str, message: object) -> None:
+        """Nothing here ships, so no response is awaited."""
 
-    def log_append_delay(self, total_bytes: int) -> float:
-        return self.base + self.per_byte * total_bytes
+    def ship_to(self, peer: str) -> bool:
+        return False
+
+    def on_step_down(self) -> None:
+        """No transfer sessions to cancel."""
+
+    def stats(self) -> dict:
+        return {}

@@ -4,15 +4,27 @@ Membership is itself replicated through config log entries. Per the Raft
 dissertation (and the paper), each member adopts a config entry as soon
 as it is *written* to its log — not when committed — and only one change
 may be in flight at a time, which preserves quorum intersection.
+
+:class:`MembershipConfig` is one immutable member list;
+:class:`ConfigChanges` is a node's side of changing it: AddMember /
+RemoveMember on the leader, adopting config entries as they are
+written, rebuilding the config in effect from the log, and keeping it
+durable across a purge or a snapshot install.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from repro.errors import MembershipError
-from repro.raft.types import MemberInfo, MemberType
+from repro.errors import MembershipError, NotLeaderError
+from repro.raft.log_storage import ENTRY_KIND_CONFIG, LogEntry
+from repro.raft.types import MemberInfo, MemberType, OpId
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.raft.node import RaftNode
+    from repro.sim.coro import SimFuture
 
 
 @dataclass(frozen=True)
@@ -76,9 +88,6 @@ class MembershipConfig:
     def voters_in_region(self, region: str) -> list[MemberInfo]:
         return [m for m in self.voters() if m.region == region]
 
-    def majority_of(self, count: int) -> int:
-        return count // 2 + 1
-
     def with_added(self, new_member: MemberInfo, config_index: int) -> "MembershipConfig":
         if new_member.name in self:
             raise MembershipError(f"member {new_member.name!r} already in ring")
@@ -106,3 +115,111 @@ class MembershipConfig:
             for name, region, member_type, has_engine in wire
         )
         return cls(members, config_index)
+
+
+class ConfigChanges:
+    """One node's membership changes. The config in effect lives on the
+    node (``node.membership``, read on every commit decision); this unit
+    is the one place that replaces it and re-derives the node's own
+    voter status from it."""
+
+    def __init__(self, node: "RaftNode") -> None:
+        self.node = node
+
+    # -- leader side -----------------------------------------------------------
+
+    def add_member(self, member: MemberInfo) -> "tuple[OpId, SimFuture]":
+        """Leader-only AddMember; one change at a time."""
+        config = self._check_leader()
+        new_config = config.with_added(member, self.node.last_opid.index + 1)
+        return self._propose("add", member.name, new_config)
+
+    def remove_member(self, name: str) -> "tuple[OpId, SimFuture]":
+        config = self._check_leader()
+        if name == self.node.name:
+            raise MembershipError("leader cannot remove itself; transfer first")
+        new_config = config.with_removed(name, self.node.last_opid.index + 1)
+        return self._propose("remove", name, new_config)
+
+    def _check_leader(self) -> MembershipConfig:
+        node = self.node
+        if not node.is_leader:
+            raise NotLeaderError(f"{node.name} is not leader")
+        if node.membership.config_index > node.commit_index:
+            raise MembershipError("a membership change is already in flight")
+        return node.membership
+
+    def _propose(
+        self, change: str, subject: str, new_config: MembershipConfig
+    ) -> "tuple[OpId, SimFuture]":
+        node = self.node
+        wire = new_config.to_wire()
+        factory = node.hooks.config_payload(change, subject, wire)
+        node._trace("raft.config_change", change=change, subject=subject)
+        return node.propose(factory, ENTRY_KIND_CONFIG, metadata=wire)
+
+    # -- the config in effect ----------------------------------------------------
+
+    def adopt(self, config: MembershipConfig) -> None:
+        node = self.node
+        node.membership = config
+        me = config.member(node.name)
+        node._is_voter = me.is_voter if me else False
+
+    def adopt_entry(self, entry: LogEntry) -> None:
+        """A CONFIG entry was written: it takes effect now, and a leader
+        starts (or stops) tracking the peers it adds (or removes)."""
+        self.adopt(MembershipConfig.from_wire(entry.metadata, entry.opid.index))
+        state = self.node.leader_state
+        if state is not None:
+            membership = self.node.membership
+            for member in membership.peers_of(self.node.name):
+                state.ensure_peer(member.name)
+            for tracked in list(state.peers):
+                if tracked not in membership:
+                    state.drop_peer(tracked)
+
+    def rebuild(self) -> None:
+        """Latest config entry in the log wins; else the durable
+        bootstrap config. Per Raft, a config is adopted as soon as it is
+        written (§2.2)."""
+        storage = self.node.storage
+        index = storage.last_opid().index
+        first = storage.first_index()
+        while index >= first:
+            entry = storage.entry(index)
+            if entry is not None and entry.kind == ENTRY_KIND_CONFIG:
+                self.adopt(MembershipConfig.from_wire(entry.metadata, entry.opid.index))
+                return
+            index -= 1
+        durable = self.node._durable
+        self.adopt(MembershipConfig.from_wire(
+            durable["bootstrap_members"], durable.get("bootstrap_config_index", 0)
+        ))
+
+    # -- durability past the log -------------------------------------------------
+
+    def keep_config_below(self, horizon: int) -> None:
+        """The log is about to lose its entries below ``horizon`` (all
+        committed). Make the config in effect there durable as the
+        bootstrap config, which ``rebuild`` falls back to once the log
+        holds no CONFIG entry: else a restart after a purge past the
+        newest config reverts to the construction-time member list."""
+        node = self.node
+        config = node.membership
+        if config.config_index >= horizon:
+            # A newer config is retained: find the one in effect below it.
+            config = None
+            floor = max(node.storage.first_index(), node._durable["bootstrap_config_index"] + 1)
+            for index in range(horizon - 1, floor - 1, -1):
+                entry = node.storage.entry(index)
+                if entry is not None and entry.kind == ENTRY_KIND_CONFIG:
+                    config = MembershipConfig.from_wire(entry.metadata, index)
+                    break
+        if config is not None and config.config_index > node._durable["bootstrap_config_index"]:
+            self.keep_as_bootstrap(config.to_wire(), config.config_index)
+
+    def keep_as_bootstrap(self, members_wire: tuple, config_index: int) -> None:
+        durable = self.node._durable
+        durable["bootstrap_members"] = tuple(members_wire)
+        durable["bootstrap_config_index"] = config_index

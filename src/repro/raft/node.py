@@ -1,5 +1,5 @@
-"""The Raft node: the core — term, vote, log, commit and applied index,
-membership, snapshots — and the RPC dispatch.
+"""The Raft node: the core — term, vote, log and commit index — and the
+RPC dispatch.
 
 One :class:`RaftNode` runs as (part of) a host's service. It is fully
 event-driven — message handlers plus host timers — and keeps the paper's
@@ -19,7 +19,13 @@ given, and the node dispatches their messages:
   send side — windows, fan-out riders, PROXY_OPs — and its acks;
 - :mod:`~repro.raft.proxy` (:class:`ProxyHop`): a member's half of the
   one-hop region tree (§4.2) — forwarding to riders, folding their acks,
-  PROXY_OP reconstitution and degrade-to-heartbeat.
+  PROXY_OP reconstitution and degrade-to-heartbeat;
+- :mod:`~repro.raft.batching` (:class:`ProposalAccumulator`): proposal
+  staging, the batched append and self-ack, and the consensus futures;
+- :mod:`~repro.raft.membership` (:class:`ConfigChanges`): AddMember /
+  RemoveMember and the config in effect (§2.2);
+- ``node.snapshots``: the InstallSnapshot RPCs, attached by
+  :class:`repro.snapshot.SnapshotManager` (a no-op without one).
 
 Reads live in :mod:`repro.reads`. Also here: the pluggable
 :class:`QuorumPolicy` (vanilla majority or FlexiRaft, §4.1) and the
@@ -30,26 +36,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import (
-    LogTruncatedError,
-    MembershipError,
-    NotLeaderError,
-    RaftError,
-)
+from repro.errors import LogTruncatedError, NotLeaderError, RaftError
 from repro.metrics.histogram import LatencyHistogram
 from repro.raft.batching import ProposalAccumulator
 from repro.raft.config import RaftConfig
 from repro.raft.election import Election
-from repro.raft.hooks import PayloadFactory, RaftHooks, TimingModel
+from repro.raft.hooks import NoSnapshots, PayloadFactory, RaftHooks, TimingModel
 from repro.raft.log_cache import LogCache
-from repro.raft.log_storage import (
-    ENTRY_KIND_CONFIG,
-    ENTRY_KIND_DATA,
-    ENTRY_KIND_NOOP,
-    LogEntry,
-    LogStorage,
-)
-from repro.raft.membership import MembershipConfig
+from repro.raft.log_storage import ENTRY_KIND_CONFIG, ENTRY_KIND_DATA, LogEntry, LogStorage
+from repro.raft.membership import ConfigChanges, MembershipConfig
 from repro.raft.messages import (
     AppendEntriesRequest,
     AppendEntriesResponse,
@@ -71,17 +66,14 @@ from repro.raft.proxy import ProxyHop, RegionProxyRouter
 from repro.raft.quorum import QuorumPolicy
 from repro.raft.replication import LeaderState, Replicator
 from repro.raft.transfer import LeadershipTransfer
-from repro.raft.types import MemberInfo, OpId, RaftRole
+from repro.raft.types import OpId, RaftRole
 from repro.reads import ReadManager
 from repro.sim.coro import SimFuture
 from repro.sim.host import Host
 from repro.sim.rng import RngStream
 
 _DURABLE_NS = "raft"
-# Upper bound on entries in one batched storage append. A flush group
-# larger than this is split across consecutive appends (group-commit
-# boundaries are preserved: a batch never reorders).
-PROPOSE_BATCH_MAX = 256
+_SNAPSHOT_RPCS = (InstallSnapshotRequest, InstallSnapshotChunk, InstallSnapshotResponse)
 _ELECTION_COUNTERS = (
     "elections_started", "elections_won", "pre_votes_started",
     "pre_votes_abandoned", "elections_abandoned", "handoff_attempts",
@@ -138,9 +130,10 @@ class RaftNode:
         if durable["current_term"] < last_log_term:
             durable["current_term"] = last_log_term
 
-        # Snapshot machinery (attached by repro.snapshot.SnapshotManager;
-        # None for pure-protocol rings without state transfer).
-        self.snapshots: Any | None = None
+        # Snapshot machinery (repro.snapshot.SnapshotManager attaches
+        # itself; pure-protocol rings keep the no-op).
+        self.snapshots: Any = NoSnapshots()
+        self.config_changes = ConfigChanges(self)
 
         # Safety monitor (attached by repro.check.InvariantSuite; None in
         # ordinary runs). Observes elections, commit advances, and
@@ -189,9 +182,8 @@ class RaftNode:
     # ------------------------------------------------------------------ state
 
     def _init_volatile(self) -> None:
-        self.membership = self._rebuild_membership()
-        self_member = self.membership.member(self.name)
-        self._is_voter = self_member.is_voter if self_member else False
+        # The config in effect and whether we vote in it (membership.py).
+        self.config_changes.rebuild()
         self.role = RaftRole.FOLLOWER if self._is_voter else RaftRole.LEARNER
         self.leader_id: str | None = None
         self.commit_index = 0
@@ -207,30 +199,14 @@ class RaftNode:
         self.transfer = LeadershipTransfer(self, host.send, host.call_after)
         self.replicator = Replicator(self, host.send, now)
         self.proxy = ProxyHop(self, host.send, host.call_after, now)
-        self._pending_proposals: dict[int, SimFuture] = {}
-        # Group-commit accumulator (§3.4 write-path batching).
-        self._accumulator = ProposalAccumulator(self)
+        # Staged proposals and their futures (§3.4 write-path batching).
+        self.proposals = ProposalAccumulator(self)
         self._quorum_override: QuorumPolicy | None = None
         # Consistent-read machinery (repro.reads). All volatile: a crash
         # wipes every pending barrier, so a restarted leader re-earns
         # quorum confirmation before serving.
         self.reads = ReadManager(self)
         self.election.reset_timer()
-
-    def _rebuild_membership(self) -> MembershipConfig:
-        """Latest config entry in the log wins; else the bootstrap list.
-        Per Raft, a config is adopted as soon as it is written (§2.2)."""
-        index = self.storage.last_opid().index
-        first = self.storage.first_index()
-        while index >= first:
-            entry = self.storage.entry(index)
-            if entry is not None and entry.kind == ENTRY_KIND_CONFIG:
-                return MembershipConfig.from_wire(entry.metadata, entry.opid.index)
-            index -= 1
-        return MembershipConfig.from_wire(
-            self._durable["bootstrap_members"],
-            self._durable.get("bootstrap_config_index", 0),
-        )
 
     # -- durable accessors ----------------------------------------------------
 
@@ -256,7 +232,7 @@ class RaftNode:
         # Staged-but-unflushed proposals extend the logical tail so
         # consecutive same-tick proposals number contiguously; flush
         # barriers guarantee no RPC handler ever observes the gap.
-        staged = self._accumulator.last_staged_opid
+        staged = self.proposals.last_staged_opid
         return staged if staged is not None else self.storage.last_opid()
 
     @property
@@ -274,7 +250,7 @@ class RaftNode:
         return self._commit_opid_memo
 
     def _term_at(self, index: int) -> int | None:
-        staged_term = self._accumulator.staged_term_at(index)
+        staged_term = self.proposals.staged_term_at(index)
         if staged_term is not None:
             return staged_term
         try:
@@ -321,7 +297,7 @@ class RaftNode:
                 ),
                 "silent": self.leader_state.silent() if self.leader_state is not None else [],
             },
-            "snapshot": self.snapshots.stats() if self.snapshots is not None else {},
+            "snapshot": self.snapshots.stats(),
         }
 
     def _write_path_stats(self) -> dict[str, Any]:
@@ -364,10 +340,7 @@ class RaftNode:
     def on_crash(self) -> None:
         # Staged proposals were never durable; their futures fail with
         # everything else pending.
-        self._accumulator.discard()
-        for future in self._pending_proposals.values():
-            future.fail_if_pending(RaftError(f"{self.name} crashed"))
-        self._pending_proposals.clear()
+        self.proposals.discard(RaftError(f"{self.name} crashed"))
         self.transfer.on_crash(RaftError(f"{self.name} crashed"))
         crash_error = RaftError(f"{self.name} crashed")
         self.reads.fail_all(crash_error)
@@ -407,7 +380,7 @@ class RaftNode:
             self.monitor.on_leader_elected(self, granted)
         # §3.3 step 1: assert leadership with a no-op entry; committing it
         # consensus-commits the whole log tail.
-        noop_opid = self._append_noop()
+        noop_opid = self.proposals.append_noop()
         self._trace("raft.leader_elected", noop=str(noop_opid))
         self.hooks.on_elected_leader(self.current_term, noop_opid)
         self.replicator.replicate_all(force=True)
@@ -420,8 +393,7 @@ class RaftNode:
         self.election.vote_tally = None
         # Pending read barriers can no longer be confirmed: fail cleanly.
         self.reads.fail_all(NotLeaderError(f"{self.name} lost leadership"))
-        if self.snapshots is not None:
-            self.snapshots.on_step_down()
+        self.snapshots.on_step_down()
 
     def _step_down(self, term: int, leader: str | None) -> None:
         was_leader = self.role == RaftRole.LEADER
@@ -434,15 +406,10 @@ class RaftNode:
         self.leader_id = leader
         if was_leader:
             self._trace("raft.stepped_down", new_leader=leader)
-            self._fail_pending_proposals(NotLeaderError(f"{self.name} lost leadership"))
+            self.proposals.fail_pending(NotLeaderError(f"{self.name} lost leadership"))
             self.transfer.abort()
             self.hooks.on_demoted(self.current_term, leader)
         self.election.reset_timer()
-
-    def _fail_pending_proposals(self, error: Exception) -> None:
-        pending, self._pending_proposals = self._pending_proposals, {}
-        for future in pending.values():
-            future.fail_if_pending(error)
 
     # --------------------------------------------------------------- propose
 
@@ -460,7 +427,7 @@ class RaftNode:
         if not self.is_leader:
             raise NotLeaderError(f"{self.name} is {self.role.value}, not leader")
         self.metrics["proposals"] += 1
-        return self._stage_proposal(payload_factory, kind, metadata)
+        return self.proposals.stage(payload_factory, kind, metadata)
 
     def propose_batch(
         self, payload_factories: list, kind: str = ENTRY_KIND_DATA
@@ -474,129 +441,11 @@ class RaftNode:
         if not self.is_leader:
             raise NotLeaderError(f"{self.name} is {self.role.value}, not leader")
         results = []
+        stage = self.proposals.stage
         for factory in payload_factories:
             self.metrics["proposals"] += 1
-            results.append(self._stage_proposal(factory, kind, ()))
+            results.append(stage(factory, kind))
         return results
-
-    def _stage_proposal(
-        self, payload_factory: PayloadFactory, kind: str, metadata: tuple
-    ) -> tuple[OpId, SimFuture]:
-        opid = self._accumulator.stage(payload_factory, kind, metadata)
-        future = SimFuture(self.host.loop, label=f"consensus:{opid}")
-        self._pending_proposals[opid.index] = future
-        return opid, future
-
-    def _commit_staged(self, staged: list[LogEntry]) -> None:
-        """Accumulator flush: make the whole microbatch durable with one
-        storage append per ``PROPOSE_BATCH_MAX`` chunk, then self-ack and
-        run one replication fan-out for the batch."""
-        if not self.is_leader:
-            # Unreachable through the flush barriers (any step-down
-            # flushes first); kept as a safety net for embeddings that
-            # drive the node directly.
-            error = NotLeaderError(f"{self.name} lost leadership")
-            for entry in staged:
-                future = self._pending_proposals.pop(entry.opid.index, None)
-                if future is not None:
-                    future.fail_if_pending(error)
-            return
-        for offset in range(0, len(staged), PROPOSE_BATCH_MAX):
-            chunk = staged[offset : offset + PROPOSE_BATCH_MAX]
-            self.storage.append(chunk)
-            self.metrics["proposal_batches"] += 1
-        for entry in staged:
-            self.cache.put(entry)
-        if self.leader_state is not None:
-            # Self-ack only now: like real group commit, entries count
-            # toward the quorum once the (simulated) WAL write finishes.
-            self.leader_state.last_log_index = staged[-1].opid.index
-        self.hooks.on_entries_appended(staged, from_leader=False)
-        self._maybe_advance_commit()
-        self._resolve_proposals(self.commit_index)
-        self.replicator.replicate_all(force=False)
-
-    def _flush_staged_proposals(self) -> None:
-        """Barrier: no RPC handler, heartbeat, or leadership action may
-        observe staged-but-unappended proposals."""
-        self._accumulator.flush()
-
-    def _append_noop(self) -> OpId:
-        """A new leader's no-op, appended at once rather than staged, so
-        the replication round that follows election already carries it."""
-        opid = OpId(self.current_term, self.last_opid.index + 1)
-        entry = LogEntry(opid, self.hooks.noop_payload(self.name)(opid), ENTRY_KIND_NOOP)
-        self.storage.append([entry])
-        self.cache.put(entry)
-        if self.leader_state is not None:
-            self.leader_state.last_log_index = opid.index
-        self.hooks.on_entries_appended([entry], from_leader=False)
-        # Self-vote: maybe this alone satisfies the quorum (single node).
-        self._maybe_advance_commit()
-        return opid
-
-    # -- membership changes (§2.2) ---------------------------------------------------
-
-    def _has_uncommitted_config(self) -> bool:
-        return self.membership.config_index > self.commit_index
-
-    def add_member(self, member: MemberInfo) -> tuple[OpId, SimFuture]:
-        """Leader-only AddMember; one change at a time."""
-        if not self.is_leader:
-            raise NotLeaderError(f"{self.name} is not leader")
-        if self._has_uncommitted_config():
-            raise MembershipError("a membership change is already in flight")
-        new_config = self.membership.with_added(member, self.last_opid.index + 1)
-        return self._propose_config("add", member.name, new_config)
-
-    def remove_member(self, name: str) -> tuple[OpId, SimFuture]:
-        if not self.is_leader:
-            raise NotLeaderError(f"{self.name} is not leader")
-        if self._has_uncommitted_config():
-            raise MembershipError("a membership change is already in flight")
-        if name == self.name:
-            raise MembershipError("leader cannot remove itself; transfer first")
-        new_config = self.membership.with_removed(name, self.last_opid.index + 1)
-        return self._propose_config("remove", name, new_config)
-
-    def _propose_config(
-        self, change: str, subject: str, new_config: MembershipConfig
-    ) -> tuple[OpId, SimFuture]:
-        wire = new_config.to_wire()
-        factory = self.hooks.config_payload(change, subject, wire)
-        self._trace("raft.config_change", change=change, subject=subject)
-        return self.propose(factory, ENTRY_KIND_CONFIG, metadata=wire)
-
-    def keep_config_below(self, horizon: int) -> None:
-        """The log is about to lose its entries below ``horizon`` (all
-        committed). Make the config in effect there durable as the
-        bootstrap config, which ``_rebuild_membership`` falls back to once
-        the log holds no CONFIG entry: else a restart after a purge past
-        the newest config reverts to the construction-time member list."""
-        config = self.membership
-        if config.config_index >= horizon:
-            # A newer config is retained: find the one in effect below it.
-            config = None
-            floor = max(self.storage.first_index(), self._durable["bootstrap_config_index"] + 1)
-            for index in range(horizon - 1, floor - 1, -1):
-                entry = self.storage.entry(index)
-                if entry is not None and entry.kind == ENTRY_KIND_CONFIG:
-                    config = MembershipConfig.from_wire(entry.metadata, index)
-                    break
-        if config is not None and config.config_index > self._durable["bootstrap_config_index"]:
-            self._durable["bootstrap_members"] = config.to_wire()
-            self._durable["bootstrap_config_index"] = config.config_index
-
-    def _adopt_config_from(self, entry: LogEntry) -> None:
-        self.membership = MembershipConfig.from_wire(entry.metadata, entry.opid.index)
-        self_member = self.membership.member(self.name)
-        self._is_voter = self_member.is_voter if self_member else False
-        if self.leader_state is not None:
-            for member in self.membership.peers_of(self.name):
-                self.leader_state.ensure_peer(member.name)
-            for tracked in list(self.leader_state.peers):
-                if tracked not in self.membership:
-                    self.leader_state.drop_peer(tracked)
 
     # ----------------------------------------------------------- replication
 
@@ -608,7 +457,7 @@ class RaftNode:
     def _heartbeat_tick(self) -> None:
         if not self.is_leader:
             return
-        self._flush_staged_proposals()
+        self.proposals.flush()
         # The leader is its own evidence of a live leader: keep the
         # stickiness window open so it denies disruptive vote requests.
         self.election.last_leader_contact = self.host.loop.now
@@ -715,7 +564,7 @@ class RaftNode:
                     self.cache.truncate_from(entry.opid.index)
                     self._trace("raft.truncated", from_index=entry.opid.index, count=len(removed))
                     self.hooks.on_truncated(removed)
-                    self.membership = self._rebuild_membership()
+                    self.config_changes.rebuild()
                     to_append.append(entry)
                 # else: duplicate of what we already have; skip.
         if not to_append:
@@ -724,7 +573,7 @@ class RaftNode:
         for entry in to_append:
             self.cache.put(entry)
             if entry.kind == ENTRY_KIND_CONFIG:
-                self._adopt_config_from(entry)
+                self.config_changes.adopt_entry(entry)
         self.hooks.on_entries_appended(to_append, from_leader=True)
         self.proxy.on_log_grew()
         return True
@@ -787,104 +636,7 @@ class RaftNode:
             if self.monitor is not None:
                 self.monitor.on_commit_advance(self, old_index, new_commit)
             self.hooks.on_commit_advance(self.commit_opid)
-            self._resolve_proposals(new_commit)
-
-    def _resolve_proposals(self, commit_index: int) -> None:
-        ready = [index for index in self._pending_proposals if index <= commit_index]
-        for index in sorted(ready):
-            future = self._pending_proposals.pop(index)
-            term = self._term_at(index) or 0
-            future.resolve_if_pending(OpId(term, index))
-
-    # ------------------------------------------------- snapshot shipping (§3)
-
-    def _maybe_ship_snapshot(self, peer: str) -> bool:
-        """Leader side: start (or continue) snapshot transfer to a peer
-        whose next_index fell below our purged log prefix."""
-        if self.snapshots is None or self.snapshots.shipper is None:
-            return False
-        if peer not in self.membership:
-            return False
-        return self.snapshots.shipper.ship_to(peer, self.storage.first_index())
-
-    def _snapshot_reject(self, src: str, snapshot_id: str) -> None:
-        self.host.send(
-            src,
-            InstallSnapshotResponse(
-                term=self.current_term,
-                follower=self.name,
-                snapshot_id=snapshot_id,
-                next_seq=0,
-                success=False,
-            ),
-        )
-
-    def _handle_install_snapshot(self, src: str, request: InstallSnapshotRequest) -> None:
-        installer = self.snapshots.installer if self.snapshots is not None else None
-        if not self._accept_leader_authority(request.term, request.leader) or installer is None:
-            self._snapshot_reject(src, request.snapshot_id)
-            return
-        self.host.send(src, installer.handle_offer(request))
-
-    def _handle_snapshot_chunk(self, src: str, chunk: InstallSnapshotChunk) -> None:
-        installer = self.snapshots.installer if self.snapshots is not None else None
-        if not self._accept_leader_authority(chunk.term, chunk.leader) or installer is None:
-            self._snapshot_reject(src, chunk.snapshot_id)
-            return
-        self.host.send(src, installer.handle_chunk(chunk))
-
-    def _handle_snapshot_response(self, src: str, response: InstallSnapshotResponse) -> None:
-        if response.term > self.current_term:
-            self._step_down(response.term, leader=None)
-            return
-        if (
-            not self.is_leader
-            or self.leader_state is None
-            or self.snapshots is None
-            or self.snapshots.shipper is None
-        ):
-            return
-        installed = self.snapshots.shipper.handle_response(response.follower, response)
-        if installed is not None:
-            # The peer now holds everything through the image's OpId:
-            # advance match/next past it and replicate the live tail.
-            self.metrics["snapshots_shipped"] += 1
-            progress = self.leader_state.ensure_peer(response.follower)
-            if not progress.answering:
-                self._trace("raft.peer_answering", peer=response.follower)
-            progress.acked(installed.index)
-            progress.rewind()
-            self._trace("raft.snapshot_shipped", peer=response.follower, opid=str(installed))
-            self._maybe_advance_commit()
-            self.replicator.replicate([response.follower], force=True)
-
-    def adopt_snapshot(self, opid: OpId, members_wire: tuple = (), config_index: int = 0) -> None:
-        """Follower side: align volatile Raft state with a just-installed
-        snapshot (the service already re-based ``self.storage``).
-
-        The image's membership (frozen at production) becomes our
-        bootstrap config — the log no longer reaches back to a CONFIG
-        entry, so ``_rebuild_membership`` must fall through to it.
-        """
-        if self.monitor is not None:
-            # Before the commit bump below, so the monitor can compare the
-            # image against the durable floor the install just replaced.
-            self.monitor.on_snapshot_adopted(self, opid)
-        if members_wire:
-            self._durable["bootstrap_members"] = tuple(members_wire)
-            self._durable["bootstrap_config_index"] = config_index
-        if self.current_term < opid.term:
-            self._set_term(opid.term)
-        self.cache = LogCache(self.config.log_cache_max_bytes)
-        self.membership = self._rebuild_membership()
-        self_member = self.membership.member(self.name)
-        self._is_voter = self_member.is_voter if self_member else False
-        if self.role != RaftRole.LEADER:
-            self.role = RaftRole.FOLLOWER if self._is_voter else RaftRole.LEARNER
-        self.commit_index = max(self.commit_index, opid.index)
-        self.metrics["snapshot_installs"] += 1
-        self._trace("raft.snapshot_installed", opid=str(opid))
-        self.election.reset_timer()
+            self.proposals.resolve(new_commit)
 
     # -------------------------------------------------- transfer of leadership
 
@@ -892,7 +644,7 @@ class RaftNode:
         """Graceful promotion (§2.2, ``transfer.py``): optionally mock-elect,
         wait for the target to catch up, then TimeoutNow. Resolves True on
         handoff."""
-        self._flush_staged_proposals()
+        self.proposals.flush()
         future = SimFuture(self.host.loop, label=f"transfer->{target}")
         return self.transfer.start(target, future)
 
@@ -932,7 +684,7 @@ class RaftNode:
     # -------------------------------------------------------------- dispatch
 
     def handle_message(self, src: str, message: Any) -> None:
-        self._flush_staged_proposals()
+        self.proposals.flush()
         if isinstance(message, AppendEntriesRequest):
             self._handle_append_entries(src, message)
         elif isinstance(message, AppendEntriesResponse):
@@ -960,12 +712,8 @@ class RaftNode:
             self.reads.answer_fetch(message)
         elif isinstance(message, ReadIndexResponse):
             self.reads.fetches.on_response(message)
-        elif isinstance(message, InstallSnapshotRequest):
-            self._handle_install_snapshot(src, message)
-        elif isinstance(message, InstallSnapshotChunk):
-            self._handle_snapshot_chunk(src, message)
-        elif isinstance(message, InstallSnapshotResponse):
-            self._handle_snapshot_response(src, message)
+        elif isinstance(message, _SNAPSHOT_RPCS):
+            self.snapshots.handle_message(src, message)
         else:
             raise RaftError(f"{self.name}: unknown message {type(message).__name__}")
 

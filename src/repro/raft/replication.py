@@ -458,7 +458,7 @@ class Replicator:
             # is the only way to catch it up. Ship a snapshot when the
             # machinery is wired; otherwise resend from the oldest we
             # still have (pure-protocol rings never purge mid-stream).
-            if node._maybe_ship_snapshot(peer):
+            if node.snapshots.ship_to(peer):
                 return None
             start = node.storage.first_index()
             prev_index = start - 1

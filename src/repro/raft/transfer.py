@@ -4,7 +4,7 @@ catch-up, TimeoutNow and the witness hand-off (§4.1).
 A transfer runs in two phases. In *mock* the target runs a mock vote
 round against the leader's tail, with nothing quiesced yet; in
 *catch-up* the leader quiesces writes, replicates until the target holds
-its whole log, and sends TimeoutNow. ``enable_mock_election`` (the
+its whole log, and sends TimeoutNow. ``MOCK_ELECTION`` (off is the
 paper's ablation) only picks the first phase.
 """
 
@@ -23,6 +23,9 @@ from repro.raft.messages import (
 )
 from repro.sim.coro import SimFuture
 
+# Run a mock election before TransferLeadership (§4.3); off is the
+# paper's ablation.
+MOCK_ELECTION = True
 # How long the leader waits for the target's mock-election verdict.
 MOCK_ELECTION_TIMEOUT = 1.0
 # The target's own deadline for its mock round: inside the leader's, so
@@ -92,7 +95,7 @@ class LeadershipTransfer:
             future.fail(refusal)
             return future
         node.metrics["transfers_initiated"] += 1
-        mock = node.config.enable_mock_election
+        mock = MOCK_ELECTION
         record = self.pending = PendingTransfer(
             future, target, node.current_term, "mock" if mock else "catch-up"
         )

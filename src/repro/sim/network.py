@@ -159,10 +159,6 @@ class Network:
         self._hosts[host.name] = host
         self._routes.clear()
 
-    def unregister(self, name: str) -> None:
-        self._hosts.pop(name, None)
-        self._routes.clear()
-
     def host(self, name: str) -> "Host":
         try:
             return self._hosts[name]
@@ -174,9 +170,6 @@ class Network:
 
     def region_of(self, name: str) -> str:
         return self.host(name).region
-
-    def hosts_in_region(self, region: str) -> list[str]:
-        return [name for name, host in self._hosts.items() if host.region == region]
 
     # -- partitions --------------------------------------------------------
 

@@ -45,6 +45,12 @@ from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.mysql.tables import content_checksum
 from repro.raft.types import OpId
 
+# Delta re-base policy: when more than this fraction of the engine's rows
+# changed since the follower's base, ship a full image instead — a delta
+# that rewrites most of the database saves nothing and leaves a longer
+# chain to verify.
+SNAPSHOT_DELTA_MAX_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class SnapshotImage:
@@ -192,6 +198,80 @@ def _finish_image(
         upserts=upserts,
         deletes=deletes,
     )
+
+
+def _trace(host: Any, kind: str, **fields: Any) -> None:
+    if host.tracer is not None:
+        host.tracer.emit(kind, host=host.name, **fields)
+
+
+def engine_tables(engine: Any) -> dict:
+    """A copy of a storage engine's tables as ``{name: {pk: row}}``: the
+    rows of a consistent cut, shared by images and backups."""
+    return {
+        name: {pk: dict(row) for pk, row in engine.table(name).rows.items()}
+        for name in engine.table_names()
+    }
+
+
+def engine_image(host: Any, engine: Any, membership: Any, chunk_bytes: int) -> SnapshotImage | None:
+    """Serialize ``engine``'s state on ``host`` — the same consistent cut
+    ``control.backup.take_backup`` produces — into a shippable image.
+    None when nothing has been applied yet (nothing to ship that an
+    empty follower doesn't already have)."""
+    last_opid = engine.last_committed_opid
+    if last_opid == OpId.zero():
+        return None
+    tables = engine_tables(engine)
+    rows = sum(len(table) for table in tables.values())
+    _trace(host, "myraft.snapshot_produced", opid=str(last_opid), rows=rows)
+    return build_image(
+        source=host.name,
+        taken_at=host.loop.now,
+        last_opid=last_opid,
+        executed_gtids=str(engine.executed_gtids),
+        tables=tables,
+        members_wire=membership.to_wire(),
+        config_index=membership.config_index,
+        chunk_bytes=chunk_bytes,
+    )
+
+
+def engine_delta(
+    host: Any, engine: Any, membership: Any, chunk_bytes: int, base_index: int
+) -> SnapshotImage | None:
+    """A delta of ``engine``'s rows changed since ``base_index`` (a
+    follower's engine watermark). None — keeping the shipper on the full
+    image — when the dirty tracker can't vouch for the base or the
+    re-base policy says the delta would be too fat to pay off."""
+    if engine.last_committed_opid.index <= base_index:
+        return None
+    changes = engine.changed_since(base_index)
+    if changes is None:
+        return None  # base predates the tracking floor (or tracking broke)
+    changed_rows = sum(len(touched) for touched in changes.values())
+    if changed_rows > SNAPSHOT_DELTA_MAX_FRACTION * max(1, engine.row_count()):
+        return None  # re-base: most of the database changed anyway
+    image = build_delta(
+        source=host.name,
+        taken_at=host.loop.now,
+        last_opid=engine.last_committed_opid,
+        executed_gtids=str(engine.executed_gtids),
+        base_index=base_index,
+        changes=changes,
+        state_crc=engine.checksum(),
+        members_wire=membership.to_wire(),
+        config_index=membership.config_index,
+        chunk_bytes=chunk_bytes,
+    )
+    _trace(
+        host,
+        "myraft.snapshot_delta_produced",
+        base=base_index,
+        opid=str(image.last_opid),
+        rows=changed_rows,
+    )
+    return image
 
 
 def build_image(

@@ -1,4 +1,10 @@
-"""Leader-side snapshot transfer: pipelined, deduped, rate-throttled.
+"""Snapshot transfer: the node's InstallSnapshot RPCs, and a leader-side
+shipper that is pipelined, deduped and rate-throttled.
+
+:class:`SnapshotManager` is the snapshot protocol as the Raft node sees
+it: ``RaftNode.handle_message`` hands it the three InstallSnapshot RPCs,
+the replicator asks it to ship to a peer behind the purged prefix, and
+the service's install cutover ends in its ``adopt``.
 
 One :class:`LeaderSnapshotShipper` per leader tracks an active transfer
 session per peer. Three mechanisms replace the v1 stop-and-wait loop:
@@ -37,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.raft.log_cache import LogCache
 from repro.raft.messages import InstallSnapshotChunk, InstallSnapshotRequest, InstallSnapshotResponse
-from repro.raft.types import OpId
+from repro.raft.types import OpId, RaftRole
 from repro.snapshot.policy import image_covers
 from repro.snapshot.producer import SnapshotImage
 
@@ -375,11 +382,14 @@ class LeaderSnapshotShipper:
 
 
 class SnapshotManager:
-    """Per-service façade wiring the shipper and installer to a node.
+    """A node's snapshot protocol: the InstallSnapshot RPCs on both sides,
+    the leader's decision to ship, and the follower's adoption of an
+    installed image.
 
     Either side is optional: a pure witness could install without ever
     producing, and a node without an engine image callback simply never
-    ships. Construction attaches itself as ``node.snapshots``.
+    ships. Construction attaches itself as ``node.snapshots`` (replacing
+    :class:`repro.raft.hooks.NoSnapshots`).
     """
 
     def __init__(
@@ -414,9 +424,90 @@ class SnapshotManager:
         )
         node.snapshots = self
 
+    # -- leader side -----------------------------------------------------------
+
+    def ship_to(self, peer: str) -> bool:
+        """Start (or continue) snapshot transfer to a peer whose next_index
+        fell below the purged log prefix. False: nothing to ship with."""
+        node = self.node
+        if self.shipper is None or peer not in node.membership:
+            return False
+        return self.shipper.ship_to(peer, node.storage.first_index())
+
+    def _on_response(self, response: InstallSnapshotResponse) -> None:
+        node = self.node
+        if response.term > node.current_term:
+            node._step_down(response.term, leader=None)
+            return
+        if not node.is_leader or node.leader_state is None or self.shipper is None:
+            return
+        installed = self.shipper.handle_response(response.follower, response)
+        if installed is None:
+            return
+        # The peer now holds everything through the image's OpId:
+        # advance match/next past it and replicate the live tail.
+        node.metrics["snapshots_shipped"] += 1
+        progress = node.leader_state.ensure_peer(response.follower)
+        if not progress.answering:
+            node._trace("raft.peer_answering", peer=response.follower)
+        progress.acked(installed.index)
+        progress.rewind()
+        node._trace("raft.snapshot_shipped", peer=response.follower, opid=str(installed))
+        node._maybe_advance_commit()
+        node.replicator.replicate([response.follower], force=True)
+
     def on_step_down(self) -> None:
         if self.shipper is not None:
             self.shipper.cancel_all()
+
+    # -- follower side ---------------------------------------------------------
+
+    def handle_message(self, src: str, message: Any) -> None:
+        """The three InstallSnapshot RPCs. An offer or a chunk passes the
+        node's leader-authority check first, like an AppendEntries."""
+        if isinstance(message, InstallSnapshotResponse):
+            self._on_response(message)
+            return
+        node = self.node
+        if not node._accept_leader_authority(message.term, message.leader) or self.installer is None:
+            reply = InstallSnapshotResponse(
+                term=node.current_term,
+                follower=node.name,
+                snapshot_id=message.snapshot_id,
+                next_seq=0,
+                success=False,
+            )
+        elif isinstance(message, InstallSnapshotRequest):
+            reply = self.installer.handle_offer(message)
+        else:
+            reply = self.installer.handle_chunk(message)
+        self.host.send(src, reply)
+
+    def adopt(self, opid: OpId, members_wire: tuple = (), config_index: int = 0) -> None:
+        """Align the node's volatile Raft state with a just-installed
+        snapshot (the service already re-based ``node.storage``).
+
+        The image's membership (frozen at production) becomes the
+        bootstrap config — the log no longer reaches back to a CONFIG
+        entry, so the config rebuild must fall through to it.
+        """
+        node = self.node
+        if node.monitor is not None:
+            # Before the commit bump below, so the monitor can compare the
+            # image against the durable floor the install just replaced.
+            node.monitor.on_snapshot_adopted(node, opid)
+        if members_wire:
+            node.config_changes.keep_as_bootstrap(members_wire, config_index)
+        if node.current_term < opid.term:
+            node._set_term(opid.term)
+        node.cache = LogCache(node.config.log_cache_max_bytes)
+        node.config_changes.rebuild()
+        if node.role != RaftRole.LEADER:
+            node.role = RaftRole.FOLLOWER if node._is_voter else RaftRole.LEARNER
+        node.commit_index = max(node.commit_index, opid.index)
+        node.metrics["snapshot_installs"] += 1
+        node._trace("raft.snapshot_installed", opid=str(opid))
+        node.election.reset_timer()
 
     def stats(self) -> dict:
         """The ``snapshot`` block surfaced through ``RaftNode.stats()``."""

@@ -39,7 +39,7 @@ def ab(name: str, scale: float) -> dict[str, dict]:
     for stack in ("semisync", "myraft"):
         outcome = run_once(replace(base, stack=stack, duration=base.duration * scale), seed=1)
         assert outcome.ok, (stack, outcome.failure_kinds(), outcome.crashed)
-        load = loads[stack] = outcome.load
+        load = loads[stack] = {**outcome.load, "committed": outcome.committed}
         print(
             f"  {stack:9s} commits {outcome.committed:5d}  "
             f"avg {load['latency_avg'] * 1e6:8.1f} us (paper {PAPER_AVG_US[name][stack]})  "
@@ -52,6 +52,15 @@ def ab(name: str, scale: float) -> dict[str, dict]:
 def delta_percent(loads: dict, key: str) -> float:
     """MyRaft relative to semi-sync (positive: MyRaft higher)."""
     return (loads["myraft"][key] / loads["semisync"][key] - 1.0) * 100.0
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_AVG_US))
+def test_commit_rate_is_over_the_measured_seconds(name):
+    # Measurement starts a warmup after setup, off a bucket edge, so the
+    # commits fall in one more one-second bucket than the seconds measured.
+    seconds = SCENARIOS[name].duration * 0.125
+    for load in ab(name, 0.125).values():
+        assert load["commits_per_s"] == pytest.approx(load["committed"] / seconds)
 
 
 @pytest.mark.parametrize("scale", SCALES)

@@ -122,7 +122,7 @@ class TestMembershipPersistence:
         # entry can never commit anywhere.
         cluster.net.isolate("region0-db1")
         cluster.net.isolate("region0-lt9")
-        primary.node.add_member(new_member)
+        primary.node.config_changes.add_member(new_member)
         assert "region0-lt9" in primary.node.membership  # adopted on append
         cluster.run(1.0)
         # The rest elects a new leader (region1 can: region0's logtailers

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.metrics import LatencyHistogram, ThroughputSeries, log_spaced_bins, summarize
+from repro.metrics import LatencyHistogram, ThroughputSeries, summarize
 
 
 class TestHistogram:
@@ -45,18 +45,6 @@ class TestHistogram:
         with pytest.raises(ReproError):
             h.percentile(101)
 
-    def test_histogram_buckets(self):
-        h = LatencyHistogram()
-        h.extend([0.5, 1.5, 1.7, 2.5])
-        counts = h.histogram([0.0, 1.0, 2.0, 3.0])
-        assert counts == [1, 2, 1]
-
-    def test_histogram_clamps_outliers(self):
-        h = LatencyHistogram()
-        h.extend([-0.0, 100.0])
-        counts = h.histogram([1.0, 2.0, 3.0])
-        assert sum(counts) == 2
-
     def test_merged(self):
         a = LatencyHistogram("a")
         a.extend([1.0, 2.0])
@@ -73,32 +61,6 @@ class TestHistogram:
         p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
         assert h.min() <= p50 <= p95 <= p99 <= h.max()
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=100))
-    def test_bucket_counts_sum_to_count(self, samples):
-        h = LatencyHistogram()
-        h.extend(samples)
-        counts = h.histogram(log_spaced_bins(1e-3, 1e4, 20))
-        assert sum(counts) == h.count
-
-
-class TestLogBins:
-    def test_edge_count(self):
-        edges = log_spaced_bins(1.0, 1000.0, 3)
-        assert len(edges) == 4
-        assert edges[0] == pytest.approx(1.0)
-        assert edges[-1] == pytest.approx(1000.0)
-
-    def test_ratios_constant(self):
-        edges = log_spaced_bins(1.0, 16.0, 4)
-        ratios = [edges[i + 1] / edges[i] for i in range(4)]
-        assert all(r == pytest.approx(2.0) for r in ratios)
-
-    def test_invalid_specs(self):
-        with pytest.raises(ReproError):
-            log_spaced_bins(0.0, 10.0, 5)
-        with pytest.raises(ReproError):
-            log_spaced_bins(10.0, 1.0, 5)
-
 
 class TestThroughputSeries:
     def test_bucketing(self):
@@ -112,7 +74,15 @@ class TestThroughputSeries:
         for t in [0.0, 1.0, 2.0, 3.0]:
             s.record(t)
         assert s.total == 4
-        assert s.mean_rate() == pytest.approx(1.0)
+        assert s.mean_rate(4.0) == pytest.approx(1.0)
+
+    def test_mean_rate_is_over_the_window_not_the_buckets(self):
+        # Two seconds measured from t=0.6 touch three one-second buckets.
+        s = ThroughputSeries(bucket_width=1.0)
+        for t in [0.6, 1.0, 1.5, 2.5]:
+            s.record(t)
+        assert len(s.buckets()) == 3
+        assert s.mean_rate(2.0) == pytest.approx(2.0)
 
     def test_stalled_buckets(self):
         s = ThroughputSeries(bucket_width=1.0)
@@ -123,7 +93,7 @@ class TestThroughputSeries:
     def test_empty(self):
         s = ThroughputSeries(bucket_width=1.0)
         assert s.buckets() == []
-        assert s.mean_rate() == 0.0
+        assert s.mean_rate(1.0) == 0.0
 
     def test_invalid_width(self):
         with pytest.raises(ReproError):

@@ -61,7 +61,7 @@ class TestAddMember:
         # Allocate the new host first (automation prepares the member).
         new_member = MemberInfo("n4", "r1", MemberType.VOTER)
         ring.add_host(new_member)
-        _, fut = ring.node("n1").add_member(new_member)
+        _, fut = ring.node("n1").config_changes.add_member(new_member)
         ring.run(3.0)
         assert fut.done() and not fut.failed()
         assert "n4" in ring.node("n1").membership
@@ -74,7 +74,7 @@ class TestAddMember:
         ring.bootstrap("n1")
         new_member = MemberInfo("n4", "r1", MemberType.VOTER)
         ring.add_host(new_member)
-        _, fut = ring.node("n1").add_member(new_member)
+        _, fut = ring.node("n1").config_changes.add_member(new_member)
         ring.run(3.0)
         # 4 voters now: kill two followers; n1 + n4 is only half — no commit.
         ring.host("n2").crash()
@@ -87,7 +87,7 @@ class TestAddMember:
         ring = three_node_ring()
         ring.bootstrap("n1")
         with pytest.raises(NotLeaderError):
-            ring.node("n2").add_member(MemberInfo("n4", "r1", MemberType.VOTER))
+            ring.node("n2").config_changes.add_member(MemberInfo("n4", "r1", MemberType.VOTER))
 
     def test_second_change_rejected_while_first_uncommitted(self):
         ring = three_node_ring()
@@ -97,16 +97,16 @@ class TestAddMember:
         ring.host("n3").crash()
         new_member = MemberInfo("n4", "r1", MemberType.VOTER)
         ring.add_host(new_member)
-        ring.node("n1").add_member(new_member)
+        ring.node("n1").config_changes.add_member(new_member)
         with pytest.raises(MembershipError):
-            ring.node("n1").add_member(MemberInfo("n5", "r1", MemberType.VOTER))
+            ring.node("n1").config_changes.add_member(MemberInfo("n5", "r1", MemberType.VOTER))
 
 
 class TestRemoveMember:
     def test_removed_member_leaves_quorum(self):
         ring = RaftRing([voter(f"n{i}") for i in range(1, 5)])
         ring.bootstrap("n1")
-        _, fut = ring.node("n1").remove_member("n4")
+        _, fut = ring.node("n1").config_changes.remove_member("n4")
         ring.run(2.0)
         assert fut.done() and not fut.failed()
         assert "n4" not in ring.node("n1").membership
@@ -120,12 +120,12 @@ class TestRemoveMember:
         ring = three_node_ring()
         ring.bootstrap("n1")
         with pytest.raises(MembershipError):
-            ring.node("n1").remove_member("n1")
+            ring.node("n1").config_changes.remove_member("n1")
 
     def test_membership_survives_leader_change(self):
         ring = RaftRing([voter(f"n{i}") for i in range(1, 5)])
         ring.bootstrap("n1")
-        _, fut = ring.node("n1").remove_member("n4")
+        _, fut = ring.node("n1").config_changes.remove_member("n4")
         ring.run(2.0)
         ring.node("n1").transfer_leadership("n2")
         ring.run(3.0)
@@ -138,16 +138,16 @@ class TestConfigKeptBelowAPurge:
     def test_a_restart_after_the_purge_rebuilds_the_config_in_effect_there(self):
         ring = RaftRing([voter(f"n{i}") for i in range(1, 5)])
         leader = ring.bootstrap("n1")
-        leader.remove_member("n4")
+        leader.config_changes.remove_member("n4")
         ring.run(2.0)
         ring.commit_and_run(b"x")
         # A newer config is written but cannot commit, so it is retained
         # above the purge horizon while the committed one below is purged.
         ring.host("n2").crash()
         ring.host("n3").crash()
-        leader.remove_member("n3")
+        leader.config_changes.remove_member("n3")
         horizon = leader.membership.config_index
-        leader.keep_config_below(horizon)
+        leader.config_changes.keep_config_below(horizon)
         leader.storage.purge_below(horizon)
         # A later leader truncates the uncommitted config; the log then
         # holds no CONFIG entry and a restart falls back to the durable one.

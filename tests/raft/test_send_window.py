@@ -211,7 +211,7 @@ class TestProbes:
         leader.storage.purge_below(4)
         leader.cache.clear()
         shipped = []
-        leader._maybe_ship_snapshot = lambda peer: shipped.append(peer) or True
+        leader.snapshots.ship_to = lambda peer: shipped.append(peer) or True
         sent = record_sends(ring.net)
         leader.replicator.replicate(["n3"], force=True)
         assert shipped == ["n3"]

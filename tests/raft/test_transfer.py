@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.raft.config import RaftConfig
 from repro.raft.election import MOCK_ELECTION_MAX_LAG_ENTRIES
 from repro.raft.messages import RequestVoteRequest, RequestVoteResponse
+from repro.raft import transfer as transfer_module
 from repro.raft.transfer import MOCK_ELECTION_TIMEOUT
 from repro.raft.types import OpId, RaftRole
 
@@ -125,14 +125,14 @@ class TestMockElection:
         assert ring.current_leader().name == "db2"
         assert ring.node("db1").metrics["mock_elections"] == 1
 
-    def test_transfer_without_mock_election_causes_unavailability(self):
+    def test_transfer_without_mock_election_causes_unavailability(self, monkeypatch):
         # Ablation (§4.3): with mock elections disabled, the transfer to a
         # region with lagging logtailers goes through, the target cannot
         # assemble its in-region election quorum, and the ring has a write
         # unavailability window until it self-heals. With mock elections
         # (previous test) the transfer aborts with zero disruption.
-        config = RaftConfig(enable_mock_election=False)
-        ring = self.flexi_ring(raft_config=config)
+        monkeypatch.setattr(transfer_module, "MOCK_ELECTION", False)
+        ring = self.flexi_ring()
         ring.bootstrap("db1")
         ring.net.isolate("lt2a")
         ring.net.isolate("lt2b")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RaftError
-from repro.raft import node as node_module
+from repro.raft import batching
 from repro.raft.types import RaftRole
 
 from tests.raft.harness import RaftRing, three_node_ring, voter
@@ -72,7 +72,7 @@ class TestProposalBatching:
         assert all(f.result() is not None for f in futures)
 
     def test_batch_splits_at_propose_batch_max(self, monkeypatch):
-        monkeypatch.setattr(node_module, "PROPOSE_BATCH_MAX", 4)
+        monkeypatch.setattr(batching, "PROPOSE_BATCH_MAX", 4)
         ring = three_node_ring()
         leader = ring.bootstrap("n1")
         probe = _AppendProbe(leader.storage)

@@ -14,7 +14,7 @@ from repro.raft.membership import MembershipConfig
 from repro.raft.messages import InstallSnapshotChunk, InstallSnapshotRequest, InstallSnapshotResponse
 from repro.raft.types import OpId
 from repro.snapshot.installer import SnapshotInstaller
-from repro.snapshot.transfer import LeaderSnapshotShipper, _Session
+from repro.snapshot.transfer import LeaderSnapshotShipper, SnapshotManager, _Session
 from repro.snapshot.producer import build_image
 
 from tests.raft.harness import RaftRing, voter
@@ -159,7 +159,7 @@ class TestAdoptConfigIndex:
         wire = MembershipConfig(
             (voter("db1"), voter("db2"), voter("db3"), voter("db4"))
         ).to_wire()
-        node.adopt_snapshot(OpId(2, 10), members_wire=wire, config_index=7)
+        SnapshotManager(ring.host("db2"), node).adopt(OpId(2, 10), members_wire=wire, config_index=7)
         # The fallback (log holds no CONFIG entry) must carry the image's
         # config_index, not reset ordering to 0.
         assert node.membership.config_index == 7
