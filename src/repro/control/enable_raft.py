@@ -116,7 +116,7 @@ class EnableRaftTool:
             for name, old_service in list(cluster.services.items()):
                 host = cluster.hosts[name]
                 if isinstance(old_service, SemiSyncServer):
-                    old_service._teardown_runtime()
+                    old_service.mysql.stop_runtime()
                     service = MyRaftServer(
                         host=host,
                         membership=membership,
@@ -138,8 +138,7 @@ class EnableRaftTool:
                     )
                 else:
                     continue  # automation host keeps its service
-                host.replace_service(service)
-                cluster.services[name] = service
+                cluster.register(host, service)
                 new_services[name] = service
                 report.converted_members.append(name)
                 # Raft bootstrap on this entity (config distribution,

@@ -6,9 +6,12 @@ GTID at commit time, then hand the transaction to the commit pipeline
 whose stage behaviours are supplied by the active replication driver
 (the Raft plugin, or the semi-sync driver for the baseline).
 
-Role changes never happen here on the server's own initiative — they are
-*orchestrated* from outside (by Raft callbacks or by failover
-automation), in line with the paper's design.
+The server also performs the §3.3 persona flip, written once for both
+drivers: the replica runtime (applier pipeline plus applier over the
+driver's log), promotion and demotion. It never flips on its own
+initiative: the driver decides *when* (Raft callbacks for MyRaft,
+external failover automation for semi-sync), in line with the paper's
+design.
 """
 
 from __future__ import annotations
@@ -69,21 +72,36 @@ class MySQLServer:
         self.read_only = initial_role != ServerRole.PRIMARY
         self.pipeline: CommitPipeline | None = None
         self.applier: Applier | None = None
+        # STOP/START REPLICA SQL_THREAD; survives restarts and flips.
+        self.sql_thread_enabled = True
         self._xids = itertools.count(1)
         self._table_ids: dict[str, int] = {}
         self.writes_accepted = 0
         self.writes_rejected = 0
         self.reads_served = 0
 
-    # -- wiring (done by the replication driver) --------------------------------
+    def attach_driver(
+        self,
+        log,
+        replica_wait,
+        primary_flush,
+        primary_wait,
+        applier_rng: RngStream | None = None,
+        apply_workers: int = 1,
+    ) -> None:
+        """Plug the replication driver in: the replicated ``log`` the
+        applier tails (anything with ``entry(index)``), the replica
+        pipeline's wait stage (None: asynchronous, no wait), the primary
+        pipeline's flush and wait stages, and what the applier draws from
+        (default: this server's stream) and runs with."""
+        self._log = log
+        self._replica_wait = replica_wait or self._async_wait
+        self._primary_flush = primary_flush
+        self._primary_wait = primary_wait
+        self._applier_rng = applier_rng or self.rng
+        self._apply_workers = apply_workers
 
-    def attach_pipeline(self, pipeline: CommitPipeline) -> None:
-        self.pipeline = pipeline
-
-    def attach_applier(self, applier: Applier) -> None:
-        self.applier = applier
-
-    # -- role orchestration primitives (called by drivers, §3.3) ------------------
+    # -- the persona flip (§3.3): the driver decides when ---------------------------
 
     def enable_client_writes(self) -> None:
         self.role = ServerRole.PRIMARY
@@ -93,8 +111,108 @@ class MySQLServer:
         self.role = ServerRole.REPLICA
         self.read_only = True
 
-    def rewire_logs(self, persona: str) -> None:
-        self.log_manager.rewire(persona)
+    def start_replica_runtime(self) -> None:
+        """Assemble the replica persona: the applier pipeline and an applier
+        over the driver's log. Online recovery (§3.3 step 5): the applier
+        cursor comes from the last transaction committed in the engine."""
+        pipeline = make_pipeline_for_server(
+            self, self._relay_flush, self._replica_wait, name=f"{self.host.name}.applier-pipeline"
+        )
+        self.applier = Applier(
+            host=self.host,
+            engine=self.engine,
+            entry_source=self.entry_source,
+            pipeline=pipeline,
+            timing=self.timing,
+            rng=self._applier_rng,
+            workers=self._apply_workers,
+        )
+        if self.sql_thread_enabled:
+            self.applier.start(self.engine.last_committed_opid.index + 1)
+
+    def stop_runtime(self) -> None:
+        if self.pipeline is not None:
+            self.pipeline.stop("role change")
+        if self.applier is not None:
+            self.applier.stop()
+            self.applier = None
+
+    def promote(self, catch_up_to: int, proceed=None):
+        """Coroutine: §3.3 replica → primary. The applier commits the log
+        through ``catch_up_to`` to the engine; then, unless ``proceed()``
+        says the promotion went stale meanwhile, the replica runtime
+        stops, the logs rewire relay → binlog, the primary pipeline starts
+        and client writes are enabled. Returns whether it flipped."""
+        applier = self.applier
+        if applier is not None:
+            applier.signal()
+            yield applier.catch_up_to(catch_up_to)
+        if proceed is not None and not proceed():
+            return False
+        self.stop_runtime()
+        self.log_manager.rewire("binlog")
+        make_pipeline_for_server(
+            self,
+            self._primary_flush,
+            self._primary_wait,
+            name=f"{self.host.name}.primary-pipeline",
+        )
+        self.enable_client_writes()
+        return True
+
+    def demote(self, reason: str) -> int:
+        """§3.3 primary → replica, synchronously (every step is online):
+        abort the transactions in flight, disable writes, rewire the logs
+        binlog → relay and restart the replica runtime. Returns how many
+        transactions rolled back."""
+        aborted = self.abort_in_flight(reason)
+        self.disable_client_writes()
+        self.stop_runtime()
+        self.log_manager.rewire("relay")
+        self.start_replica_runtime()
+        return aborted
+
+    def entry_source(self, index: int):
+        """The applier's feed: the transaction at ``index`` of the driver's log."""
+        entry = self._log.entry(index)
+        if entry is None:
+            return None
+        return Transaction.decode(entry.payload), entry.kind
+
+    @staticmethod
+    def _relay_flush(group: list[PipelineTxn]):
+        """Replica flush stage (§3.5): the group goes to the applier's
+        local log; OpIds came with the relay log, so only the fsync cost
+        applies (charged by the pipeline)."""
+        last = group[-1].opid
+        assert last is not None
+        return last
+
+    def _async_wait(self, opid) -> SimFuture:
+        future = SimFuture(self.host.loop, label=f"async:{opid}")
+        future.resolve(opid)
+        return future
+
+    def stop_sql_thread(self) -> None:
+        """STOP REPLICA SQL_THREAD: halt apply while the relay log keeps
+        filling. In-flight apply groups are killed like MySQL's worker
+        stop: they roll back (online) and re-apply after START. A
+        primary has no SQL thread."""
+        if self.role == ServerRole.PRIMARY:
+            raise MySQLError(f"{self.host.name} is the primary; no SQL thread")
+        self.sql_thread_enabled = False
+        if self.applier is not None and self.applier.running:
+            self.applier.stop()
+        if self.pipeline is not None:
+            self.pipeline.abort_all("sql thread stopped")
+
+    def start_sql_thread(self) -> None:
+        """START REPLICA SQL_THREAD: resume apply from the engine's last
+        committed transaction (§3.3 step 5 positioning)."""
+        self.sql_thread_enabled = True
+        if self.applier is not None and not self.applier.running:
+            self.applier.start(self.engine.last_committed_opid.index + 1)
+            self.applier.signal()
 
     def abort_in_flight(self, reason: str) -> int:
         """§3.3 demotion step 1: roll back every transaction waiting in the
@@ -236,31 +354,18 @@ class MySQLServer:
     # -- crash recovery ------------------------------------------------------------
 
     def recover_after_restart(self) -> dict[str, Any]:
-        """Rebuild volatile structures from the disk after a crash.
-
-        The engine rolls prepared transactions back (A.2 case 1); the log
-        manager re-parses its files. Pipeline and applier are rebuilt by
-        the replication driver that owns them.
-        """
-        self.engine = StorageEngine(
-            self.host.disk.namespace("engine.tables"), self.host.disk.namespace("engine.meta")
-        )
-        rolled_back = self.engine.recover()
-        self.log_manager = MySQLLogManager(self.host.disk.namespace("mysqllog"))
-        self.pipeline = None
-        self.applier = None
-        self.role = ServerRole.REPLICA
-        self.read_only = True
-        self._table_ids.clear()
-        return {"rolled_back_xids": rolled_back}
+        """Rebuild volatile structures from the disk after a crash: the
+        engine rolls prepared transactions back (A.2 case 1), the log
+        manager re-parses its files. The driver restarts the replica
+        runtime (:meth:`start_replica_runtime`) once its log is reloaded."""
+        self.reset_to_seeded_disk(persona="binlog")
+        return {"rolled_back_xids": self.engine.recover()}
 
     def reset_to_seeded_disk(self, persona: str = "relay") -> None:
-        """Rebuild volatile structures over a freshly *seeded* disk
-        (snapshot install): like :meth:`recover_after_restart`, but the
-        seeded namespaces are a consistent committed image — there are no
-        prepared transactions to roll back, and rolling back would wrongly
-        touch the seeded state.
-        """
+        """Rebuild volatile structures over the disk as it stands, rolling
+        nothing back: after a snapshot install the seeded namespaces are a
+        consistent committed image, and a rollback would wrongly touch
+        them. ``persona`` applies to a log the disk does not hold yet."""
         self.engine = StorageEngine(
             self.host.disk.namespace("engine.tables"), self.host.disk.namespace("engine.meta")
         )
@@ -290,6 +395,25 @@ class MySQLServer:
         }
 
 
+class MySQLMember:
+    """A database member's host service: one :class:`MySQLServer` under a
+    replication driver. Both stacks' members share this surface."""
+
+    host: Host
+    mysql: MySQLServer
+
+    @property
+    def applier(self) -> Applier | None:
+        """The running applier; None on a primary."""
+        return self.mysql.applier
+
+    def submit_write(self, table: str, rows: dict):
+        """Run one client write transaction; returns its Process."""
+        return self.host.spawn(
+            self.mysql.client_write(table, rows), label=f"{self.host.name}:write"
+        )
+
+
 def make_pipeline_for_server(
     server: MySQLServer,
     flush_fn,
@@ -314,5 +438,5 @@ def make_pipeline_for_server(
         abort_fn=server.rollback_pipeline_txn,
         name=name,
     )
-    server.attach_pipeline(pipeline)
+    server.pipeline = pipeline
     return pipeline

@@ -166,11 +166,15 @@ class BinlogRaftLogStorage(LogStorage):
         self._first = opid.index + 1
         self._last = opid
 
-    def _rebuild_index(self) -> None:
-        self._spans = []
+    def _reset_to_base(self) -> None:
+        """An empty log starts right after its snapshot base, if any."""
         base = self._mgr.base_opid()
         self._first = base.index + 1 if base is not None else 1
         self._last = base if base is not None else OpId.zero()
+
+    def _rebuild_index(self) -> None:
+        self._spans = []
+        self._reset_to_base()
         for file_name in self._mgr.index.names():
             log_file = self._mgr.files[file_name]
             span = None
@@ -258,12 +262,12 @@ class BinlogRaftLogStorage(LogStorage):
                     gtids.remove(facts.gtid)
             del span.facts[cut:]
         self._spans = [span for span in self._spans if span.facts]
-        tail = self._span_of(index - 1)
-        if tail is not None:
-            self._last = tail.facts[-1].opid
+        if self._spans:
+            self._last = self._spans[-1].facts[-1].opid
         else:
-            base = self._mgr.base_opid()
-            self._last = base if base is not None else OpId.zero()
+            # Nothing left, purged prefix included: the log restarts where
+            # a recovery over these files would start it.
+            self._reset_to_base()
         return removed_entries
 
     def entry(self, index: int) -> LogEntry | None:

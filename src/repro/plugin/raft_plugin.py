@@ -2,7 +2,9 @@
 
 This is the paper's Figure 2 in one object: the MySQL server interfaces
 with the ``mysql_raft_repl`` plugin, the plugin embeds the Raft node, and
-Raft calls back into MySQL through the orchestration hooks:
+Raft calls back into MySQL through the orchestration hooks. The hooks
+decide *when* to flip; :class:`~repro.mysql.server.MySQLServer` runs the
+steps, the same ones the semi-sync baseline's automation triggers:
 
 - **promotion** (§3.3): no-op asserted by Raft → applier catches up and
   commits everything to the engine → logs rewired relay→binlog → client
@@ -22,11 +24,10 @@ from typing import Any
 
 from repro.control.discovery import ServiceDiscovery
 from repro.errors import LogTruncatedError, NotLeaderError, SimTimeoutError
-from repro.mysql.applier import Applier
 from repro.mysql.events import RotateEvent, Transaction
 from repro.mysql.logical_clock import LogicalClock, writeset_hashes
 from repro.mysql.pipeline import PipelineTxn
-from repro.mysql.server import MySQLServer, ServerRole, make_pipeline_for_server
+from repro.mysql.server import MySQLMember, MySQLServer
 from repro.mysql.timing import TimingProfile
 from repro.plugin.binlog_storage import BinlogFsyncTiming, BinlogHooks, BinlogRaftLogStorage
 from repro.raft.config import RaftConfig
@@ -79,7 +80,7 @@ class _PluginHooks(BinlogHooks):
         self._plugin._on_commit_advance(opid)
 
 
-class MyRaftServer:
+class MyRaftServer(MySQLMember):
     """Host service: one MyRaft database member."""
 
     def __init__(
@@ -97,8 +98,7 @@ class MyRaftServer:
         self.host = host
         self.discovery = discovery
         self.replicaset = replicaset
-        self.raft_config = raft_config
-        self.mysql = MySQLServer(host, timing, rng, initial_role=ServerRole.REPLICA)
+        self.mysql = MySQLServer(host, timing, rng)
         self.storage = BinlogRaftLogStorage(self.mysql.log_manager)
         self.node = RaftNode(
             host=host,
@@ -112,17 +112,22 @@ class MyRaftServer:
             router=router,
             ring_id=replicaset,
         )
+        self.mysql.attach_driver(
+            self.storage,
+            replica_wait=self.wait_for_commit,
+            primary_flush=self._leader_flush,
+            primary_wait=self.wait_for_commit,
+            apply_workers=raft_config.parallel_apply_workers,
+        )
         self._commit_waiters: list[tuple[int, SimFuture]] = []
-        self.applier: Applier | None = None
         self._clock: LogicalClock | None = None
-        self._sql_thread_enabled = True
         self.promotions = 0
         self.demotions = 0
         # Raft-side visibility of the engine apply watermark (replica
         # apply lag = commit_index - applied index, surfaced in stats()).
         self.node.applied_index_fn = lambda: self.mysql.engine.last_committed_opid.index
         self._wire_snapshots()
-        self._build_replica_runtime()
+        self.mysql.start_replica_runtime()
 
     # -- host service interface -------------------------------------------------
 
@@ -154,51 +159,8 @@ class MyRaftServer:
         # Fresh manager: stale transfer sessions must not survive a crash
         # (follower-side staging is durable and resumes on its own).
         self._wire_snapshots()
-        self._build_replica_runtime()
+        self.mysql.start_replica_runtime()
         self._trace("myraft.recovered")
-
-    # -- runtime assembly ------------------------------------------------------------
-
-    def _teardown_runtime(self) -> None:
-        if self.mysql.pipeline is not None:
-            self.mysql.pipeline.stop("role change")
-        if self.applier is not None:
-            self.applier.stop()
-            self.applier = None
-
-    def _build_replica_runtime(self) -> None:
-        pipeline = make_pipeline_for_server(
-            self.mysql,
-            flush_fn=self._applier_flush,
-            wait_fn=self.wait_for_commit,
-            name=f"{self.host.name}.applier-pipeline",
-        )
-        self.applier = Applier(
-            host=self.host,
-            engine=self.mysql.engine,
-            entry_source=self._entry_source,
-            pipeline=pipeline,
-            timing=self.mysql.timing,
-            rng=self.mysql.rng,
-            workers=self.raft_config.parallel_apply_workers,
-        )
-        self.mysql.attach_applier(self.applier)
-        # Online recovery protocol (§3.3 step 5): the applier cursor comes
-        # from the last transaction committed in the engine.
-        if self._sql_thread_enabled:
-            self.applier.start(self.mysql.engine.last_committed_opid.index + 1)
-
-    def _build_primary_runtime(self) -> None:
-        make_pipeline_for_server(
-            self.mysql,
-            flush_fn=self._leader_flush,
-            wait_fn=self.wait_for_commit,
-            name=f"{self.host.name}.primary-pipeline",
-        )
-        self.applier = None
-        # Fresh logical clock per leadership: sequence numbers restart at
-        # zero and replicas key the domain off the OpId term.
-        self._clock = LogicalClock(history_size=WRITESET_HISTORY_SIZE)
 
     # -- pipeline stage behaviours ---------------------------------------------------
 
@@ -236,14 +198,6 @@ class MyRaftServer:
         assert last is not None
         return last
 
-    def _applier_flush(self, group: list[PipelineTxn]) -> OpId:
-        """Replica flush stage (§3.5): the transactions are written to the
-        applier's local (non-replicated) log; OpIds came with the relay
-        log, so only the fsync cost applies (charged by the pipeline)."""
-        last = group[-1].opid
-        assert last is not None
-        return last
-
     def wait_for_commit(self, opid: OpId) -> SimFuture:
         """Stage-2 behaviour for both roles (§3.5's symmetry): resolve when
         Raft's consensus-commit marker covers ``opid``.
@@ -278,8 +232,9 @@ class MyRaftServer:
             self._settle_commit_waiter(waited_opid, future)
 
     def _on_entries_appended(self, entries: list[LogEntry], from_leader: bool) -> None:
-        if from_leader and self.applier is not None:
-            self.applier.signal()
+        applier = self.mysql.applier
+        if from_leader and applier is not None:
+            applier.signal()
 
     def _on_truncated(self, removed: list[LogEntry]) -> None:
         # GTID metadata cleanup happens inside BinlogRaftLogStorage; the
@@ -294,7 +249,8 @@ class MyRaftServer:
                 future.fail_if_pending(
                     NotLeaderError(f"entry {waited_opid} truncated from the log")
                 )
-            if self.applier is not None and self.applier.cursor > cut:
+            applier = self.mysql.applier
+            if applier is not None and applier.cursor > cut:
                 # The applier has already read (and possibly prepared) a
                 # removed entry, and its cursor never rewinds on its own:
                 # left alone it would skip straight past whatever the new
@@ -303,8 +259,8 @@ class MyRaftServer:
                 # last transaction committed in the engine (§3.3 step 5)
                 # — the same recipe a demotion uses — rolling back any
                 # prepared-but-uncommitted work in flight.
-                self._teardown_runtime()
-                self._build_replica_runtime()
+                self.mysql.stop_runtime()
+                self.mysql.start_replica_runtime()
         self._trace("myraft.log_truncated", count=len(removed))
 
     def _on_elected_leader(self, term: int, noop_opid: OpId) -> None:
@@ -316,16 +272,16 @@ class MyRaftServer:
         """§3.3 replica → primary orchestration (steps 2–5; step 1, the
         no-op append, already happened inside Raft)."""
         self._trace("myraft.promotion_started", noop=str(noop_opid))
-        if self.applier is not None:
-            self.applier.signal()
-            yield self.applier.catch_up_to(noop_opid.index)
-        if not (self.node.is_leader and self.node.current_term == term):
+        promoted = yield from self.mysql.promote(
+            noop_opid.index,
+            proceed=lambda: self.node.is_leader and self.node.current_term == term,
+        )
+        if not promoted:
             self._trace("myraft.promotion_abandoned")
             return
-        self._teardown_runtime()
-        self.mysql.rewire_logs("binlog")
-        self._build_primary_runtime()
-        self.mysql.enable_client_writes()
+        # Fresh logical clock per leadership: sequence numbers restart at
+        # zero and replicas key the domain off the OpId term.
+        self._clock = LogicalClock(history_size=WRITESET_HISTORY_SIZE)
         self.promotions += 1
         if self.discovery is not None:
             self.discovery.publish_primary(self.replicaset, self.host.name)
@@ -334,11 +290,7 @@ class MyRaftServer:
     def _on_demoted(self, term: int, leader: str | None) -> None:
         """§3.3 primary → replica orchestration (synchronous: every step is
         an online, non-blocking operation)."""
-        aborted = self.mysql.abort_in_flight("leader demoted")
-        self.mysql.disable_client_writes()
-        self._teardown_runtime()
-        self.mysql.rewire_logs("relay")
-        self._build_replica_runtime()
+        aborted = self.mysql.demote("leader demoted")
         self.demotions += 1
         self._trace("myraft.demoted", aborted=aborted, new_leader=leader)
 
@@ -372,7 +324,7 @@ class MyRaftServer:
         wipe volatile runtime, seed the durable namespaces, restart the
         log at the image's OpId, resume tailing as a replica."""
         self._trace("myraft.snapshot_install_started", snapshot=image.snapshot_id)
-        self._teardown_runtime()
+        self.mysql.stop_runtime()
         for _, waiter in self._commit_waiters:
             waiter.fail_if_pending(
                 NotLeaderError(f"{self.host.name} discarded its state for a snapshot install")
@@ -386,7 +338,7 @@ class MyRaftServer:
         self.storage.reload(self.mysql.log_manager)
         self.storage.seed_base(image.last_opid)
         self.node.snapshots.adopt(image.last_opid, image.members_wire, image.config_index)
-        self._build_replica_runtime()
+        self.mysql.start_replica_runtime()
         self._trace("myraft.snapshot_installed", opid=str(image.last_opid))
 
     def snapshot_and_compact(self) -> list[str]:
@@ -398,21 +350,7 @@ class MyRaftServer:
         self.node.snapshots.shipper.refresh_image()
         return self.purge_to_horizon()
 
-    # -- applier feed ----------------------------------------------------------------------
-
-    def _entry_source(self, index: int):
-        entry = self.storage.entry(index)
-        if entry is None:
-            return None
-        return Transaction.decode(entry.payload), entry.kind
-
     # -- operator commands ----------------------------------------------------------------
-
-    def submit_write(self, table: str, rows: dict):
-        """Run one client write transaction; returns its Process/future."""
-        return self.host.spawn(
-            self.mysql.client_write(table, rows), label=f"{self.host.name}:write"
-        )
 
     def submit_read(self, table: str, pk):
         """Run one linearizable read; returns a Process resolving to
@@ -470,7 +408,7 @@ class MyRaftServer:
                 raise SimTimeoutError(
                     f"{self.host.name}: apply wait for read index {read_index} timed out"
                 )
-            applier = self.applier
+            applier = self.mysql.applier
             if applier is not None:
                 yield with_timeout(
                     self.host.loop,
@@ -483,28 +421,6 @@ class MyRaftServer:
                 # marker only by the engine-commit stage. Poll at
                 # sub-millisecond grain.
                 yield 0.0005
-
-    def stop_sql_thread(self) -> None:
-        """STOP REPLICA SQL_THREAD: halt apply while the relay log keeps
-        filling (the I/O side is Raft replication and never stops). The
-        standard way to stage a catch-up backlog for apply benchmarks."""
-        if self.node.is_leader:
-            raise NotLeaderError(f"{self.host.name} is the primary; no SQL thread")
-        self._sql_thread_enabled = False
-        if self.applier is not None and self.applier.running:
-            self.applier.stop()
-        if self.mysql.pipeline is not None:
-            # Kill in-flight apply groups like MySQL's worker stop: they
-            # roll back (online) and re-apply after START.
-            self.mysql.pipeline.abort_all("sql thread stopped")
-
-    def start_sql_thread(self) -> None:
-        """START REPLICA SQL_THREAD: resume apply from the engine's last
-        committed transaction (§3.3 step 5 positioning)."""
-        self._sql_thread_enabled = True
-        if self.applier is not None and not self.applier.running:
-            self.applier.start(self.mysql.engine.last_committed_opid.index + 1)
-            self.applier.signal()
 
     def flush_binary_logs(self):
         """FLUSH BINARY LOGS (§A.1): replicate a rotate through Raft."""

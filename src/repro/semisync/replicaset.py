@@ -1,30 +1,34 @@
 """A running semi-sync (prior setup) replicaset — the evaluation baseline.
 
-Mirrors :class:`repro.cluster.MyRaftReplicaset`'s interface so experiments
-can run both systems over identical topologies, networks, and workloads.
+Shares :class:`repro.cluster.replicaset.Replicaset`'s operator shell with
+:class:`repro.cluster.MyRaftReplicaset`, so experiments run both systems
+over identical topologies, networks, and workloads; only the members'
+replication driver and the failover automation differ.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.cluster.replicaset import paper_network_spec
+from repro.cluster.replicaset import Replicaset
 from repro.cluster.topology import ReplicaSetSpec
-from repro.control.discovery import ServiceDiscovery
 from repro.errors import ReproError
 from repro.mysql.server import ServerRole
 from repro.mysql.timing import TimingProfile, semisync_profile
+from repro.raft.types import MemberInfo
 from repro.semisync.automation import FailoverAutomation, SemiSyncAutomationConfig
 from repro.semisync.server import SemiSyncAcker, SemiSyncServer
 from repro.sim.host import Host
-from repro.sim.loop import EventLoop
-from repro.sim.network import Network, NetworkSpec
-from repro.sim.rng import RngStream
-from repro.sim.tracing import Tracer
+from repro.sim.network import NetworkSpec
 
 
-class SemiSyncReplicaset:
+class SemiSyncReplicaset(Replicaset):
     """One simulated prior-setup replicaset, fully wired."""
+
+    database_class = SemiSyncServer
+    # Failover is minutes-scale here (Table 2): wait longer, poll coarser.
+    primary_wait_timeout = 300.0
+    primary_wait_step = 0.25
 
     def __init__(
         self,
@@ -35,37 +39,12 @@ class SemiSyncReplicaset:
         timing: TimingProfile | None = None,
         trace_capacity: int | None = None,
     ) -> None:
-        self.spec = spec
-        self.loop = EventLoop()
-        self.rng = RngStream(seed)
-        self.tracer = Tracer(self.loop, capacity=trace_capacity)
-        self.net = Network(
-            self.loop, self.rng, spec=network_spec or paper_network_spec(), tracer=self.tracer
-        )
-        self.discovery = ServiceDiscovery(self.loop)
-        self.timing = timing or semisync_profile()
-        self.membership = spec.membership()
-
-        self.hosts: dict[str, Host] = {}
-        self.services: dict[str, Any] = {}
+        super().__init__(spec, seed, network_spec, timing or semisync_profile(), trace_capacity)
+        members = self.membership.members
         acker_names_by_region: dict[str, list[str]] = {}
-        member_regions: dict[str, str] = {}
-        database_names: list[str] = []
-        for member in self.membership.members:
-            host = Host(self.loop, self.net, member.name, member.region, tracer=self.tracer)
-            member_regions[member.name] = member.region
-            if member.has_storage_engine:
-                service: Any = SemiSyncServer(
-                    host, self.timing, self.rng, failover_capable=member.is_voter
-                )
-                database_names.append(member.name)
-            else:
-                service = SemiSyncAcker(host, self.timing, self.rng)
+        for member in members:
+            if not member.has_storage_engine:
                 acker_names_by_region.setdefault(member.region, []).append(member.name)
-            host.attach_service(service)
-            self.hosts[member.name] = host
-            self.services[member.name] = service
-
         # The control plane lives on its own host in the primary's region.
         automation_host = Host(
             self.loop, self.net, "automation", spec.regions[0].name, tracer=self.tracer
@@ -75,30 +54,31 @@ class SemiSyncReplicaset:
             config=automation_config or SemiSyncAutomationConfig(),
             discovery=self.discovery,
             replicaset=spec.replicaset_id,
-            database_names=database_names,
+            database_names=[m.name for m in members if m.has_storage_engine],
             acker_names_by_region=acker_names_by_region,
-            member_regions=member_regions,
+            member_regions={m.name: m.region for m in members},
             rng=self.rng,
         )
         automation_host.attach_service(self.automation)
         self.hosts["automation"] = automation_host
 
-    # -- access -------------------------------------------------------------------
-
-    def server(self, name: str) -> SemiSyncServer:
-        service = self.services[name]
-        if not isinstance(service, SemiSyncServer):
-            raise ReproError(f"{name!r} is not a database server")
+    def provision(self, host: Host, member: MemberInfo, membership: Any) -> Any:
+        if member.has_storage_engine:
+            service: Any = SemiSyncServer(
+                host, self.timing, self.rng, failover_capable=member.is_voter
+            )
+        else:
+            service = SemiSyncAcker(host, self.timing, self.rng)
+        self.register(host, service)
         return service
+
+    # -- access -------------------------------------------------------------------
 
     def acker(self, name: str) -> SemiSyncAcker:
         service = self.services[name]
         if not isinstance(service, SemiSyncAcker):
             raise ReproError(f"{name!r} is not an acker")
         return service
-
-    def database_services(self) -> list[SemiSyncServer]:
-        return [s for s in self.services.values() if isinstance(s, SemiSyncServer)]
 
     def primary_service(self) -> SemiSyncServer | None:
         candidates = [
@@ -141,62 +121,9 @@ class SemiSyncReplicaset:
         self.automation.start_monitoring(primary_name)
         return primary
 
-    def run(self, seconds: float) -> None:
-        self.loop.run_for(seconds, max_events=50_000_000)
-
-    def crash(self, name: str) -> None:
-        self.hosts[name].crash()
-
-    def restart(self, name: str) -> None:
-        self.hosts[name].restart()
-
-    # -- operations -------------------------------------------------------------------
-
-    def write(self, table: str, rows: dict):
-        primary = self.primary_service()
-        if primary is None:
-            raise ReproError("no writable primary")
-        return primary.submit_write(table, rows)
-
-    def write_and_run(self, table: str, rows: dict, seconds: float = 1.0):
-        process = self.write(table, rows)
-        self.run(seconds)
-        return process
-
     def transfer_leadership(self, target: str):
         """Operator-driven graceful promotion of ``target``; the process
         resolves True once the automation has published it."""
         return self.hosts["automation"].spawn(
             self.automation.graceful_promotion(target), label="graceful-promotion"
         )
-
-    def wait_for_primary(
-        self, timeout: float = 300.0, step: float = 0.25, exclude: str | None = None
-    ) -> SemiSyncServer:
-        deadline = self.loop.now + timeout
-        while self.loop.now < deadline:
-            self.run(step)
-            primary = self.primary_service()
-            if primary is not None and primary.host.name != exclude:
-                return primary
-        raise ReproError(f"no writable primary within {timeout}s")
-
-    # -- §5.1-style checks ----------------------------------------------------------------
-
-    def databases_converged(self) -> bool:
-        live = [s for s in self.database_services() if self.hosts[s.host.name].alive]
-        if len(live) < 2:
-            return True
-        reference = live[0]
-        return all(
-            s.mysql.checksum() == reference.mysql.checksum()
-            and s.mysql.engine.executed_gtids == reference.mysql.engine.executed_gtids
-            for s in live[1:]
-        )
-
-    def status(self) -> dict[str, Any]:
-        return {
-            name: service.status()
-            for name, service in self.services.items()
-            if hasattr(service, "status")
-        }

@@ -15,11 +15,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import MySQLError
-from repro.mysql.applier import Applier
 from repro.mysql.events import Transaction
 from repro.mysql.log_manager import MySQLLogManager
 from repro.mysql.pipeline import PipelineTxn
-from repro.mysql.server import MySQLServer, ServerRole, make_pipeline_for_server
+from repro.mysql.server import MySQLMember, MySQLServer, ServerRole
 from repro.mysql.timing import TimingProfile
 from repro.plugin.binlog_storage import BinlogRaftLogStorage
 from repro.raft.log_storage import ENTRY_KIND_DATA, LogEntry
@@ -44,15 +43,8 @@ class _ShipLog:
     """Shared receive-side logic: append shipped entries with gap
     detection and generation-conflict truncation."""
 
-    def __init__(self, host: Host, storage: BinlogRaftLogStorage, timing: TimingProfile,
-                 rng: RngStream) -> None:
-        self.host = host
+    def __init__(self, storage: BinlogRaftLogStorage) -> None:
         self.storage = storage
-        self.timing = timing
-        self.rng = rng
-
-    def last_opid(self) -> OpId:
-        return self.storage.last_opid()
 
     def receive(self, msg: ShipEntries) -> tuple[int, bool]:
         """Apply a ship batch. Returns (new last seq, appended_anything).
@@ -87,7 +79,7 @@ class SemiSyncAcker:
         self.storage = BinlogRaftLogStorage(self.log_manager)
         self.timing = timing
         self.rng = rng.child(f"acker/{host.name}")
-        self._ship_log = _ShipLog(host, self.storage, timing, rng)
+        self._ship_log = _ShipLog(self.storage)
         self._upstream: str | None = None
 
     def handle_message(self, src: str, message: Any) -> None:
@@ -150,10 +142,9 @@ class SemiSyncAcker:
     def on_restart(self) -> None:
         self.log_manager = MySQLLogManager(self.host.disk.namespace("mysqllog"))
         self.storage.reload(self.log_manager)
-        self._ship_log.storage = self.storage
 
 
-class SemiSyncServer:
+class SemiSyncServer(MySQLMember):
     """A MySQL instance under the prior setup (primary or replica)."""
 
     def __init__(
@@ -167,19 +158,30 @@ class SemiSyncServer:
         self.timing = timing
         self.rng = rng.child(f"semisync/{host.name}")
         self.failover_capable = failover_capable
-        self.mysql = MySQLServer(host, timing, rng, initial_role=ServerRole.REPLICA)
-        self.storage = BinlogRaftLogStorage(self.mysql.log_manager)
-        self._ship_log = _ShipLog(host, self.storage, timing, rng)
-        meta = host.disk.namespace("semisync.meta")
-        meta.setdefault("generation", 0)
-        self._meta = meta
-        self.applier: Applier | None = None
-        self.ship_targets: list[str] = []
         self.acker_names: list[str] = []
+        self.upstream: str | None = None
+        self._start(MySQLServer(host, timing, rng))
+
+    def _start(self, mysql: MySQLServer) -> None:
+        """Run over ``mysql`` as a replica with no shipping state: at
+        construction, and on a rebuild over a wiped disk."""
+        self.mysql = mysql
+        self.storage = BinlogRaftLogStorage(mysql.log_manager)
+        self._ship_log = _ShipLog(self.storage)
+        self._meta = self.host.disk.namespace("semisync.meta")
+        self._meta.setdefault("generation", 0)
+        self._reset_shipping()
+        # The replica's wait stage is None: async replication, no wait.
+        # The applier draws from this driver's stream, not the server's.
+        mysql.attach_driver(
+            self.storage, None, self._primary_flush, self._primary_wait, applier_rng=self.rng
+        )
+        mysql.start_replica_runtime()
+
+    def _reset_shipping(self) -> None:
         self._acked: dict[str, int] = {}
         self._ack_waiters: list[tuple[int, SimFuture]] = []
-        self.upstream: str | None = None
-        self._build_replica_runtime()
+        self.ship_targets: list[str] = []
 
     # -- role wiring --------------------------------------------------------------
 
@@ -187,65 +189,20 @@ class SemiSyncServer:
     def generation(self) -> int:
         return self._meta["generation"]
 
-    def _build_replica_runtime(self) -> None:
-        pipeline = make_pipeline_for_server(
-            self.mysql,
-            flush_fn=lambda group: group[-1].opid,
-            wait_fn=self._replica_wait,  # async replication: no wait
-            name=f"{self.host.name}.applier-pipeline",
-        )
-        self.applier = Applier(
-            host=self.host,
-            engine=self.mysql.engine,
-            entry_source=self._entry_source,
-            pipeline=pipeline,
-            timing=self.timing,
-            rng=self.rng,
-        )
-        self.mysql.attach_applier(self.applier)
-        self.applier.start(self.mysql.engine.last_committed_opid.index + 1)
-
-    def _replica_wait(self, opid: OpId) -> SimFuture:
-        future = SimFuture(self.host.loop, label=f"async:{opid}")
-        future.resolve(opid)
-        return future
-
-    def _teardown_runtime(self) -> None:
-        if self.mysql.pipeline is not None:
-            self.mysql.pipeline.stop("role change")
-        if self.applier is not None:
-            self.applier.stop()
-            self.applier = None
-
     def become_primary(
         self, generation: int, ship_targets: list[str], acker_names: list[str]
     ):
         """Coroutine: finish applying the local log, then switch to the
         primary persona and start accepting writes."""
-        if self.applier is not None:
-            self.applier.signal()
-            yield self.applier.catch_up_to(self.storage.last_opid().index)
-        self._teardown_runtime()
+        yield from self.mysql.promote(self.storage.last_opid().index)
         self._meta["generation"] = generation
         self.ship_targets = [t for t in ship_targets if t != self.host.name]
         self.acker_names = list(acker_names)
         self._acked = {}
-        self.mysql.rewire_logs("binlog")
-        make_pipeline_for_server(
-            self.mysql,
-            flush_fn=self._primary_flush,
-            wait_fn=self._primary_wait,
-            name=f"{self.host.name}.primary-pipeline",
-        )
-        self.mysql.enable_client_writes()
 
     def become_replica(self, upstream: str | None) -> None:
-        self.mysql.abort_in_flight("demoted by automation")
-        self.mysql.disable_client_writes()
-        self._teardown_runtime()
-        self.mysql.rewire_logs("relay")
         self.upstream = upstream
-        self._build_replica_runtime()
+        self.mysql.demote("demoted by automation")
 
     # -- primary data path ----------------------------------------------------------
 
@@ -312,19 +269,14 @@ class SemiSyncServer:
                 src, ResendRequest(self.storage.last_opid().index + 1, self.host.name)
             )
             return
-        if appended and self.applier is not None:
-            self.applier.signal()
+        applier = self.mysql.applier
+        if appended and applier is not None:
+            applier.signal()
         # Long tail behind? Proactively pull the rest.
         if msg.last_seq() > self.storage.last_opid().index:
             self.host.send(
                 src, ResendRequest(self.storage.last_opid().index + 1, self.host.name)
             )
-
-    def _entry_source(self, index: int):
-        entry = self.storage.entry(index)
-        if entry is None:
-            return None
-        return Transaction.decode(entry.payload), entry.kind
 
     # -- control plane -------------------------------------------------------------------
 
@@ -376,21 +328,13 @@ class SemiSyncServer:
         elif command == "rebuild":
             # The prior setup's answer to a possibly-diverged old primary:
             # wipe the host and re-seed everything from the new primary.
+            # The fresh server's stream derives from this driver's, so a
+            # rebuilt member draws apart from its first incarnation.
             upstream = req.args["primary"]
-            self._teardown_runtime()
+            self.mysql.stop_runtime()
             self.host.disk.wipe()
-            self.mysql = MySQLServer(
-                self.host, self.timing, self.rng, initial_role=ServerRole.REPLICA
-            )
-            self.storage = BinlogRaftLogStorage(self.mysql.log_manager)
-            self._ship_log.storage = self.storage
-            self._meta = self.host.disk.namespace("semisync.meta")
-            self._meta.setdefault("generation", 0)
-            self._acked = {}
-            self._ack_waiters = []
-            self.ship_targets = []
             self.upstream = upstream
-            self._build_replica_runtime()
+            self._start(MySQLServer(self.host, self.timing, self.rng))
             self.host.send(upstream, ResendRequest(1, self.host.name))
             self.host.send(src, ControlReply(req.request_id, True))
         elif command == "fetch_tail":
@@ -434,16 +378,8 @@ class SemiSyncServer:
         automation to repoint or rebuild us (the prior setup's behaviour)."""
         self.mysql.recover_after_restart()
         self.storage.reload(self.mysql.log_manager)
-        self._ship_log.storage = self.storage
-        self._acked = {}
-        self._ack_waiters = []
-        self.ship_targets = []
-        self._build_replica_runtime()
-
-    def submit_write(self, table: str, rows: dict):
-        return self.host.spawn(
-            self.mysql.client_write(table, rows), label=f"{self.host.name}:write"
-        )
+        self._reset_shipping()
+        self.mysql.start_replica_runtime()
 
     def submit_read(self, table: str, pk):
         """Run one read-your-writes read on the primary (the prior setup's

@@ -30,8 +30,8 @@ class WorkloadResult:
     read_errors: int = 0
     # Replica apply lag (leader commit index minus replica engine
     # watermark, in log entries), sampled during the run: keys ``peak``,
-    # ``final``, ``samples``. Empty when the cluster doesn't expose
-    # database services (e.g. the semi-sync baseline).
+    # ``final``, ``samples``. Empty on the semi-sync baseline, whose
+    # primary has no Raft commit index to sample against.
     apply_lag: dict = field(default_factory=dict)
 
     def latency_summary(self) -> LatencySummary:
@@ -76,8 +76,7 @@ class WorkloadRunner:
             spawn(loop, self._client(client_id, measure_from), label=f"client-{client_id}")
             for client_id in range(self.spec.clients)
         ]
-        if callable(getattr(self.cluster, "database_services", None)):
-            spawn(loop, self._lag_sampler(), label="apply-lag-sampler")
+        spawn(loop, self._lag_sampler(), label="apply-lag-sampler")
         self.cluster.run(warmup + duration)
         for client in clients:
             if client.failed():
@@ -96,11 +95,7 @@ class WorkloadRunner:
                 continue
             # The read draw is guarded so a write-only spec consumes no
             # extra randomness: existing seeds replay byte-identically.
-            is_read = (
-                self.spec.read_fraction > 0
-                and getattr(primary, "submit_read", None) is not None
-                and rng.random() < self.spec.read_fraction
-            )
+            is_read = self.spec.read_fraction > 0 and rng.random() < self.spec.read_fraction
             if is_read:
                 target = self._read_target(client_id, primary, rng)
                 yield from self._one_read(client_id, target, rng, measure_from)

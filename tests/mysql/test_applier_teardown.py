@@ -66,7 +66,7 @@ class TestApplierTeardown:
         first = make_applier(world, entries, rng_seed=5)
 
         self.run_until_mid_apply(world, first)
-        # The plugin's _teardown_runtime order: stop the pipeline (aborting
+        # MySQLServer.stop_runtime's order: stop the pipeline (aborting
         # pipeline-owned transactions), then the applier (rolling back the
         # half-built one).
         world.server.pipeline.stop("role change")

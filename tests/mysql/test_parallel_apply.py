@@ -205,7 +205,7 @@ def drain_backlog(workers, txns=300, rows_per_txn=8):
     lagging = next(
         s for s in rs.database_services() if s.host.region != primary.host.region
     )
-    lagging.stop_sql_thread()
+    lagging.mysql.stop_sql_thread()
     for first in range(0, txns, 32):
         batch = []
         for n in range(first, min(first + 32, txns)):
@@ -218,7 +218,7 @@ def drain_backlog(workers, txns=300, rows_per_txn=8):
         rs.run(0.02)  # the relay log holds the whole backlog
     assert goal - lagging.mysql.engine.last_committed_opid.index >= txns
     started = rs.loop.now
-    lagging.start_sql_thread()
+    lagging.mysql.start_sql_thread()
     while lagging.mysql.engine.last_committed_opid.index < goal:
         assert rs.loop.now - started < 30.0, "the replica never drained its backlog"
         rs.run(0.005)

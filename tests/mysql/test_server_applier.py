@@ -214,7 +214,7 @@ class TestApplier:
             timing=TimingProfile(),
             rng=RngStream(5),
         )
-        replica_world.server.attach_applier(applier)
+        replica_world.server.applier = applier
         return replica_world, applier, entries
 
     def test_applier_applies_all(self):

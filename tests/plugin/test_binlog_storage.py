@@ -222,6 +222,21 @@ class TestPurging:
         storage.append([data_entry(1)])
         assert storage.purge_files_below(horizon_index=100) == []
 
+    def test_truncating_everything_left_after_a_purge_matches_recovery(self):
+        durable = {}
+        storage = BinlogRaftLogStorage(MySQLLogManager(durable))
+        storage.append([data_entry(1), data_entry(2), data_entry(3), rotate_entry(4)])
+        storage.append([data_entry(5), data_entry(6)])
+        assert storage.purge_files_below(5) != []
+        storage.truncate_from(storage.first_index())
+        recovered = BinlogRaftLogStorage(MySQLLogManager(durable))
+        assert (storage.first_index(), storage.last_opid()) == (
+            recovered.first_index(),
+            recovered.last_opid(),
+        )
+        storage.append([data_entry(1, term=2)])  # the emptied log takes index 1 again
+        assert storage.first_index() == 1
+
 
 class TestIndexedMaintenance:
     """The per-file index spans."""

@@ -160,7 +160,6 @@ def test_recovery_rebuilds_the_same_index(ops):
     durable = {}
     storage = BinlogRaftLogStorage(MySQLLogManager(durable))
     term = txn_id = 1
-    committed = 0  # Raft truncates only above it and purges only below it
     for op, arg in ops:
         last = storage.last_opid().index
         if op == "append":
@@ -170,13 +169,14 @@ def test_recovery_rebuilds_the_same_index(ops):
                 entries.append(make_entry(kind, OpId(term, last + len(entries) + 1), txn_id))
             storage.append(entries)
         elif op == "truncate":
-            cut = max(committed + 1, last - arg + 1)
+            # Down to the first retained index: below what an earlier
+            # purge's horizon kept, too.
+            cut = max(storage.first_index(), last - arg + 1)
             if cut <= last:
                 storage.truncate_from(cut)
                 term += 1  # a new leader's entries replace the suffix
         elif last >= storage.first_index():
-            committed = max(committed, storage.first_index(), last - arg)
-            storage.purge_files_below(committed)
+            storage.purge_files_below(max(storage.first_index(), last - arg))
     before = answers(storage)
     recovered = BinlogRaftLogStorage(MySQLLogManager(durable))
     assert answers(recovered) == before

@@ -5,15 +5,10 @@ import pytest
 from repro.errors import MySQLError
 from repro.mysql.events import GtidEvent, QueryEvent, Transaction, XidEvent
 from repro.mysql.log_manager import MySQLLogManager
-from repro.mysql.timing import TimingProfile
 from repro.plugin.binlog_storage import BinlogRaftLogStorage
 from repro.raft.types import OpId
 from repro.semisync.messages import ShipAck, ShipEntries
 from repro.semisync.server import _ShipLog
-from repro.sim.host import Host
-from repro.sim.loop import EventLoop
-from repro.sim.network import FixedLatency, Network, NetworkSpec
-from repro.sim.rng import RngStream
 
 UUID = "3E11FA47-71CA-11E1-9E33-C80AA9429562"
 
@@ -30,12 +25,7 @@ def payload(seq, generation=1, txn_id=None):
 
 
 def make_ship_log():
-    loop = EventLoop()
-    net = Network(loop, RngStream(1), spec=NetworkSpec(in_region=FixedLatency(0.001)))
-    host = Host(loop, net, "x", "r1")
-    host.attach_service(object())
-    storage = BinlogRaftLogStorage(MySQLLogManager({}, persona="relay"))
-    return _ShipLog(host, storage, TimingProfile(), RngStream(2))
+    return _ShipLog(BinlogRaftLogStorage(MySQLLogManager({}, persona="relay")))
 
 
 class TestShipEntries:
