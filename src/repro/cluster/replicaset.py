@@ -15,7 +15,7 @@ from typing import Any
 from repro.control.discovery import ServiceDiscovery
 from repro.errors import ReproError
 from repro.flexiraft import FlexiMode, FlexiRaftPolicy
-from repro.mysql.server import MySQLMember, ServerRole
+from repro.mysql.server import MySQLMember
 from repro.mysql.timing import TimingProfile, myraft_profile
 from repro.plugin.logtailer import LogtailerService
 from repro.plugin.raft_plugin import MyRaftServer
@@ -41,13 +41,13 @@ def paper_network_spec() -> NetworkSpec:
 
 class Replicaset:
     """The simulated world of one replicaset and the operator commands
-    both stacks answer. Each stack sets its database service class and
-    ``wait_for_primary``'s default bound and poll grain, provisions its
-    members (``provision`` builds a member's service over its host and
-    hands both to ``register``), and supplies ``primary_service``, ``bootstrap`` and
-    ``transfer_leadership``."""
+    both stacks answer. Each stack sets ``wait_for_primary``'s default
+    bound and poll grain, provisions its members (``provision`` builds a
+    member's service over its host and hands both to ``register``), and
+    supplies ``bootstrap`` and ``transfer_leadership``. Database members
+    are :class:`MySQLMember` instances whatever their driver; each says
+    whether it is a writable primary and of which term."""
 
-    database_class: type = MySQLMember
     primary_wait_timeout = 30.0
     primary_wait_step = 0.05
 
@@ -88,12 +88,26 @@ class Replicaset:
 
     def server(self, name: str) -> Any:
         service = self.services[name]
-        if not isinstance(service, self.database_class):
+        if not isinstance(service, MySQLMember):
             raise ReproError(f"{name!r} is not a database server")
         return service
 
     def database_services(self) -> list[Any]:
-        return [s for s in self.services.values() if isinstance(s, self.database_class)]
+        """Every database member, whichever replication driver runs it
+        (mid-rollout, enable-raft leaves both kinds in one replicaset)."""
+        return [s for s in self.services.values() if isinstance(s, MySQLMember)]
+
+    def primary_service(self) -> Any:
+        """The live writable primary, or None. Should a deposed one not
+        know it yet, the newest term's wins."""
+        candidates = [
+            s
+            for s in self.database_services()
+            if self.hosts[s.host.name].alive and s.writable_primary()
+        ]
+        if not candidates:
+            return None
+        return max(candidates, key=lambda s: s.primary_term)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -200,8 +214,6 @@ class Replicaset:
 class MyRaftReplicaset(Replicaset):
     """One simulated MyRaft replicaset, fully wired."""
 
-    database_class = MyRaftServer
-
     # The ProxyRouter every member is built with (here, on re-image, on
     # restore, on AddMember). None: each node's own default, the paper's
     # region tree (§4.2). An A/B harness that wants direct delivery
@@ -292,19 +304,6 @@ class MyRaftReplicaset(Replicaset):
             if view.config_index > best.config_index:
                 best = view
         return best
-
-    def primary_service(self) -> MyRaftServer | None:
-        candidates = [
-            s
-            for s in self.database_services()
-            if self.hosts[s.host.name].alive
-            and s.node.is_leader
-            and s.mysql.role == ServerRole.PRIMARY
-            and not s.mysql.read_only
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda s: s.node.current_term)
 
     # -- lifecycle -----------------------------------------------------------------
 

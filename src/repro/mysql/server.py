@@ -407,6 +407,17 @@ class MySQLMember:
         """The running applier; None on a primary."""
         return self.mysql.applier
 
+    def writable_primary(self) -> bool:
+        """Whether this member takes client writes now."""
+        return self.mysql.role == ServerRole.PRIMARY and not self.mysql.read_only
+
+    @property
+    def primary_term(self) -> int:
+        """The term this member's writes are stamped with (the OpId's
+        first half). Of two writable primaries, the newer term's is the
+        primary; the other has yet to learn it was deposed."""
+        raise NotImplementedError
+
     def submit_write(self, table: str, rows: dict):
         """Run one client write transaction; returns its Process."""
         return self.host.spawn(

@@ -129,6 +129,13 @@ class MyRaftServer(MySQLMember):
         self._wire_snapshots()
         self.mysql.start_replica_runtime()
 
+    def writable_primary(self) -> bool:
+        return self.node.is_leader and super().writable_primary()
+
+    @property
+    def primary_term(self) -> int:
+        return self.node.current_term
+
     # -- host service interface -------------------------------------------------
 
     def handle_message(self, src: str, message: Any) -> None:

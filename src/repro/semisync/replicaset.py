@@ -13,7 +13,6 @@ from typing import Any
 from repro.cluster.replicaset import Replicaset
 from repro.cluster.topology import ReplicaSetSpec
 from repro.errors import ReproError
-from repro.mysql.server import ServerRole
 from repro.mysql.timing import TimingProfile, semisync_profile
 from repro.raft.types import MemberInfo
 from repro.semisync.automation import FailoverAutomation, SemiSyncAutomationConfig
@@ -25,7 +24,6 @@ from repro.sim.network import NetworkSpec
 class SemiSyncReplicaset(Replicaset):
     """One simulated prior-setup replicaset, fully wired."""
 
-    database_class = SemiSyncServer
     # Failover is minutes-scale here (Table 2): wait longer, poll coarser.
     primary_wait_timeout = 300.0
     primary_wait_step = 0.25
@@ -79,18 +77,6 @@ class SemiSyncReplicaset(Replicaset):
         if not isinstance(service, SemiSyncAcker):
             raise ReproError(f"{name!r} is not an acker")
         return service
-
-    def primary_service(self) -> SemiSyncServer | None:
-        candidates = [
-            s
-            for s in self.database_services()
-            if self.hosts[s.host.name].alive
-            and s.mysql.role == ServerRole.PRIMARY
-            and not s.mysql.read_only
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda s: s.generation)
 
     # -- lifecycle -----------------------------------------------------------------
 

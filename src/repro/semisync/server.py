@@ -189,6 +189,10 @@ class SemiSyncServer(MySQLMember):
     def generation(self) -> int:
         return self._meta["generation"]
 
+    @property
+    def primary_term(self) -> int:
+        return self.generation
+
     def become_primary(
         self, generation: int, ship_targets: list[str], acker_names: list[str]
     ):

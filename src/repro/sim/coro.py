@@ -79,9 +79,16 @@ class SimFuture:
 
     def resolve_if_pending(self, value: Any = None) -> bool:
         """Resolve unless already done; returns whether it resolved now."""
-        if self._state != _PENDING:
+        if self._state is not _PENDING:
             return False
-        self.resolve(value)
+        self._state = _RESOLVED
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            call_soon = self._loop.call_soon
+            for fn in callbacks:
+                call_soon(fn, self)
         return True
 
     def fail_if_pending(self, exc: BaseException) -> bool:
@@ -221,40 +228,36 @@ class Process(SimFuture):
       - a number: suspends for that many simulated seconds; the timer
         calls ``_advance`` directly (one loop event, no future).
 
-    ``liveness`` (optional) is checked before each resume; if it returns
-    False the process is killed silently — this is how host crashes stop
-    in-flight pipelines without unwinding through every frame.
-
-    ``gate`` (optional) is consulted before each resume: returning a
-    :class:`SimFuture` defers the resume until that future completes
-    (then re-checks), returning None lets the resume proceed. This is how
-    a paused host freezes its coroutines mid-flight without killing them.
+    ``host`` (optional) binds the process to that host's incarnation at
+    spawn, checked inline before each resume: if the host crashed or
+    restarted since, the process is killed silently — this is how host
+    crashes stop in-flight pipelines without unwinding through every
+    frame; if the host is paused, the resume is deferred until its pause
+    barrier completes (then re-checked), which freezes the coroutine
+    mid-flight without killing it.
     """
 
-    __slots__ = ("_gen", "_liveness", "_gate", "_killed", "_sleep_timer")
+    __slots__ = ("_gen", "_host", "_incarnation", "_sleep_timer")
 
     def __init__(
         self,
         loop: EventLoop,
         gen: Generator[Any, Any, Any],
         label: str = "",
-        liveness: Callable[[], bool] | None = None,
-        gate: Callable[[], "SimFuture | None"] | None = None,
+        host: Any = None,
     ) -> None:
         super().__init__(loop, label=label or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._liveness = liveness
-        self._gate = gate
-        self._killed = False
+        self._host = host
+        self._incarnation = host.incarnation if host is not None else 0
         self._sleep_timer: Timer | None = None
         loop.call_soon(self._advance, None, None)
 
     def kill(self) -> None:
         """Terminate the coroutine without resolving normally. Waiters see
         a SimError (via cancellation)."""
-        if self.done():
+        if self._state is not _PENDING:
             return
-        self._killed = True
         if self._sleep_timer is not None:
             self._sleep_timer.cancel()
             self._sleep_timer = None
@@ -262,56 +265,49 @@ class Process(SimFuture):
         self.cancel()
 
     def _advance(self, value: Any, exc: BaseException | None) -> None:
-        if self._killed or self.done():
+        if self._state is not _PENDING:
             return
         self._sleep_timer = None
-        if self._liveness is not None and not self._liveness():
-            self.kill()
-            return
-        if self._gate is not None:
-            barrier = self._gate()
+        host = self._host
+        if host is not None:
+            if not host.alive or host.incarnation != self._incarnation:
+                self.kill()
+                return
+            barrier = host.pause_barrier
             if barrier is not None:
                 barrier.add_done_callback(lambda _b: self._advance(value, exc))
                 return
         try:
-            if exc is not None:
-                yielded = self._gen.throw(exc)
-            else:
+            if exc is None:
                 yielded = self._gen.send(value)
+            else:
+                yielded = self._gen.throw(exc)
         except StopIteration as stop:
             self.resolve(stop.value)
             return
         except Exception as err:  # noqa: BLE001 - propagate to waiters
             self.fail(err)
             return
-        self._wait_on(yielded)
-
-    def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            # Liveness and gate are re-checked in _advance, so a crashed
+        if isinstance(yielded, SimFuture):
+            if yielded._state is _PENDING:
+                yielded._callbacks.append(self._on_waited)
+            else:
+                self._loop.call_soon(self._on_waited, yielded)
+        elif isinstance(yielded, (int, float)):
+            # The host is re-checked when the timer resumes, so a crashed
             # or paused host stops or defers the resume as for a future.
             self._sleep_timer = self._loop.call_after(yielded, self._advance, None, None)
-            return
-        if not isinstance(yielded, SimFuture):
+        else:
             self._gen.close()
             self.fail(SimError(f"process {self.label!r} yielded {type(yielded).__name__}"))
-            return
-        yielded.add_done_callback(self._on_waited)
 
     def _on_waited(self, completed: SimFuture) -> None:
-        exc = completed.exception()
-        if exc is not None:
-            self._advance(None, exc)
+        if completed._state is _RESOLVED:
+            self._advance(completed._value, None)
         else:
-            self._advance(completed.result(), None)
+            self._advance(None, completed._value)
 
 
-def spawn(
-    loop: EventLoop,
-    gen: Generator[Any, Any, Any],
-    label: str = "",
-    liveness: Callable[[], bool] | None = None,
-    gate: Callable[[], "SimFuture | None"] | None = None,
-) -> Process:
-    """Start ``gen`` as a coroutine on ``loop``."""
-    return Process(loop, gen, label=label, liveness=liveness, gate=gate)
+def spawn(loop: EventLoop, gen: Generator[Any, Any, Any], label: str = "") -> Process:
+    """Start ``gen`` as a coroutine on ``loop``, bound to no host."""
+    return Process(loop, gen, label=label)

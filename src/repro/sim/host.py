@@ -4,8 +4,8 @@ A :class:`Host` owns one *service* (a Raft node, a MySQL server + plugin, a
 semi-sync primary, ...). Crashing a host:
 
 - makes it unreachable (in-flight deliveries drop on arrival);
-- cancels every timer and kills every coroutine the service created
-  through the host (nothing volatile survives);
+- cancels every timer and kills every coroutine and commit pipeline the
+  service created through the host (nothing volatile survives);
 - bumps the incarnation counter, so stale callbacks from a previous life
   can never fire into the new one;
 - preserves only the :class:`DurableStore` — the simulated disk.
@@ -72,9 +72,13 @@ class Host:
         self.disk = DurableStore()
         self.service: Any = None
         self._timers: list[Timer] = []
-        self._processes: list[Process] = []
+        # Volatile tasks: coroutines and callback state machines (anything
+        # with kill() and done()); crash() kills them.
+        self._tasks: list[Any] = []
         self.paused = False
-        self._pause_barrier: SimFuture | None = None
+        # While paused: the future that deferred work waits on (resolved
+        # at resume, cancelled by a crash). None while running.
+        self.pause_barrier: SimFuture | None = None
         self._paused_inbox: list[tuple[str, Any]] = []
         network.register(self)
 
@@ -119,8 +123,8 @@ class Host:
             if self.paused:
                 # Frozen host: the timer "fired" but no thread runs it
                 # until resume (it re-checks liveness then).
-                assert self._pause_barrier is not None
-                self._pause_barrier.add_done_callback(lambda _b: guarded())
+                assert self.pause_barrier is not None
+                self.pause_barrier.add_done_callback(lambda _b: guarded())
                 return
             callback(*args)
 
@@ -135,18 +139,19 @@ class Host:
         """Run a coroutine whose life is bound to this host incarnation."""
         if not self.alive:
             raise HostDownError(f"host {self.name!r} is down")
-        incarnation = self.incarnation
-        process = Process(
-            self.loop,
-            gen,
-            label=label or f"{self.name}:process",
-            liveness=lambda: self.alive and self.incarnation == incarnation,
-            gate=lambda: self._pause_barrier,
-        )
-        self._processes.append(process)
-        if len(self._processes) > 256:
-            self._processes = [p for p in self._processes if not p.done()]
+        process = Process(self.loop, gen, label or f"{self.name}:process", self)
+        self.adopt(process)
         return process
+
+    def adopt(self, task: Any) -> None:
+        """Bind a volatile task (anything with ``kill()`` and ``done()``:
+        a process, a commit pipeline) to this incarnation: crash() kills it."""
+        if not self.alive:
+            raise HostDownError(f"host {self.name!r} is down")
+        tasks = self._tasks
+        tasks.append(task)
+        if len(tasks) > 256:
+            self._tasks = [t for t in tasks if not t.done()]
 
     def future(self, label: str = "") -> SimFuture:
         return SimFuture(self.loop, label=f"{self.name}:{label}")
@@ -164,7 +169,7 @@ class Host:
         if not self.alive or self.paused:
             return
         self.paused = True
-        self._pause_barrier = SimFuture(self.loop, label=f"{self.name}:pause")
+        self.pause_barrier = SimFuture(self.loop, label=f"{self.name}:pause")
         if self.tracer is not None:
             self.tracer.emit("host.pause", host=self.name)
 
@@ -174,7 +179,7 @@ class Host:
         if not self.alive or not self.paused:
             return
         self.paused = False
-        barrier, self._pause_barrier = self._pause_barrier, None
+        barrier, self.pause_barrier = self.pause_barrier, None
         inbox, self._paused_inbox = self._paused_inbox, []
         if self.tracer is not None:
             self.tracer.emit("host.resume", host=self.name)
@@ -202,16 +207,16 @@ class Host:
             # released into incarnation guards (which squelch it) and the
             # buffered inbox is lost with the process.
             self.paused = False
-            barrier, self._pause_barrier = self._pause_barrier, None
+            barrier, self.pause_barrier = self.pause_barrier, None
             self._paused_inbox.clear()
             if barrier is not None:
                 barrier.cancel()
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-        for process in self._processes:
-            process.kill()
-        self._processes.clear()
+        for task in self._tasks:
+            task.kill()
+        self._tasks.clear()
         if self.tracer is not None:
             self.tracer.emit("host.crash", host=self.name)
         if self.service is not None and hasattr(self.service, "on_crash"):

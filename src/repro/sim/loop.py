@@ -21,7 +21,7 @@ bit-for-bit unchanged.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimError
@@ -58,7 +58,8 @@ class Timer:
         self._args = args
         self.cancelled = False
         self._loop = loop
-        self._in_heap = False
+        # Only the loop makes timers, and it pushes each one as it makes it.
+        self._in_heap = True
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -118,20 +119,27 @@ class EventLoop:
             raise SimError(f"cannot schedule in the past: {when} < {self._now}")
         self._seq = seq = self._seq + 1
         timer = Timer(when, seq, callback, args, self)
-        timer._in_heap = True
-        heapq.heappush(self._heap, (when, seq, timer))
+        heappush(self._heap, (when, seq, timer))
         return timer
 
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, *args)
+        when = self._now + delay
+        self._seq = seq = self._seq + 1
+        timer = Timer(when, seq, callback, args, self)
+        heappush(self._heap, (when, seq, timer))
+        return timer
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at the current instant (after events
         already queued for this instant)."""
-        return self.call_at(self._now, callback, *args)
+        now = self._now
+        self._seq = seq = self._seq + 1
+        timer = Timer(now, seq, callback, args, self)
+        heappush(self._heap, (now, seq, timer))
+        return timer
 
     # -- cancellation bookkeeping -------------------------------------------
 
@@ -148,43 +156,36 @@ class EventLoop:
         surviving entries' pop order is the same total order
         ``(fire_at, seq)`` the lazy heap would have produced.
         """
+        heap = self._heap
         live = []
-        for entry in self._heap:
+        for entry in heap:
             timer = entry[2]
             if timer.cancelled:
                 timer._in_heap = False
             else:
                 live.append(entry)
-        heapq.heapify(live)
-        self._heap = live
+        # In place: run_until holds the list across the callback that
+        # triggered this compaction.
+        heap[:] = live
+        heapify(heap)
         self._cancelled_in_heap = 0
         self._compactions += 1
 
-    def _pop_ready(self, deadline: float) -> Timer | None:
-        heap = self._heap
-        while heap:
-            fire_at, _seq, timer = heap[0]
-            if timer.cancelled:
-                heapq.heappop(heap)
-                timer._in_heap = False
-                self._cancelled_in_heap -= 1
-                continue
-            if fire_at > deadline:
-                return None
-            heapq.heappop(heap)
-            timer._in_heap = False
-            return timer
-        return None
-
     def step(self) -> bool:
         """Fire the single next event, if any. Returns True if one fired."""
-        timer = self._pop_ready(float("inf"))
-        if timer is None:
-            return False
-        self._now = max(self._now, timer.fire_at)
-        self._processed += 1
-        timer._fire()
-        return True
+        heap = self._heap
+        while heap:
+            fire_at, _seq, timer = heappop(heap)
+            timer._in_heap = False
+            if timer.cancelled:
+                self._cancelled_in_heap -= 1
+                continue
+            if fire_at > self._now:
+                self._now = fire_at
+            self._processed += 1
+            timer._fire()
+            return True
+        return False
 
     def run_until(self, deadline: float, max_events: int | None = None) -> None:
         """Process every event with ``fire_at <= deadline``; advance the
@@ -193,18 +194,30 @@ class EventLoop:
         ``max_events`` guards against runaway schedules (e.g. a bug that
         re-arms a zero-delay timer forever); exceeding it raises SimError.
         """
-        fired = 0
-        while True:
-            timer = self._pop_ready(deadline)
-            if timer is None:
+        heap = self._heap
+        budget = -1 if max_events is None else max_events
+        while heap:
+            entry = heap[0]
+            timer = entry[2]
+            if timer.cancelled:
+                heappop(heap)
+                timer._in_heap = False
+                self._cancelled_in_heap -= 1
+                continue
+            fire_at = entry[0]
+            if fire_at > deadline:
                 break
-            self._now = max(self._now, timer.fire_at)
+            heappop(heap)
+            timer._in_heap = False
+            if fire_at > self._now:
+                self._now = fire_at
             self._processed += 1
             timer._fire()
-            fired += 1
-            if max_events is not None and fired > max_events:
+            if budget == 0:
                 raise SimError(f"run_until exceeded max_events={max_events}")
-        self._now = max(self._now, deadline)
+            budget -= 1
+        if deadline > self._now:
+            self._now = deadline
 
     def run_for(self, duration: float, max_events: int | None = None) -> None:
         """Process events for ``duration`` seconds of simulated time."""

@@ -209,6 +209,8 @@ class Network:
         self._blocked_regions.clear()
 
     def path_blocked(self, src: str, dst: str) -> bool:
+        if not (self._isolated or self._blocked_links or self._blocked_regions):
+            return src not in self._hosts or dst not in self._hosts
         if src in self._isolated or dst in self._isolated:
             return True
         if frozenset((src, dst)) in self._blocked_links:

@@ -9,8 +9,8 @@ consumers — runs stay comparable across code changes.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
+from math import cos as _cos, exp as _exp, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
 
 
 def _derive_seed(parent_seed: int, label: str) -> int:
@@ -60,8 +60,21 @@ class RngStream:
 
     def lognormal_from_median(self, median: float, sigma: float) -> float:
         """Lognormal draw parameterised by its median (natural for latency:
-        the median is what you observe; sigma widens the tail)."""
-        return median * math.exp(self._random.gauss(0.0, sigma))
+        the median is what you observe; sigma widens the tail).
+
+        ``median * exp(gauss(0, sigma))`` with ``random.Random.gauss``
+        inlined: the same two uniform draws per pair, the same cached
+        second value, so the stream is bit-for-bit what ``gauss`` makes."""
+        rnd = self._random
+        z = rnd.gauss_next
+        rnd.gauss_next = None
+        if z is None:
+            uniform = rnd.random
+            x2pi = uniform() * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+            z = _cos(x2pi) * g2rad
+            rnd.gauss_next = _sin(x2pi) * g2rad
+        return median * _exp(z * sigma)
 
     def jittered(self, base: float, fraction: float) -> float:
         """``base`` perturbed uniformly by ±``fraction`` of itself."""

@@ -79,10 +79,7 @@ class TestEnableRaft:
         report = tool.run_to_completion()
         assert report.succeeded
         cluster = semisync_cluster
-        primary = next(
-            s for s in cluster.services.values()
-            if isinstance(s, MyRaftServer) and not s.mysql.read_only
-        )
+        primary = cluster.primary_service()
         for i in range(5):
             assert primary.mysql.engine.table("t").get(i) == {"id": i, "v": f"pre{i}"}
 
@@ -91,18 +88,12 @@ class TestEnableRaft:
         report = tool.run_to_completion()
         assert report.succeeded
         cluster = semisync_cluster
-        primary = next(
-            s for s in cluster.services.values()
-            if isinstance(s, MyRaftServer) and not s.mysql.read_only
-        )
+        primary = cluster.primary_service()
         process = primary.submit_write("t", {100: {"id": 100, "v": "post"}})
         cluster.run(3.0)
         assert process.done() and not process.failed()
         # Replication now flows through Raft to the converted members.
-        replica = next(
-            s for s in cluster.services.values()
-            if isinstance(s, MyRaftServer) and s is not primary
-        )
+        replica = next(s for s in cluster.database_services() if s is not primary)
         cluster.run(3.0)
         assert replica.mysql.engine.table("t").get(100) == {"id": 100, "v": "post"}
 
@@ -116,17 +107,28 @@ class TestEnableRaft:
         new_primary = None
         while cluster.loop.now < deadline:
             cluster.run(0.2)
-            candidates = [
-                s for s in cluster.services.values()
-                if isinstance(s, MyRaftServer)
-                and cluster.hosts[s.host.name].alive
-                and not s.mysql.read_only
-            ]
-            if candidates:
-                new_primary = candidates[0]
+            new_primary = cluster.primary_service()
+            if new_primary is not None:
                 break
         assert new_primary is not None
         assert new_primary.host.name == "region1-db1"
+
+    def test_shell_serves_the_converted_members(self, semisync_cluster):
+        # The shared replicaset shell keeps answering for members the
+        # rollout handed to the other replication driver.
+        cluster = semisync_cluster
+        report = EnableRaftTool(cluster).run_to_completion()
+        assert report.succeeded, report.aborted_reason
+        services = cluster.database_services()
+        assert [s.host.name for s in services] == ["region0-db1", "region1-db1"]
+        assert all(isinstance(s, MyRaftServer) for s in services)
+        primary = cluster.primary_service()
+        assert isinstance(primary, MyRaftServer) and primary.node.is_leader
+        assert primary.host.name == "region0-db1"
+        process = cluster.write("t", {200: {"id": 200, "v": "shell"}})
+        cluster.run(3.0)
+        assert process.done() and not process.failed()
+        assert primary.mysql.engine.table("t").get(200) == {"id": 200, "v": "shell"}
 
     def test_rollout_aborts_with_dead_member(self, semisync_cluster):
         semisync_cluster.crash("region1-lt1")

@@ -33,7 +33,13 @@ and with the clients interleaved differently the engine and log checksums
 moved too. Replicated bytes per entry are what they were.
 """
 
+from dataclasses import replace
+
+import pytest
+
+from repro.check import SCENARIOS, run_once
 from repro.cluster import MyRaftReplicaset, paper_topology
+from repro.sim.loop import EventLoop
 from repro.workload import WorkloadRunner, sysbench_timing, sysbench_workload
 
 SEED = 12
@@ -74,3 +80,40 @@ def test_fixed_seed_sysbench_run_is_bit_identical_and_cheap():
     assert engine.checksum() == ENGINE_CHECKSUM
     assert primary.mysql.log_manager.content_checksum() == LOG_CHECKSUM
     assert events / result.committed <= MAX_EVENTS_PER_COMMITTED_WRITE
+
+
+# Fault paths: two short model-check runs whose faults land on the
+# primary while writes are in its commit pipeline — a stop-the-world
+# pause (every pending step defers to the resume instant) and a crash
+# loop (a crashed incarnation's pending steps never run). Recorded before
+# the pipeline's stages became loop callbacks and reproduced unchanged
+# after. The outcome digest pins what was simulated; the loop's fired and
+# scheduled event counts pin the schedule itself, so a host-cost change
+# that adds, drops or reorders a step on a fault path fails here.
+FAULT_PATH_PINS = {
+    ("pause-storm", 2): (
+        "6cea31f9bcaff454da1382c893f20cf51e6f22890ecce4ccdd93d3443ce9c7f0", 6510, 6556,
+    ),
+    ("leader-crash-loop", 3): (
+        "677a4096eaa0c802194bf77586de240d4c605af5ea50b8c1c0eec85c840a470a", 6368, 6418,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(FAULT_PATH_PINS))
+def test_fault_path_runs_are_bit_identical(monkeypatch, scenario, seed):
+    loops = []
+    init = EventLoop.__init__
+
+    def recording_init(self):
+        init(self)
+        loops.append(self)
+
+    monkeypatch.setattr(EventLoop, "__init__", recording_init)
+    outcome = run_once(replace(SCENARIOS[scenario], duration=8.0, settle=4.0), seed)
+    kinds = {kind for _time, kind, target, _other in outcome.fault_events if target == "region0-db1"}
+    assert kinds >= ({"pause", "resume"} if scenario == "pause-storm" else {"crash", "restart"})
+    stats = loops[-1].stats()
+    assert (outcome.digest(), stats["events_processed"], stats["timers_scheduled"]) == (
+        FAULT_PATH_PINS[scenario, seed]
+    )

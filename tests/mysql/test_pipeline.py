@@ -51,6 +51,11 @@ class PipelineWorld:
         self.waiters[opid.index] = future
         return future
 
+    def _async_wait(self, opid):
+        future = SimFuture(self.loop, label=f"async:{opid}")
+        future.resolve(opid)
+        return future
+
     def _commit(self, group):
         self.committed_groups.append(list(group))
 
@@ -197,3 +202,89 @@ class TestPipelineStages:
             world.loop.run_for(0.01)
         assert world.pipeline.txns_committed == 3
         assert world.pipeline.groups_flushed == 2
+
+
+class TestCallbackStageContract:
+    """The stages are loop callbacks; these pin the schedule they keep:
+    six events per group, host-bound liveness and pause, stop()."""
+
+    @staticmethod
+    def flushed_and_waiting(world, txn_id=1):
+        """Submit one txn and run it to its consensus wait."""
+        txn = world.make_txn(txn_id)
+        world.pipeline.submit(txn)
+        world.loop.run_for(0.01)
+        assert list(world.waiters) == [world.next_index]
+        return txn
+
+    def test_singleton_group_costs_six_loop_events(self):
+        world = PipelineWorld()
+        world.loop.run_for(0.0)  # the three workers' first steps
+        fired, scheduled = world.loop.events_processed, world.loop.stats()["timers_scheduled"]
+        txn = self.flushed_and_waiting(world)
+        world.release(1)  # resolved outside the loop: no event of its own
+        world.loop.run_for(0.01)
+        assert txn.done.result() == OpId(1, 1)
+        # Per stage: one hand-off, then a sleep (flush, engine commit) or
+        # the consensus future's callback (wait).
+        assert world.loop.events_processed - fired == 6
+        assert world.loop.stats()["timers_scheduled"] - scheduled == 6
+
+    def test_paused_host_commits_in_flight_groups_at_resume_in_order(self):
+        world = PipelineWorld()
+        world.pipeline._wait_fn = world._async_wait  # no consensus hold-up
+        first, second, third = (world.make_txn(i) for i in (1, 2, 3))
+        committed_at = []
+        world.pipeline._commit_fn = lambda group: committed_at.append(
+            (world.loop.now, [t.payload.gtid_event.txn_id for t in group])
+        )
+        world.pipeline.submit(first)
+        world.loop.run_for(0.0001)  # group 1 is in its flush fsync
+        world.pipeline.submit(second)
+        world.pipeline.submit(third)
+        world.loop.run_until(0.0012)  # group 1 in its engine sync, group 2 flushing
+        world.host.pause()
+        world.loop.call_at(0.01, world.host.resume)
+        world.loop.run_until(0.009)
+        assert committed_at == [] and not first.done.done()
+        world.loop.run_until(0.05)
+        assert committed_at[0] == (0.01, [1])  # the resume instant
+        assert [ids for _t, ids in committed_at] == [[1], [2, 3]]
+        assert committed_at[1][0] > 0.01
+        assert [t.done.result().index for t in (first, second, third)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("phase", ["flush", "wait", "commit"])
+    def test_crash_mid_stage_leaves_nothing_of_that_incarnation(self, phase):
+        world = PipelineWorld()
+        txn = world.make_txn(1)
+        world.pipeline.submit(txn)
+        world.loop.run_for({"flush": 0.0005, "wait": 0.005, "commit": 0.0}[phase])
+        if phase == "commit":
+            world.loop.run_for(0.005)
+            world.release(1)
+            world.loop.run_for(0.0002)  # inside the 0.5 ms engine sync
+        world.host.crash()
+        assert world.pipeline.done()
+        assert world.loop.pending_count() == 0  # its sleep was cancelled
+        world.host.restart()
+        for future in world.waiters.values():
+            future.resolve_if_pending(OpId(1, 1))
+        late = world.make_txn(2)
+        world.pipeline.submit(late)  # the old pipeline never steps again
+        world.loop.run_for(0.05)
+        assert world.committed_groups == []
+        assert not txn.done.done() and not late.done.done()
+        assert world.flushed_groups == ([] if phase == "flush" else [[txn]])
+
+    def test_stop_during_flush_sleep_aborts_the_group(self):
+        world = PipelineWorld()
+        txn = world.make_txn(1)
+        world.pipeline.submit(txn)
+        world.loop.run_for(0.0005)  # mid-fsync
+        victims = world.pipeline.stop("role change")
+        assert victims == [txn] and txn in world.aborted
+        with pytest.raises(TransactionAborted):
+            txn.done.result()
+        world.loop.run_for(0.01)
+        assert world.flushed_groups == [] and world.waiters == {}
+        assert world.pipeline.done()  # every worker exited

@@ -4,12 +4,22 @@ import pytest
 
 from repro.errors import SimError, SimTimeoutError
 from repro.sim.coro import Process, SimFuture, all_of, any_of, sleep, spawn, with_timeout
+from repro.sim.host import Host
 from repro.sim.loop import EventLoop
+from repro.sim.network import FixedLatency, Network, NetworkSpec
+from repro.sim.rng import RngStream
 
 
 @pytest.fixture
 def loop():
     return EventLoop()
+
+
+def _host(loop, name):
+    network = Network(loop, RngStream(1), spec=NetworkSpec(in_region=FixedLatency(0.001)))
+    host = Host(loop, network, name, "r1")
+    host.attach_service(object())
+    return host
 
 
 class TestSimFuture:
@@ -157,19 +167,26 @@ class TestProcess:
         assert proc.cancelled()
 
     def test_liveness_false_kills_on_resume(self, loop):
-        alive = [True]
-        progress = []
+        # Bound to a host's incarnation: a crash, or a crash and restart,
+        # before the resume kills it silently (built directly, so the
+        # host's crash() does not kill it first — the resume's own check does).
+        for restart in (False, True):
+            host = _host(loop, f"h{int(restart)}")
+            progress = []
 
-        def routine():
-            progress.append("a")
-            yield 1.0
-            progress.append("b")
+            def routine():
+                progress.append("a")
+                yield 1.0
+                progress.append("b")
 
-        spawn(loop, routine(), liveness=lambda: alive[0])
-        loop.run_until(0.5)
-        alive[0] = False
-        loop.run_until(5.0)
-        assert progress == ["a"]
+            proc = Process(loop, routine(), host=host)
+            loop.run_until(loop.now + 0.5)
+            host.crash()
+            if restart:
+                host.restart()
+            loop.run_until(loop.now + 5.0)
+            assert progress == ["a"]
+            assert proc.cancelled()
 
     def test_numeric_yield_is_one_loop_event(self, loop):
         def routine():
@@ -202,20 +219,19 @@ class TestProcess:
         assert sends == ["start"]
 
     def test_gate_defers_a_sleep_resume_until_the_barrier_resolves(self, loop):
-        barrier = [None]
+        host = _host(loop, "h1")
         times = []
 
         def routine():
             yield 1.0
             times.append(loop.now)
 
-        spawn(loop, routine(), gate=lambda: barrier[0])
-        loop.run_until(0.5)  # started and asleep before the gate closes
-        barrier[0] = SimFuture(loop)
+        host.spawn(routine())
+        loop.run_until(0.5)  # started and asleep before the host pauses
+        host.pause()
         loop.run_until(3.0)
-        assert times == []  # slept until 1.0, then held by the gate
-        loop.call_at(4.0, barrier[0].resolve, None)
-        loop.call_at(4.0, barrier.__setitem__, 0, None)
+        assert times == []  # slept until 1.0, then held by the pause barrier
+        loop.call_at(4.0, host.resume)
         loop.run_until(10.0)
         assert times == [4.0]
 

@@ -126,6 +126,19 @@ def test_run_until_max_events_guard():
     loop.call_soon(rearm)
     with pytest.raises(SimError):
         loop.run_until(1.0, max_events=100)
+    assert loop.events_processed == 101  # raised on the event past the budget
+    for max_events in (0, 1, 5):
+        loop = EventLoop()
+        for i in range(10):
+            loop.call_at(i * 0.1, lambda: None)
+        with pytest.raises(SimError):
+            loop.run_until(2.0, max_events=max_events)
+        assert loop.events_processed == max_events + 1
+    loop = EventLoop()
+    for i in range(5):
+        loop.call_at(i * 0.1, lambda: None)
+    loop.run_until(2.0, max_events=5)  # exactly the budget: no raise
+    assert loop.events_processed == 5 and loop.now == 2.0
 
 
 def test_step_returns_false_when_empty():

@@ -394,3 +394,25 @@ class TestTracer:
             tracer.emit("tick", i=i)
         assert len(tracer.records) <= 10
         assert tracer.dropped > 0
+
+
+def test_path_blocked_with_and_without_partitions(world):
+    loop, net = world
+    make_host(loop, net, "a", "r1")
+    make_host(loop, net, "b", "r2")
+    make_host(loop, net, "c", "r1")
+    # No partition anywhere: the early return still knows its hosts.
+    assert not net.path_blocked("a", "b")
+    assert net.path_blocked("a", "ghost") and net.path_blocked("ghost", "a")
+    cuts = [
+        (lambda: net.isolate("b"), lambda: net.heal("b")),
+        (lambda: net.block_link("b", "a"), lambda: net.unblock_link("a", "b")),
+        (lambda: net.partition_regions("r2", "r1"), lambda: net.heal_regions("r1", "r2")),
+    ]
+    for cut, heal in cuts:
+        cut()
+        assert net.path_blocked("a", "b") and net.path_blocked("b", "a")
+        assert not net.path_blocked("a", "c")
+        assert net.path_blocked("a", "ghost")
+        heal()
+        assert not net.path_blocked("a", "b")

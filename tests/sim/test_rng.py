@@ -1,5 +1,7 @@
 """Determinism tests for hierarchical RNG streams."""
 
+import math
+
 from repro.sim.rng import RngStream
 
 
@@ -62,3 +64,19 @@ def test_bernoulli_extremes():
     rng = RngStream(9)
     assert not any(rng.bernoulli(0.0) for _ in range(50))
     assert all(rng.bernoulli(1.0) for _ in range(50))
+
+
+def test_lognormal_draw_is_the_library_gauss_bit_for_bit():
+    # lognormal_from_median inlines random.Random.gauss; interleaving
+    # plain random() draws on the same stream exercises both halves of
+    # gauss's cached pair at every phase.
+    fast = RngStream(7)
+    reference = RngStream(7)
+    shapes = [(75e-6, 0.3), (30e-3, 0.15), (1.0, 1.0), (0.6, 0.0)]
+    for i in range(10_000):
+        median, sigma = shapes[i % len(shapes)]
+        expected = median * math.exp(reference._random.gauss(0.0, sigma))
+        assert fast.lognormal_from_median(median, sigma) == expected
+        if i % 3 == 0:
+            assert fast.random() == reference.random()
+    assert fast._random.getstate() == reference._random.getstate()
